@@ -31,7 +31,7 @@ from .crypto.cl import (
 )
 from .crypto.commitment import OpeningProof, prove_opening, verify_opening
 from .crypto.encoding import encode_attribute
-from .crypto.primes import powmod
+from .crypto.primes import powmod_fixed
 from .errors import RegistryError, SchemaMismatchError, VerificationError, WalletError
 from .ledger import Registry
 from .params import Profile, get_profile
@@ -196,7 +196,8 @@ def create_credential_request(link_secret: LinkSecret, definition: CredentialDef
     profile = definition.profile()
     pk = definition.public_key
     v_prime = rng.getrandbits(pk.n.bit_length() + profile.stat_bits)
-    blinded = powmod(pk.s, v_prime, pk.n) * powmod(pk.r_bases[LINK_SLOT], link_secret.value, pk.n) % pk.n
+    blinded = (powmod_fixed(pk.s, v_prime, pk.n)
+               * powmod_fixed(pk.r_bases[LINK_SLOT], link_secret.value, pk.n) % pk.n)
     proof = prove_opening(
         pk.n, pk.r_bases[LINK_SLOT], pk.s, blinded, link_secret.value, v_prime,
         label="credential-request", nonce=nonce + definition.defn_id.encode(),

@@ -20,7 +20,8 @@ from ..errors import EncodingRangeError, ParameterError
 from ..params import Profile
 from ..serialize import serializable
 from .encoding import ATTRIBUTE_BOUND
-from .primes import invert, is_probable_prime, powmod, random_prime_in_range, sophie_germain_prime
+from .primes import (crt_pair, invert, is_probable_prime, powmod, powmod_fixed, random_prime_in_range,
+                     sophie_germain_prime)
 from .transcript import Transcript
 
 
@@ -59,6 +60,12 @@ class ClIssuerKeyPair:
         """Order of the quadratic-residue subgroup S generates."""
         return self.p_prime * self.q_prime
 
+    def powmod_crt(self, x: int, exp: int) -> int:
+        """x^exp mod n for x coprime to n and exp >= 0, computed mod p and
+        mod q with exponents reduced by Fermat."""
+        return crt_pair(powmod(x % self.p, exp % (self.p - 1), self.p), self.p,
+                        powmod(x % self.q, exp % (self.q - 1), self.q), self.q)
+
     @classmethod
     def from_secrets(cls, p_prime: int, q_prime: int, s: int, x_z: int,
                      x_r: Sequence[int]) -> "ClIssuerKeyPair":
@@ -66,8 +73,8 @@ class ClIssuerKeyPair:
         toy primes and by cl_keygen internally)."""
         p, q = 2 * p_prime + 1, 2 * q_prime + 1
         n = p * q
-        z = powmod(s, x_z, n)
-        r_bases = tuple(powmod(s, x, n) for x in x_r)
+        z = powmod_fixed(s, x_z, n)
+        r_bases = tuple(powmod_fixed(s, x, n) for x in x_r)
         return cls(
             public=ClPublicKey(n=n, s=s, z=z, r_bases=r_bases),
             p=p, q=q, p_prime=p_prime, q_prime=q_prime, x_z=x_z, x_r=tuple(x_r),
@@ -129,7 +136,7 @@ def cl_keygen(attribute_count: int, profile: Profile, rng: random.Random) -> ClI
 def _attribute_term(public: ClPublicKey, attributes: Sequence[int], offset: int) -> int:
     acc = 1
     for i, m in enumerate(attributes):
-        acc = acc * powmod(public.r_bases[offset + i], m, public.n) % public.n
+        acc = acc * powmod_fixed(public.r_bases[offset + i], m, public.n) % public.n
     return acc
 
 
@@ -154,11 +161,11 @@ def cl_sign(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: Profile,
     order = keys.group_order
     e = _random_signature_exponent(profile, order, rng)
     v = rng.getrandbits(profile.v_bits) | (1 << (profile.v_bits - 1))
-    base = powmod(public.s, v, public.n) * _attribute_term(public, attributes, reserved) % public.n
+    base = powmod_fixed(public.s, v, public.n) * _attribute_term(public, attributes, reserved) % public.n
     if hidden_commitment is not None:
         base = base * (hidden_commitment % public.n) % public.n
     q_value = public.z * invert(base, public.n) % public.n
-    a = powmod(q_value, invert(e, order), public.n)
+    a = keys.powmod_crt(q_value, invert(e, order))
     return ClSignature(a=a, e=e, v=v)
 
 
@@ -186,7 +193,7 @@ def cl_verify(public: ClPublicKey, attributes: Sequence[int], signature: ClSigna
             return False
         if not 1 < a < public.n or e <= 2 or e % 2 == 0:
             return False
-        rhs = powmod(a, e, public.n) * powmod(public.s, v, public.n) % public.n
+        rhs = powmod(a, e, public.n) * powmod_fixed(public.s, v, public.n) % public.n
         rhs = rhs * _attribute_term(public, attributes, reserved) % public.n
         if hidden_commitment is not None:
             rhs = rhs * (hidden_commitment % public.n) % public.n
@@ -199,7 +206,7 @@ def recompute_q(public: ClPublicKey, attributes: Sequence[int], v: int,
                 hidden_commitment: int | None = None) -> int:
     """The value A^e must equal: Z / (S^v * prod R_i^(m_i) * [commitment])."""
     reserved = 1 if hidden_commitment is not None else 0
-    base = powmod(public.s, v, public.n) * _attribute_term(public, attributes, reserved) % public.n
+    base = powmod_fixed(public.s, v, public.n) * _attribute_term(public, attributes, reserved) % public.n
     if hidden_commitment is not None:
         base = base * (hidden_commitment % public.n) % public.n
     return public.z * invert(base, public.n) % public.n
@@ -213,7 +220,7 @@ def sign_with_proof(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: P
     order = keys.group_order
     q_value = recompute_q(public, attributes, sig.v, hidden_commitment)
     r = rng.randrange(2, order)
-    a_tilde = powmod(q_value, r, public.n)
+    a_tilde = keys.powmod_crt(q_value, r)
     c = _signature_proof_challenge(public, q_value, sig.a, a_tilde, nonce, profile)
     s_e = (r - c * invert(sig.e, order)) % order
     return sig, SignatureProof(challenge=c, s_e=s_e)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ..params import Profile
 from ..serialize import encode_int, serializable
-from .primes import powmod
+from .primes import powmod, powmod_fixed
 from .transcript import Transcript
 
 
@@ -68,19 +68,21 @@ def commit(key: CommitmentKey, m: int, rng: random.Random | None = None, r: int 
             raise ValueError("either rng or explicit randomness r is required")
         bits = randomizer_bits(key, profile) if profile else key.n.bit_length() + 80
         r = rng.getrandbits(bits)
-    value = powmod(key.r_base, m, key.n) * powmod(key.s_base, r, key.n) % key.n
+    value = powmod_fixed(key.r_base, m, key.n) * powmod_fixed(key.s_base, r, key.n) % key.n
     return IntegerCommitment(value=value), r
 
 
 def open_verify(key: CommitmentKey, commitment: IntegerCommitment, m: int, r: int) -> bool:
     if not isinstance(m, int) or not isinstance(r, int):
         return False
-    return powmod(key.r_base, m, key.n) * powmod(key.s_base, r, key.n) % key.n == commitment.value
+    value = powmod_fixed(key.r_base, m, key.n) * powmod_fixed(key.s_base, r, key.n) % key.n
+    return value == commitment.value
 
 
 @dataclass(frozen=True)
 class OpeningProof:
-    """Proof of knowledge of (m, r) with C = base1^m * base2^r (mod n)."""
+    """Proof of knowledge of (m, r) with C = base1^m * base2^r (mod n). The
+    bases are public-key constants, so both sides use the fixed-base tables."""
 
     challenge: int
     s_m: int
@@ -94,7 +96,7 @@ def prove_opening(n: int, base1: int, base2: int, value: int, m: int, r: int,
     r_bits = r_bits if r_bits is not None else n.bit_length() + profile.stat_bits
     m_t = rng.getrandbits(m_bits + profile.challenge_bits + profile.stat_bits)
     r_t = rng.getrandbits(r_bits + profile.challenge_bits + profile.stat_bits)
-    t_value = powmod(base1, m_t, n) * powmod(base2, r_t, n) % n
+    t_value = powmod_fixed(base1, m_t, n) * powmod_fixed(base2, r_t, n) % n
     c = _opening_challenge(label, nonce, n, base1, base2, value, t_value, profile)
     return OpeningProof(challenge=c, s_m=m_t + c * m, s_r=r_t + c * r)
 
@@ -104,8 +106,8 @@ def verify_opening(n: int, base1: int, base2: int, value: int, proof: OpeningPro
     try:
         t_hat = (
             powmod(value, -proof.challenge, n)
-            * powmod(base1, proof.s_m, n)
-            * powmod(base2, proof.s_r, n)
+            * powmod_fixed(base1, proof.s_m, n)
+            * powmod_fixed(base2, proof.s_r, n)
             % n
         )
     except (ValueError, ZeroDivisionError):

@@ -8,15 +8,17 @@ profile's bound (default 2^30, enough for 9-digit SSNs).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import DecryptionError, EncodingRangeError
 from ..params import Profile
-from ..serialize import serializable
+from ..serialize import dumps, serializable
 from .ciphertext import Ciphertext
-from .primes import powmod, safe_prime
+from .primes import powmod, powmod_fixed, safe_prime
 
 # 2048-bit MODP group (RFC 3526, group 14). P is a safe prime and 2 generates
 # the subgroup of quadratic residues of prime order Q = (P-1)/2; using the
@@ -44,9 +46,10 @@ class ElGamalPublicKey:
     plain_bound: int
 
     def key_id(self) -> str:
-        from ..serialize import dumps
-        import hashlib
+        return self._key_id
 
+    @cached_property
+    def _key_id(self) -> str:
         return hashlib.sha256(dumps(self)).hexdigest()[:16]
 
     def to_fields(self) -> dict:
@@ -86,8 +89,8 @@ def elgamal_encrypt(pk: ElGamalPublicKey, m: int, rng: random.Random | None = No
         if rng is None:
             raise ValueError("either rng or explicit randomness r is required")
         r = rng.randrange(1, pk.q)
-    c1 = powmod(pk.g, r, pk.p)
-    c2 = powmod(pk.g, m, pk.p) * powmod(pk.h, r, pk.p) % pk.p
+    c1 = powmod_fixed(pk.g, r, pk.p)
+    c2 = powmod_fixed(pk.g, m, pk.p) * powmod_fixed(pk.h, r, pk.p) % pk.p
     return Ciphertext(scheme="elgamal", parts=(c1, c2))
 
 

@@ -1,18 +1,21 @@
 """Paillier encryption with g = N + 1. Decryption is exact for any plaintext
 below N, which is why large bank account numbers go through this scheme
-rather than exponential ElGamal."""
+rather than exponential ElGamal. The key holder keeps p and q and decrypts
+mod p^2 and mod q^2 (Chinese remainder theorem)."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import DecryptionError, EncodingRangeError
 from ..params import Profile
-from ..serialize import serializable
+from ..serialize import dumps, serializable
 from .ciphertext import Ciphertext
-from .primes import invert, powmod, random_prime
+from .primes import crt_pair, invert, powmod, random_prime
 
 
 @serializable("paillier-pk")
@@ -26,9 +29,10 @@ class PaillierPublicKey:
         return self.n * self.n
 
     def key_id(self) -> str:
-        from ..serialize import dumps
-        import hashlib
+        return self._key_id
 
+    @cached_property
+    def _key_id(self) -> str:
         return hashlib.sha256(dumps(self)).hexdigest()[:16]
 
     def to_fields(self) -> dict:
@@ -44,14 +48,31 @@ class PaillierKeyPair:
     public: PaillierPublicKey
     lam: int  # lcm(p-1, q-1)
     mu: int  # L(g^lam mod n^2)^-1 mod n
+    p: int
+    q: int
 
     @classmethod
     def from_primes(cls, p: int, q: int) -> "PaillierKeyPair":
         n = p * q
-        g = n + 1
         lam = math.lcm(p - 1, q - 1)
-        mu = invert(_ell(powmod(g, lam, n * n), n), n)
-        return cls(public=PaillierPublicKey(n=n, g=g), lam=lam, mu=mu)
+        # g^lam = (1 + n)^lam = 1 + lam*n (mod n^2), so L(g^lam) = lam mod n
+        mu = invert(lam % n, n)
+        return cls(public=PaillierPublicKey(n=n, g=n + 1), lam=lam, mu=mu, p=p, q=q)
+
+    def pow_lam(self, c: int) -> int:
+        """c^lam mod n^2, assembled from c^lam mod p^2 and mod q^2."""
+        return crt_pair(_pow_lam_mod_square(c, self.lam, self.p), self.p * self.p,
+                        _pow_lam_mod_square(c, self.lam, self.q), self.q * self.q)
+
+
+def _pow_lam_mod_square(c: int, lam: int, p: int) -> int:
+    """c^lam mod p^2 for a prime p with (p-1) | lam. For c coprime to p,
+    c^(p-1) = 1 + p*t (mod p^2), and (1 + p*t)^k = 1 + k*p*t (mod p^2); for
+    c divisible by p, c^lam = 0 (mod p^2) because lam >= 2."""
+    if c % p == 0:
+        return 0
+    t = (powmod(c, p - 1, p * p) - 1) // p
+    return 1 + p * (t * (lam // (p - 1)) % p)
 
 
 def _ell(u: int, n: int) -> int:
@@ -90,4 +111,4 @@ def paillier_decrypt(keypair: PaillierKeyPair, ct: Ciphertext) -> int:
     c = ct.parts[0]
     if not 0 <= c < n * n:
         raise DecryptionError("ciphertext out of range")
-    return _ell(powmod(c, keypair.lam, n * n), n) * keypair.mu % n
+    return _ell(keypair.pow_lam(c), n) * keypair.mu % n

@@ -3,14 +3,42 @@
 gmpy2 backs the hot paths when available (roughly 7x faster at benchmark key
 sizes); a pure Miller-Rabin fallback keeps the package importable without it.
 All searches draw candidates from an injected seeded RNG, so key generation
-is reproducible.
+is reproducible. `is_probable_prime` rejects any n sharing a factor with the
+odd primes below 2000 by one gcd before Miller-Rabin runs.
+
+`powmod_fixed` is for bases that are public-key constants (issuer S and R_i,
+commitment bases, ElGamal g and h). Without gmpy2 it keeps, per (base,
+modulus) value, a radix-2^5 Brickell-Gordon-McCurley-Wilson table of
+base^(2^(5i)); an exponentiation then costs one multiplication per nonzero
+digit plus 62, instead of one squaring per exponent bit. Tables are keyed by
+value, because deserialized keys are fresh objects on every registry fetch;
+they grow on demand to the longest exponent asked for and live in an LRU of
+64 tables. An exponent longer than 4096 bits (past every honest exponent at
+the paper profile, the longest being v_hat below 2^4080) goes to plain
+`powmod` and neither creates nor grows a table, so a verifier fed an
+oversized response cannot inflate memory. Negative exponents invert the
+positive result. With gmpy2, `powmod_fixed` is `powmod`.
+
+Holders of a factored modulus use the Chinese remainder theorem
+(Quisquater-Couvreur) through `crt_pair`: the issuer's e-th root and proof
+commitment in `crypto.cl`, and Paillier decryption mod p^2 and q^2. Every
+value is the same as the plain computation.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import OrderedDict
 
 from ..errors import PrimeGenerationError
+
+_FIXED_WINDOW = 5
+_FIXED_EXP_CAP = 4096
+_FIXED_TABLES_MAX = 64
+# (base, modulus) -> [base^(2^(_FIXED_WINDOW * i)) mod modulus for i = 0, 1, ...]
+_FIXED_TABLES: OrderedDict[tuple[int, int], list[int]] = OrderedDict()
+
 
 try:
     import gmpy2
@@ -20,6 +48,8 @@ try:
 
     def _mr_is_prime(n: int, rounds: int) -> bool:
         return bool(gmpy2.is_prime(n, rounds))
+
+    powmod_fixed = powmod
 
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     gmpy2 = None
@@ -53,9 +83,50 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
                 return False
         return True
 
+    def powmod_fixed(base: int, exp: int, mod: int) -> int:
+        """base^exp mod mod through a cached fixed-base table for base."""
+        if exp < 0:
+            return invert(powmod_fixed(base, -exp, mod), mod)
+        if exp.bit_length() > _FIXED_EXP_CAP or mod < 2:
+            return powmod(base, exp, mod)
+        key = (base, mod)
+        table = _FIXED_TABLES.get(key)
+        if table is None:
+            table = _FIXED_TABLES[key] = [base % mod]
+            if len(_FIXED_TABLES) > _FIXED_TABLES_MAX:
+                _FIXED_TABLES.popitem(last=False)
+        else:
+            _FIXED_TABLES.move_to_end(key)
+        while len(table) * _FIXED_WINDOW < exp.bit_length():
+            table.append(pow(table[-1], 1 << _FIXED_WINDOW, mod))
+        # bucket[d] = product of the table entries whose exponent digit is d
+        mask = (1 << _FIXED_WINDOW) - 1
+        buckets = [1] * (mask + 1)
+        i = 0
+        while exp:
+            d = exp & mask
+            if d:
+                buckets[d] = buckets[d] * table[i] % mod
+            exp >>= _FIXED_WINDOW
+            i += 1
+        # prod bucket[d]^d as a product of running products, top digit down
+        acc = run = 1
+        for d in range(mask, 0, -1):
+            if buckets[d] != 1:
+                run = run * buckets[d] % mod
+            if run != 1:
+                acc = acc * run % mod
+        return acc
+
 
 def invert(a: int, mod: int) -> int:
     return pow(a, -1, mod)
+
+
+def crt_pair(x_p: int, p: int, x_q: int, q: int) -> int:
+    """The x in [0, p*q) with x = x_p (mod p) and x = x_q (mod q), for
+    coprime p and q (Garner's form)."""
+    return x_q + q * ((x_p - x_q) * invert(q, p) % p)
 
 
 _SIEVE_BOUND = 20000
@@ -73,6 +144,11 @@ def _small_primes() -> list[int]:
     return _SMALL_PRIMES
 
 
+_TRIAL_PRIMES = frozenset(p for p in range(3, 2000, 2)
+                          if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+
+
 def is_probable_prime(n: int, rounds: int = 25) -> bool:
     if n < 2:
         return False
@@ -80,6 +156,8 @@ def is_probable_prime(n: int, rounds: int = 25) -> bool:
         return True
     if n % 2 == 0:
         return False
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
+        return n in _TRIAL_PRIMES
     return _mr_is_prime(n, rounds)
 
 

@@ -30,7 +30,7 @@ from .crypto.commitment import CommitmentKey, commit
 from .crypto.elgamal import ElGamalPublicKey
 from .crypto.encoding import ATTRIBUTE_BOUND
 from .crypto.paillier import PaillierPublicKey
-from .crypto.primes import invert, powmod
+from .crypto.primes import invert, powmod, powmod_fixed
 from .crypto.transcript import Transcript
 from .errors import ProofRefusedError, SchemaMismatchError
 from .ledger import Registry
@@ -297,7 +297,7 @@ class ProofSession:
         # randomize the signature
         sig = credential.signature
         r_a = rng.getrandbits(n.bit_length() + profile.stat_bits)
-        a_prime = sig.a * powmod(pk.s, r_a, n) % n
+        a_prime = sig.a * powmod_fixed(pk.s, r_a, n) % n
         v_prime = sig.v - sig.e * r_a
         e_prime = sig.e - (1 << (profile.e_bits - 1))
 
@@ -307,9 +307,9 @@ class ProofSession:
         m_tilde = {nm: rng.getrandbits(profile.attr_bits + profile.challenge_bits + profile.stat_bits)
                    for nm in hidden_names}
 
-        t_core = powmod(a_prime, e_tilde, n) * powmod(pk.s, v_tilde, n) % n
+        t_core = powmod(a_prime, e_tilde, n) * powmod_fixed(pk.s, v_tilde, n) % n
         for nm in hidden_names:
-            t_core = t_core * powmod(pk.r_bases[slot_of[nm]], m_tilde[nm], n) % n
+            t_core = t_core * powmod_fixed(pk.r_bases[slot_of[nm]], m_tilde[nm], n) % n
 
         # link arms against the shared session commitments
         ck = self.commitment_key
@@ -318,7 +318,8 @@ class ProofSession:
             c_value, c_rand = self._link_commitment(link[attr], values[attr])
             r_tilde = rng.getrandbits(ck.n.bit_length() + profile.stat_bits
                                       + profile.challenge_bits + profile.stat_bits)
-            t_link = powmod(ck.r_base, m_tilde[attr], ck.n) * powmod(ck.s_base, r_tilde, ck.n) % ck.n
+            t_link = (powmod_fixed(ck.r_base, m_tilde[attr], ck.n)
+                      * powmod_fixed(ck.s_base, r_tilde, ck.n) % ck.n)
             link_stmts.append({"attr": attr, "commitment": c_value})
             link_ts.append(t_link)
             link_pending.append((attr, c_value, c_rand, r_tilde))
@@ -335,11 +336,13 @@ class ProofSession:
                     raise ProofRefusedError("plaintext exceeds the ElGamal bound")
                 rho = rng.randrange(1, epk.q)
                 ct = Ciphertext(scheme="elgamal",
-                                parts=(powmod(epk.g, rho, epk.p),
-                                       powmod(epk.g, value, epk.p) * powmod(epk.h, rho, epk.p) % epk.p))
+                                parts=(powmod_fixed(epk.g, rho, epk.p),
+                                       powmod_fixed(epk.g, value, epk.p)
+                                       * powmod_fixed(epk.h, rho, epk.p) % epk.p))
                 rho_t = rng.randrange(0, epk.q)
-                ts = [powmod(epk.g, rho_t, epk.p),
-                      powmod(epk.g, m_tilde[spec.attr], epk.p) * powmod(epk.h, rho_t, epk.p) % epk.p]
+                ts = [powmod_fixed(epk.g, rho_t, epk.p),
+                      powmod_fixed(epk.g, m_tilde[spec.attr], epk.p)
+                      * powmod_fixed(epk.h, rho_t, epk.p) % epk.p]
                 enc_pending.append((spec, ct, rho, rho_t))
             else:
                 ppk = spec.public_key
@@ -380,22 +383,23 @@ class ProofSession:
             for j, b in enumerate(bits):
                 rho_j = rng.getrandbits(ck.n.bit_length() + profile.stat_bits)
                 rho_sum += rho_j << j
-                d_j = powmod(ck.r_base, b, ck.n) * powmod(ck.s_base, rho_j, ck.n) % ck.n
+                d_j = powmod_fixed(ck.r_base, b, ck.n) * powmod_fixed(ck.s_base, rho_j, ck.n) % ck.n
                 # simulate the false branch, run the true branch honestly
                 c_sim = rng.getrandbits(profile.challenge_bits)
                 s_sim = rng.getrandbits(resp_bits)
                 w = rng.getrandbits(resp_bits)
                 if b == 0:
                     target_sim = d_j * r_inv % ck.n  # branch 1 statement: D/R = S^rho
-                    t0, t1 = powmod(ck.s_base, w, ck.n), \
-                        powmod(ck.s_base, s_sim, ck.n) * powmod(target_sim, -c_sim, ck.n) % ck.n
+                    t0, t1 = powmod_fixed(ck.s_base, w, ck.n), \
+                        powmod_fixed(ck.s_base, s_sim, ck.n) * powmod(target_sim, -c_sim, ck.n) % ck.n
                 else:
-                    t0 = powmod(ck.s_base, s_sim, ck.n) * powmod(d_j, -c_sim, ck.n) % ck.n
-                    t1 = powmod(ck.s_base, w, ck.n)
+                    t0 = powmod_fixed(ck.s_base, s_sim, ck.n) * powmod(d_j, -c_sim, ck.n) % ck.n
+                    t1 = powmod_fixed(ck.s_base, w, ck.n)
                 d_values.append(d_j)
                 bit_items.append((b, rho_j, c_sim, s_sim, w, t0, t1))
             u_tilde = rng.getrandbits(rho_sum.bit_length() + profile.challenge_bits + profile.stat_bits)
-            t_lin = powmod(ck.r_base, m_tilde[spec.attr], ck.n) * powmod(ck.s_base, u_tilde, ck.n) % ck.n
+            t_lin = (powmod_fixed(ck.r_base, m_tilde[spec.attr], ck.n)
+                     * powmod_fixed(ck.s_base, u_tilde, ck.n) % ck.n)
             pred_stmts.append({"attr": spec.attr, "bits": d_values, "threshold": spec.threshold})
             pred_ts.append({"bits": [[t0, t1] for (_, _, _, _, _, t0, t1) in bit_items], "lin": t_lin})
             pred_pending.append((spec, bit_items, rho_sum, u_tilde))
@@ -567,12 +571,12 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
     # core arm
     base = pk.z
     for nm, value in pres.disclosed.items():
-        base = base * invert(powmod(pk.r_bases[slot_of[nm]], value, n), n) % n
+        base = base * invert(powmod_fixed(pk.r_bases[slot_of[nm]], value, n), n) % n
     base = base * invert(powmod(pres.a_prime, 1 << (profile.e_bits - 1), n), n) % n
     t_core = powmod(base, -c, n) * powmod(pres.a_prime, pres.e_hat, n) % n
-    t_core = t_core * powmod(pk.s, pres.v_hat, n) % n
+    t_core = t_core * powmod_fixed(pk.s, pres.v_hat, n) % n
     for nm in pres.hidden_names:
-        t_core = t_core * powmod(pk.r_bases[slot_of[nm]], pres.m_hats[nm], n) % n
+        t_core = t_core * powmod_fixed(pk.r_bases[slot_of[nm]], pres.m_hats[nm], n) % n
 
     source_defn = fetch_definition(registry, bundle.commitment_source)
     ck = commitment_key_for(source_defn)
@@ -582,8 +586,8 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         if arm.attr not in hidden_attrs and arm.attr != LINK_NAME:
             return False
         t_link = (powmod(arm.commitment, -c, ck.n)
-                  * powmod(ck.r_base, pres.m_hats[arm.attr], ck.n)
-                  * powmod(ck.s_base, arm.r_hat, ck.n) % ck.n)
+                  * powmod_fixed(ck.r_base, pres.m_hats[arm.attr], ck.n)
+                  * powmod_fixed(ck.s_base, arm.r_hat, ck.n) % ck.n)
         link_stmts.append({"attr": arm.attr, "commitment": arm.commitment})
         link_ts.append(t_link)
 
@@ -601,9 +605,9 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
             c1, c2 = arm.ciphertext.parts
             if not (0 < c1 < key.p and 0 < c2 < key.p and 0 <= arm.r_hat < key.q):
                 return False
-            t1 = powmod(c1, -c, key.p) * powmod(key.g, arm.r_hat, key.p) % key.p
-            t2 = (powmod(c2, -c, key.p) * powmod(key.g, m_hat, key.p)
-                  * powmod(key.h, arm.r_hat, key.p) % key.p)
+            t1 = powmod(c1, -c, key.p) * powmod_fixed(key.g, arm.r_hat, key.p) % key.p
+            t2 = (powmod(c2, -c, key.p) * powmod_fixed(key.g, m_hat, key.p)
+                  * powmod_fixed(key.h, arm.r_hat, key.p) % key.p)
             ts = [t1, t2]
         else:
             if not isinstance(key, PaillierPublicKey) or arm.ciphertext.scheme != "paillier":
@@ -633,16 +637,16 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
             if not 0 <= bp.c0 < chal_mod:
                 return False
             c1 = (c - bp.c0) % chal_mod
-            t0 = powmod(ck.s_base, bp.s0, ck.n) * powmod(d_j, -bp.c0, ck.n) % ck.n
-            t1 = powmod(ck.s_base, bp.s1, ck.n) * powmod(d_j * r_inv % ck.n, -c1, ck.n) % ck.n
+            t0 = powmod_fixed(ck.s_base, bp.s0, ck.n) * powmod(d_j, -bp.c0, ck.n) % ck.n
+            t1 = powmod_fixed(ck.s_base, bp.s1, ck.n) * powmod(d_j * r_inv % ck.n, -c1, ck.n) % ck.n
             bit_t_pairs.append([t0, t1])
         agg = 1
         for j, d_j in enumerate(arm.bit_commitments):
             agg = agg * powmod(d_j, 1 << j, ck.n) % ck.n
-        e_value = powmod(ck.r_base, arm.threshold, ck.n) * invert(agg, ck.n) % ck.n
+        e_value = powmod_fixed(ck.r_base, arm.threshold, ck.n) * invert(agg, ck.n) % ck.n
         t_lin = (powmod(e_value, -c, ck.n)
-                 * powmod(ck.r_base, pres.m_hats[arm.attr], ck.n)
-                 * powmod(ck.s_base, arm.u_hat, ck.n) % ck.n)
+                 * powmod_fixed(ck.r_base, pres.m_hats[arm.attr], ck.n)
+                 * powmod_fixed(ck.s_base, arm.u_hat, ck.n) % ck.n)
         pred_stmts.append({"attr": arm.attr, "bits": list(arm.bit_commitments), "threshold": arm.threshold})
         pred_ts.append({"bits": bit_t_pairs, "lin": t_lin})
 

@@ -409,7 +409,6 @@ def check_conservation(seed: int, scenario_count: int = 10) -> PropertyResult:
 
 
 def check_audit_branches(seed: int, users: int = 10) -> PropertyResult:
-    gen = random.Random(f"audit-suite:{seed}")
     cfg = random_scenario(seed, n_users=users, orders_per_user=1)
     for i, order in enumerate(cfg["orders"]):
         order["self_report"] = i % 2 == 0
@@ -418,7 +417,7 @@ def check_audit_branches(seed: int, users: int = 10) -> PropertyResult:
     ok, detail = result.assertion_results["audit_branches"]
     reported = sum(1 for o in cfg["orders"] if o["self_report"])
     expected_decrypts = len(cfg["orders"]) - reported
-    ok = ok and result.ctx.authority.decrypt_count == expected_decrypts and gen is not None
+    ok = ok and result.ctx.authority.decrypt_count == expected_decrypts
     return PropertyResult("audit-branches", ok,
                           f"{users} users: {reported} compliant without decryption, "
                           f"{expected_decrypts} de-anonymized" if ok else detail)

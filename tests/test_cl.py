@@ -5,6 +5,7 @@ import pytest
 
 from fcguard.crypto.cl import (
     ClIssuerKeyPair,
+    _signature_proof_challenge,
     cl_keygen,
     cl_sign,
     cl_verify,
@@ -159,3 +160,28 @@ def test_verify_false_on_malformed_input():
     assert not cl_verify(keys.public, ["x", 2], sig)
     assert not cl_verify(keys.public, [1, 2], dataclasses.replace(sig, a=0))
     assert not cl_verify(keys.public, [1, 2], dataclasses.replace(sig, e="junk"))
+
+
+@pytest.mark.parametrize("hidden", [None, 424242])
+def test_crt_signing_matches_plain_exponentiation(hidden):
+    rng = random.Random(101)
+    keys = cl_keygen(4, TOY, rng)
+    pk, order = keys.public, keys.group_order
+    attrs = [11, 22, 33]
+    commitment = None if hidden is None else pow(pk.s, hidden, pk.n)
+    for _ in range(20):
+        sig = cl_sign(keys, attrs, TOY, rng, hidden_commitment=commitment)
+        q_value = recompute_q(pk, attrs, sig.v, commitment)
+        assert sig.a == pow(q_value, pow(sig.e, -1, order), pk.n)
+
+        state = rng.getstate()
+        sig, proof = sign_with_proof(keys, attrs, TOY, rng, nonce=b"crt",
+                                     hidden_commitment=commitment)
+        replay = random.Random()
+        replay.setstate(state)
+        assert cl_sign(keys, attrs, TOY, replay, hidden_commitment=commitment) == sig
+        r = replay.randrange(2, order)
+        q_value = recompute_q(pk, attrs, sig.v, commitment)
+        a_tilde = pow(q_value, r, pk.n)
+        c = _signature_proof_challenge(pk, q_value, sig.a, a_tilde, b"crt", TOY)
+        assert (proof.challenge, proof.s_e) == (c, (r - c * pow(sig.e, -1, order)) % order)

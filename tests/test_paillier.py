@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fcguard.crypto.ciphertext import Ciphertext
 from fcguard.crypto.paillier import (
     PaillierKeyPair,
     paillier_decrypt,
@@ -29,6 +30,22 @@ def test_toy_worked_example():
     assert mu == 4 == kp.mu
     assert ell * mu % 15 == 7
     assert paillier_decrypt(kp, ct) == 7
+
+
+def test_crt_decryption_matches_plain_exponentiation():
+    rng = random.Random(18)
+    kp = paillier_keygen(TOY, rng)
+    n = kp.public.n
+    n2 = n * n
+    assert kp.p * kp.q == n
+    assert kp.mu == pow((pow(n + 1, kp.lam, n2) - 1) // n, -1, n)
+    # honest ciphertexts plus in-range values sharing a factor with n
+    cts = [paillier_encrypt(kp.public, rng.randrange(n), rng=rng).parts[0] for _ in range(50)]
+    cts += [0, 1, kp.p, kp.q * 5, n, n2 - 1]
+    for c in cts:
+        plain = (pow(c, kp.lam, n2) - 1) // n * kp.mu % n
+        assert kp.pow_lam(c) == pow(c, kp.lam, n2)
+        assert paillier_decrypt(kp, Ciphertext(scheme="paillier", parts=(c,))) == plain
 
 
 def test_zero_plaintext():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fcguard.crypto import primes
 from fcguard.crypto.elgamal import elgamal_decrypt
 from fcguard.crypto.paillier import paillier_decrypt
 from fcguard.errors import ProofRefusedError, SchemaMismatchError
@@ -289,3 +290,13 @@ def test_verify_handles_garbage_gracefully(toy_env):
     pres = dataclasses.replace(b1.presentation, m_hats={})
     assert not verify_bundle(toy_env.registry, dataclasses.replace(b1, presentation=pres),
                              nonce, toy_env.enc_keys)
+
+
+def test_oversized_link_response_grows_no_fixed_base_table(toy_env):
+    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    assert verify_bundle(toy_env.registry, b1, nonce, toy_env.enc_keys)
+    before = {key: len(table) for key, table in primes._FIXED_TABLES.items()}
+    arm = dataclasses.replace(b1.link_proofs[0], r_hat=(1 << 1_000_000) - 1)
+    tampered = dataclasses.replace(b1, link_proofs=(arm,) + b1.link_proofs[1:])
+    assert not verify_bundle(toy_env.registry, tampered, nonce, toy_env.enc_keys)
+    assert {key: len(table) for key, table in primes._FIXED_TABLES.items()} == before

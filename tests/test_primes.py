@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fcguard.crypto import primes
 from fcguard.crypto.primes import (
     invert,
     is_probable_prime,
     powmod,
+    powmod_fixed,
     random_prime,
     random_prime_in_range,
     safe_prime,
@@ -72,3 +76,56 @@ def test_powmod_negative_exponent():
 def test_sophie_germain_budget_error():
     with pytest.raises(PrimeGenerationError):
         sophie_germain_prime(64, random.Random(1), max_windows=0)
+
+
+MODULI = st.integers(min_value=1, max_value=1 << 200)
+EXPONENTS = st.one_of(st.integers(min_value=-1, max_value=1),
+                      st.integers(min_value=-(1 << 700), max_value=1 << 700),
+                      # dense random digits up to the 4096-bit table cap
+                      st.binary(min_size=1, max_size=512).map(lambda b: int.from_bytes(b, "big")))
+
+
+@given(base=st.one_of(st.sampled_from([0, 1]), st.integers(min_value=0, max_value=1 << 210)),
+       shift=st.sampled_from([0, 1, 3]), exp=EXPONENTS, mod=MODULI)
+def test_powmod_fixed_equals_pow(base, shift, exp, mod):
+    base += shift * mod  # a nonzero shift makes the base at least the modulus
+    try:
+        expected = pow(base, exp, mod)
+    except ValueError:  # negative exponent of a base not invertible mod `mod`
+        with pytest.raises(ValueError):
+            powmod_fixed(base, exp, mod)
+        return
+    assert powmod_fixed(base, exp, mod) == expected
+
+
+def test_powmod_fixed_past_the_cap_leaves_tables_alone():
+    if primes.gmpy2 is not None:
+        pytest.skip("the gmpy2 backend keeps no tables")
+    mod, base = 2**127 - 1, 3
+    powmod_fixed(base, 1 << 600, mod)
+    table_len = len(primes._FIXED_TABLES[(base, mod)])
+    huge = (1 << (primes._FIXED_EXP_CAP + 1)) + 5
+    assert powmod_fixed(base, huge, mod) == pow(base, huge, mod)
+    assert powmod_fixed(7, huge, mod) == pow(7, huge, mod)
+    assert len(primes._FIXED_TABLES[(base, mod)]) == table_len
+    assert (7, mod) not in primes._FIXED_TABLES
+
+
+def test_fixed_base_tables_stay_within_the_lru_bound():
+    if primes.gmpy2 is not None:
+        pytest.skip("the gmpy2 backend keeps no tables")
+    mod = 2**89 - 1
+    for base in range(2, 2 + primes._FIXED_TABLES_MAX + 6):
+        assert powmod_fixed(base, 12345, mod) == pow(base, 12345, mod)
+    assert len(primes._FIXED_TABLES) == primes._FIXED_TABLES_MAX
+    assert (2, mod) not in primes._FIXED_TABLES and (base, mod) in primes._FIXED_TABLES
+
+
+def test_trial_division_keeps_primality_answers():
+    # n runs from below to above the trial-division bound of 2000
+    for n in range(-3, 2100):
+        expected = n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+        assert is_probable_prime(n) == expected, n
+    assert not is_probable_prime(1999 * 1997)
+    assert is_probable_prime(2**89 - 1)
+

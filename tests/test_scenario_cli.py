@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -96,6 +97,29 @@ def test_bundled_address_rotation_scenario():
     assert len(pool_senders) >= 2
     epochs = {sender.split(":")[1] for sender in pool_senders}
     assert len(epochs) >= 2
+
+
+# SHA-256 of the artifacts `fcguard --out DIR scenario run NAME` writes for the
+# bundled toy scenarios. A change to any random draw, key, proof value or wire
+# byte moves them; update them only for a deliberate change of behaviour.
+GOLDEN_DIGESTS = {
+    "address_rotation": ("37c91b4838a01fc581d3feceaef68eda810d70e4d6035d99b2d150bce0c61e55",
+                         "7ac46e98ef01add78da6cf2e6aeb71ab760234f81d572f05d075111cc9747236"),
+    "misreport": ("b00b4ec11d5f50958f538d568a864ff420f3dd44c8ecd480fb5c7b5fc7785772",
+                  "38bf6ed3f04e54b2461c5bd238a764a25dcc352f3df91f195c697bec5147be4e"),
+    "replay_attack": ("32143ab6adc33149561a614f4bec28762ff7c7740979a54c69158c1816060411",
+                      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_bundled_toy_scenario_golden_digests(tmp_path, name):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["--out", str(out), "scenario", "run", name])
+    assert result.exit_code == 0, result.output
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("events.jsonl", "ledger.jsonl"))
+    assert digests == GOLDEN_DIGESTS[name]
 
 
 def test_cli_scenario_run_writes_artifacts(tmp_path):
