@@ -48,7 +48,6 @@ from .presentations import (
     create_presentation,
     verify_bundle,
     verify_equality,
-    verify_presentation,
 )
 from .scenario import load_scenario, random_scenario, run_scenario
 
@@ -101,5 +100,4 @@ __all__ = [
     "transcript_challenge",
     "verify_bundle",
     "verify_equality",
-    "verify_presentation",
 ]

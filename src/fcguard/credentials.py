@@ -61,18 +61,6 @@ class Schema:
             raise SchemaMismatchError(
                 f"{self.issuer_role} schema attributes must be exactly {list(expected)}")
 
-    def to_fields(self) -> dict:
-        return {
-            "attribute_names": list(self.attribute_names),
-            "issuer_role": self.issuer_role,
-            "schema_id": self.schema_id,
-        }
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "Schema":
-        return cls(schema_id=fields["schema_id"], issuer_role=fields["issuer_role"],
-                   attribute_names=tuple(fields["attribute_names"]))
-
 
 @serializable("credential-definition")
 @dataclass(frozen=True)
@@ -88,19 +76,6 @@ class CredentialDefinition:
 
     def profile(self) -> Profile:
         return get_profile(self.profile_name)
-
-    def to_fields(self) -> dict:
-        return {
-            "defn_id": self.defn_id,
-            "profile_name": self.profile_name,
-            "public_key": self.public_key,
-            "schema_id": self.schema_id,
-        }
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "CredentialDefinition":
-        return cls(defn_id=fields["defn_id"], schema_id=fields["schema_id"],
-                   public_key=fields["public_key"], profile_name=fields["profile_name"])
 
 
 @dataclass(frozen=True)
@@ -146,19 +121,6 @@ class Credential:
     attributes: dict[str, int]  # schema attribute name -> encoded integer
     signature: ClSignature
     signature_proof: SignatureProof
-
-    def to_fields(self) -> dict:
-        return {
-            "attributes": dict(self.attributes),
-            "defn_id": self.defn_id,
-            "signature": self.signature,
-            "signature_proof": self.signature_proof,
-        }
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "Credential":
-        return cls(defn_id=fields["defn_id"], attributes=dict(fields["attributes"]),
-                   signature=fields["signature"], signature_proof=fields["signature_proof"])
 
 
 SCHEMA_KIND = "schema"

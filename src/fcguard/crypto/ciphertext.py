@@ -13,10 +13,3 @@ from ..serialize import serializable
 class Ciphertext:
     scheme: str  # "elgamal" (components c1, c2) or "paillier" (single component)
     parts: tuple[int, ...]
-
-    def to_fields(self) -> dict:
-        return {"parts": list(self.parts), "scheme": self.scheme}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "Ciphertext":
-        return cls(scheme=fields["scheme"], parts=tuple(fields["parts"]))

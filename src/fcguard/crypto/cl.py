@@ -37,13 +37,6 @@ class ClPublicKey:
     def slot_count(self) -> int:
         return len(self.r_bases)
 
-    def to_fields(self) -> dict:
-        return {"n": self.n, "r_bases": list(self.r_bases), "s": self.s, "z": self.z}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "ClPublicKey":
-        return cls(n=fields["n"], s=fields["s"], z=fields["z"], r_bases=tuple(fields["r_bases"]))
-
 
 @dataclass(frozen=True)
 class ClIssuerKeyPair:
@@ -88,13 +81,6 @@ class ClSignature:
     e: int
     v: int
 
-    def to_fields(self) -> dict:
-        return {"a": self.a, "e": self.e, "v": self.v}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "ClSignature":
-        return cls(a=fields["a"], e=fields["e"], v=fields["v"])
-
 
 @serializable("cl-signature-proof")
 @dataclass(frozen=True)
@@ -104,13 +90,6 @@ class SignatureProof:
 
     challenge: int
     s_e: int
-
-    def to_fields(self) -> dict:
-        return {"challenge": self.challenge, "s_e": self.s_e}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "SignatureProof":
-        return cls(challenge=fields["challenge"], s_e=fields["s_e"])
 
 
 def cl_keygen(attribute_count: int, profile: Profile, rng: random.Random) -> ClIssuerKeyPair:

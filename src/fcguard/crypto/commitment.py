@@ -35,25 +35,11 @@ class CommitmentKey:
                 return cls(n=n, r_base=r_base, s_base=s_base)
             counter += 1
 
-    def to_fields(self) -> dict:
-        return {"n": self.n, "r_base": self.r_base, "s_base": self.s_base}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "CommitmentKey":
-        return cls(n=fields["n"], r_base=fields["r_base"], s_base=fields["s_base"])
-
 
 @serializable("integer-commitment")
 @dataclass(frozen=True)
 class IntegerCommitment:
     value: int
-
-    def to_fields(self) -> dict:
-        return {"value": self.value}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "IntegerCommitment":
-        return cls(value=fields["value"])
 
 
 def randomizer_bits(key: CommitmentKey, profile: Profile) -> int:

@@ -52,13 +52,6 @@ class ElGamalPublicKey:
     def _key_id(self) -> str:
         return hashlib.sha256(dumps(self)).hexdigest()[:16]
 
-    def to_fields(self) -> dict:
-        return {"g": self.g, "h": self.h, "p": self.p, "plain_bound": self.plain_bound, "q": self.q}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "ElGamalPublicKey":
-        return cls(p=fields["p"], q=fields["q"], g=fields["g"], h=fields["h"], plain_bound=fields["plain_bound"])
-
 
 @dataclass(frozen=True)
 class ElGamalKeyPair:

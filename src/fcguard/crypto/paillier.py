@@ -35,13 +35,6 @@ class PaillierPublicKey:
     def _key_id(self) -> str:
         return hashlib.sha256(dumps(self)).hexdigest()[:16]
 
-    def to_fields(self) -> dict:
-        return {"g": self.g, "n": self.n}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "PaillierPublicKey":
-        return cls(n=fields["n"], g=fields["g"])
-
 
 @dataclass(frozen=True)
 class PaillierKeyPair:

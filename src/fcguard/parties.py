@@ -34,7 +34,7 @@ from .crypto.cl import ClIssuerKeyPair
 from .crypto.elgamal import ElGamalKeyPair, elgamal_decrypt
 from .crypto.encoding import encode_attribute
 from .crypto.paillier import PaillierKeyPair, paillier_decrypt
-from .errors import ProofRefusedError, ProtocolError
+from .errors import FcGuardError, ProofRefusedError, ProtocolError
 from .ledger import Chain, Registry
 from .netsim import Network, SimClock
 from .params import Profile
@@ -45,6 +45,7 @@ from .presentations import (
     PresentationBundle,
     ProofSession,
     bundle_digest,
+    find_arm,
     verify_bundle,
     verify_equality,
 )
@@ -123,15 +124,6 @@ class ExchangeRecord:
     fiat_amount: int
     timestamp_ms: int
     enc_ssn: Ciphertext
-
-    def to_fields(self) -> dict:
-        return {"enc_ssn": self.enc_ssn, "fiat_amount": self.fiat_amount,
-                "order_id": self.order_id, "timestamp_ms": self.timestamp_ms}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "ExchangeRecord":
-        return cls(order_id=fields["order_id"], fiat_amount=fields["fiat_amount"],
-                   timestamp_ms=fields["timestamp_ms"], enc_ssn=fields["enc_ssn"])
 
 
 @dataclass
@@ -473,7 +465,7 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
             user.wallet.link_secret, disclose=(), link={"ssn": "ssn"},
             encrypt=[EncryptionSpec(attr="ssn", public_key=ctx.authority.public_enc_key)],
             predicates=predicates)
-    except Exception:
+    except FcGuardError:
         ctx.net.send(actor.party_id, "platform", "step1-abort",
                      {"order_id": order.order_id}, PHASE_EXCHANGE)
         order.fail("identity", ctx.clock.now_ms)
@@ -482,18 +474,18 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
     ctx.net.send(actor.party_id, "platform", "step1-bundle",
                  {"bundle": bundle1, "order_id": order.order_id}, PHASE_EXCHANGE)
 
-    keys = {ctx.authority.public_enc_key.key_id(): ctx.authority.public_enc_key}
-    ok = verify_bundle(ctx.registry, bundle1, order.nonce, keys, expected_prev=b"")
-    ok = ok and _find(bundle1.link_proofs, "ssn") is not None
-    enc = _find(bundle1.enc_proofs, "ssn")
-    ok = ok and enc is not None and enc.scheme == "elgamal" \
-        and enc.key_id == ctx.authority.public_enc_key.key_id()
-    ok = ok and bundle1.commitment_source == ctx.platform_defn.defn_id
-    ok = ok and bundle1.presentation.defn_id == ctx.platform_defn.defn_id
+    # the arm shapes the platform requires, before any proof work
+    aa_key = ctx.authority.public_enc_key
+    enc = find_arm(bundle1.enc_proofs, "ssn")
+    ok = bundle1.presentation.defn_id == bundle1.commitment_source == ctx.platform_defn.defn_id
+    ok = ok and find_arm(bundle1.link_proofs, "ssn") is not None
+    ok = ok and enc is not None and enc.scheme == "elgamal" and enc.key_id == aa_key.key_id()
     if params.age_threshold_years is not None:
-        pred = _find(bundle1.predicate_proofs, "birthday")
+        pred = find_arm(bundle1.predicate_proofs, "birthday")
         ok = ok and pred is not None \
             and pred.threshold == _age_threshold(ctx.current_date, params.age_threshold_years)
+    ok = ok and verify_bundle(ctx.registry, bundle1, order.nonce, {aa_key.key_id(): aa_key},
+                              expected_prev=b"")
     if not ok:
         ctx.net.send("platform", actor.party_id, "step1-rejected",
                      {"order_id": order.order_id}, PHASE_EXCHANGE)
@@ -504,13 +496,6 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
     ctx.net.send("platform", actor.party_id, "step1-accepted",
                  {"order_id": order.order_id}, PHASE_EXCHANGE)
     return order, handle
-
-
-def _find(proofs, attr: str):
-    for p in proofs:
-        if p.attr == attr:
-            return p
-    return None
 
 
 def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
@@ -539,14 +524,18 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
                  {"bundle": bundle2, "equality": equality, "order_id": order.order_id},
                  PHASE_EXCHANGE)
 
+    # the arm shapes the platform requires, before any proof work
     platform = ctx.platform
-    bank_name_encoded = bundle2.presentation.disclosed.get("bank_name")
-    bank = platform.bank_directory.get(bank_name_encoded)
-    keys = {ctx.authority.public_enc_key.key_id(): ctx.authority.public_enc_key}
-    if bank is not None:
-        keys[bank.public_enc_key.key_id()] = bank.public_enc_key
-    ok = bank is not None
-    ok = ok and set(bundle2.presentation.disclosed) == {"bank_name"}
+    bank = platform.bank_directory.get(bundle2.presentation.disclosed.get("bank_name"))
+    enc = find_arm(bundle2.enc_proofs, "bank_account")
+    ok = bank is not None and set(bundle2.presentation.disclosed) == {"bank_name"}
+    ok = ok and bundle2.presentation.defn_id == bank.defn_id
+    ok = ok and bundle2.commitment_source == ctx.platform_defn.defn_id
+    ok = ok and find_arm(bundle2.link_proofs, "ssn") is not None
+    ok = ok and enc is not None and enc.scheme == "paillier" \
+        and enc.key_id == bank.public_enc_key.key_id()
+    keys = {k.key_id(): k for k in (ctx.authority.public_enc_key, bank.public_enc_key)} \
+        if bank is not None else {}
     ok = ok and verify_bundle(ctx.registry, bundle2, order.nonce, keys,
                               expected_prev=bundle_digest(handle.bundle1))
     if not ok:
@@ -554,15 +543,12 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
                      {"cause": "bank-presentation", "order_id": order.order_id}, PHASE_EXCHANGE)
         order.fail("bank-presentation", ctx.clock.now_ms)
         return
-    if not verify_equality(ctx.registry, equality, handle.bundle1, bundle2,
-                           order.nonce, order.nonce, keys):
+    if equality.attr_a != "ssn" or equality.attr_b != "ssn" \
+            or not verify_equality(ctx.registry, equality, handle.bundle1, bundle2,
+                                   order.nonce, order.nonce, keys):
         ctx.net.send("platform", actor.party_id, "step2-rejected",
                      {"cause": "equality", "order_id": order.order_id}, PHASE_EXCHANGE)
         order.fail("equality", ctx.clock.now_ms)
-        return
-    enc = _find(bundle2.enc_proofs, "bank_account")
-    if enc is None or enc.scheme != "paillier" or enc.key_id != bank.public_enc_key.key_id():
-        order.fail("bank-presentation", ctx.clock.now_ms)
         return
     platform.order_bank[order.order_id] = bank.party_id
 

@@ -10,19 +10,30 @@ chain bundles through a digest of the previous bundle, so the two exchange
 presentations and their link arms are bound to the same verifier nonce and
 cannot be mixed across sessions.
 
+Each arm kind (core, link, encryption, predicate) is defined once, by a
+`_*_arm` function that gives its statement entry, its relation and the
+layout of its t-values. A relation is a conjunction of equations
+target = prod term(witness) (mod m), Camenisch-Stadler style. The prover
+evaluates the terms at its blindings; the verifier evaluates them at the
+responses and multiplies by target^-c, which gives the same t-values for an
+honest proof. `build_bundle` and `_verify_bundle` build the same arms in the
+same order, and `_bundle_challenge` alone lays out the statement and the
+t-values it hashes.
+
 Equality across two presentations rides on a shared integer commitment to
 the attribute under a commitment key derived from a credential definition:
 each presentation carries a link arm proving its hidden response opens that
 same commitment, and binding of the commitment carries equality across the
-two bundles.
+two bundles. `verify_equality` checks that linkage first and then verifies
+both bundles, the second chained onto the first.
 """
-
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .credentials import Credential, CredentialDefinition, LinkSecret, Schema, fetch_definition, fetch_schema
 from .crypto.ciphertext import Ciphertext
@@ -32,7 +43,7 @@ from .crypto.encoding import ATTRIBUTE_BOUND
 from .crypto.paillier import PaillierPublicKey
 from .crypto.primes import invert, powmod, powmod_fixed
 from .crypto.transcript import Transcript
-from .errors import ProofRefusedError, SchemaMismatchError
+from .errors import ProofRefusedError, RegistryError, SchemaMismatchError
 from .ledger import Registry
 from .params import Profile
 from .serialize import dumps, serializable
@@ -42,6 +53,7 @@ LINK_NAME = "@link"
 
 # Bit width of the predicate decomposition; covers YYYYMMDD date integers.
 PRED_BITS = 27
+PRED_RANGE = range(1 << PRED_BITS)  # thresholds a predicate arm may name
 
 
 @serializable("presentation")
@@ -57,26 +69,6 @@ class Presentation:
     nonce: bytes
     challenge: int
 
-    def to_fields(self) -> dict:
-        return {
-            "a_prime": self.a_prime,
-            "challenge": self.challenge,
-            "defn_id": self.defn_id,
-            "disclosed": dict(self.disclosed),
-            "e_hat": self.e_hat,
-            "hidden_names": list(self.hidden_names),
-            "m_hats": dict(self.m_hats),
-            "nonce": self.nonce,
-            "v_hat": self.v_hat,
-        }
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "Presentation":
-        return cls(defn_id=fields["defn_id"], disclosed=dict(fields["disclosed"]),
-                   hidden_names=tuple(fields["hidden_names"]), a_prime=fields["a_prime"],
-                   e_hat=fields["e_hat"], v_hat=fields["v_hat"], m_hats=dict(fields["m_hats"]),
-                   nonce=fields["nonce"], challenge=fields["challenge"])
-
 
 @serializable("link-proof")
 @dataclass(frozen=True)
@@ -88,13 +80,6 @@ class LinkProof:
     commitment: int
     r_hat: int
 
-    def to_fields(self) -> dict:
-        return {"attr": self.attr, "commitment": self.commitment, "r_hat": self.r_hat}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "LinkProof":
-        return cls(attr=fields["attr"], commitment=fields["commitment"], r_hat=fields["r_hat"])
-
 
 @serializable("verifiable-encryption-proof")
 @dataclass(frozen=True)
@@ -104,15 +89,6 @@ class VerifiableEncryptionProof:
     key_id: str
     ciphertext: Ciphertext
     r_hat: int  # randomness response; multiplicative for paillier
-
-    def to_fields(self) -> dict:
-        return {"attr": self.attr, "ciphertext": self.ciphertext, "key_id": self.key_id,
-                "r_hat": self.r_hat, "scheme": self.scheme}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "VerifiableEncryptionProof":
-        return cls(attr=fields["attr"], scheme=fields["scheme"], key_id=fields["key_id"],
-                   ciphertext=fields["ciphertext"], r_hat=fields["r_hat"])
 
 
 @serializable("bit-proof")
@@ -124,13 +100,6 @@ class BitProof:
     c0: int
     s0: int
     s1: int
-
-    def to_fields(self) -> dict:
-        return {"c0": self.c0, "s0": self.s0, "s1": self.s1}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "BitProof":
-        return cls(c0=fields["c0"], s0=fields["s0"], s1=fields["s1"])
 
 
 @serializable("predicate-proof")
@@ -145,16 +114,6 @@ class PredicateProof:
     bit_proofs: tuple[BitProof, ...]
     u_hat: int  # response for the aggregated bit randomness in the linear arm
 
-    def to_fields(self) -> dict:
-        return {"attr": self.attr, "bit_commitments": list(self.bit_commitments),
-                "bit_proofs": list(self.bit_proofs), "threshold": self.threshold, "u_hat": self.u_hat}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "PredicateProof":
-        return cls(attr=fields["attr"], threshold=fields["threshold"],
-                   bit_commitments=tuple(fields["bit_commitments"]),
-                   bit_proofs=tuple(fields["bit_proofs"]), u_hat=fields["u_hat"])
-
 
 @serializable("presentation-bundle")
 @dataclass(frozen=True)
@@ -166,25 +125,6 @@ class PresentationBundle:
     commitment_source: str  # definition id the link commitment key derives from
     prev_digest: bytes  # digest of the previous bundle in the session, b"" for the first
     challenge: int
-
-    def to_fields(self) -> dict:
-        return {
-            "challenge": self.challenge,
-            "commitment_source": self.commitment_source,
-            "enc_proofs": list(self.enc_proofs),
-            "link_proofs": list(self.link_proofs),
-            "predicate_proofs": list(self.predicate_proofs),
-            "presentation": self.presentation,
-            "prev_digest": self.prev_digest,
-        }
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "PresentationBundle":
-        return cls(presentation=fields["presentation"], link_proofs=tuple(fields["link_proofs"]),
-                   enc_proofs=tuple(fields["enc_proofs"]),
-                   predicate_proofs=tuple(fields["predicate_proofs"]),
-                   commitment_source=fields["commitment_source"],
-                   prev_digest=fields["prev_digest"], challenge=fields["challenge"])
 
 
 @serializable("equality-proof")
@@ -201,17 +141,6 @@ class EqualityProof:
     bundle_digest_a: bytes
     bundle_digest_b: bytes
 
-    def to_fields(self) -> dict:
-        return {"attr_a": self.attr_a, "attr_b": self.attr_b,
-                "bundle_digest_a": self.bundle_digest_a, "bundle_digest_b": self.bundle_digest_b,
-                "commitment": self.commitment, "r_hat_a": self.r_hat_a, "r_hat_b": self.r_hat_b}
-
-    @classmethod
-    def from_fields(cls, fields: dict) -> "EqualityProof":
-        return cls(attr_a=fields["attr_a"], attr_b=fields["attr_b"], commitment=fields["commitment"],
-                   r_hat_a=fields["r_hat_a"], r_hat_b=fields["r_hat_b"],
-                   bundle_digest_a=fields["bundle_digest_a"], bundle_digest_b=fields["bundle_digest_b"])
-
 
 @dataclass(frozen=True)
 class EncryptionSpec:
@@ -222,7 +151,7 @@ class EncryptionSpec:
 
     @property
     def scheme(self) -> str:
-        return "elgamal" if isinstance(self.public_key, ElGamalPublicKey) else "paillier"
+        return _scheme(self.public_key)
 
 
 @dataclass(frozen=True)
@@ -240,13 +169,162 @@ def commitment_key_for(definition: CredentialDefinition) -> CommitmentKey:
     return CommitmentKey.derive(pk.n, pk.s, label="link-commitment:" + definition.defn_id)
 
 
+def find_arm(arms: Iterable, attr: str):
+    """The first arm in `arms` about attribute `attr`, or None."""
+    return next((arm for arm in arms if arm.attr == attr), None)
+
+
+# ---------------------------------------------------------------------------
+# arm definitions, shared by prover and verifier
+
+
+@dataclass(frozen=True)
+class _Eq:
+    """One equation target = prod term(witness) (mod `mod`), each term a
+    homomorphism of one named witness. An OR branch reads its own challenge
+    from the witness map under `chal`. The target is computed only when the
+    challenge is nonzero, so the prover never pays for it."""
+
+    mod: int
+    terms: tuple[tuple[Callable[[int], int], str], ...]
+    target: Callable[[], int]
+    chal: str | None = None
+
+    def t_value(self, exps: Mapping[str, int], c: int) -> int:
+        c = exps[self.chal] if self.chal else c
+        t = powmod(self.target(), -c, self.mod) if c else 1
+        for term, name in self.terms:
+            t = t * term(exps[name]) % self.mod
+        return t
+
+
+@dataclass(frozen=True)
+class _Arm:
+    """A proof arm as both sides build it: its statement entry, its relation
+    and how its t-values nest in the transcript."""
+
+    statement: dict
+    eqs: list[_Eq]
+    layout: Callable[[list[int]], object]
+
+    def t_values(self, exps: Mapping[str, int], c: int):
+        return self.layout([eq.t_value(exps, c) for eq in self.eqs])
+
+
+def _fixed(base: int, mod: int) -> Callable[[int], int]:
+    return lambda x: powmod_fixed(base, x, mod)
+
+
+def _scheme(key: ElGamalPublicKey | PaillierPublicKey) -> str:
+    return "elgamal" if isinstance(key, ElGamalPublicKey) else "paillier"
+
+
+def _core_arm(definition: CredentialDefinition, profile: Profile, names: Sequence[str],
+              a_prime: int, hidden_names: Sequence[str], disclosed: Mapping[str, int]) -> _Arm:
+    """Z / (A'^(2^(e_bits-1)) * prod_disclosed R_i^m_i) = A'^e' * S^v' * prod_hidden R_i^m_i
+    (mod n): a signature on the link secret and every attribute. Witnesses
+    "@e", "@v" and the hidden names; the statement entries are top-level."""
+    pk = definition.public_key
+    n = pk.n
+    r_base = dict(zip((LINK_NAME,) + tuple(names), pk.r_bases))
+
+    def target() -> int:
+        base = pk.z
+        for nm, value in disclosed.items():
+            base = base * invert(powmod_fixed(r_base[nm], value, n), n) % n
+        return base * invert(powmod(a_prime, 1 << (profile.e_bits - 1), n), n) % n
+
+    terms = ((lambda x: powmod(a_prime, x, n), "@e"), (_fixed(pk.s, n), "@v"),
+             *((_fixed(r_base[nm], n), nm) for nm in hidden_names))
+    return _Arm({"a_prime": a_prime, "defn": definition.defn_id, "disclosed": dict(disclosed),
+                 "hidden": list(hidden_names)}, [_Eq(n, terms, target)], lambda ts: ts[0])
+
+
+def _link_arm(ck: CommitmentKey, attr: str, commitment: int) -> _Arm:
+    """C = R^m * S^r (mod N): the hidden attribute m opens the commitment all
+    bundles of the session share for it."""
+    eq = _Eq(ck.n, ((_fixed(ck.r_base, ck.n), "m"), (_fixed(ck.s_base, ck.n), "r")), lambda: commitment)
+    return _Arm({"attr": attr, "commitment": commitment}, [eq], lambda ts: ts[0])
+
+
+def _encryption_arm(attr: str, key: ElGamalPublicKey | PaillierPublicKey,
+                    parts: Sequence[int]) -> _Arm:
+    """ElGamal: c1 = g^r and c2 = g^m * h^r (mod p). Paillier: c = (1+n)^m * r^n
+    (mod n^2), with (1+n)^m = 1 + (m mod n) * n; its randomness response is
+    multiplicative."""
+    if isinstance(key, ElGamalPublicKey):
+        p, (c1, c2) = key.p, parts
+        g, h = _fixed(key.g, p), _fixed(key.h, p)
+        eqs = [_Eq(p, ((g, "r"),), lambda: c1), _Eq(p, ((g, "m"), (h, "r")), lambda: c2)]
+    else:
+        n, n2, (ct,) = key.n, key.n_squared, parts
+        eqs = [_Eq(n2, ((lambda x: 1 + x % n * n, "m"), (lambda x: powmod(x, n, n2), "r")),
+                   lambda: ct)]
+    return _Arm({"attr": attr, "key_id": key.key_id(), "parts": list(parts), "scheme": _scheme(key)},
+                eqs, list)
+
+
+def _encryption_in_range(key: ElGamalPublicKey | PaillierPublicKey,
+                         proof: VerifiableEncryptionProof) -> bool:
+    """Ciphertext parts are nonzero group elements, and the randomness
+    response lies in Z_q (ElGamal) or Z_n without 0 (Paillier)."""
+    if isinstance(key, ElGamalPublicKey):
+        c1, c2 = proof.ciphertext.parts
+        return 0 < c1 < key.p and 0 < c2 < key.p and 0 <= proof.r_hat < key.q
+    (ct,) = proof.ciphertext.parts
+    return 0 < ct < key.n_squared and 0 < proof.r_hat < key.n
+
+
+def _predicate_arm(ck: CommitmentKey, attr: str, threshold: int, bits: Sequence[int]) -> _Arm:
+    """Hidden m <= threshold, by the bits of threshold - m. Bit commitment j
+    proves D_j = S^rho (bit 0) or D_j / R = S^rho (bit 1), an OR whose branch
+    challenges c0 + c1 equal the bundle challenge mod 2^challenge_bits; then
+    R^threshold / prod D_j^(2^j) = R^m * S^u ties the bits to m."""
+    n = ck.n
+    r_pow, s_pow = _fixed(ck.r_base, n), _fixed(ck.s_base, n)
+    r_inv = invert(ck.r_base, n)
+    eqs = []
+    for j, d in enumerate(bits):
+        eqs.append(_Eq(n, ((s_pow, f"s0.{j}"),), lambda d=d: d, chal=f"c0.{j}"))
+        eqs.append(_Eq(n, ((s_pow, f"s1.{j}"),), lambda d=d: d * r_inv % n, chal=f"c1.{j}"))
+
+    def lin_target() -> int:
+        agg = 1
+        for j, d in enumerate(bits):
+            agg = agg * powmod(d, 1 << j, n) % n
+        return powmod_fixed(ck.r_base, threshold, n) * invert(agg, n) % n
+
+    eqs.append(_Eq(n, ((r_pow, "m"), (s_pow, "u")), lin_target))
+    return _Arm({"attr": attr, "bits": list(bits), "threshold": threshold}, eqs,
+                lambda ts: {"bits": [ts[i:i + 2] for i in range(0, len(ts) - 1, 2)], "lin": ts[-1]})
+
+
+def _bundle_challenge(profile: Profile, core: _Arm, t_core: int, nonce: bytes,
+                      commitment_source: str, prev: bytes, arms: Mapping[str, list]) -> int:
+    """The bundle's one Fiat-Shamir challenge: the whole statement, then every
+    t-value. `arms` maps "links", "encs" and "preds" to (arm, t-values, ...)
+    entries in bundle order."""
+    t = Transcript("vp-bundle")
+    t.absorb({**core.statement, "ckey_src": commitment_source, "nonce": nonce, "prev": prev,
+              **{kind: [arm.statement for arm, *_ in group] for kind, group in arms.items()}})
+    t.absorb({"core": t_core, **{kind: [ts for _, ts, *_ in group] for kind, group in arms.items()}})
+    return t.challenge(profile.challenge_bits)
+
+
+def _unit(rng: random.Random, n: int) -> int:
+    """A uniform element of Z_n^*."""
+    while True:
+        x = rng.randrange(1, n)
+        if math.gcd(x, n) == 1:
+            return x
+
+
 class ProofSession:
     """Prover-side context for one exchange: a verifier nonce, a chained
     transcript digest, and the shared link commitments."""
 
     def __init__(self, registry: Registry, nonce: bytes, rng: random.Random,
                  commitment_source: str):
-        self.registry = registry
         self.nonce = nonce
         self.rng = rng
         self.commitment_source = commitment_source
@@ -288,186 +366,128 @@ class ProofSession:
             raise ProofRefusedError("a disclosed attribute needs no link proof")
 
         hidden_names = (LINK_NAME,) + tuple(nm for nm in names if nm not in disclose)
-        slot_of = {LINK_NAME: 0}
-        slot_of.update({nm: i + 1 for i, nm in enumerate(names)})
-        values = {LINK_NAME: link_secret.value}
-        values.update(credential.attributes)
+        values = {LINK_NAME: link_secret.value, **credential.attributes}
         disclosed = {nm: credential.attributes[nm] for nm in sorted(disclose)}
 
         # randomize the signature
         sig = credential.signature
         r_a = rng.getrandbits(n.bit_length() + profile.stat_bits)
         a_prime = sig.a * powmod_fixed(pk.s, r_a, n) % n
-        v_prime = sig.v - sig.e * r_a
-        e_prime = sig.e - (1 << (profile.e_bits - 1))
+        witness = {"@e": sig.e - (1 << (profile.e_bits - 1)), "@v": sig.v - sig.e * r_a, **values}
 
         # blindings; hidden-attribute blindings are shared with every arm
-        e_tilde = rng.getrandbits(profile.e_window_bits + profile.challenge_bits + profile.stat_bits)
-        v_tilde = rng.getrandbits(profile.v_bits + profile.challenge_bits + 2 * profile.stat_bits)
-        m_tilde = {nm: rng.getrandbits(profile.attr_bits + profile.challenge_bits + profile.stat_bits)
-                   for nm in hidden_names}
-
-        t_core = powmod(a_prime, e_tilde, n) * powmod_fixed(pk.s, v_tilde, n) % n
+        blind = {"@e": rng.getrandbits(profile.e_window_bits + profile.challenge_bits + profile.stat_bits),
+                 "@v": rng.getrandbits(profile.v_bits + profile.challenge_bits + 2 * profile.stat_bits)}
         for nm in hidden_names:
-            t_core = t_core * powmod_fixed(pk.r_bases[slot_of[nm]], m_tilde[nm], n) % n
+            blind[nm] = rng.getrandbits(profile.attr_bits + profile.challenge_bits + profile.stat_bits)
 
-        # link arms against the shared session commitments
-        ck = self.commitment_key
-        link_stmts, link_ts, link_pending = [], [], []
-        for attr in sorted(link):
-            c_value, c_rand = self._link_commitment(link[attr], values[attr])
-            r_tilde = rng.getrandbits(ck.n.bit_length() + profile.stat_bits
-                                      + profile.challenge_bits + profile.stat_bits)
-            t_link = (powmod_fixed(ck.r_base, m_tilde[attr], ck.n)
-                      * powmod_fixed(ck.s_base, r_tilde, ck.n) % ck.n)
-            link_stmts.append({"attr": attr, "commitment": c_value})
-            link_ts.append(t_link)
-            link_pending.append((attr, c_value, c_rand, r_tilde))
-
-        # verifiable-encryption arms
-        enc_stmts, enc_ts, enc_pending = [], [], []
-        for spec in encrypt:
-            if spec.attr not in hidden_names:
-                raise ProofRefusedError(f"attribute {spec.attr!r} must be hidden to encrypt verifiably")
-            value = values[spec.attr]
-            if spec.scheme == "elgamal":
-                epk = spec.public_key
-                if value >= epk.plain_bound:
-                    raise ProofRefusedError("plaintext exceeds the ElGamal bound")
-                rho = rng.randrange(1, epk.q)
-                ct = Ciphertext(scheme="elgamal",
-                                parts=(powmod_fixed(epk.g, rho, epk.p),
-                                       powmod_fixed(epk.g, value, epk.p)
-                                       * powmod_fixed(epk.h, rho, epk.p) % epk.p))
-                rho_t = rng.randrange(0, epk.q)
-                ts = [powmod_fixed(epk.g, rho_t, epk.p),
-                      powmod_fixed(epk.g, m_tilde[spec.attr], epk.p)
-                      * powmod_fixed(epk.h, rho_t, epk.p) % epk.p]
-                enc_pending.append((spec, ct, rho, rho_t))
-            else:
-                ppk = spec.public_key
-                if value >= ppk.n:
-                    raise ProofRefusedError("plaintext exceeds the Paillier modulus")
-                n2 = ppk.n_squared
-                while True:
-                    s_rand = rng.randrange(1, ppk.n)
-                    if _coprime(s_rand, ppk.n):
-                        break
-                ct = Ciphertext(scheme="paillier",
-                                parts=((1 + value * ppk.n) % n2 * powmod(s_rand, ppk.n, n2) % n2,))
-                while True:
-                    s_t = rng.randrange(1, ppk.n)
-                    if _coprime(s_t, ppk.n):
-                        break
-                ts = [(1 + (m_tilde[spec.attr] % ppk.n) * ppk.n) % n2 * powmod(s_t, ppk.n, n2) % n2]
-                enc_pending.append((spec, ct, s_rand, s_t))
-            key_id = spec.public_key.key_id()
-            enc_stmts.append({"attr": spec.attr, "key_id": key_id,
-                              "parts": list(ct.parts), "scheme": spec.scheme})
-            enc_ts.append(ts)
-
-        # predicate arms: hidden value <= threshold via bits of the difference
-        pred_stmts, pred_ts, pred_pending = [], [], []
-        for spec in predicates:
-            if spec.attr not in hidden_names:
-                raise ProofRefusedError(f"attribute {spec.attr!r} must be hidden for a predicate proof")
-            if not 0 <= spec.threshold < (1 << PRED_BITS):
-                raise ProofRefusedError("threshold out of predicate range")
-            delta = spec.threshold - values[spec.attr]
-            if delta < 0:
-                raise ProofRefusedError("attribute violates the predicate")
-            bits = [(delta >> j) & 1 for j in range(PRED_BITS)]
-            resp_bits = ck.n.bit_length() + profile.stat_bits + profile.challenge_bits + profile.stat_bits
-            r_inv = invert(ck.r_base, ck.n)
-            d_values, bit_items, rho_sum = [], [], 0
-            for j, b in enumerate(bits):
-                rho_j = rng.getrandbits(ck.n.bit_length() + profile.stat_bits)
-                rho_sum += rho_j << j
-                d_j = powmod_fixed(ck.r_base, b, ck.n) * powmod_fixed(ck.s_base, rho_j, ck.n) % ck.n
-                # simulate the false branch, run the true branch honestly
-                c_sim = rng.getrandbits(profile.challenge_bits)
-                s_sim = rng.getrandbits(resp_bits)
-                w = rng.getrandbits(resp_bits)
-                if b == 0:
-                    target_sim = d_j * r_inv % ck.n  # branch 1 statement: D/R = S^rho
-                    t0, t1 = powmod_fixed(ck.s_base, w, ck.n), \
-                        powmod_fixed(ck.s_base, s_sim, ck.n) * powmod(target_sim, -c_sim, ck.n) % ck.n
-                else:
-                    t0 = powmod_fixed(ck.s_base, s_sim, ck.n) * powmod(d_j, -c_sim, ck.n) % ck.n
-                    t1 = powmod_fixed(ck.s_base, w, ck.n)
-                d_values.append(d_j)
-                bit_items.append((b, rho_j, c_sim, s_sim, w, t0, t1))
-            u_tilde = rng.getrandbits(rho_sum.bit_length() + profile.challenge_bits + profile.stat_bits)
-            t_lin = (powmod_fixed(ck.r_base, m_tilde[spec.attr], ck.n)
-                     * powmod_fixed(ck.s_base, u_tilde, ck.n) % ck.n)
-            pred_stmts.append({"attr": spec.attr, "bits": d_values, "threshold": spec.threshold})
-            pred_ts.append({"bits": [[t0, t1] for (_, _, _, _, _, t0, t1) in bit_items], "lin": t_lin})
-            pred_pending.append((spec, bit_items, rho_sum, u_tilde))
-
-        statement = {
-            "a_prime": a_prime,
-            "ckey_src": self.commitment_source,
-            "defn": definition.defn_id,
-            "disclosed": disclosed,
-            "encs": enc_stmts,
-            "hidden": list(hidden_names),
-            "links": link_stmts,
-            "nonce": self.nonce,
-            "preds": pred_stmts,
-            "prev": self.prev_digest,
+        core = _core_arm(definition, profile, names, a_prime, hidden_names, disclosed)
+        arms = {
+            "links": [self._prove_link(attr, link[attr], values[attr], blind[attr]) for attr in sorted(link)],
+            "encs": [self._prove_encryption(spec, hidden_names, values, blind) for spec in encrypt],
+            "preds": [self._prove_predicate(spec, hidden_names, values, blind) for spec in predicates],
         }
-        t_values = {"core": t_core, "encs": enc_ts, "links": link_ts, "preds": pred_ts}
-        challenge = _bundle_challenge(profile, statement, t_values)
+        c = _bundle_challenge(profile, core, core.t_values(blind, 0), self.nonce,
+                              self.commitment_source, self.prev_digest, arms)
 
-        m_hats = {nm: m_tilde[nm] + challenge * values[nm] for nm in hidden_names}
+        hats = {name: blind[name] + c * witness[name] for name in blind}
         presentation = Presentation(
             defn_id=definition.defn_id, disclosed=disclosed, hidden_names=hidden_names,
-            a_prime=a_prime, e_hat=e_tilde + challenge * e_prime,
-            v_hat=v_tilde + challenge * v_prime, m_hats=m_hats,
-            nonce=self.nonce, challenge=challenge,
+            a_prime=a_prime, e_hat=hats.pop("@e"), v_hat=hats.pop("@v"), m_hats=hats,
+            nonce=self.nonce, challenge=c,
         )
-        link_proofs = tuple(
-            LinkProof(attr=attr, commitment=c_value, r_hat=r_tilde + challenge * c_rand)
-            for (attr, c_value, c_rand, r_tilde) in link_pending
-        )
-        enc_proofs = []
-        for (spec, ct, rand, rand_t) in enc_pending:
-            if spec.scheme == "elgamal":
-                r_hat = (rand_t + challenge * rand) % spec.public_key.q
-            else:
-                r_hat = rand_t * powmod(rand, challenge, spec.public_key.n) % spec.public_key.n
-            enc_proofs.append(VerifiableEncryptionProof(
-                attr=spec.attr, scheme=spec.scheme, key_id=spec.public_key.key_id(),
-                ciphertext=ct, r_hat=r_hat))
-        predicate_proofs = []
-        for (spec, bit_items, rho_sum, u_tilde) in pred_pending:
-            chal_mod = 1 << profile.challenge_bits
-            bit_proofs = []
-            for (b, rho_j, c_sim, s_sim, w, _, _) in bit_items:
-                c_real = (challenge - c_sim) % chal_mod
-                s_real = w + c_real * rho_j
-                if b == 0:
-                    bit_proofs.append(BitProof(c0=c_real, s0=s_real, s1=s_sim))
-                else:
-                    bit_proofs.append(BitProof(c0=c_sim, s0=s_sim, s1=s_real))
-            predicate_proofs.append(PredicateProof(
-                attr=spec.attr, threshold=spec.threshold,
-                bit_commitments=tuple(pred_stmts[len(predicate_proofs)]["bits"]),
-                bit_proofs=tuple(bit_proofs),
-                u_hat=u_tilde - challenge * rho_sum))
-
+        link_proofs, enc_proofs, predicate_proofs = (
+            tuple(respond(c) for _, _, respond in arms[kind]) for kind in ("links", "encs", "preds"))
         bundle = PresentationBundle(
-            presentation=presentation, link_proofs=link_proofs, enc_proofs=tuple(enc_proofs),
-            predicate_proofs=tuple(predicate_proofs), commitment_source=self.commitment_source,
-            prev_digest=self.prev_digest, challenge=challenge,
+            presentation=presentation, link_proofs=link_proofs, enc_proofs=enc_proofs,
+            predicate_proofs=predicate_proofs, commitment_source=self.commitment_source,
+            prev_digest=self.prev_digest, challenge=c,
         )
         self.prev_digest = bundle_digest(bundle)
         return bundle
 
+    # Each _prove_* draws its arm's randomness and blindings, in bundle order,
+    # and returns (arm, t-values, respond), respond mapping the challenge to
+    # the arm's wire proof.
+
+    def _prove_link(self, attr: str, label: str, value: int, m_blind: int):
+        ck, profile = self.commitment_key, self.profile
+        c_value, c_rand = self._link_commitment(label, value)
+        r_blind = self.rng.getrandbits(ck.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits)
+        arm = _link_arm(ck, attr, c_value)
+        return arm, arm.t_values({"m": m_blind, "r": r_blind}, 0), \
+            lambda c: LinkProof(attr=attr, commitment=c_value, r_hat=r_blind + c * c_rand)
+
+    def _prove_encryption(self, spec: EncryptionSpec, hidden_names: Sequence[str],
+                          values: Mapping[str, int], blind: Mapping[str, int]):
+        if spec.attr not in hidden_names:
+            raise ProofRefusedError(f"attribute {spec.attr!r} must be hidden to encrypt verifiably")
+        key, rng, value = spec.public_key, self.rng, values[spec.attr]
+        if isinstance(key, ElGamalPublicKey):
+            if value >= key.plain_bound:
+                raise ProofRefusedError("plaintext exceeds the ElGamal bound")
+            rho = rng.randrange(1, key.q)
+            parts = (powmod_fixed(key.g, rho, key.p),
+                     powmod_fixed(key.g, value, key.p) * powmod_fixed(key.h, rho, key.p) % key.p)
+            rho_blind = rng.randrange(0, key.q)
+            r_hat = lambda c: (rho_blind + c * rho) % key.q  # noqa: E731
+        else:
+            if value >= key.n:
+                raise ProofRefusedError("plaintext exceeds the Paillier modulus")
+            n2 = key.n_squared
+            rho = _unit(rng, key.n)
+            parts = ((1 + value * key.n) % n2 * powmod(rho, key.n, n2) % n2,)
+            rho_blind = _unit(rng, key.n)
+            r_hat = lambda c: rho_blind * powmod(rho, c, key.n) % key.n  # noqa: E731
+        arm = _encryption_arm(spec.attr, key, parts)
+        return arm, arm.t_values({"m": blind[spec.attr], "r": rho_blind}, 0), \
+            lambda c: VerifiableEncryptionProof(attr=spec.attr, scheme=spec.scheme, key_id=key.key_id(),
+                                                ciphertext=Ciphertext(spec.scheme, parts), r_hat=r_hat(c))
+
+    def _prove_predicate(self, spec: PredicateSpec, hidden_names: Sequence[str],
+                         values: Mapping[str, int], blind: Mapping[str, int]):
+        if spec.attr not in hidden_names[1:]:
+            raise ProofRefusedError(f"attribute {spec.attr!r} must be hidden for a predicate proof")
+        if spec.threshold not in PRED_RANGE:
+            raise ProofRefusedError("threshold out of predicate range")
+        delta = spec.threshold - values[spec.attr]
+        if delta < 0:
+            raise ProofRefusedError("attribute violates the predicate")
+        ck, profile, rng = self.commitment_key, self.profile, self.rng
+        resp_bits = ck.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits
+        exps, bits, d_values, rho_sum = {"m": blind[spec.attr]}, [], [], 0
+        for j in range(PRED_BITS):
+            b = (delta >> j) & 1
+            rho = rng.getrandbits(ck.n.bit_length() + profile.stat_bits)
+            rho_sum += rho << j
+            d_values.append(powmod_fixed(ck.r_base, b, ck.n) * powmod_fixed(ck.s_base, rho, ck.n) % ck.n)
+            # the false branch is simulated from (c_sim, s_sim); branch b runs
+            # honestly from the blinding w, and its challenge is fixed later
+            c_sim = rng.getrandbits(profile.challenge_bits)
+            s_sim = rng.getrandbits(resp_bits)
+            w = rng.getrandbits(resp_bits)
+            exps.update({f"c{1 - b}.{j}": c_sim, f"s{1 - b}.{j}": s_sim, f"c{b}.{j}": 0, f"s{b}.{j}": w})
+            bits.append((b, rho))
+        exps["u"] = u_blind = rng.getrandbits(rho_sum.bit_length() + profile.challenge_bits
+                                              + profile.stat_bits)
+        arm = _predicate_arm(ck, spec.attr, spec.threshold, d_values)
+
+        def respond(c: int) -> PredicateProof:
+            hats = dict(exps)
+            for j, (b, rho) in enumerate(bits):
+                hats[f"c{b}.{j}"] = (c - exps[f"c{1 - b}.{j}"]) % (1 << profile.challenge_bits)
+                hats[f"s{b}.{j}"] += hats[f"c{b}.{j}"] * rho
+            bit_proofs = tuple(BitProof(c0=hats[f"c0.{j}"], s0=hats[f"s0.{j}"], s1=hats[f"s1.{j}"])
+                               for j in range(PRED_BITS))
+            return PredicateProof(attr=spec.attr, threshold=spec.threshold, bit_commitments=tuple(d_values),
+                                  bit_proofs=bit_proofs, u_hat=u_blind - c * rho_sum)
+
+        return arm, arm.t_values(exps, 0), respond
+
     def equality_proof(self, bundle_a: PresentationBundle, attr_a: str,
                        bundle_b: PresentationBundle, attr_b: str) -> EqualityProof:
-        arm_a = _find_link(bundle_a, attr_a)
-        arm_b = _find_link(bundle_b, attr_b)
+        arm_a = find_arm(bundle_a.link_proofs, attr_a)
+        arm_b = find_arm(bundle_b.link_proofs, attr_b)
         if arm_a is None or arm_b is None:
             raise ProofRefusedError("both presentations need a link arm for the attribute")
         if arm_a.commitment != arm_b.commitment:
@@ -477,26 +497,6 @@ class ProofSession:
             r_hat_a=arm_a.r_hat, r_hat_b=arm_b.r_hat,
             bundle_digest_a=bundle_digest(bundle_a), bundle_digest_b=bundle_digest(bundle_b),
         )
-
-
-def _coprime(a: int, n: int) -> bool:
-    import math
-
-    return math.gcd(a, n) == 1
-
-
-def _find_link(bundle: PresentationBundle, attr: str) -> LinkProof | None:
-    for arm in bundle.link_proofs:
-        if arm.attr == attr:
-            return arm
-    return None
-
-
-def _bundle_challenge(profile: Profile, statement: dict, t_values: dict) -> int:
-    t = Transcript("vp-bundle")
-    t.absorb(statement)
-    t.absorb(t_values)
-    return t.challenge(profile.challenge_bits)
 
 
 def create_presentation(registry: Registry, credential: Credential, link_secret: LinkSecret,
@@ -515,12 +515,14 @@ def create_presentation(registry: Registry, credential: Credential, link_secret:
 def verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce: bytes,
                   encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey] | None = None,
                   expected_prev: bytes | None = None) -> bool:
-    """Full verification of a bundle: every arm's t-value is recomputed from
+    """Full verification of a bundle: every arm's t-values are recomputed from
     the stored responses and the single challenge is re-derived from the
-    whole transcript. Returns False on any malformed input."""
+    whole transcript. A definition the registry does not know, or a group
+    element with no inverse, gives False; any other exception is a bug and
+    propagates."""
     try:
         return _verify_bundle(registry, bundle, expected_nonce, encryption_keys or {}, expected_prev)
-    except Exception:
+    except (RegistryError, ValueError):
         return False
 
 
@@ -533,11 +535,8 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
     if expected_prev is not None and bundle.prev_digest != expected_prev:
         return False
     definition = fetch_definition(registry, pres.defn_id)
-    schema = fetch_schema(registry, definition.schema_id)
+    names = fetch_schema(registry, definition.schema_id).attribute_names
     profile = definition.profile()
-    pk = definition.public_key
-    n = pk.n
-    names = schema.attribute_names
 
     if pres.hidden_names[:1] != (LINK_NAME,):
         return False
@@ -548,12 +547,11 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         return False
     if set(pres.m_hats) != set(pres.hidden_names):
         return False
-    slot_of = {LINK_NAME: 0}
-    slot_of.update({nm: i + 1 for i, nm in enumerate(names)})
 
     c = bundle.challenge
+    chal_mod = 1 << profile.challenge_bits
     # response range checks (loose soundness bounds)
-    if not 0 <= c < (1 << profile.challenge_bits):
+    if not 0 <= c < chal_mod:
         return False
     if not 0 <= pres.e_hat < (1 << (profile.e_window_bits + profile.challenge_bits + profile.stat_bits + 2)):
         return False
@@ -565,135 +563,61 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
     for value in pres.disclosed.values():
         if not 0 <= value < ATTRIBUTE_BOUND:
             return False
-    if not 1 < pres.a_prime < n:
+    if not 1 < pres.a_prime < definition.public_key.n:
         return False
 
-    # core arm
-    base = pk.z
-    for nm, value in pres.disclosed.items():
-        base = base * invert(powmod_fixed(pk.r_bases[slot_of[nm]], value, n), n) % n
-    base = base * invert(powmod(pres.a_prime, 1 << (profile.e_bits - 1), n), n) % n
-    t_core = powmod(base, -c, n) * powmod(pres.a_prime, pres.e_hat, n) % n
-    t_core = t_core * powmod_fixed(pk.s, pres.v_hat, n) % n
-    for nm in pres.hidden_names:
-        t_core = t_core * powmod_fixed(pk.r_bases[slot_of[nm]], pres.m_hats[nm], n) % n
-
-    source_defn = fetch_definition(registry, bundle.commitment_source)
-    ck = commitment_key_for(source_defn)
-
-    link_stmts, link_ts = [], []
-    for arm in bundle.link_proofs:
-        if arm.attr not in hidden_attrs and arm.attr != LINK_NAME:
+    core = _core_arm(definition, profile, names, pres.a_prime, pres.hidden_names, pres.disclosed)
+    ck = commitment_key_for(fetch_definition(registry, bundle.commitment_source))
+    arms = {"links": [], "encs": [], "preds": []}
+    for p in bundle.link_proofs:
+        if p.attr not in hidden_attrs:
             return False
-        t_link = (powmod(arm.commitment, -c, ck.n)
-                  * powmod_fixed(ck.r_base, pres.m_hats[arm.attr], ck.n)
-                  * powmod_fixed(ck.s_base, arm.r_hat, ck.n) % ck.n)
-        link_stmts.append({"attr": arm.attr, "commitment": arm.commitment})
-        link_ts.append(t_link)
-
-    enc_stmts, enc_ts = [], []
-    for arm in bundle.enc_proofs:
-        if arm.attr not in pres.m_hats or arm.attr in pres.disclosed:
+        arm = _link_arm(ck, p.attr, p.commitment)
+        arms["links"].append((arm, arm.t_values({"m": pres.m_hats[p.attr], "r": p.r_hat}, c)))
+    for p in bundle.enc_proofs:
+        key = encryption_keys.get(p.key_id)
+        if p.attr not in pres.hidden_names or key is None or key.key_id() != p.key_id:
             return False
-        key = encryption_keys.get(arm.key_id)
-        if key is None or key.key_id() != arm.key_id:
+        if not p.scheme == p.ciphertext.scheme == _scheme(key) or not _encryption_in_range(key, p):
             return False
-        m_hat = pres.m_hats[arm.attr]
-        if arm.scheme == "elgamal":
-            if not isinstance(key, ElGamalPublicKey) or arm.ciphertext.scheme != "elgamal":
-                return False
-            c1, c2 = arm.ciphertext.parts
-            if not (0 < c1 < key.p and 0 < c2 < key.p and 0 <= arm.r_hat < key.q):
-                return False
-            t1 = powmod(c1, -c, key.p) * powmod_fixed(key.g, arm.r_hat, key.p) % key.p
-            t2 = (powmod(c2, -c, key.p) * powmod_fixed(key.g, m_hat, key.p)
-                  * powmod_fixed(key.h, arm.r_hat, key.p) % key.p)
-            ts = [t1, t2]
-        else:
-            if not isinstance(key, PaillierPublicKey) or arm.ciphertext.scheme != "paillier":
-                return False
-            n2 = key.n_squared
-            (ct,) = arm.ciphertext.parts
-            if not (0 < ct < n2 and 0 < arm.r_hat < key.n):
-                return False
-            ts = [powmod(ct, -c, n2) * (1 + (m_hat % key.n) * key.n) % n2
-                  * powmod(arm.r_hat, key.n, n2) % n2]
-        enc_stmts.append({"attr": arm.attr, "key_id": arm.key_id,
-                          "parts": list(arm.ciphertext.parts), "scheme": arm.scheme})
-        enc_ts.append(ts)
-
-    pred_stmts, pred_ts = [], []
-    chal_mod = 1 << profile.challenge_bits
-    for arm in bundle.predicate_proofs:
-        if arm.attr not in hidden_attrs:
+        arm = _encryption_arm(p.attr, key, p.ciphertext.parts)
+        arms["encs"].append((arm, arm.t_values({"m": pres.m_hats[p.attr], "r": p.r_hat}, c)))
+    for p in bundle.predicate_proofs:
+        if p.attr not in hidden_attrs or p.threshold not in PRED_RANGE:
             return False
-        if len(arm.bit_commitments) != PRED_BITS or len(arm.bit_proofs) != PRED_BITS:
+        if len(p.bit_commitments) != PRED_BITS or len(p.bit_proofs) != PRED_BITS:
             return False
-        if not 0 <= arm.threshold < (1 << PRED_BITS):
-            return False
-        r_inv = invert(ck.r_base, ck.n)
-        bit_t_pairs = []
-        for d_j, bp in zip(arm.bit_commitments, arm.bit_proofs):
+        exps = {"m": pres.m_hats[p.attr], "u": p.u_hat}
+        for j, bp in enumerate(p.bit_proofs):
             if not 0 <= bp.c0 < chal_mod:
                 return False
-            c1 = (c - bp.c0) % chal_mod
-            t0 = powmod_fixed(ck.s_base, bp.s0, ck.n) * powmod(d_j, -bp.c0, ck.n) % ck.n
-            t1 = powmod_fixed(ck.s_base, bp.s1, ck.n) * powmod(d_j * r_inv % ck.n, -c1, ck.n) % ck.n
-            bit_t_pairs.append([t0, t1])
-        agg = 1
-        for j, d_j in enumerate(arm.bit_commitments):
-            agg = agg * powmod(d_j, 1 << j, ck.n) % ck.n
-        e_value = powmod_fixed(ck.r_base, arm.threshold, ck.n) * invert(agg, ck.n) % ck.n
-        t_lin = (powmod(e_value, -c, ck.n)
-                 * powmod_fixed(ck.r_base, pres.m_hats[arm.attr], ck.n)
-                 * powmod_fixed(ck.s_base, arm.u_hat, ck.n) % ck.n)
-        pred_stmts.append({"attr": arm.attr, "bits": list(arm.bit_commitments), "threshold": arm.threshold})
-        pred_ts.append({"bits": bit_t_pairs, "lin": t_lin})
+            exps.update({f"s0.{j}": bp.s0, f"c0.{j}": bp.c0,
+                         f"s1.{j}": bp.s1, f"c1.{j}": (c - bp.c0) % chal_mod})
+        arm = _predicate_arm(ck, p.attr, p.threshold, p.bit_commitments)
+        arms["preds"].append((arm, arm.t_values(exps, c)))
 
-    statement = {
-        "a_prime": pres.a_prime,
-        "ckey_src": bundle.commitment_source,
-        "defn": pres.defn_id,
-        "disclosed": dict(pres.disclosed),
-        "encs": enc_stmts,
-        "hidden": list(pres.hidden_names),
-        "links": link_stmts,
-        "nonce": pres.nonce,
-        "preds": pred_stmts,
-        "prev": bundle.prev_digest,
-    }
-    t_values = {"core": t_core, "encs": enc_ts, "links": link_ts, "preds": pred_ts}
-    return _bundle_challenge(profile, statement, t_values) == c
-
-
-def verify_presentation(registry: Registry, bundle: PresentationBundle, expected_nonce: bytes,
-                        encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey] | None = None) -> bool:
-    return verify_bundle(registry, bundle, expected_nonce, encryption_keys)
+    t_core = core.t_values({"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats}, c)
+    return _bundle_challenge(profile, core, t_core, pres.nonce, bundle.commitment_source,
+                             bundle.prev_digest, arms) == c
 
 
 def verify_equality(registry: Registry, proof: EqualityProof,
                     bundle_a: PresentationBundle, bundle_b: PresentationBundle,
                     nonce_a: bytes, nonce_b: bytes,
                     encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey] | None = None) -> bool:
-    """True iff both bundles verify, both carry a link arm for the named
-    attribute against the same commitment, and that commitment matches the
-    proof. Binding of the commitment then forces the hidden values equal."""
-    try:
-        arm_a = _find_link(bundle_a, proof.attr_a)
-        arm_b = _find_link(bundle_b, proof.attr_b)
-        if arm_a is None or arm_b is None:
-            return False
-        if not (arm_a.commitment == arm_b.commitment == proof.commitment):
-            return False
-        if (arm_a.r_hat, arm_b.r_hat) != (proof.r_hat_a, proof.r_hat_b):
-            return False
-        if bundle_a.commitment_source != bundle_b.commitment_source:
-            return False
-        if proof.bundle_digest_a != bundle_digest(bundle_a) or proof.bundle_digest_b != bundle_digest(bundle_b):
-            return False
-        if not verify_bundle(registry, bundle_a, nonce_a, encryption_keys):
-            return False
-        return verify_bundle(registry, bundle_b, nonce_b, encryption_keys,
-                             expected_prev=bundle_digest(bundle_a))
-    except Exception:
-        return False
+    """True iff both bundles carry a link arm for the named attribute against
+    `proof.commitment`, with the proof's responses, under one commitment key,
+    the proof names both bundles by digest, bundle_b chains onto bundle_a,
+    and both bundles verify. The linkage is checked first, so a splice costs
+    no proof work. Binding of the commitment then forces the hidden values equal."""
+    arm_a = find_arm(bundle_a.link_proofs, proof.attr_a)
+    arm_b = find_arm(bundle_b.link_proofs, proof.attr_b)
+    digest_a = bundle_digest(bundle_a)
+    return (arm_a is not None and arm_b is not None
+            and arm_a.commitment == arm_b.commitment == proof.commitment
+            and (arm_a.r_hat, arm_b.r_hat) == (proof.r_hat_a, proof.r_hat_b)
+            and bundle_a.commitment_source == bundle_b.commitment_source
+            and (proof.bundle_digest_a, proof.bundle_digest_b) == (digest_a, bundle_digest(bundle_b))
+            and bundle_b.prev_digest == digest_a
+            and verify_bundle(registry, bundle_a, nonce_a, encryption_keys)
+            and verify_bundle(registry, bundle_b, nonce_b, encryption_keys, expected_prev=digest_a))

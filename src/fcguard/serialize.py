@@ -9,6 +9,7 @@ before the magnitude; the taint scans search for exactly this encoding.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -21,14 +22,28 @@ _REGISTRY: dict[str, type] = {}
 
 
 def serializable(tag: str):
-    """Class decorator registering `tag` for round-tripping via from_fields."""
+    """Class decorator registering `tag` for round-tripping via from_fields.
+    A dataclass without its own to_fields/from_fields gets the field-by-field
+    pair: every field under its own name, with lists read back as tuples (the
+    sequence fields of every such class are tuples)."""
 
     def wrap(cls):
         cls.type_tag = tag
+        if "to_fields" not in cls.__dict__:
+            cls.to_fields = _dataclass_fields
+            cls.from_fields = classmethod(_from_dataclass_fields)
         _REGISTRY[tag] = cls
         return cls
 
     return wrap
+
+
+def _dataclass_fields(obj: Any) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _from_dataclass_fields(cls: type, fields: dict) -> Any:
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
 
 
 def encode_int(value: int) -> bytes:

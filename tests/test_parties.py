@@ -1,5 +1,9 @@
+import dataclasses
+import hashlib
+
 import pytest
 
+from fcguard import parties, presentations
 from fcguard.credentials import Schema, publish_definition
 from fcguard.crypto.cl import cl_keygen
 from fcguard.errors import ProtocolError
@@ -19,7 +23,9 @@ from fcguard.parties import (
     ssa_verify,
     user_self_report,
 )
+from fcguard.presentations import bundle_digest, verify_equality
 from fcguard.scenario import build_context, run_scenario
+from fcguard.security import build_fixture
 from fcguard.serialize import canonical_int_hex, dumps
 
 
@@ -195,6 +201,71 @@ def test_step2_equality_failure_for_mismatched_ssn(ctx):
     order, handle = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",)))
     exchange_step2_bank(ctx, alice, order, handle)
     assert order.state == "failed" and order.failure_cause == "equality"
+
+
+def _count_verifications(monkeypatch) -> list:
+    """Wrap verify_bundle wherever the exchange reaches it; returns the list
+    of bundles it is called on."""
+    calls = []
+    real = presentations.verify_bundle
+
+    def counting(registry, bundle, *args, **kwargs):
+        calls.append(bundle)
+        return real(registry, bundle, *args, **kwargs)
+
+    monkeypatch.setattr(parties, "verify_bundle", counting)
+    monkeypatch.setattr(presentations, "verify_bundle", counting)
+    return calls
+
+
+def test_honest_order_verification_count(ctx, monkeypatch):
+    # the platform verifies bundle 1 (step 1) and bundle 2 (step 2), both
+    # again inside the equality check, and the bank verifies bundle 2: five
+    alice = ctx.users[0]
+    _onboard(ctx, alice)
+    calls = _count_verifications(monkeypatch)
+    order, handle = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",)))
+    exchange_step2_bank(ctx, alice, order, handle)
+    assert order.state == "bank-verified"
+    assert calls == [handle.bundle1, handle.bundle2, handle.bundle1, handle.bundle2, handle.bundle2]
+
+
+def test_verify_equality_rejects_splices_without_verifying(monkeypatch):
+    fx, other = build_fixture(), build_fixture(seed=1302, ssn=987_654_321)
+    calls = _count_verifications(monkeypatch)
+    eq, b1, b2 = fx.equality, fx.bundle1, fx.bundle2
+
+    def linked(proof, bundle_a, bundle_b):
+        return verify_equality(fx.registry, proof, bundle_a, bundle_b, fx.nonce, fx.nonce, fx.enc_keys)
+
+    for name in ("commitment", "r_hat_a", "r_hat_b", "bundle_digest_a", "bundle_digest_b"):
+        spliced = dataclasses.replace(eq, **{name: getattr(other.equality, name)})
+        assert not linked(spliced, b1, b2), name
+    # bundle 2 re-chained elsewhere, with the proof naming it: only the chain is broken
+    unchained = dataclasses.replace(b2, prev_digest=bundle_digest(other.bundle1))
+    assert not linked(dataclasses.replace(eq, bundle_digest_b=bundle_digest(unchained)), b1, unchained)
+    assert calls == []  # the linkage is checked before any proof work
+    assert linked(eq, b1, b2)
+    assert calls == [b1, b2]
+
+
+def test_step2_missing_bank_encryption_rejected_before_verification(ctx, monkeypatch):
+    alice = ctx.users[0]
+    _onboard(ctx, alice)
+    order, handle = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",)))
+    build = handle.session.build_bundle
+    monkeypatch.setattr(handle.session, "build_bundle",
+                        lambda *args, **kwargs: build(*args, **{**kwargs, "encrypt": []}))
+    calls = _count_verifications(monkeypatch)
+    exchange_step2_bank(ctx, alice, order, handle)
+    assert handle.bundle2.enc_proofs == ()
+    assert order.state == "failed" and order.failure_cause == "bank-presentation"
+    assert calls == []  # the arm shape is checked before any proof work
+    types = [ev.mtype for ev in ctx.net.events]
+    rejected = ctx.net.events[types.index("step2-bundle") + 1]
+    assert rejected.mtype == "step2-rejected"
+    cause = {"cause": "bank-presentation", "order_id": order.order_id}
+    assert rejected.digest == hashlib.sha256(dumps(cause)).hexdigest()
 
 
 def test_step2_replay_attacker_fails_mfa(ctx):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fcguard import presentations
 from fcguard.crypto import primes
 from fcguard.crypto.elgamal import elgamal_decrypt
 from fcguard.crypto.paillier import paillier_decrypt
@@ -16,7 +17,6 @@ from fcguard.presentations import (
     create_presentation,
     verify_bundle,
     verify_equality,
-    verify_presentation,
 )
 from fcguard.serialize import canonical_int_hex, dumps
 
@@ -55,21 +55,21 @@ def test_disclose_all_degenerate_case(toy_env):
                                  rng=toy_env.rng)
     assert bundle.presentation.disclosed == toy_env.vc_pu.attributes
     assert bundle.presentation.hidden_names == (LINK_NAME,)
-    assert verify_presentation(toy_env.registry, bundle, nonce)
+    assert verify_bundle(toy_env.registry, bundle, nonce)
 
 
 def test_honest_presentation_verifies(toy_env):
     nonce = toy_env.fresh_nonce()
     bundle = create_presentation(toy_env.registry, toy_env.vc_pu, toy_env.wallet.link_secret,
                                  disclose=(), nonce=nonce, rng=toy_env.rng)
-    assert verify_presentation(toy_env.registry, bundle, nonce)
+    assert verify_bundle(toy_env.registry, bundle, nonce)
 
 
 def test_replay_under_new_nonce_fails(toy_env):
     nonce = toy_env.fresh_nonce()
     bundle = create_presentation(toy_env.registry, toy_env.vc_pu, toy_env.wallet.link_secret,
                                  disclose=(), nonce=nonce, rng=toy_env.rng)
-    assert not verify_presentation(toy_env.registry, bundle, toy_env.fresh_nonce())
+    assert not verify_bundle(toy_env.registry, bundle, toy_env.fresh_nonce())
 
 
 def test_unknown_disclosure_attribute_rejected(toy_env):
@@ -128,7 +128,7 @@ def test_hidden_values_absent_from_serialized_bytes(toy_env):
         for secret in (ssn, birthday, cred.attributes["name"],
                        toy_env.wallet.link_secret.value):
             assert canonical_int_hex(secret).encode() not in blob
-        assert verify_presentation(toy_env.registry, bundle, nonce)
+        assert verify_bundle(toy_env.registry, bundle, nonce)
 
 
 def test_equality_honest_sessions_always_verify(toy_env):
@@ -279,7 +279,7 @@ def test_foreign_definition_not_resolvable(toy_env):
     nonce = other.fresh_nonce()
     foreign = create_presentation(other.registry, other.vc_pu, other.wallet.link_secret,
                                   disclose=(), nonce=nonce, rng=other.rng)
-    assert not verify_presentation(toy_env.registry, foreign, nonce)
+    assert not verify_bundle(toy_env.registry, foreign, nonce)
 
 
 def test_verify_handles_garbage_gracefully(toy_env):
@@ -300,3 +300,33 @@ def test_oversized_link_response_grows_no_fixed_base_table(toy_env):
     tampered = dataclasses.replace(b1, link_proofs=(arm,) + b1.link_proofs[1:])
     assert not verify_bundle(toy_env.registry, tampered, nonce, toy_env.enc_keys)
     assert {key: len(table) for key, table in primes._FIXED_TABLES.items()} == before
+
+
+def test_verify_rejects_unknown_definition(toy_env):
+    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    pres = dataclasses.replace(b1.presentation, defn_id="defn:nowhere")
+    assert not verify_bundle(toy_env.registry, dataclasses.replace(b1, presentation=pres),
+                             nonce, toy_env.enc_keys)
+    assert not verify_bundle(toy_env.registry, dataclasses.replace(b1, commitment_source="defn:nowhere"),
+                             nonce, toy_env.enc_keys)
+
+
+def test_verify_rejects_paillier_ciphertext_sharing_a_factor(toy_env):
+    # c = p has no inverse mod n^2, so c^-challenge cannot be formed
+    nonce, b1, b2, _ = _exchange_bundles(toy_env)
+    arm = b2.enc_proofs[0]
+    bad = dataclasses.replace(arm, ciphertext=dataclasses.replace(arm.ciphertext,
+                                                                  parts=(toy_env.bank_enc.p,)))
+    assert not verify_bundle(toy_env.registry, dataclasses.replace(b2, enc_proofs=(bad,)), nonce,
+                             toy_env.enc_keys, expected_prev=bundle_digest(b1))
+
+
+def test_verify_lets_an_unexpected_error_propagate(toy_env, monkeypatch):
+    nonce, b1, _, _ = _exchange_bundles(toy_env)
+
+    def broken(definition):
+        raise RuntimeError("bug inside verification")
+
+    monkeypatch.setattr(presentations, "commitment_key_for", broken)
+    with pytest.raises(RuntimeError):
+        verify_bundle(toy_env.registry, b1, nonce, toy_env.enc_keys)

@@ -1,6 +1,7 @@
 from click.testing import CliRunner
 
 from fcguard.cli import main
+from fcguard.presentations import bundle_digest
 from fcguard.security import (
     build_fixture,
     check_audit_branches,
@@ -10,6 +11,16 @@ from fcguard.security import (
     run_security_suite,
     splice_harness,
 )
+
+
+def test_fixture_bundle_digests_are_pinned():
+    # bundle1 carries link, ElGamal and predicate arms; bundle2 a disclosed
+    # attribute, a link arm and a Paillier arm: every arm kind's bytes
+    fx = build_fixture()
+    assert bundle_digest(fx.bundle1).hex() == (
+        "688abdf1812600838090100aaac913253049b99457106d3da5546201fc1cb43d")
+    assert bundle_digest(fx.bundle2).hex() == (
+        "13f0d4291142f86c2daffa2145bc070b6103241b0626f6c1ee81ae870cc8c50b")
 
 
 def test_mutation_matrix_size_and_rejection():
