@@ -1,13 +1,18 @@
 """Benchmark harness comparing the plaintext baseline against the
 privacy-preserving mode, phase by phase.
 
-Each phase reports the median wall-clock compute time over the iterations
-plus the configured simulated network latency constant (a VISA-scale delay
-on the fiat transfer and a testnet-scale propagation delay on the crypto
-transfer). Keeping the latency a deterministic constant rather than a sleep
-makes the cross-mode comparisons robust on noisy machines; absolute numbers
-remain hardware-bound, so the report prints the reference figures next to
-the measured medians for manual comparison and the assertions the harness
+`run_bench` runs one scenario per mode through `scenario.run_scenario`, the
+same run loop as `fcguard scenario run`: one order per user, none
+self-reported, audit on. Each phase reports the median over orders of the
+wall-clock compute time the loop records for it (`ScenarioResult.step_s`);
+a step the loop makes once for the whole run (the fcguard transfer drain
+and audit) counts as an equal share per order. To that it adds the
+configured simulated network latency constant (a VISA-scale delay on the
+fiat transfer and a testnet-scale propagation delay on the crypto transfer).
+Keeping the latency a deterministic constant rather than a sleep makes the
+cross-mode comparisons robust on noisy machines; absolute numbers remain
+hardware-bound, so the report prints the reference figures next to the
+measured medians for manual comparison and the assertions the harness
 supports are relational only."""
 
 from __future__ import annotations
@@ -16,33 +21,11 @@ import json
 import platform as platform_mod
 import statistics
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .ledger import DEFAULT_CHAIN_LATENCY_MS
-from .parties import (
-    OrderParams,
-    audit,
-    bank_preissue,
-    baseline_bank,
-    baseline_crypto,
-    baseline_identity,
-    baseline_register,
-    baseline_report,
-    baseline_settle,
-    drain_transfers,
-    exchange_step1_identity,
-    exchange_step2_bank,
-    exchange_step3_transfer,
-    open_order,
-    platform_report,
-    register_user,
-)
-from .scenario import build_context
-
-PHASES = ("registration", "identity_verification", "bank_interaction",
-          "bank_transfer", "crypto_transfer", "audit")
+from .scenario import PHASES, run_scenario
 
 VISA_LATENCY_MS = 0.9
 
@@ -112,6 +95,7 @@ def _bench_config(profile: str, seed: int, iterations: int, mode: str) -> dict:
             "ssn": 100_000_001 + i,
             "bank_account": 20_000_000_000_000_001 + i,
             "balance": 1_000_000,
+            "self_report": False,  # unreported: the audit decrypts
         })
     return {
         "seed": seed,
@@ -120,65 +104,10 @@ def _bench_config(profile: str, seed: int, iterations: int, mode: str) -> dict:
         "delay_max_ms": 0,  # delays off so the crypto phase measures transfer cost
         "pool_size": 4,
         "rotation_epoch": 10,
-        "treasury_crypto": 1_000 * iterations + 10_000,
         "users": users,
-        "orders": [],
-        "audit": False,
+        "orders": [{"user": i, "crypto_amount": 500 + i} for i in range(iterations)],
+        "audit": True,
     }
-
-
-def _timed(samples: dict[str, list[float]], phase: str, fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    samples[phase].append((time.perf_counter() - t0) * 1000.0)
-    return out
-
-
-def _run_mode(mode: str, profile: str, seed: int, iterations: int,
-              key_cache_dir: str | Path | None) -> tuple[dict[str, float], dict]:
-    ctx, _ = build_context(_bench_config(profile, seed, iterations, mode), key_cache_dir)
-    samples: dict[str, list[float]] = {phase: [] for phase in PHASES}
-    for i, user in enumerate(ctx.users):
-        params = OrderParams(asset="BTC", crypto_amount=500 + i,
-                             addresses=(f"{user.party_id}:bench:{i}",))
-        if mode == "baseline":
-            _timed(samples, "registration", baseline_register, ctx, user)
-            order = open_order(ctx, user.party_id, params)
-            _timed(samples, "identity_verification", baseline_identity, ctx, user, order, params)
-            _timed(samples, "bank_interaction", baseline_bank, ctx, user, order)
-            _timed(samples, "bank_transfer", baseline_settle, ctx, user, order)
-            _timed(samples, "crypto_transfer", baseline_crypto, ctx, user, order, params)
-
-            def _baseline_audit():
-                ctx.authority.baseline_records.clear()
-                baseline_report(ctx, user, order)
-                reported = {(r["order_id"], r["fiat_amount"]) for r in ctx.authority.reports}
-                return [("compliant" if (rec["order_id"], rec["fiat_amount"]) in reported
-                         else "deanonymized", rec["ssn"])
-                        for rec in ctx.authority.baseline_records]
-
-            _timed(samples, "audit", _baseline_audit)
-        else:
-            _timed(samples, "registration", register_user, ctx, user)
-            bank_preissue(ctx, user)
-            order, handle = _timed(samples, "identity_verification",
-                                   exchange_step1_identity, ctx, user, params)
-            _timed(samples, "bank_interaction", exchange_step2_bank, ctx, user, order, handle)
-            _timed(samples, "bank_transfer", exchange_step3_transfer, ctx, user, order)
-            _timed(samples, "crypto_transfer", drain_transfers, ctx, {order.order_id: user})
-
-            def _fcguard_audit():
-                ctx.authority.records.clear()
-                ctx.authority.reports.clear()
-                platform_report(ctx, order)  # no self-report: audit decrypts
-                return audit(ctx)
-
-            _timed(samples, "audit", _fcguard_audit)
-    medians = {phase: statistics.median(vals) for phase, vals in samples.items()}
-    medians["bank_transfer"] += VISA_LATENCY_MS
-    medians["crypto_transfer"] += ctx.chain.latency_ms
-    counters = {phase: dict(c) for phase, c in sorted(ctx.net.phase_counters.items())}
-    return medians, counters
 
 
 def run_bench(profile: str = "paper", iterations: int = 5, seed: int = 2024,
@@ -191,10 +120,12 @@ def run_bench(profile: str = "paper", iterations: int = 5, seed: int = 2024,
     phases: dict[str, dict[str, float]] = {phase: {} for phase in PHASES}
     op_counts: dict[str, dict] = {}
     for mode in ("baseline", "fcguard"):
-        medians, counters = _run_mode(mode, profile, seed, iterations, key_cache_dir)
+        result = run_scenario(_bench_config(profile, seed, iterations, mode), key_cache_dir)
         for phase in PHASES:
-            phases[phase][mode] = medians[phase]
-        op_counts[mode] = counters
+            phases[phase][mode] = statistics.median(result.step_s[phase]) * 1000.0
+        phases["bank_transfer"][mode] += VISA_LATENCY_MS
+        phases["crypto_transfer"][mode] += result.ctx.chain.latency_ms
+        op_counts[mode] = {phase: dict(c) for phase, c in sorted(result.ctx.net.phase_counters.items())}
     return BenchmarkReport(
         profile=profile, iterations=iterations,
         hardware=f"{platform_mod.platform()} / {platform_mod.processor() or 'unknown cpu'}",

@@ -32,7 +32,7 @@ from .crypto.cl import (
 from .crypto.commitment import OpeningProof, prove_opening, verify_opening
 from .crypto.encoding import encode_attribute
 from .crypto.primes import powmod_fixed
-from .errors import RegistryError, SchemaMismatchError, VerificationError, WalletError
+from .errors import SchemaMismatchError, VerificationError, WalletError
 from .ledger import Registry
 from .params import Profile, get_profile
 from .serialize import dumps, loads, serializable
@@ -134,11 +134,7 @@ def publish_definition(registry: Registry, issuer_keys: ClIssuerKeyPair, schema:
     definition = CredentialDefinition(defn_id=defn_id, schema_id=schema.schema_id,
                                       public_key=issuer_keys.public, profile_name=profile.name)
     registry.put(schema.schema_id, SCHEMA_KIND, dumps(schema))
-    try:
-        registry.put(defn_id, DEFINITION_KIND, dumps(definition))
-    except RegistryError:
-        # roll nothing back: registry is append-only, so surface the duplicate
-        raise
+    registry.put(defn_id, DEFINITION_KIND, dumps(definition))
     return schema, definition
 
 

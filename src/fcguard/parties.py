@@ -305,7 +305,6 @@ class SimContext:
     registry: Registry
     chain: Chain
     profile: Profile
-    mode: str  # "fcguard" | "baseline"
     rng: random.Random
     platform: Platform
     bank: Bank
@@ -773,20 +772,6 @@ def baseline_crypto(ctx: SimContext, user: User, order: ExchangeOrder,
     ctx.net.send(user.party_id, "platform", "order-complete-ack",
                  {"order_id": order.order_id}, PHASE_EXCHANGE)
     order.advance("complete", ctx.clock.now_ms)
-
-
-def baseline_exchange(ctx: SimContext, user: User, params: OrderParams) -> ExchangeOrder:
-    """The conventional flow: plaintext identity, bank account, and crypto
-    addresses all pass through and are stored by the platform."""
-    order = open_order(ctx, user.party_id, params)
-    baseline_identity(ctx, user, order, params)
-    if order.state == "identity-verified":
-        baseline_bank(ctx, user, order)
-    if order.state == "bank-verified":
-        baseline_settle(ctx, user, order)
-    if order.state == "fiat-settled":
-        baseline_crypto(ctx, user, order, params)
-    return order
 
 
 def baseline_report(ctx: SimContext, user: User, order: ExchangeOrder) -> None:

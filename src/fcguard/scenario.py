@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from .crypto.elgamal import elgamal_keygen
@@ -18,7 +19,7 @@ from .errors import ProtocolError, ScenarioError
 from .keycache import issuer_keys
 from .ledger import Chain, Registry
 from .netsim import Network, SimClock
-from .params import get_profile
+from .params import PROFILES, get_profile
 from .parties import (
     Attacker,
     AuditingAuthority,
@@ -32,13 +33,17 @@ from .parties import (
     User,
     audit,
     bank_preissue,
-    baseline_exchange,
+    baseline_bank,
+    baseline_crypto,
+    baseline_identity,
     baseline_register,
     baseline_report,
+    baseline_settle,
     drain_transfers,
     exchange_step1_identity,
     exchange_step2_bank,
     exchange_step3_transfer,
+    open_order,
     platform_report,
     publish_issuer_definitions,
     register_user,
@@ -47,6 +52,11 @@ from .parties import (
 from .serialize import canonical_int_hex
 
 PLATFORM_BANK_ACCOUNT = 999_000_001
+
+# The protocol phases of the paper's evaluation, as `ScenarioResult.step_s`
+# keys them.
+PHASES = ("registration", "identity_verification", "bank_interaction",
+          "bank_transfer", "crypto_transfer", "audit")
 
 DEFAULTS = {
     "audit": True,
@@ -79,19 +89,34 @@ def _validated(cfg: dict) -> dict:
     merged.update(cfg)
     if merged["mode"] not in ("fcguard", "baseline"):
         raise ScenarioError(f"mode must be fcguard or baseline, got {merged['mode']!r}")
+    if merged["profile"] not in tuple(PROFILES):
+        raise ScenarioError(f"unknown profile {merged['profile']!r}; expected one of {sorted(PROFILES)}")
+    if not isinstance(merged["pool_size"], int) or merged["pool_size"] < 1:
+        raise ScenarioError("pool_size must be a positive integer")
     users = merged.get("users")
     if not isinstance(users, list) or not users:
         raise ScenarioError("scenario needs a non-empty users list")
+    accounts = {PLATFORM_BANK_ACCOUNT}
     for i, user in enumerate(users):
         for key in ("name", "birthday", "ssn", "bank_account", "balance"):
             if key not in user:
                 raise ScenarioError(f"users[{i}] missing required field {key!r}")
+        try:
+            PiiRecord(name=user["name"], birthday=user["birthday"], ssn=user["ssn"])
+        except (ProtocolError, TypeError) as exc:
+            raise ScenarioError(f"users[{i}]: {exc}") from exc
+        if user["bank_account"] in accounts:
+            raise ScenarioError(f"users[{i}] bank_account {user['bank_account']} is already taken "
+                                "by another user or the platform")
+        accounts.add(user["bank_account"])
     orders = merged.get("orders", [])
     for i, order in enumerate(orders):
-        if "user" not in order or not 0 <= order["user"] < len(users):
+        user = order.get("user")
+        if not isinstance(user, int) or not 0 <= user < len(users):
             raise ScenarioError(f"orders[{i}] has no valid user index")
-        if order.get("crypto_amount", 0) <= 0:
-            raise ScenarioError(f"orders[{i}] needs a positive crypto_amount")
+        amount = order.get("crypto_amount", 0)
+        if not isinstance(amount, int) or amount <= 0:
+            raise ScenarioError(f"orders[{i}] needs a positive integer crypto_amount")
     merged["orders"] = orders
     rate = merged["rate"]
     if not (isinstance(rate, list) and len(rate) == 2 and all(isinstance(x, int) and x > 0 for x in rate)):
@@ -123,6 +148,10 @@ class ScenarioResult:
     initial_fiat_total: int
     initial_crypto_total: int
     registration_ok: dict[int, bool]
+    # wall seconds per phase: one sample per registered user or per order
+    # that reached the phase; a step made once for the whole run adds an
+    # equal share to each order's sample. Never written to result.json.
+    step_s: dict[str, list[float]]
 
     @property
     def passed(self) -> bool:
@@ -185,7 +214,7 @@ def build_context(cfg: dict, key_cache_dir: str | Path | None = None) -> tuple[S
     chain.genesis({platform.treasury_address: treasury})
 
     ctx = SimContext(clock=clock, net=net, registry=registry, chain=chain, profile=profile,
-                     mode=cfg["mode"], rng=random.Random(f"{seed}:main"), platform=platform,
+                     rng=random.Random(f"{seed}:main"), platform=platform,
                      bank=bank, ssa=ssa, authority=authority, users=users,
                      rate=(cfg["rate"][0], cfg["rate"][1]), delay_max_ms=cfg["delay_max_ms"],
                      current_date=cfg["current_date"])
@@ -193,19 +222,34 @@ def build_context(cfg: dict, key_cache_dir: str | Path | None = None) -> tuple[S
     return ctx, cfg
 
 
+def _share(samples: list[float], seconds: float) -> None:
+    """Add an equal share of a step made once for all of `samples`' orders."""
+    samples[:] = [s + seconds / len(samples) for s in samples]
+
+
 def run_scenario(cfg: dict, key_cache_dir: str | Path | None = None) -> ScenarioResult:
     ctx, cfg = build_context(cfg, key_cache_dir)
+    mode = cfg["mode"]
     initial_fiat = ctx.fiat_total()
     initial_crypto = ctx.chain.total_supply()
+    step_s: dict[str, list[float]] = {phase: [] for phase in PHASES}
+
+    # Steps are named at the call, not held in a table, so that a wrapper put
+    # on a module attribute sees every call; arguments stay positional.
+    def timed(phase, step, *args, **kwargs):
+        start = time.perf_counter()
+        out = step(*args, **kwargs)
+        step_s[phase].append(time.perf_counter() - start)
+        return out
 
     registration_ok: dict[int, bool] = {}
     for user in ctx.users:
         try:
-            if ctx.mode == "fcguard":
-                register_user(ctx, user)
+            if mode == "fcguard":
+                timed("registration", register_user, ctx, user)
                 bank_preissue(ctx, user)
             else:
-                baseline_register(ctx, user)
+                timed("registration", baseline_register, ctx, user)
             registration_ok[user.index] = True
         except ProtocolError:
             registration_ok[user.index] = False
@@ -232,14 +276,22 @@ def run_scenario(cfg: dict, key_cache_dir: str | Path | None = None) -> Scenario
         if self_report is None:
             self_report = user.self_report
 
-        if ctx.mode == "baseline":
-            order = baseline_exchange(ctx, user, params)
-        else:
-            order, handle = exchange_step1_identity(ctx, user, params, actor=actor)
+        if mode == "baseline":
+            order = open_order(ctx, user.party_id, params)
+            timed("identity_verification", baseline_identity, ctx, user, order, params)
             if order.state == "identity-verified":
-                exchange_step2_bank(ctx, user, order, handle, actor=actor)
+                timed("bank_interaction", baseline_bank, ctx, user, order)
             if order.state == "bank-verified":
-                exchange_step3_transfer(ctx, user, order, actor=actor)
+                timed("bank_transfer", baseline_settle, ctx, user, order)
+            if order.state == "fiat-settled":
+                timed("crypto_transfer", baseline_crypto, ctx, user, order, params)
+        else:
+            order, handle = timed("identity_verification", exchange_step1_identity,
+                                  ctx, user, params, actor=actor)
+            if order.state == "identity-verified":
+                timed("bank_interaction", exchange_step2_bank, ctx, user, order, handle, actor=actor)
+            if order.state == "bank-verified":
+                timed("bank_transfer", exchange_step3_transfer, ctx, user, order, actor=actor)
             notify[order.order_id] = user
         order_objs[order.order_id] = order
         order_users[order.order_id] = user
@@ -249,8 +301,11 @@ def run_scenario(cfg: dict, key_cache_dir: str | Path | None = None) -> Scenario
             failure_cause=order.failure_cause, attack=attack, self_report=bool(self_report),
             addresses=addresses, fiat_due=order.fiat_due, crypto_amount=order.crypto_amount))
 
-    if ctx.mode == "fcguard":
+    if mode == "fcguard":
+        step_s["crypto_transfer"] = [0.0] * sum(o.state == "fiat-settled" for o in order_objs.values())
+        start = time.perf_counter()
         drain_transfers(ctx, notify)
+        _share(step_s["crypto_transfer"], time.perf_counter() - start)
 
     audit_outcomes: dict[str, tuple[str, int | None]] = {}
     if cfg["audit"]:
@@ -258,14 +313,16 @@ def run_scenario(cfg: dict, key_cache_dir: str | Path | None = None) -> Scenario
             if order.state not in ("fiat-settled", "crypto-sent", "complete"):
                 continue
             user = order_users[order_id]
-            if ctx.mode == "fcguard":
-                platform_report(ctx, order)
+            if mode == "fcguard":
+                timed("audit", platform_report, ctx, order)
             else:
-                baseline_report(ctx, user, order)
+                timed("audit", baseline_report, ctx, user, order)
             if order_reports[order_id]:
                 user_self_report(ctx, user, order)
-        if ctx.mode == "fcguard":
+        if mode == "fcguard":
+            start = time.perf_counter()
             audit_outcomes = audit(ctx)
+            _share(step_s["audit"], time.perf_counter() - start)
 
     # refresh final order states after drain
     for outcome in outcomes:
@@ -274,10 +331,10 @@ def run_scenario(cfg: dict, key_cache_dir: str | Path | None = None) -> Scenario
         outcome.failure_cause = order.failure_cause
 
     result = ScenarioResult(
-        mode=ctx.mode, seed=cfg["seed"], ctx=ctx, orders=outcomes,
+        mode=mode, seed=cfg["seed"], ctx=ctx, orders=outcomes,
         audit_outcomes=audit_outcomes, assertion_results={},
         initial_fiat_total=initial_fiat, initial_crypto_total=initial_crypto,
-        registration_ok=registration_ok)
+        registration_ok=registration_ok, step_s=step_s)
     for name in cfg.get("assertions", []):
         check = ASSERTIONS.get(name)
         if check is None:

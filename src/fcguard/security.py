@@ -23,7 +23,7 @@ from .credentials import (
 from .crypto.cl import cl_verify, cl_keygen, recompute_q, verify_signature_proof
 from .crypto.commitment import CommitmentKey, commit, open_verify
 from .crypto.elgamal import elgamal_encrypt, elgamal_keygen
-from .crypto.paillier import paillier_keygen
+from .crypto.paillier import paillier_encrypt, paillier_keygen
 from .ledger import Registry
 from .params import TOY, Profile
 from .presentations import (
@@ -32,6 +32,7 @@ from .presentations import (
     PresentationBundle,
     ProofSession,
     bundle_digest,
+    commitment_key_for,
     verify_bundle,
     verify_equality,
 )
@@ -169,7 +170,7 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
     for field_name in ("challenge", "s_e"):
         bad = dataclasses.replace(proof, **{field_name: getattr(proof, field_name) + 1})
         cases.append((f"sig-proof:{field_name}+1",
-                      _sig_proof_ok(pk, sig.a, q_value, bad, fx.profile)))
+                      verify_signature_proof(pk, sig.a, q_value, bad, b"", fx.profile)))
 
     # integer commitment opening
     ck = CommitmentKey.derive(pk.n, pk.s, label="matrix")
@@ -242,15 +243,13 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
         fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=bad_ct),)))))
     cases.append(("verenc-paillier:r_hat+1", verify2(dataclasses.replace(
         fx.bundle2, enc_proofs=(dataclasses.replace(parm, r_hat=parm.r_hat + 1),)))))
-    from .crypto.paillier import paillier_encrypt
-
     other_pct = paillier_encrypt(fx.bank_enc.public, 42, rng=fx.rng)
     cases.append(("verenc-paillier:ciphertext-swap", verify2(dataclasses.replace(
         fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=other_pct),)))))
 
     # predicate arms
     pred = fx.bundle1.predicate_proofs[0]
-    ckey = _fixture_commitment_key(fx)
+    ckey = commitment_key_for(fx.platform_defn)
     flipped = list(pred.bit_commitments)
     flipped[0] = flipped[0] * ckey.r_base % ckey.n
     cases.append(("predicate:bit0-flip", verify1(dataclasses.replace(
@@ -290,16 +289,6 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
         registry, eq, other.bundle1, fx.bundle2, nonce, nonce, enc_keys)))
 
     return cases
-
-
-def _fixture_commitment_key(fx: _Fixture) -> CommitmentKey:
-    from .presentations import commitment_key_for
-
-    return commitment_key_for(fx.platform_defn)
-
-
-def _sig_proof_ok(pk, a, q_value, proof, profile) -> bool:
-    return verify_signature_proof(pk, a, q_value, proof, b"", profile)
 
 
 def splice_harness(trials: int = 50, seed: int = 77) -> tuple[int, int]:

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from fcguard.cli import main
 from fcguard.errors import ScenarioError
-from fcguard.scenario import load_scenario, random_scenario, run_scenario
+from fcguard.scenario import PHASES, load_scenario, random_scenario, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "fcguard" / "scenarios"
 
@@ -63,6 +63,48 @@ def test_scenario_validation_errors():
     cfg["mode"] = "hybrid"
     with pytest.raises(ScenarioError):
         run_scenario(cfg)
+    for bad in _malformed_cfgs():
+        with pytest.raises(ScenarioError):
+            run_scenario(bad)
+
+
+def _malformed_cfgs():
+    """Configs that must be refused before any party is set up."""
+    def variant(edit):
+        cfg = _toy_cfg()
+        edit(cfg)
+        return cfg
+
+    second_user = {"name": "Yan Example", "birthday": 19880808, "ssn": 369_258_147,
+                   "bank_account": 99_888_777_666_555_444, "balance": 10_000}
+    return [
+        variant(lambda c: c["orders"][0].update(user="0")),
+        variant(lambda c: c["orders"][0].update(crypto_amount="5")),
+        variant(lambda c: c.update(profile="huge")),
+        variant(lambda c: c.update(pool_size=0)),
+        variant(lambda c: c["users"][0].update(birthday=19901341)),
+        # two users on one account, and a user on the platform's account
+        variant(lambda c: c["users"].append(second_user)),
+        variant(lambda c: c["users"][0].update(bank_account=999_000_001)),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["fcguard", "baseline"])
+def test_run_scenario_times_each_phase(mode):
+    cfg = _toy_cfg()
+    cfg["mode"] = mode
+    cfg["users"][0]["self_report"] = False
+    cfg["orders"].append({"user": 0, "crypto_amount": 80})
+    cfg["assertions"] = []
+    result = run_scenario(cfg)
+    assert [o.state for o in result.orders] == ["complete", "complete"]
+    step_s = result.step_s
+    assert set(step_s) == set(PHASES)
+    assert len(step_s["registration"]) == 1
+    for phase in ("identity_verification", "bank_interaction", "bank_transfer",
+                  "crypto_transfer", "audit"):
+        assert len(step_s[phase]) == 2, phase
+    assert all(s > 0 for samples in step_s.values() for s in samples)
 
 
 def test_random_scenario_generator_is_deterministic():
@@ -153,6 +195,11 @@ def test_cli_exit_codes(tmp_path):
     run = runner.invoke(main, ["scenario", "run", str(path)])
     assert run.exit_code == 1
     assert "FAIL" in run.output
+    # a malformed scenario exits 2, with no traceback
+    path.write_text(json.dumps(_malformed_cfgs()[0]))
+    run = runner.invoke(main, ["scenario", "run", str(path)])
+    assert run.exit_code == 2
+    assert "no valid user index" in run.output
 
 
 def test_cli_runs_bundled_scenario_by_name(tmp_path):
