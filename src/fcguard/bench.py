@@ -114,18 +114,18 @@ def run_bench(profile: str = "paper", iterations: int = 5, seed: int = 2024,
               key_cache_dir: str | Path | None = None) -> BenchmarkReport:
     if iterations < 5:
         raise ValueError("benchmark needs at least 5 iterations for a stable median")
-    if key_cache_dir is None:
-        # both modes use identical issuer keys; share one generation per run
-        key_cache_dir = tempfile.mkdtemp(prefix="bench-keys-")
     phases: dict[str, dict[str, float]] = {phase: {} for phase in PHASES}
     op_counts: dict[str, dict] = {}
-    for mode in ("baseline", "fcguard"):
-        result = run_scenario(_bench_config(profile, seed, iterations, mode), key_cache_dir)
-        for phase in PHASES:
-            phases[phase][mode] = statistics.median(result.step_s[phase]) * 1000.0
-        phases["bank_transfer"][mode] += VISA_LATENCY_MS
-        phases["crypto_transfer"][mode] += result.ctx.chain.latency_ms
-        op_counts[mode] = {phase: dict(c) for phase, c in sorted(result.ctx.net.phase_counters.items())}
+    # both modes use identical issuer keys; share one generation per run
+    with tempfile.TemporaryDirectory(prefix="bench-keys-") as temp_keys:
+        for mode in ("baseline", "fcguard"):
+            result = run_scenario(_bench_config(profile, seed, iterations, mode),
+                                  key_cache_dir or temp_keys)
+            for phase in PHASES:
+                phases[phase][mode] = statistics.median(result.step_s[phase]) * 1000.0
+            phases["bank_transfer"][mode] += VISA_LATENCY_MS
+            phases["crypto_transfer"][mode] += result.ctx.chain.latency_ms
+            op_counts[mode] = {phase: dict(c) for phase, c in sorted(result.ctx.net.phase_counters.items())}
     return BenchmarkReport(
         profile=profile, iterations=iterations,
         hardware=f"{platform_mod.platform()} / {platform_mod.processor() or 'unknown cpu'}",

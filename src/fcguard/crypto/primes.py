@@ -6,6 +6,19 @@ All searches draw candidates from an injected seeded RNG, so key generation
 is reproducible. `is_probable_prime` rejects any n sharing a factor with the
 odd primes below 2000 by one gcd before Miller-Rabin runs.
 
+`sophie_germain_prime` runs a combined sieve (Wiener, ePrint 2003/186) over
+windows of 2^16 candidates, striking each position where p' or 2p'+1 has an
+odd prime factor below `_sieve_bound(bits)`. A survivor costs a base-2
+Fermat test on p' and the Pocklington test on 2p'+1 (`is_prime_2q_plus_1`,
+exact once p' is prime), then 25-round Miller-Rabin on p'.
+
+The bound never changes the output. A prime is struck only by itself, and
+from 16 bits on every candidate exceeds both the bound and 20000, so the
+sieve strikes only composites: the result, the first position in scan order
+with p' and 2p'+1 both prime, is the one the plain 20000 sieve gave. Below 16
+bits the bound stays 20000, where a candidate may itself be a sieving prime
+and is struck, as it always has been.
+
 `powmod_fixed` is for bases that are public-key constants (issuer S and R_i,
 commitment bases, ElGamal g and h). Without gmpy2 it keeps, per (base,
 modulus) value, a radix-2^5 Brickell-Gordon-McCurley-Wilson table of
@@ -27,9 +40,13 @@ value is the same as the plain computation.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
+from array import array
 from collections import OrderedDict
+from itertools import compress
+from typing import NamedTuple
 
 from ..errors import PrimeGenerationError
 
@@ -129,21 +146,6 @@ def crt_pair(x_p: int, p: int, x_q: int, q: int) -> int:
     return x_q + q * ((x_p - x_q) * invert(q, p) % p)
 
 
-_SIEVE_BOUND = 20000
-_SMALL_PRIMES: list[int] = []
-
-
-def _small_primes() -> list[int]:
-    if not _SMALL_PRIMES:
-        sieve = bytearray([1]) * _SIEVE_BOUND
-        sieve[0] = sieve[1] = 0
-        for i in range(2, int(_SIEVE_BOUND**0.5) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _SMALL_PRIMES.extend(i for i in range(3, _SIEVE_BOUND) if sieve[i])
-    return _SMALL_PRIMES
-
-
 _TRIAL_PRIMES = frozenset(p for p in range(3, 2000, 2)
                           if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
@@ -183,41 +185,119 @@ def random_prime_in_range(lo: int, hi: int, rng: random.Random, max_tries: int =
     raise PrimeGenerationError(f"no prime found in [{lo}, {hi}) after {max_tries} draws")
 
 
+_WINDOW = 1 << 16  # candidate positions per sieved window
+_SMALL_SIEVE_BOUND = 20000  # below 16 bits, where a candidate may be a sieving prime
+_SIEVE_BOUND_MAX = 1 << 23
+_GROUP = 8  # primes past 4 windows reduce the base by the product of 8 at a time
+
+
+class _SieveTable(NamedTuple):
+    small: array  # odd primes below min(bound, 4 * _WINDOW)
+    inv2: array  # 1/2 mod each small prime
+    inv4: array  # 1/4 mod each small prime
+    large: array  # the primes from 4 * _WINDOW up to the bound
+    products: list[int]  # product of each run of _GROUP large primes
+
+
+_SIEVE_TABLES: dict[int, _SieveTable] = {}
+
+
+def _sieve_bound(bits: int) -> int:
+    """Sieving primes run below this bound in a `bits`-bit search: 20000
+    below 16 bits; then bits^2 / 4 through 256 bits, where a window's first
+    Sophie Germain prime comes early and a small sieve pays, and 4 * bits^2
+    above, where most of the window is scanned; rounded down to a power of
+    two and at most 2^23 (2^10 at 64 bits, 2^13 at 255, 2^20 at 512, 2^23 at
+    1536). From 16 bits on every candidate is above both 20000 and the bound."""
+    if bits < 16:
+        return _SMALL_SIEVE_BOUND
+    target = bits * bits // 4 if bits <= 256 else 4 * bits * bits
+    return min(_SIEVE_BOUND_MAX, 1 << (target.bit_length() - 1))
+
+
+def _sieve_table(bound: int) -> _SieveTable:
+    table = _SIEVE_TABLES.get(bound)
+    if table is None:
+        flags = bytearray([1]) * bound
+        flags[:3] = b"\x00\x00\x00"  # 0, 1 and the even prime 2
+        for i in range(3, math.isqrt(bound - 1) + 1, 2):
+            if flags[i]:
+                flags[i * i :: 2 * i] = bytes(len(range(i * i, bound, 2 * i)))
+        primes = array("I", compress(range(1, bound, 2), flags[1::2]))
+        split = bisect.bisect_left(primes, 4 * _WINDOW)
+        small, large = primes[:split], primes[split:]
+        inv2 = array("I", [(sp + 1) // 2 for sp in small])
+        inv4 = array("I", [h * h % sp for sp, h in zip(small, inv2)])
+        products = [math.prod(large[i : i + _GROUP]) for i in range(0, len(large), _GROUP)]
+        table = _SIEVE_TABLES[bound] = _SieveTable(small, inv2, inv4, large, products)
+    return table
+
+
+def is_prime_2q_plus_1(q: int) -> bool:
+    """For a prime q, whether N = 2q + 1 is prime, at the cost of one
+    exponentiation.
+
+    Pocklington's criterion with N - 1 = 2q: if a^(N-1) = 1 (mod N) and
+    gcd(a^2 - 1, N) = 1, every prime factor of N is 1 mod q, so at least
+    q + 1 > sqrt(N), and N is prime. With a = 2 the gcd is gcd(3, N). A prime
+    N > 3 passes for a = 2, so the answer is exact, not probable.
+    """
+    n = 2 * q + 1
+    return n % 3 != 0 and powmod(2, n - 1, n) == 1
+
+
+def _sieve_window(base: int, table: _SieveTable) -> bytearray:
+    """ok[k] = 0 where base + 2k or 2(base + 2k) + 1, for k below _WINDOW,
+    has a factor among the table's primes."""
+    window = _WINDOW
+    ok = bytearray([1]) * window
+    for sp, h2, h4 in zip(table.small, table.inv2, table.inv4):
+        r = (sp - base % sp) * h2 % sp  # base + 2r == 0 (mod sp)
+        ok[r::sp] = bytes(len(range(r, window, sp)))
+        r = (r - h4) % sp  # 2(base + 2r) + 1 == 0 (mod sp)
+        ok[r::sp] = bytes(len(range(r, window, sp)))
+    # A prime sp > 4 * window strikes at most one k per condition: 2k is
+    # -base mod sp, and 4k is -(2 base + 1) mod sp. One reduction of the base
+    # by a group's product serves all the primes of the group.
+    large, span2, span4 = table.large, 2 * window, 4 * window
+    for i, product in enumerate(table.products):
+        neg = product - base % product  # = -base mod each prime of the group
+        neg2 = 2 * neg - 1  # = -(2 base + 1) mod each prime of the group
+        for sp in large[i * _GROUP : (i + 1) * _GROUP]:
+            c = neg % sp
+            if c < span2 and not c & 1:
+                ok[c >> 1] = 0
+            c = neg2 % sp
+            if c < span4 and not c & 3:
+                ok[c >> 2] = 0
+    return ok
+
+
 def sophie_germain_prime(bits: int, rng: random.Random, max_windows: int = 64) -> int:
     """Random prime p' of exactly `bits` bits with 2p'+1 also prime.
 
-    Candidates come from sieved windows above a random start: each window
-    strikes positions where either p' or 2p'+1 has a small factor before any
-    Miller-Rabin test runs. Raises PrimeGenerationError if the window budget
-    is exhausted, which signals a misconfigured profile or RNG.
+    Windows of 2^16 odd candidates p' = base + 2k above a random base are
+    sieved (see the module docstring) and scanned in order of k. A survivor
+    takes a base-2 Fermat test on p', `is_prime_2q_plus_1` on 2p'+1 and
+    25-round Miller-Rabin on p', so a prime p' whose partner is composite
+    costs two exponentiations. Raises PrimeGenerationError if the window
+    budget is exhausted, which signals a misconfigured profile or RNG.
     """
     if bits < 8:
         return _sophie_germain_small(bits, rng)
-    window = 1 << 16
+    table = _sieve_table(_sieve_bound(bits))
     for _ in range(max_windows):
         base = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        ok = bytearray([1]) * window
-        for sp in _small_primes():
-            inv2 = pow(2, -1, sp)
-            # base + 2k == 0 (mod sp)
-            r = (-base) * inv2 % sp
-            while r < window:
-                ok[r] = 0
-                r += sp
-            # 2(base + 2k) + 1 == 0 (mod sp)
-            r = (-(2 * base + 1)) * pow(4, -1, sp) % sp
-            while r < window:
-                ok[r] = 0
-                r += sp
-        for k in range(window):
-            if not ok[k]:
-                continue
+        ok = _sieve_window(base, table)
+        k = ok.find(1)
+        while k >= 0:
             cand = base + 2 * k
             if cand.bit_length() != bits:
                 break
-            if is_probable_prime(cand, 8) and is_probable_prime(2 * cand + 1, 8):
-                if is_probable_prime(cand) and is_probable_prime(2 * cand + 1):
-                    return cand
+            if (powmod(2, cand - 1, cand) == 1 and is_prime_2q_plus_1(cand)
+                    and is_probable_prime(cand)):
+                return cand
+            k = ok.find(1, k + 1)
     raise PrimeGenerationError(f"no {bits}-bit Sophie Germain prime within {max_windows} windows")
 
 

@@ -4,18 +4,35 @@ Benchmark-profile key generation hunts for 1536-bit Sophie Germain primes,
 which costs tens of seconds; since generation is deterministic in (profile,
 seed, label, slot count), the result can be cached and reloaded byte-for-byte.
 Every load rebuilds Z and the R_i from the cached secrets and revalidates the
-modulus structure, sizes and primality before use."""
+modulus structure and sizes. Primality is checked as 25-round Miller-Rabin on
+p' and q', then one exponentiation each for p = 2p'+1 and q = 2q'+1: for a
+prime p', Pocklington's criterion decides 2p'+1 exactly
+(`crypto.primes.is_prime_2q_plus_1`), so the answers are those of 25 rounds
+on all four at half the work.
+
+`fill_missing` generates several missing keys at the same time: the first in
+this process, each other one in a plain child process
+
+    python -m fcguard.keycache CACHE_DIR PROFILE SEED LABEL SLOTS
+
+Each key draws from its own RNG stream, so where it is made does not change
+it. Cache files are written to a temporary file and renamed into place, so a
+reader never sees half a key."""
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 from .crypto.cl import ClIssuerKeyPair, cl_keygen
-from .crypto.primes import is_probable_prime
+from .crypto.primes import is_prime_2q_plus_1, is_probable_prime
 from .errors import FcGuardError
-from .params import Profile
+from .params import Profile, get_profile
 
 
 def _validate(keys: ClIssuerKeyPair, profile: Profile, slot_count: int) -> None:
@@ -27,10 +44,27 @@ def _validate(keys: ClIssuerKeyPair, profile: Profile, slot_count: int) -> None:
         and keys.q == 2 * keys.q_prime + 1
         and keys.p_prime.bit_length() == profile.sg_prime_bits
         and len(pk.r_bases) == slot_count
-        and all(is_probable_prime(v) for v in (keys.p, keys.q, keys.p_prime, keys.q_prime))
+        and is_probable_prime(keys.p_prime) and is_probable_prime(keys.q_prime)
+        and is_prime_2q_plus_1(keys.p_prime) and is_prime_2q_plus_1(keys.q_prime)
     )
     if not ok:
         raise FcGuardError("cached issuer key failed validation")
+
+
+def _cache_path(cache_dir: str | Path, profile: Profile, seed: int | str, label: str,
+                slot_count: int) -> Path:
+    return Path(cache_dir) / f"cl-{profile.name}-{seed}-{label}-{slot_count}.json"
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def issuer_keys(profile: Profile, seed: int | str, label: str, slot_count: int,
@@ -41,7 +75,7 @@ def issuer_keys(profile: Profile, seed: int | str, label: str, slot_count: int,
     rng = random.Random(f"{seed}:clkeys:{label}:{slot_count}:{profile.name}")
     if cache_dir is None:
         return cl_keygen(slot_count, profile, rng)
-    path = Path(cache_dir) / f"cl-{profile.name}-{seed}-{label}-{slot_count}.json"
+    path = _cache_path(cache_dir, profile, seed, label, slot_count)
     if path.exists():
         try:
             raw = json.loads(path.read_text())
@@ -54,7 +88,7 @@ def issuer_keys(profile: Profile, seed: int | str, label: str, slot_count: int,
             path.unlink(missing_ok=True)
     keys = cl_keygen(slot_count, profile, rng)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({
+    _write_atomically(path, json.dumps({
         "p_prime": str(keys.p_prime),
         "q_prime": str(keys.q_prime),
         "s": str(keys.public.s),
@@ -62,3 +96,41 @@ def issuer_keys(profile: Profile, seed: int | str, label: str, slot_count: int,
         "x_z": str(keys.x_z),
     }, sort_keys=True))
     return keys
+
+
+def fill_missing(profile: Profile, seed: int | str, slots: list[tuple[str, int]],
+                 cache_dir: str | Path) -> None:
+    """Generate the keys of the (label, slot count) pairs in `slots` that have
+    no cache file, at the same time when more than one is missing. Every
+    child is waited for, and killed first if this call ends early; a child
+    that fails raises FcGuardError."""
+    missing = [(label, count) for label, count in slots
+               if not _cache_path(cache_dir, profile, seed, label, count).exists()]
+    if len(missing) < 2:
+        return
+    env = dict(os.environ)
+    package_root = str(Path(__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    children: list[subprocess.Popen] = []
+    try:
+        for label, count in missing[1:]:
+            # the package imports this module before runpy runs it, which runpy warns of
+            children.append(subprocess.Popen(
+                [sys.executable, "-W", "ignore::RuntimeWarning:runpy", "-m", "fcguard.keycache",
+                 str(cache_dir), profile.name, str(seed), label, str(count)],
+                env=env, stdout=subprocess.DEVNULL))
+        label, count = missing[0]
+        issuer_keys(profile, seed, label, count, cache_dir)
+        codes = [child.wait() for child in children]
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+            child.wait()
+    if any(codes):
+        raise FcGuardError(f"issuer key generation failed in a child process, exit codes {codes}")
+
+
+if __name__ == "__main__":
+    cache_dir, profile_name, seed, label, count = sys.argv[1:]
+    issuer_keys(get_profile(profile_name), seed, label, int(count), cache_dir)

@@ -16,7 +16,7 @@ from pathlib import Path
 from .crypto.elgamal import elgamal_keygen
 from .crypto.paillier import paillier_keygen
 from .errors import ProtocolError, ScenarioError
-from .keycache import issuer_keys
+from .keycache import fill_missing, issuer_keys
 from .ledger import Chain, Registry
 from .netsim import Network, SimClock
 from .params import PROFILES, get_profile
@@ -84,7 +84,21 @@ def load_scenario(path: str | Path) -> dict:
     return cfg
 
 
+# The keys a scenario, each of its users and each of its orders may hold.
+_SCENARIO_KEYS = frozenset(DEFAULTS) | {"assertions", "orders", "users"}
+_USER_KEYS = frozenset({"balance", "bank_account", "birthday", "name", "seed_ssa", "self_report", "ssn"})
+_ORDER_KEYS = frozenset({"address_count", "age_check_years", "asset", "attack", "crypto_amount",
+                         "self_report", "user"})
+
+
+def _unknown_keys(where: str, entry: dict, known: frozenset) -> None:
+    unknown = sorted(set(entry) - known)
+    if unknown:
+        raise ScenarioError(f"{where} has unknown keys {unknown}; expected some of {sorted(known)}")
+
+
 def _validated(cfg: dict) -> dict:
+    _unknown_keys("scenario", cfg, _SCENARIO_KEYS)
     merged = dict(DEFAULTS)
     merged.update(cfg)
     if merged["mode"] not in ("fcguard", "baseline"):
@@ -98,6 +112,9 @@ def _validated(cfg: dict) -> dict:
         raise ScenarioError("scenario needs a non-empty users list")
     accounts = {PLATFORM_BANK_ACCOUNT}
     for i, user in enumerate(users):
+        if not isinstance(user, dict):
+            raise ScenarioError(f"users[{i}] must be an object")
+        _unknown_keys(f"users[{i}]", user, _USER_KEYS)
         for key in ("name", "birthday", "ssn", "bank_account", "balance"):
             if key not in user:
                 raise ScenarioError(f"users[{i}] missing required field {key!r}")
@@ -110,7 +127,14 @@ def _validated(cfg: dict) -> dict:
                                 "by another user or the platform")
         accounts.add(user["bank_account"])
     orders = merged.get("orders", [])
+    if not isinstance(orders, list):
+        raise ScenarioError("orders must be a list")
     for i, order in enumerate(orders):
+        if not isinstance(order, dict):
+            raise ScenarioError(f"orders[{i}] must be an object")
+        _unknown_keys(f"orders[{i}]", order, _ORDER_KEYS)
+        if order.get("attack") not in (None, "replay"):
+            raise ScenarioError(f"orders[{i}] attack must be \"replay\", got {order['attack']!r}")
         user = order.get("user")
         if not isinstance(user, int) or not 0 <= user < len(users):
             raise ScenarioError(f"orders[{i}] has no valid user index")
@@ -177,6 +201,8 @@ def build_context(cfg: dict, key_cache_dir: str | Path | None = None) -> tuple[S
     profile = get_profile(cfg["profile"])
     seed = cfg["seed"]
 
+    if key_cache_dir is not None:
+        fill_missing(profile, seed, [("platform", 4), ("bank", 4)], key_cache_dir)
     platform_keys = issuer_keys(profile, seed, "platform", 4, key_cache_dir)
     bank_keys = issuer_keys(profile, seed, "bank", 4, key_cache_dir)
     bank_enc = paillier_keygen(profile, random.Random(f"{seed}:paillier:bank"))

@@ -3,6 +3,8 @@ prints one pass/fail line. Criteria 1 and 9 run at the benchmark-scale
 parameter profile; the session-scoped key cache makes the expensive issuer
 keys a once-per-session cost while keeping generation honest."""
 
+import hashlib
+import json
 import random
 import time
 from pathlib import Path
@@ -25,6 +27,15 @@ from fcguard.security import (
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "fcguard" / "scenarios"
 
+# SHA-256 of the decimal p' and q' of the seed-42 paper issuer keys, as the
+# key cache held them before the combined sieve and the parallel fill.
+PAPER_SEED_42_PRIMES = {
+    "platform.p_prime": "27968f91b47f9ab69b5439eea8e226c87986ebc7df8e037470e604563549e3c1",
+    "platform.q_prime": "0c97a73a427d8c3d855422595a66e9053a0b6497feb24e31faa4ba744d60972b",
+    "bank.p_prime": "613238c39d63f90788d3a94ea042ad064776adeeca378ad8e73c403f0314f663",
+    "bank.q_prime": "2ae648ec2bf29e1e6ab9526f2b2ee590daaa83fa09f3689e353c15e0f16cc53e",
+}
+
 
 def _report(criterion: int, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion}: PASS - {detail}")
@@ -41,6 +52,10 @@ def test_criterion_01_end_to_end_happy_path_paper_profile(paper_key_cache):
     assert outcome.state == "complete", outcome
     ok, detail = result.assertion_results["conservation"]
     assert ok, detail
+    for name, digest in PAPER_SEED_42_PRIMES.items():
+        label, field = name.split(".")
+        raw = json.loads((paper_key_cache / f"cl-paper-42-{label}-4.json").read_text())
+        assert hashlib.sha256(raw[field].encode()).hexdigest() == digest, name
     assert elapsed < 60.0, f"happy path took {elapsed:.1f}s (budget 60s)"
     _report(1, f"order complete with conservation in {elapsed:.1f}s < 60s")
 

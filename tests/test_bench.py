@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 import pytest
 
@@ -50,3 +51,9 @@ def test_reference_figures_in_report_and_table(toy_report):
 def test_iteration_floor_enforced():
     with pytest.raises(ValueError):
         run_bench(profile="toy", iterations=3, seed=1)
+
+
+def test_run_bench_leaves_no_key_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run_bench(profile="toy", iterations=5, seed=5)
+    assert list(tmp_path.iterdir()) == []

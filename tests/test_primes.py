@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fcguard.crypto import primes
 from fcguard.crypto.primes import (
     invert,
+    is_prime_2q_plus_1,
     is_probable_prime,
     powmod,
     powmod_fixed,
@@ -129,3 +130,105 @@ def test_trial_division_keeps_primality_answers():
     assert not is_probable_prime(1999 * 1997)
     assert is_probable_prime(2**89 - 1)
 
+
+
+# sophie_germain_prime(bits, random.Random(seed)) as the search gave it with
+# a 20000 sieve, a Python striking loop and Miller-Rabin on both p' and 2p'+1.
+# At 15 bits candidates below 20000 are sieving primes themselves and get
+# struck; the outputs keep that.
+PINNED_SOPHIE_GERMAIN = {
+    (15, 0): 27743,
+    (15, 1): 20789,
+    (15, 2): 31469,
+    (15, 3): 24203,
+    (15, 4): 24203,
+    (16, 0): 55439,
+    (16, 1): 41603,
+    (16, 2): 62753,
+    (16, 3): 48413,
+    (16, 4): 48239,
+    (64, 0): 16329893639329941581,
+    (64, 1): 10499958131665515281,
+    (64, 2): 15921556852572072743,
+    (64, 3): 10932295209482666639,
+    (64, 4): 14818243535696668709,
+    (64, 5): 13935500888991235973,
+    (255, 0): 55896598275473892943926784801512502259748144244735511552773087393886749077773,
+    (255, 1): 35775048739449105453572199363542659269634444530053933427649710993370729816289,
+    (255, 2): 49851821871431435929252303214284312193337874476006906294436682457757612209683,
+    (255, 3): 56393847163664836379872480653745113910907495325502864111408296481783001367221,
+    (512, 0): int("1113112489955706874186205856159251807950404649565330070714542778946163303688"
+                  "2920487399788808158681316368204285944213603344797542642903805191868520283327719"),
+    (512, 1): int("9518937716437086579525574626553539436527811976271436757628327284357895625164"
+                  "767602128960432609602000999443908630907494022120458687218329356867614190019691"),
+    (512, 2): int("6825478561102315708449487498517860558299753619277819260544687242175553567234"
+                  "633196793830344772436674845520982978628122906393672280820234464259370951666633"),
+}
+
+
+@pytest.mark.parametrize("bits,seed", sorted(PINNED_SOPHIE_GERMAIN))
+def test_sophie_germain_outputs_are_pinned(bits, seed):
+    assert sophie_germain_prime(bits, random.Random(seed)) == PINNED_SOPHIE_GERMAIN[bits, seed]
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+def test_sieve_bound_leaves_the_prime_unchanged(monkeypatch, bits):
+    # with the old bound of 20000 the search finds the same prime
+    assert primes._sieve_bound(bits) != 20000
+    monkeypatch.setattr(primes, "_sieve_bound", lambda bits: 20000)
+    assert sophie_germain_prime(bits, random.Random(0)) == PINNED_SOPHIE_GERMAIN[bits, 0]
+
+
+def test_sieve_bound_rule():
+    assert primes._sieve_bound(15) == 20000
+    assert primes._sieve_bound(64) == 1 << 10
+    assert primes._sieve_bound(255) == 1 << 13
+    assert primes._sieve_bound(512) == 1 << 20
+    assert primes._sieve_bound(1536) == primes._sieve_bound(4096) == 1 << 23
+    for bits in range(16, 4097):
+        # every candidate is above the sieving primes, old and new
+        assert 2 ** (bits - 1) > max(primes._sieve_bound(bits), 20000)
+    table = primes._sieve_table(20000)
+    assert list(table.small) == [p for p in range(3, 20000) if is_probable_prime(p)]
+    assert not table.large
+
+
+def test_sieve_window_strikes_exactly_where_a_sieving_prime_divides():
+    table = primes._sieve_table(1 << 20)  # primes below, inside and past 4 windows
+    assert table.small[-1] < 4 * primes._WINDOW < table.large[0]
+    rng = random.Random(4)
+    bases = [rng.getrandbits(512) | 1 << 511 | 1 for _ in range(3)]
+    bases.append(table.large[-1] * (rng.getrandbits(480) | 1))  # k = 0 struck by a large prime
+    for base in bases:
+        expected = bytearray([1]) * primes._WINDOW
+        for sp in list(table.small) + list(table.large):
+            for r in (-base * pow(2, -1, sp) % sp, -(2 * base + 1) * pow(4, -1, sp) % sp):
+                expected[r::sp] = bytes(len(range(r, primes._WINDOW, sp)))
+        assert primes._sieve_window(base, table) == expected
+
+
+def test_toy_searches_build_only_small_tables(monkeypatch):
+    monkeypatch.setattr(primes, "_SIEVE_TABLES", {})
+    sophie_germain_prime(64, random.Random(1))
+    safe_prime(256, random.Random(1))
+    assert set(primes._SIEVE_TABLES) == {1 << 10, 1 << 13}
+    assert not any(table.large for table in primes._SIEVE_TABLES.values())
+
+
+def test_pocklington_agrees_with_miller_rabin_below_20000():
+    for q in range(2, 20000):
+        if is_probable_prime(q):
+            assert is_prime_2q_plus_1(q) == is_probable_prime(2 * q + 1), q
+
+
+def _next_prime(n):
+    n |= 1
+    while not is_probable_prime(n):
+        n += 2
+    return n
+
+
+@given(st.one_of(st.integers(min_value=3, max_value=1 << 300).map(_next_prime),
+                 st.sampled_from(sorted(PINNED_SOPHIE_GERMAIN.values()))))
+def test_pocklington_agrees_with_miller_rabin(q):
+    assert is_prime_2q_plus_1(q) == is_probable_prime(2 * q + 1)

@@ -86,6 +86,11 @@ def _malformed_cfgs():
         # two users on one account, and a user on the platform's account
         variant(lambda c: c["users"].append(second_user)),
         variant(lambda c: c["users"][0].update(bank_account=999_000_001)),
+        # a misspelt key, which would otherwise run an honest order
+        variant(lambda c: c["orders"][0].update(atack="replay")),
+        variant(lambda c: c["users"][0].update(self_reprot=False)),
+        variant(lambda c: c.update(audti=False)),
+        variant(lambda c: c["orders"][0].update(attack="splice")),
     ]
 
 
