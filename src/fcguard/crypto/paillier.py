@@ -1,7 +1,14 @@
 """Paillier encryption with g = N + 1. Decryption is exact for any plaintext
 below N, which is why large bank account numbers go through this scheme
 rather than exponential ElGamal. The key holder keeps p and q and decrypts
-mod p^2 and mod q^2 (Chinese remainder theorem)."""
+mod p^2 and mod q^2 (Chinese remainder theorem).
+
+`paillier_encrypt` is textbook, c = (1+N)^m * r^N (mod N^2). The verifiable
+encryption arm in `presentations` uses the fixed-base form of Damgard,
+Jurik and Nielsen instead, c = (1+N)^m * h_s^rho (mod N^2), with one public
+N-th residue h_s per key (`paillier_hs`), so the randomness term is a
+fixed-base power. h_s^rho is an N-th residue too, so `paillier_decrypt`
+opens both forms unchanged."""
 
 from __future__ import annotations
 
@@ -9,7 +16,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ..errors import DecryptionError, EncodingRangeError
 from ..params import Profile
@@ -79,6 +86,20 @@ def paillier_keygen(profile: Profile, rng: random.Random) -> PaillierKeyPair:
     while q == p:
         q = random_prime(half, rng)
     return PaillierKeyPair.from_primes(p, q)
+
+
+@lru_cache(maxsize=64)
+def paillier_hs(n: int) -> int:
+    """The public N-th residue h_s = h^N mod N^2 of the fixed-base encryption
+    form, with h = -x^2 mod N for x hashed from N (SHAKE-256, |N| + 128 bits,
+    reduced mod N). It depends on N alone, so the public key's fields, wire
+    bytes and key id stay as they are; it is computed once per modulus per
+    process."""
+    bits = n.bit_length() + 128
+    n_bytes = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    digest = hashlib.shake_256(b"fcguard:paillier-hs:" + n_bytes).digest((bits + 7) // 8)
+    x = (int.from_bytes(digest, "big") >> (-bits % 8)) % n
+    return powmod(-x * x % n, n, n * n)
 
 
 def paillier_encrypt(pk: PaillierPublicKey, m: int, rng: random.Random | None = None, r: int | None = None) -> Ciphertext:

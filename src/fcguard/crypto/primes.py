@@ -15,15 +15,18 @@ exact once p' is prime), then 25-round Miller-Rabin on p'.
 The bound never changes the output. A prime is struck only by itself, and
 from 16 bits on every candidate exceeds both the bound and 20000, so the
 sieve strikes only composites: the result, the first position in scan order
-with p' and 2p'+1 both prime, is the one the plain 20000 sieve gave. Below 16
+with p' and 2p'+1 both prime, is the one the plain 20000 sieve gave. At 15
 bits the bound stays 20000, where a candidate may itself be a sieving prime
-and is struck, as it always has been.
+and is struck, as it always has been. Below 15 bits (below 16384) the 20000
+sieve strikes every candidate, so those sizes draw candidates one at a time
+(`_sophie_germain_small`) instead.
 
 `powmod_fixed` is for bases that are public-key constants (issuer S and R_i,
-commitment bases, ElGamal g and h). Without gmpy2 it keeps, per (base,
-modulus) value, a radix-2^5 Brickell-Gordon-McCurley-Wilson table of
-base^(2^(5i)); an exponentiation then costs one multiplication per nonzero
-digit plus 62, instead of one squaring per exponent bit. Tables are keyed by
+commitment bases, ElGamal g and h, the Paillier h_s). Without gmpy2 it
+keeps, per (base, modulus) value, a radix-2^5
+Brickell-Gordon-McCurley-Wilson table of base^(2^(5i)); an exponentiation
+then costs one multiplication per nonzero digit plus 62, instead of one
+squaring per exponent bit. Tables are keyed by
 value, because deserialized keys are fresh objects on every registry fetch;
 they grow on demand to the longest exponent asked for and live in an LRU of
 64 tables. An exponent longer than 4096 bits (past every honest exponent at
@@ -283,7 +286,7 @@ def sophie_germain_prime(bits: int, rng: random.Random, max_windows: int = 64) -
     costs two exponentiations. Raises PrimeGenerationError if the window
     budget is exhausted, which signals a misconfigured profile or RNG.
     """
-    if bits < 8:
+    if bits < 15:
         return _sophie_germain_small(bits, rng)
     table = _sieve_table(_sieve_bound(bits))
     for _ in range(max_windows):

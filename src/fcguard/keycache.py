@@ -15,9 +15,13 @@ this process, each other one in a plain child process
 
     python -m fcguard.keycache CACHE_DIR PROFILE SEED LABEL SLOTS
 
-Each key draws from its own RNG stream, so where it is made does not change
-it. Cache files are written to a temporary file and renamed into place, so a
-reader never sees half a key."""
+At the toy profile a key takes milliseconds, less than a child's start-up,
+so every missing toy key is made in this process. `fill_missing` hands back
+the keys it made in this process, which need no reload; keys read from the
+cache, including those a child wrote, are validated on load. Each key draws
+from its own RNG stream, so where it is made does not change it. Cache
+files are written to a temporary file and renamed into place, so a reader
+never sees half a key."""
 
 from __future__ import annotations
 
@@ -33,6 +37,9 @@ from .crypto.cl import ClIssuerKeyPair, cl_keygen
 from .crypto.primes import is_prime_2q_plus_1, is_probable_prime
 from .errors import FcGuardError
 from .params import Profile, get_profile
+
+# Profiles whose keys are made in this process however many are missing.
+IN_PROCESS_PROFILES = frozenset({"toy"})
 
 
 def _validate(keys: ClIssuerKeyPair, profile: Profile, slot_count: int) -> None:
@@ -99,15 +106,19 @@ def issuer_keys(profile: Profile, seed: int | str, label: str, slot_count: int,
 
 
 def fill_missing(profile: Profile, seed: int | str, slots: list[tuple[str, int]],
-                 cache_dir: str | Path) -> None:
+                 cache_dir: str | Path) -> dict[tuple[str, int], ClIssuerKeyPair]:
     """Generate the keys of the (label, slot count) pairs in `slots` that have
-    no cache file, at the same time when more than one is missing. Every
-    child is waited for, and killed first if this call ends early; a child
-    that fails raises FcGuardError."""
+    no cache file: all in this process at a profile in IN_PROCESS_PROFILES,
+    otherwise at the same time when more than one is missing. Returns the
+    keys made in this process, by (label, slot count). Every child is waited
+    for, and killed first if this call ends early; a child that fails raises
+    FcGuardError."""
     missing = [(label, count) for label, count in slots
                if not _cache_path(cache_dir, profile, seed, label, count).exists()]
+    if profile.name in IN_PROCESS_PROFILES:
+        return {slot: issuer_keys(profile, seed, *slot, cache_dir) for slot in missing}
     if len(missing) < 2:
-        return
+        return {}
     env = dict(os.environ)
     package_root = str(Path(__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
@@ -119,8 +130,7 @@ def fill_missing(profile: Profile, seed: int | str, slots: list[tuple[str, int]]
                 [sys.executable, "-W", "ignore::RuntimeWarning:runpy", "-m", "fcguard.keycache",
                  str(cache_dir), profile.name, str(seed), label, str(count)],
                 env=env, stdout=subprocess.DEVNULL))
-        label, count = missing[0]
-        issuer_keys(profile, seed, label, count, cache_dir)
+        made = {missing[0]: issuer_keys(profile, seed, *missing[0], cache_dir)}
         codes = [child.wait() for child in children]
     finally:
         for child in children:
@@ -129,6 +139,7 @@ def fill_missing(profile: Profile, seed: int | str, slots: list[tuple[str, int]]
             child.wait()
     if any(codes):
         raise FcGuardError(f"issuer key generation failed in a child process, exit codes {codes}")
+    return made
 
 
 if __name__ == "__main__":

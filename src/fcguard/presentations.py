@@ -30,7 +30,6 @@ both bundles, the second chained onto the first.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -40,7 +39,7 @@ from .crypto.ciphertext import Ciphertext
 from .crypto.commitment import CommitmentKey, commit
 from .crypto.elgamal import ElGamalPublicKey
 from .crypto.encoding import ATTRIBUTE_BOUND
-from .crypto.paillier import PaillierPublicKey
+from .crypto.paillier import PaillierPublicKey, paillier_hs
 from .crypto.primes import invert, powmod, powmod_fixed
 from .crypto.transcript import Transcript
 from .errors import ProofRefusedError, RegistryError, SchemaMismatchError
@@ -88,7 +87,7 @@ class VerifiableEncryptionProof:
     scheme: str  # "elgamal" | "paillier"
     key_id: str
     ciphertext: Ciphertext
-    r_hat: int  # randomness response; multiplicative for paillier
+    r_hat: int  # randomness response; mod q for elgamal, integer for paillier
 
 
 @serializable("bit-proof")
@@ -249,30 +248,41 @@ def _link_arm(ck: CommitmentKey, attr: str, commitment: int) -> _Arm:
 
 def _encryption_arm(attr: str, key: ElGamalPublicKey | PaillierPublicKey,
                     parts: Sequence[int]) -> _Arm:
-    """ElGamal: c1 = g^r and c2 = g^m * h^r (mod p). Paillier: c = (1+n)^m * r^n
-    (mod n^2), with (1+n)^m = 1 + (m mod n) * n; its randomness response is
-    multiplicative."""
+    """ElGamal: c1 = g^r and c2 = g^m * h^r (mod p). Paillier, in the
+    fixed-base form of Damgard-Jurik-Nielsen: c = (1+n)^m * h_s^r (mod n^2)
+    for the key's public n-th residue h_s (`paillier_hs`), with
+    (1+n)^m = 1 + (m mod n) * n. Its randomness response is an integer, as in
+    Camenisch-Shoup verifiable encryption: from two accepting transcripts,
+    ct^dc = (1+n)^dm * h_s^dr, and raising to lambda gives n | lambda*dc*(m' - m),
+    so with dc below p and q the ciphertext opens to the core arm's m."""
     if isinstance(key, ElGamalPublicKey):
         p, (c1, c2) = key.p, parts
         g, h = _fixed(key.g, p), _fixed(key.h, p)
         eqs = [_Eq(p, ((g, "r"),), lambda: c1), _Eq(p, ((g, "m"), (h, "r")), lambda: c2)]
     else:
         n, n2, (ct,) = key.n, key.n_squared, parts
-        eqs = [_Eq(n2, ((lambda x: 1 + x % n * n, "m"), (lambda x: powmod(x, n, n2), "r")),
+        eqs = [_Eq(n2, ((lambda x: 1 + x % n * n, "m"), (_fixed(paillier_hs(n), n2), "r")),
                    lambda: ct)]
     return _Arm({"attr": attr, "key_id": key.key_id(), "parts": list(parts), "scheme": _scheme(key)},
                 eqs, list)
 
 
-def _encryption_in_range(key: ElGamalPublicKey | PaillierPublicKey,
+def _paillier_r_hat_bits(profile: Profile, key: PaillierPublicKey) -> int:
+    """Bits of the Paillier randomness blinding: rho has |n| + stat_bits bits,
+    and the blinding covers c * rho with stat_bits of slack."""
+    return key.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits
+
+
+def _encryption_in_range(profile: Profile, key: ElGamalPublicKey | PaillierPublicKey,
                          proof: VerifiableEncryptionProof) -> bool:
     """Ciphertext parts are nonzero group elements, and the randomness
-    response lies in Z_q (ElGamal) or Z_n without 0 (Paillier)."""
+    response lies in Z_q (ElGamal) or in [0, 2^(|n| + 2 stat + challenge + 1))
+    (Paillier: blinding plus challenge times rho)."""
     if isinstance(key, ElGamalPublicKey):
         c1, c2 = proof.ciphertext.parts
         return 0 < c1 < key.p and 0 < c2 < key.p and 0 <= proof.r_hat < key.q
     (ct,) = proof.ciphertext.parts
-    return 0 < ct < key.n_squared and 0 < proof.r_hat < key.n
+    return 0 < ct < key.n_squared and 0 <= proof.r_hat < 1 << (_paillier_r_hat_bits(profile, key) + 1)
 
 
 def _predicate_arm(ck: CommitmentKey, attr: str, threshold: int, bits: Sequence[int]) -> _Arm:
@@ -309,14 +319,6 @@ def _bundle_challenge(profile: Profile, core: _Arm, t_core: int, nonce: bytes,
               **{kind: [arm.statement for arm, *_ in group] for kind, group in arms.items()}})
     t.absorb({"core": t_core, **{kind: [ts for _, ts, *_ in group] for kind, group in arms.items()}})
     return t.challenge(profile.challenge_bits)
-
-
-def _unit(rng: random.Random, n: int) -> int:
-    """A uniform element of Z_n^*."""
-    while True:
-        x = rng.randrange(1, n)
-        if math.gcd(x, n) == 1:
-            return x
 
 
 class ProofSession:
@@ -435,10 +437,10 @@ class ProofSession:
             if value >= key.n:
                 raise ProofRefusedError("plaintext exceeds the Paillier modulus")
             n2 = key.n_squared
-            rho = _unit(rng, key.n)
-            parts = ((1 + value * key.n) % n2 * powmod(rho, key.n, n2) % n2,)
-            rho_blind = _unit(rng, key.n)
-            r_hat = lambda c: rho_blind * powmod(rho, c, key.n) % key.n  # noqa: E731
+            rho = rng.getrandbits(key.n.bit_length() + self.profile.stat_bits)
+            parts = ((1 + value * key.n) % n2 * powmod_fixed(paillier_hs(key.n), rho, n2) % n2,)
+            rho_blind = rng.getrandbits(_paillier_r_hat_bits(self.profile, key))
+            r_hat = lambda c: rho_blind + c * rho  # noqa: E731
         arm = _encryption_arm(spec.attr, key, parts)
         return arm, arm.t_values({"m": blind[spec.attr], "r": rho_blind}, 0), \
             lambda c: VerifiableEncryptionProof(attr=spec.attr, scheme=spec.scheme, key_id=key.key_id(),
@@ -578,7 +580,7 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         key = encryption_keys.get(p.key_id)
         if p.attr not in pres.hidden_names or key is None or key.key_id() != p.key_id:
             return False
-        if not p.scheme == p.ciphertext.scheme == _scheme(key) or not _encryption_in_range(key, p):
+        if not p.scheme == p.ciphertext.scheme == _scheme(key) or not _encryption_in_range(profile, key, p):
             return False
         arm = _encryption_arm(p.attr, key, p.ciphertext.parts)
         arms["encs"].append((arm, arm.t_values({"m": pres.m_hats[p.attr], "r": p.r_hat}, c)))

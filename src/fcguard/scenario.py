@@ -201,10 +201,10 @@ def build_context(cfg: dict, key_cache_dir: str | Path | None = None) -> tuple[S
     profile = get_profile(cfg["profile"])
     seed = cfg["seed"]
 
-    if key_cache_dir is not None:
-        fill_missing(profile, seed, [("platform", 4), ("bank", 4)], key_cache_dir)
-    platform_keys = issuer_keys(profile, seed, "platform", 4, key_cache_dir)
-    bank_keys = issuer_keys(profile, seed, "bank", 4, key_cache_dir)
+    slots = [("platform", 4), ("bank", 4)]
+    made = fill_missing(profile, seed, slots, key_cache_dir) if key_cache_dir is not None else {}
+    platform_keys, bank_keys = (made[slot] if slot in made else issuer_keys(profile, seed, *slot, key_cache_dir)
+                                for slot in slots)
     bank_enc = paillier_keygen(profile, random.Random(f"{seed}:paillier:bank"))
     authority_enc = elgamal_keygen(profile, random.Random(f"{seed}:elgamal:authority"))
 

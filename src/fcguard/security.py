@@ -241,8 +241,13 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
     bad_ct = dataclasses.replace(parm.ciphertext, parts=(parm.ciphertext.parts[0] + 1,))
     cases.append(("verenc-paillier:c+1", verify2(dataclasses.replace(
         fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=bad_ct),)))))
-    cases.append(("verenc-paillier:r_hat+1", verify2(dataclasses.replace(
-        fx.bundle2, enc_proofs=(dataclasses.replace(parm, r_hat=parm.r_hat + 1),)))))
+    # the integer response lies in [0, 2^(|n| + 2 stat + challenge + 1))
+    r_hat_bound = 1 << (fx.bank_enc.public.n.bit_length() + 2 * fx.profile.stat_bits
+                        + fx.profile.challenge_bits + 1)
+    for label, r_hat in (("r_hat+1", parm.r_hat + 1), ("r_hat-negative", -parm.r_hat),
+                         ("r_hat-at-bound", r_hat_bound)):
+        cases.append((f"verenc-paillier:{label}", verify2(dataclasses.replace(
+            fx.bundle2, enc_proofs=(dataclasses.replace(parm, r_hat=r_hat),)))))
     other_pct = paillier_encrypt(fx.bank_enc.public, 42, rng=fx.rng)
     cases.append(("verenc-paillier:ciphertext-swap", verify2(dataclasses.replace(
         fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=other_pct),)))))

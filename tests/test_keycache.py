@@ -1,15 +1,18 @@
 import json
 import signal
 import subprocess
+from types import SimpleNamespace
 
 import pytest
 
 from fcguard import keycache
+from fcguard.bench import run_bench
 from fcguard.crypto.cl import ClIssuerKeyPair
 from fcguard.crypto.primes import is_probable_prime
 from fcguard.errors import FcGuardError
 from fcguard.keycache import issuer_keys
 from fcguard.params import TOY
+from fcguard.scenario import build_context
 
 
 def _cache_file(tmp_path):
@@ -62,6 +65,10 @@ def test_fill_missing_makes_the_same_keys_in_parallel(tmp_path):
 
 @pytest.fixture
 def children(monkeypatch):
+    """Records the children fill_missing starts. It also takes the child path
+    at the toy profile, which otherwise makes every key in this process, so
+    that path runs at toy size."""
+    monkeypatch.setattr(keycache, "IN_PROCESS_PROFILES", frozenset())
     started = []
 
     def popen(*args, **kwargs):
@@ -90,3 +97,44 @@ def test_one_missing_key_is_made_in_process(tmp_path, children):
     keycache.fill_missing(TOY, 5, [("platform", 4), ("bank", 4)], tmp_path)
     assert children == []
     assert not (tmp_path / "cl-toy-5-bank-4.json").exists()
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """Moduli of the keys keycache._validate checks."""
+    labels = []
+    real_validate = keycache._validate
+
+    def validate(keys, profile, slot_count):
+        labels.append(keys.public.n)
+        real_validate(keys, profile, slot_count)
+
+    monkeypatch.setattr(keycache, "_validate", validate)
+    return labels
+
+
+def _toy_cfg(seed):
+    return {"seed": seed, "profile": "toy",
+            "users": [{"name": "Key Cache", "birthday": 19930303, "ssn": 741_852_963,
+                       "bank_account": 99_888_777_666_555_444, "balance": 4000}],
+            "orders": []}
+
+
+def test_cold_toy_fill_validates_only_keys_read_from_disk(tmp_path, validated):
+    cold, _ = build_context(_toy_cfg(13), tmp_path)
+    assert validated == []  # both keys were made in this process and handed back
+    warm, _ = build_context(_toy_cfg(13), tmp_path)
+    assert sorted(validated) == sorted([warm.platform.issuer_keys.public.n, warm.bank.issuer_keys.public.n])
+    assert (warm.platform.issuer_keys, warm.bank.issuer_keys) == (cold.platform.issuer_keys, cold.bank.issuer_keys)
+
+
+def test_cold_toy_fill_starts_no_subprocess(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a toy key fill started a subprocess")
+
+    # only keycache's own process starts are refused; run_bench asks `uname` for the CPU
+    monkeypatch.setattr(keycache, "subprocess", SimpleNamespace(Popen=refuse))
+    made = keycache.fill_missing(TOY, 7, [("platform", 4), ("bank", 4)], tmp_path)
+    assert made == {(label, 4): issuer_keys(TOY, 7, label, 4, None) for label in ("platform", "bank")}
+    report = run_bench(profile="toy", iterations=5, seed=17)
+    assert report.phases

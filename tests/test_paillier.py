@@ -8,10 +8,12 @@ from fcguard.crypto.paillier import (
     PaillierKeyPair,
     paillier_decrypt,
     paillier_encrypt,
+    paillier_hs,
     paillier_keygen,
 )
 from fcguard.errors import DecryptionError, EncodingRangeError
 from fcguard.params import PAPER, TOY
+from fcguard.security import build_fixture
 
 
 def test_toy_worked_example():
@@ -102,3 +104,31 @@ def test_ciphertext_range_and_scheme_checks():
         paillier_decrypt(kp, Ciphertext(scheme="paillier", parts=(kp.public.n_squared,)))
     with pytest.raises(DecryptionError):
         paillier_decrypt(kp, Ciphertext(scheme="elgamal", parts=(1, 2)))
+
+
+def test_hs_is_a_deterministic_nth_residue_of_order_dividing_lambda():
+    kp = paillier_keygen(TOY, random.Random(21))
+    n = kp.public.n
+    h_s = paillier_hs(n)
+    assert h_s == paillier_hs.__wrapped__(n)  # the same value without the memo
+    assert h_s != paillier_hs(paillier_keygen(TOY, random.Random(22)).public.n)
+    assert 1 < h_s < n * n and math.gcd(h_s, n) == 1
+    assert kp.pow_lam(h_s) == 1
+
+
+def test_fixed_base_form_decrypts_unchanged():
+    rng = random.Random(23)
+    kp = paillier_keygen(TOY, rng)
+    n, n2 = kp.public.n, kp.public.n_squared
+    for _ in range(50):
+        m = rng.randrange(n)
+        rho = rng.getrandbits(n.bit_length() + TOY.stat_bits)
+        c = (1 + m * n) * pow(paillier_hs(n), rho, n2) % n2
+        assert paillier_decrypt(kp, Ciphertext(scheme="paillier", parts=(c,))) == m
+
+
+def test_bundle_ciphertext_decrypts_to_the_account_number():
+    fx = build_fixture()
+    (arm,) = fx.bundle2.enc_proofs
+    assert arm.scheme == "paillier"
+    assert paillier_decrypt(fx.bank_enc, arm.ciphertext) == fx.vc_bu.attributes["bank_account"]

@@ -57,6 +57,15 @@ def test_sophie_germain_small_path():
     assert is_probable_prime(p) and is_probable_prime(2 * p + 1)
 
 
+@pytest.mark.parametrize("bits", range(8, 15))
+def test_sophie_germain_below_the_sieve_sizes(bits):
+    # below 16384 the 20000 sieve strikes every candidate; these sizes draw singly
+    for seed in range(5):
+        p = sophie_germain_prime(bits, random.Random(seed))
+        assert p.bit_length() == bits
+        assert is_probable_prime(p) and is_probable_prime(2 * p + 1)
+
+
 def test_safe_prime_structure():
     big_p, q = safe_prime(128, random.Random(11))
     assert big_p == 2 * q + 1

@@ -150,11 +150,11 @@ def test_bundled_address_rotation_scenario():
 # bundled toy scenarios. A change to any random draw, key, proof value or wire
 # byte moves them; update them only for a deliberate change of behaviour.
 GOLDEN_DIGESTS = {
-    "address_rotation": ("37c91b4838a01fc581d3feceaef68eda810d70e4d6035d99b2d150bce0c61e55",
+    "address_rotation": ("7920cdb2dee32430d78505949629904b12eb6fafd945055eba0fcab0b108da8e",
                          "7ac46e98ef01add78da6cf2e6aeb71ab760234f81d572f05d075111cc9747236"),
-    "misreport": ("b00b4ec11d5f50958f538d568a864ff420f3dd44c8ecd480fb5c7b5fc7785772",
+    "misreport": ("9a5979caa50d7b9ae826bfe853269bd96a61ec481f1ef0cd05c6e0e1479f54ca",
                   "38bf6ed3f04e54b2461c5bd238a764a25dcc352f3df91f195c697bec5147be4e"),
-    "replay_attack": ("32143ab6adc33149561a614f4bec28762ff7c7740979a54c69158c1816060411",
+    "replay_attack": ("84750403f2762817b00ed419c36bb6581ed8663f66099e7137e9f971a7a50fe0",
                       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 

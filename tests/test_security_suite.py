@@ -20,7 +20,7 @@ def test_fixture_bundle_digests_are_pinned():
     assert bundle_digest(fx.bundle1).hex() == (
         "688abdf1812600838090100aaac913253049b99457106d3da5546201fc1cb43d")
     assert bundle_digest(fx.bundle2).hex() == (
-        "13f0d4291142f86c2daffa2145bc070b6103241b0626f6c1ee81ae870cc8c50b")
+        "efbf2dbae37de993386728af2c9860e21fc11dab637618aa36811329d8180679")
 
 
 def test_mutation_matrix_size_and_rejection():
@@ -28,6 +28,9 @@ def test_mutation_matrix_size_and_rejection():
     assert len(cases) >= 50  # oracle: case counter over the enumerated matrix
     accepted = [name for name, ok in cases if ok]
     assert accepted == []
+    names = {name for name, _ in cases}
+    assert {"verenc-paillier:r_hat+1", "verenc-paillier:r_hat-negative",
+            "verenc-paillier:r_hat-at-bound"} <= names
 
 
 def test_mutation_case_names_unique():
