@@ -113,8 +113,12 @@ def bench(ctx: click.Context, iterations: int) -> None:
     comparison table with the reference figures."""
     profile = ctx.obj.get("profile") or "paper"
     seed = ctx.obj.get("seed") if ctx.obj.get("seed") is not None else 2024
-    report = run_bench(profile=profile, iterations=iterations, seed=seed,
-                       key_cache_dir=ctx.obj.get("key_cache"))
+    try:
+        report = run_bench(profile=profile, iterations=iterations, seed=seed,
+                           key_cache_dir=ctx.obj.get("key_cache"))
+    except ScenarioError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     click.echo(report.table())
     out_dir = ctx.obj.get("out")
     if out_dir:

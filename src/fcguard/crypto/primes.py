@@ -1,16 +1,22 @@
 """Primality testing, prime search, and modular arithmetic helpers.
 
 gmpy2 backs the hot paths when available (roughly 7x faster at benchmark key
-sizes); a pure Miller-Rabin fallback keeps the package importable without it.
+sizes); pure-Python fallbacks keep the package importable without it.
 All searches draw candidates from an injected seeded RNG, so key generation
 is reproducible. `is_probable_prime` rejects any n sharing a factor with the
-odd primes below 2000 by one gcd before Miller-Rabin runs.
+odd primes below 2000 by one gcd. Then, without gmpy2, it runs the
+Baillie-PSW test (Baillie-Wagstaff, Math. Comp. 1980; Pomerance-Selfridge-
+Wagstaff, 1980; FIPS 186-4 App. C.3): a strong base-2 test and a strong
+Lucas test with Selfridge's parameters. No composite is known to pass it,
+and it has no bases to choose, so a crafted input cannot be aimed at them
+as at a fixed or n-derived list of Miller-Rabin bases. It costs about as
+much as four Miller-Rabin rounds. With gmpy2 it is `gmpy2.is_prime(n, 25)`.
 
 `sophie_germain_prime` runs a combined sieve (Wiener, ePrint 2003/186) over
 windows of 2^16 candidates, striking each position where p' or 2p'+1 has an
 odd prime factor below `_sieve_bound(bits)`. A survivor costs a base-2
 Fermat test on p' and the Pocklington test on 2p'+1 (`is_prime_2q_plus_1`,
-exact once p' is prime), then 25-round Miller-Rabin on p'.
+exact once p' is prime), then `is_probable_prime` on p'.
 
 The bound never changes the output. A prime is struck only by itself, and
 from 16 bits on every candidate exceeds both the bound and 20000, so the
@@ -66,9 +72,6 @@ try:
     def powmod(base: int, exp: int, mod: int) -> int:
         return int(gmpy2.powmod(base, exp, mod))
 
-    def _mr_is_prime(n: int, rounds: int) -> bool:
-        return bool(gmpy2.is_prime(n, rounds))
-
     powmod_fixed = powmod
 
 except ImportError:  # pragma: no cover - exercised only without gmpy2
@@ -76,32 +79,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
     def powmod(base: int, exp: int, mod: int) -> int:
         return pow(base, exp, mod)
-
-    def _mr_is_prime(n: int, rounds: int) -> bool:
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        # fixed bases plus bases derived from n keep the fallback deterministic
-        bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-        seed = n
-        while len(bases) < rounds:
-            seed = (seed * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            bases.append(2 + seed % (n - 3))
-        for a in bases[:max(rounds, 12)]:
-            a %= n
-            if a < 2:
-                continue
-            x = pow(a, d, n)
-            if x in (1, n - 1):
-                continue
-            for _ in range(s - 1):
-                x = pow(x, 2, n)
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
 
     def powmod_fixed(base: int, exp: int, mod: int) -> int:
         """base^exp mod mod through a cached fixed-base table for base."""
@@ -154,7 +131,7 @@ _TRIAL_PRIMES = frozenset(p for p in range(3, 2000, 2)
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
-def is_probable_prime(n: int, rounds: int = 25) -> bool:
+def is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
     if n in (2, 3):
@@ -163,7 +140,83 @@ def is_probable_prime(n: int, rounds: int = 25) -> bool:
         return False
     if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return n in _TRIAL_PRIMES
-    return _mr_is_prime(n, rounds)
+    if gmpy2 is not None:
+        return bool(gmpy2.is_prime(n, 25))
+    return _bpsw(n)
+
+
+def _bpsw(n: int) -> bool:
+    """Baillie-PSW for an odd n >= 5: a strong base-2 test, then a strong
+    Lucas test. No composite is known to pass both."""
+    return _strong_base2(n) and _strong_lucas(n)
+
+
+def _strong_base2(n: int) -> bool:
+    """Strong probable-prime test to base 2 (one Miller-Rabin round) for an
+    odd n >= 5."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    x = pow(2, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            sign = -sign
+        if a & n & 3 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for an odd n >= 5 with Selfridge's
+    method A: D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1
+    and Q = (1 - D)/4. A perfect square has no such D, so it is rejected
+    before the search.
+
+    With n + 1 = d * 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0
+    (mod n) for some 0 <= r < s. A Lucas chain carries (V_k, V_(k+1), Q^k)
+    over the bits of d; U_d = 0 exactly when 2 V_(d+1) = P V_d, since
+    D U_k = 2 V_(k+1) - P V_k and D is prime to n."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    disc = 5
+    while (j := _jacobi(disc, n)) != -1:
+        if j == 0 and disc % n:
+            return False  # D has a factor in common with n, below n
+        disc = -disc - 2 if disc > 0 else 2 - disc
+    q = (1 - disc) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # V_0 = 2, V_1 = P = 1, Q^0 = 1; a bit b of d takes k to 2k + b
+    v, v1, qk = 2, 1, 1
+    for bit in bin(d)[2:]:
+        if bit == "1":
+            v, v1 = (v * v1 - qk) % n, (v1 * v1 - 2 * qk * q) % n
+            qk = qk * qk * q % n
+        else:
+            v, v1 = (v * v - 2 * qk) % n, (v * v1 - qk) % n
+            qk = qk * qk % n
+    if v == 0 or (2 * v1 - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 def random_prime(bits: int, rng: random.Random, max_tries: int = 100000) -> int:
@@ -282,7 +335,7 @@ def sophie_germain_prime(bits: int, rng: random.Random, max_windows: int = 64) -
     Windows of 2^16 odd candidates p' = base + 2k above a random base are
     sieved (see the module docstring) and scanned in order of k. A survivor
     takes a base-2 Fermat test on p', `is_prime_2q_plus_1` on 2p'+1 and
-    25-round Miller-Rabin on p', so a prime p' whose partner is composite
+    `is_probable_prime` on p', so a prime p' whose partner is composite
     costs two exponentiations. Raises PrimeGenerationError if the window
     budget is exhausted, which signals a misconfigured profile or RNG.
     """

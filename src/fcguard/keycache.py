@@ -1,17 +1,22 @@
-"""Optional on-disk cache for generated issuer keys.
+"""Optional on-disk cache for generated issuer keys and the bank's Paillier
+key.
 
 Benchmark-profile key generation hunts for 1536-bit Sophie Germain primes,
 which costs tens of seconds; since generation is deterministic in (profile,
 seed, label, slot count), the result can be cached and reloaded byte-for-byte.
 Every load rebuilds Z and the R_i from the cached secrets and revalidates the
-modulus structure and sizes. Primality is checked as 25-round Miller-Rabin on
-p' and q', then one exponentiation each for p = 2p'+1 and q = 2q'+1: for a
-prime p', Pocklington's criterion decides 2p'+1 exactly
-(`crypto.primes.is_prime_2q_plus_1`), so the answers are those of 25 rounds
-on all four at half the work.
+modulus structure and sizes. Primality is checked with `is_probable_prime`
+(Baillie-PSW) on p' and q', then one exponentiation each for p = 2p'+1 and
+q = 2q'+1: for a prime p', Pocklington's criterion decides 2p'+1 exactly
+(`crypto.primes.is_prime_2q_plus_1`).
 
-`fill_missing` generates several missing keys at the same time: the first in
-this process, each other one in a plain child process
+`bank_paillier_keys` caches the bank's Paillier key the same way, as its
+primes p and q, which must differ, have exactly half the profile's modulus
+bits and be prime; the key is the one `paillier_keygen` makes from the same
+seed. A cache file that fails its checks is deleted and made again.
+
+`fill_missing` generates several missing issuer keys at the same time: the
+first in this process, each other one in a plain child process
 
     python -m fcguard.keycache CACHE_DIR PROFILE SEED LABEL SLOTS
 
@@ -32,14 +37,18 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .crypto.cl import ClIssuerKeyPair, cl_keygen
+from .crypto.paillier import PaillierKeyPair, paillier_keygen
 from .crypto.primes import is_prime_2q_plus_1, is_probable_prime
 from .errors import FcGuardError
 from .params import Profile, get_profile
 
 # Profiles whose keys are made in this process however many are missing.
 IN_PROCESS_PROFILES = frozenset({"toy"})
+
+_Key = TypeVar("_Key")
 
 
 def _validate(keys: ClIssuerKeyPair, profile: Profile, slot_count: int) -> None:
@@ -74,6 +83,30 @@ def _write_atomically(path: Path, text: str) -> None:
         raise
 
 
+def _cached(path: Path, load: Callable[[dict], _Key], make: Callable[[], _Key],
+            dump: Callable[[_Key], dict]) -> _Key:
+    """The key `load` rebuilds from the JSON object at `path`; a file it
+    refuses, by raising ValueError, KeyError, TypeError or FcGuardError, is
+    deleted. Without a usable file the key is made and written."""
+    if path.exists():
+        try:
+            return load(json.loads(path.read_text()))
+        except (ValueError, KeyError, TypeError, FcGuardError):
+            path.unlink(missing_ok=True)
+    key = make()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomically(path, json.dumps(dump(key), sort_keys=True))
+    return key
+
+
+def _load_issuer_keys(raw: dict, profile: Profile, slot_count: int) -> ClIssuerKeyPair:
+    keys = ClIssuerKeyPair.from_secrets(
+        int(raw["p_prime"]), int(raw["q_prime"]), int(raw["s"]),
+        int(raw["x_z"]), [int(x) for x in raw["x_r"]])
+    _validate(keys, profile, slot_count)
+    return keys
+
+
 def issuer_keys(profile: Profile, seed: int | str, label: str, slot_count: int,
                 cache_dir: str | Path | None) -> ClIssuerKeyPair:
     """Generate (or load) issuer keys for a deterministic (seed, label) slot.
@@ -82,27 +115,36 @@ def issuer_keys(profile: Profile, seed: int | str, label: str, slot_count: int,
     rng = random.Random(f"{seed}:clkeys:{label}:{slot_count}:{profile.name}")
     if cache_dir is None:
         return cl_keygen(slot_count, profile, rng)
-    path = _cache_path(cache_dir, profile, seed, label, slot_count)
-    if path.exists():
-        try:
-            raw = json.loads(path.read_text())
-            keys = ClIssuerKeyPair.from_secrets(
-                int(raw["p_prime"]), int(raw["q_prime"]), int(raw["s"]),
-                int(raw["x_z"]), [int(x) for x in raw["x_r"]])
-            _validate(keys, profile, slot_count)
-            return keys
-        except (ValueError, KeyError, FcGuardError):
-            path.unlink(missing_ok=True)
-    keys = cl_keygen(slot_count, profile, rng)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomically(path, json.dumps({
-        "p_prime": str(keys.p_prime),
-        "q_prime": str(keys.q_prime),
-        "s": str(keys.public.s),
-        "x_r": [str(x) for x in keys.x_r],
-        "x_z": str(keys.x_z),
-    }, sort_keys=True))
-    return keys
+    return _cached(
+        _cache_path(cache_dir, profile, seed, label, slot_count),
+        lambda raw: _load_issuer_keys(raw, profile, slot_count),
+        lambda: cl_keygen(slot_count, profile, rng),
+        lambda keys: {"p_prime": str(keys.p_prime), "q_prime": str(keys.q_prime),
+                      "s": str(keys.public.s), "x_r": [str(x) for x in keys.x_r],
+                      "x_z": str(keys.x_z)})
+
+
+def _load_paillier_keys(raw: dict, profile: Profile) -> PaillierKeyPair:
+    p, q = int(raw["p"]), int(raw["q"])
+    half = profile.paillier_modulus_bits // 2
+    if not (p != q and p.bit_length() == q.bit_length() == half
+            and is_probable_prime(p) and is_probable_prime(q)):
+        raise FcGuardError("cached Paillier key failed validation")
+    return PaillierKeyPair.from_primes(p, q)
+
+
+def bank_paillier_keys(profile: Profile, seed: int | str,
+                       cache_dir: str | Path | None) -> PaillierKeyPair:
+    """Generate (or load) the bank's Paillier key for a seed:
+    `paillier_keygen` on its own RNG stream, as for issuer keys."""
+    rng = random.Random(f"{seed}:paillier:bank")
+    if cache_dir is None:
+        return paillier_keygen(profile, rng)
+    return _cached(
+        Path(cache_dir) / f"paillier-{profile.name}-{seed}-bank.json",
+        lambda raw: _load_paillier_keys(raw, profile),
+        lambda: paillier_keygen(profile, rng),
+        lambda keys: {"p": str(keys.p), "q": str(keys.q)})
 
 
 def fill_missing(profile: Profile, seed: int | str, slots: list[tuple[str, int]],

@@ -14,9 +14,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from .crypto.elgamal import elgamal_keygen
-from .crypto.paillier import paillier_keygen
 from .errors import ProtocolError, ScenarioError
-from .keycache import fill_missing, issuer_keys
+from .keycache import bank_paillier_keys, fill_missing, issuer_keys
 from .ledger import Chain, Registry
 from .netsim import Network, SimClock
 from .params import PROFILES, get_profile
@@ -97,6 +96,16 @@ def _unknown_keys(where: str, entry: dict, known: frozenset) -> None:
         raise ScenarioError(f"{where} has unknown keys {unknown}; expected some of {sorted(known)}")
 
 
+def _is_int(value: object, least: int) -> bool:
+    """Whether value is an int (not a bool) of at least `least`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _require_int(where: str, value: object, least: int) -> None:
+    if not _is_int(value, least):
+        raise ScenarioError(f"{where} must be an integer of at least {least}, got {value!r}")
+
+
 def _validated(cfg: dict) -> dict:
     _unknown_keys("scenario", cfg, _SCENARIO_KEYS)
     merged = dict(DEFAULTS)
@@ -105,8 +114,13 @@ def _validated(cfg: dict) -> dict:
         raise ScenarioError(f"mode must be fcguard or baseline, got {merged['mode']!r}")
     if merged["profile"] not in tuple(PROFILES):
         raise ScenarioError(f"unknown profile {merged['profile']!r}; expected one of {sorted(PROFILES)}")
-    if not isinstance(merged["pool_size"], int) or merged["pool_size"] < 1:
-        raise ScenarioError("pool_size must be a positive integer")
+    # the seed names key-cache files, so it is never a path or a list
+    _require_int("seed", merged["seed"], 0)
+    _require_int("pool_size", merged["pool_size"], 1)
+    _require_int("rotation_epoch", merged["rotation_epoch"], 0)  # 0: no rotation
+    _require_int("delay_max_ms", merged["delay_max_ms"], 0)
+    if not isinstance(merged["audit"], bool):
+        raise ScenarioError(f"audit must be true or false, got {merged['audit']!r}")
     users = merged.get("users")
     if not isinstance(users, list) or not users:
         raise ScenarioError("scenario needs a non-empty users list")
@@ -122,6 +136,7 @@ def _validated(cfg: dict) -> dict:
             PiiRecord(name=user["name"], birthday=user["birthday"], ssn=user["ssn"])
         except (ProtocolError, TypeError) as exc:
             raise ScenarioError(f"users[{i}]: {exc}") from exc
+        _require_int(f"users[{i}] balance", user["balance"], 0)
         if user["bank_account"] in accounts:
             raise ScenarioError(f"users[{i}] bank_account {user['bank_account']} is already taken "
                                 "by another user or the platform")
@@ -136,14 +151,19 @@ def _validated(cfg: dict) -> dict:
         if order.get("attack") not in (None, "replay"):
             raise ScenarioError(f"orders[{i}] attack must be \"replay\", got {order['attack']!r}")
         user = order.get("user")
-        if not isinstance(user, int) or not 0 <= user < len(users):
+        if not _is_int(user, 0) or user >= len(users):
             raise ScenarioError(f"orders[{i}] has no valid user index")
         amount = order.get("crypto_amount", 0)
-        if not isinstance(amount, int) or amount <= 0:
+        if not _is_int(amount, 1):
             raise ScenarioError(f"orders[{i}] needs a positive integer crypto_amount")
+        _require_int(f"orders[{i}] address_count", order.get("address_count", 1), 1)
     merged["orders"] = orders
+    treasury, declared = merged["treasury_crypto"], sum(o["crypto_amount"] for o in orders)
+    if treasury is not None and not _is_int(treasury, declared):
+        raise ScenarioError(f"treasury_crypto must be null or an integer of at least {declared}, "
+                            f"the sum of the orders' crypto_amount; got {treasury!r}")
     rate = merged["rate"]
-    if not (isinstance(rate, list) and len(rate) == 2 and all(isinstance(x, int) and x > 0 for x in rate)):
+    if not (isinstance(rate, list) and len(rate) == 2 and all(_is_int(x, 1) for x in rate)):
         raise ScenarioError("rate must be a [numerator, denominator] pair of positive integers")
     return merged
 
@@ -205,7 +225,7 @@ def build_context(cfg: dict, key_cache_dir: str | Path | None = None) -> tuple[S
     made = fill_missing(profile, seed, slots, key_cache_dir) if key_cache_dir is not None else {}
     platform_keys, bank_keys = (made[slot] if slot in made else issuer_keys(profile, seed, *slot, key_cache_dir)
                                 for slot in slots)
-    bank_enc = paillier_keygen(profile, random.Random(f"{seed}:paillier:bank"))
+    bank_enc = bank_paillier_keys(profile, seed, key_cache_dir)
     authority_enc = elgamal_keygen(profile, random.Random(f"{seed}:elgamal:authority"))
 
     clock = SimClock()

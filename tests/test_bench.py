@@ -2,8 +2,10 @@ import json
 import tempfile
 
 import pytest
+from click.testing import CliRunner
 
 from fcguard.bench import PHASES, REFERENCE_MS, run_bench
+from fcguard.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +59,9 @@ def test_run_bench_leaves_no_key_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     run_bench(profile="toy", iterations=5, seed=5)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_bench_refuses_a_negative_seed():
+    run = CliRunner().invoke(main, ["--profile", "toy", "--seed", "-1", "bench"])
+    assert run.exit_code == 2
+    assert "seed must be an integer of at least 0" in run.output

@@ -1,4 +1,5 @@
 import json
+import random
 import signal
 import subprocess
 from types import SimpleNamespace
@@ -8,7 +9,8 @@ import pytest
 from fcguard import keycache
 from fcguard.bench import run_bench
 from fcguard.crypto.cl import ClIssuerKeyPair
-from fcguard.crypto.primes import is_probable_prime
+from fcguard.crypto.paillier import paillier_keygen
+from fcguard.crypto.primes import is_probable_prime, random_prime
 from fcguard.errors import FcGuardError
 from fcguard.keycache import issuer_keys
 from fcguard.params import TOY
@@ -138,3 +140,73 @@ def test_cold_toy_fill_starts_no_subprocess(tmp_path, monkeypatch):
     assert made == {(label, 4): issuer_keys(TOY, 7, label, 4, None) for label in ("platform", "bank")}
     report = run_bench(profile="toy", iterations=5, seed=17)
     assert report.phases
+
+
+def _paillier_file(tmp_path):
+    (path,) = tmp_path.glob("paillier-*.json")
+    return path
+
+
+def test_paillier_cache_hit_is_the_seeded_key(tmp_path):
+    seeded = paillier_keygen(TOY, random.Random("5:paillier:bank"))
+    cold = keycache.bank_paillier_keys(TOY, 5, tmp_path)
+    assert _paillier_file(tmp_path).name == "paillier-toy-5-bank.json"
+    warm = keycache.bank_paillier_keys(TOY, 5, tmp_path)
+    for keys in (cold, warm, keycache.bank_paillier_keys(TOY, 5, None)):
+        assert keys.public.n == seeded.public.n
+        assert keys.public.key_id() == seeded.public.key_id()
+        assert (keys.p, keys.q) == (seeded.p, seeded.q)
+
+
+def _composite_p(keys):
+    p = keys.p + 2
+    while is_probable_prime(p):
+        p += 2
+    return {"p": str(p)}
+
+
+def _wrong_size_q(keys):
+    q = random_prime(TOY.paillier_modulus_bits // 2 - 1, random.Random(1))
+    return {"q": str(q)}
+
+
+@pytest.fixture
+def paillier_made(monkeypatch):
+    """One entry per Paillier key keycache makes rather than loads."""
+    made = []
+    real_keygen = keycache.paillier_keygen
+
+    def keygen(*args):
+        made.append(1)
+        return real_keygen(*args)
+
+    monkeypatch.setattr(keycache, "paillier_keygen", keygen)
+    return made
+
+
+@pytest.mark.parametrize("forge", [
+    _composite_p,
+    lambda keys: {"q": str(keys.p)},  # p = q
+    _wrong_size_q,
+    lambda keys: {"p": [str(keys.p)]},
+])
+def test_bad_paillier_cache_file_is_rejected_and_regenerated(tmp_path, paillier_made, forge):
+    fresh = keycache.bank_paillier_keys(TOY, 5, tmp_path)
+    path = _paillier_file(tmp_path)
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps({**raw, **forge(fresh)}))
+    paillier_made.clear()
+    assert keycache.bank_paillier_keys(TOY, 5, tmp_path) == fresh
+    assert paillier_made == [1]
+    assert json.loads(path.read_text()) == raw
+
+
+def test_cold_toy_context_writes_the_paillier_key_and_a_warm_one_reads_it(tmp_path, paillier_made):
+    cold, _ = build_context(_toy_cfg(13), tmp_path)
+    assert paillier_made == [1]
+    assert _paillier_file(tmp_path).name == "paillier-toy-13-bank.json"
+    warm, _ = build_context(_toy_cfg(13), tmp_path)
+    assert paillier_made == [1]
+    assert warm.bank.enc_keys == cold.bank.enc_keys
+    uncached, _ = build_context(_toy_cfg(13))
+    assert uncached.bank.enc_keys.public.key_id() == warm.bank.enc_keys.public.key_id()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -241,3 +242,85 @@ def _next_prime(n):
                  st.sampled_from(sorted(PINNED_SOPHIE_GERMAIN.values()))))
 def test_pocklington_agrees_with_miller_rabin(q):
     assert is_prime_2q_plus_1(q) == is_probable_prime(2 * q + 1)
+
+
+def _sieve_flags(limit):
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return flags
+
+
+def test_bpsw_agrees_with_a_sieve_below_100000():
+    # trial division below 2000 answers all of these in is_probable_prime,
+    # so the BPSW core is called directly
+    prime = _sieve_flags(10**5)
+    for n in range(5, 10**5, 2):
+        assert primes._bpsw(n) == bool(prime[n]), n
+
+
+def test_bpsw_rejects_every_strong_pseudoprime_below_100000():
+    prime = _sieve_flags(10**5)
+    composites = [n for n in range(5, 10**5, 2) if not prime[n]]
+    base2 = [n for n in composites if primes._strong_base2(n)]
+    lucas = [n for n in composites if primes._strong_lucas(n)]
+    # OEIS A001262 and A217255 below 10^5
+    assert len(base2) == 16 and base2[0] == 2047
+    assert len(lucas) == 12 and lucas[0] == 5459
+    assert not set(base2) & set(lucas)
+    for n in base2 + lucas:
+        assert not primes._bpsw(n), n
+
+
+@pytest.mark.parametrize("root", [3, 7, 1093, 3511, 7919, 2**61 - 1, 2**89 - 1, 1999 * 2003])
+def test_bpsw_rejects_perfect_squares(root):
+    # 1093^2 and 3511^2 are strong base-2 pseudoprimes; a square has no
+    # Selfridge D, so the Lucas test must refuse it before searching
+    assert not primes._strong_lucas(root * root)
+    assert not primes._bpsw(root * root)
+    assert not is_probable_prime(root * root)
+    if root in (1093, 3511):
+        assert primes._strong_base2(root * root)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# psi_9 = 149491 * 747451 * 34233211, psi_12 and psi_13: the least composites
+# passing strong tests to every prime base up to 23 (in fact 31), 37 and 41
+# (Jaeschke 1993; Jiang-Deng 2014; Sorenson-Webster 2017)
+FIXED_BASE_PSEUDOPRIMES = [
+    (3825123056546413051, 23),
+    (318665857834031151167461, 37),
+    (3317044064679887385961981, 41),
+]
+
+
+@pytest.mark.parametrize("n,top_base", FIXED_BASE_PSEUDOPRIMES)
+def test_bpsw_rejects_fixed_base_pseudoprimes(n, top_base):
+    bases = [a for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41) if a <= top_base]
+    assert all(_strong_probable_prime(n, a) for a in bases)
+    assert math.gcd(n, primes._TRIAL_PRODUCT) == 1  # is_probable_prime reaches BPSW
+    assert not primes._bpsw(n)
+    assert not is_probable_prime(n)
+
+
+def test_bpsw_accepts_primes_of_every_search_size():
+    for bits in (64, 255, 417, 593, 1024):
+        p = random_prime(bits, random.Random(bits))
+        assert primes._strong_base2(p) and primes._strong_lucas(p)
+    for value in PINNED_SOPHIE_GERMAIN.values():
+        assert primes._bpsw(value) and primes._bpsw(2 * value + 1)

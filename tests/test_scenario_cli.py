@@ -91,7 +91,47 @@ def _malformed_cfgs():
         variant(lambda c: c["users"][0].update(self_reprot=False)),
         variant(lambda c: c.update(audti=False)),
         variant(lambda c: c["orders"][0].update(attack="splice")),
+        # the seed names key-cache files
+        *(variant(lambda c, seed=seed: c.update(seed=seed))
+          for seed in ("../../../tmp/x", [1], -1, True, "11", 1.5)),
+        variant(lambda c: c["users"][0].update(balance="100")),
+        variant(lambda c: c["users"][0].update(balance=-5)),
+        variant(lambda c: c["orders"][0].update(address_count="2")),
+        variant(lambda c: c["orders"][0].update(address_count=0)),
+        variant(lambda c: c.update(delay_max_ms="5")),
+        variant(lambda c: c.update(delay_max_ms=-1)),
+        variant(lambda c: c.update(rotation_epoch=-1)),
+        variant(lambda c: c.update(rotation_epoch="5")),
+        variant(lambda c: c.update(treasury_crypto="x")),
+        variant(lambda c: c.update(treasury_crypto=119)),  # the order declares 120
+        variant(lambda c: c.update(treasury_crypto=10)),
+        variant(lambda c: c.update(audit="no")),
+        variant(lambda c: c.update(audit=0)),
+        # a bool is an int to Python, but never a count, an index or a rate
+        variant(lambda c: c["orders"][0].update(user=False)),
+        variant(lambda c: c.update(rate=[True, 1])),
     ]
+
+
+@pytest.mark.parametrize("seed", ["../../../tmp/x", [1]])
+def test_seed_that_is_not_an_integer_writes_no_key_file(tmp_path, seed):
+    cfg = _toy_cfg()
+    cfg["seed"] = seed
+    cache = tmp_path / "a" / "b" / "keys"
+    with pytest.raises(ScenarioError, match="seed"):
+        run_scenario(cfg, cache)
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+def test_bounds_that_are_allowed_run():
+    cfg = _toy_cfg()
+    cfg.update(treasury_crypto=120, rotation_epoch=0, delay_max_ms=0, audit=False, seed=0)
+    cfg["users"][0]["balance"] = 120  # the order's fiat at the 1:1 rate
+    cfg["assertions"] = ["orders_complete", "conservation"]
+    result = run_scenario(cfg)
+    assert result.passed
+    assert result.audit_outcomes == {}
+    assert result.ctx.chain.total_supply() == 120
 
 
 @pytest.mark.parametrize("mode", ["fcguard", "baseline"])
