@@ -92,8 +92,8 @@ def scenario_run(ctx: click.Context, path: str) -> None:
             "audit": {k: {"outcome": kind, "ssn": ssn}
                       for k, (kind, ssn) in result.audit_outcomes.items()},
             "final_state": result.final_state(),
-            "mode": result.mode,
-            "seed": result.seed,
+            "mode": result.cfg["mode"],
+            "seed": result.cfg["seed"],
         }, sort_keys=True, indent=2))
     for order in result.orders:
         suffix = f"({order.failure_cause})" if order.failure_cause else ""

@@ -159,9 +159,7 @@ def create_credential_request(link_secret: LinkSecret, definition: CredentialDef
     proof = prove_opening(
         pk.n, pk.r_bases[LINK_SLOT], pk.s, blinded, link_secret.value, v_prime,
         label="credential-request", nonce=nonce + definition.defn_id.encode(),
-        profile=profile, rng=rng,
-        r_bits=pk.n.bit_length() + profile.stat_bits,
-    )
+        profile=profile, rng=rng)
     return CredentialRequest(defn_id=definition.defn_id, nonce=nonce, blinded=blinded, proof=proof), v_prime
 
 

@@ -140,11 +140,7 @@ def cl_sign(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: Profile,
     order = keys.group_order
     e = _random_signature_exponent(profile, order, rng)
     v = rng.getrandbits(profile.v_bits) | (1 << (profile.v_bits - 1))
-    base = powmod_fixed(public.s, v, public.n) * _attribute_term(public, attributes, reserved) % public.n
-    if hidden_commitment is not None:
-        base = base * (hidden_commitment % public.n) % public.n
-    q_value = public.z * invert(base, public.n) % public.n
-    a = keys.powmod_crt(q_value, invert(e, order))
+    a = keys.powmod_crt(recompute_q(public, attributes, v, hidden_commitment), invert(e, order))
     return ClSignature(a=a, e=e, v=v)
 
 

@@ -76,12 +76,10 @@ class OpeningProof:
 
 
 def prove_opening(n: int, base1: int, base2: int, value: int, m: int, r: int,
-                  label: str, nonce: bytes, profile: Profile, rng: random.Random,
-                  m_bits: int | None = None, r_bits: int | None = None) -> OpeningProof:
-    m_bits = m_bits if m_bits is not None else profile.attr_bits
-    r_bits = r_bits if r_bits is not None else n.bit_length() + profile.stat_bits
-    m_t = rng.getrandbits(m_bits + profile.challenge_bits + profile.stat_bits)
-    r_t = rng.getrandbits(r_bits + profile.challenge_bits + profile.stat_bits)
+                  label: str, nonce: bytes, profile: Profile, rng: random.Random) -> OpeningProof:
+    slack = profile.challenge_bits + profile.stat_bits
+    m_t = rng.getrandbits(profile.attr_bits + slack)
+    r_t = rng.getrandbits(n.bit_length() + profile.stat_bits + slack)
     t_value = powmod_fixed(base1, m_t, n) * powmod_fixed(base2, r_t, n) % n
     c = _opening_challenge(label, nonce, n, base1, base2, value, t_value, profile)
     return OpeningProof(challenge=c, s_m=m_t + c * m, s_r=r_t + c * r)

@@ -438,6 +438,14 @@ def _age_threshold(current_date: int, years: int) -> int:
     return current_date - years * 10000
 
 
+def _reject(ctx: SimContext, order: ExchangeOrder, sender: str, receiver: str,
+            mtype: str, cause: str) -> None:
+    """Tell the counterpart why the order stops, and fail it for that cause."""
+    ctx.net.send(sender, receiver, mtype, {"cause": cause, "order_id": order.order_id},
+                 PHASE_EXCHANGE)
+    order.fail(cause, ctx.clock.now_ms)
+
+
 def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
                             actor=None, credential_defn_id: str | None = None,
                             ) -> tuple[ExchangeOrder, ExchangeSession]:
@@ -465,9 +473,7 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
             encrypt=[EncryptionSpec(attr="ssn", public_key=ctx.authority.public_enc_key)],
             predicates=predicates)
     except FcGuardError:
-        ctx.net.send(actor.party_id, "platform", "step1-abort",
-                     {"order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("identity", ctx.clock.now_ms)
+        _reject(ctx, order, actor.party_id, "platform", "step1-abort", "identity")
         return order, handle
     handle.bundle1 = bundle1
     ctx.net.send(actor.party_id, "platform", "step1-bundle",
@@ -486,9 +492,7 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
     ok = ok and verify_bundle(ctx.registry, bundle1, order.nonce, {aa_key.key_id(): aa_key},
                               expected_prev=b"")
     if not ok:
-        ctx.net.send("platform", actor.party_id, "step1-rejected",
-                     {"order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("identity", ctx.clock.now_ms)
+        _reject(ctx, order, "platform", actor.party_id, "step1-rejected", "identity")
         return order, handle
     ctx.platform.pending_enc_ssn[order.order_id] = enc.ciphertext
     order.advance("identity-verified", ctx.clock.now_ms)
@@ -514,9 +518,7 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
         equality = session.equality_proof(handle.bundle1, "ssn", bundle2, "ssn")
     except ProofRefusedError:
         # the prover's own credentials disagree; abort before anything is sent
-        ctx.net.send(actor.party_id, "platform", "step2-abort",
-                     {"order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("equality", ctx.clock.now_ms)
+        _reject(ctx, order, actor.party_id, "platform", "step2-abort", "equality")
         return
     handle.bundle2, handle.equality = bundle2, equality
     ctx.net.send(actor.party_id, "platform", "step2-bundle",
@@ -538,16 +540,12 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
     ok = ok and verify_bundle(ctx.registry, bundle2, order.nonce, keys,
                               expected_prev=bundle_digest(handle.bundle1))
     if not ok:
-        ctx.net.send("platform", actor.party_id, "step2-rejected",
-                     {"cause": "bank-presentation", "order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("bank-presentation", ctx.clock.now_ms)
+        _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "bank-presentation")
         return
     if equality.attr_a != "ssn" or equality.attr_b != "ssn" \
             or not verify_equality(ctx.registry, equality, handle.bundle1, bundle2,
                                    order.nonce, order.nonce, keys):
-        ctx.net.send("platform", actor.party_id, "step2-rejected",
-                     {"cause": "equality", "order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("equality", ctx.clock.now_ms)
+        _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "equality")
         return
     platform.order_bank[order.order_id] = bank.party_id
 
@@ -557,19 +555,13 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
                   "ciphertext": enc.ciphertext, "order_id": order.order_id,
                   "platform_account": platform.bank_account}, PHASE_EXCHANGE)
 
-    if not verify_bundle(ctx.registry, bundle2, order.nonce,
-                         {bank.public_enc_key.key_id(): bank.public_enc_key,
-                          ctx.authority.public_enc_key.key_id(): ctx.authority.public_enc_key}):
-        ctx.net.send(bank.party_id, "platform", "fiat-rejected",
-                     {"cause": "bank-verify", "order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("bank-verify", ctx.clock.now_ms)
-        return
-    account_number = paillier_decrypt(bank.enc_keys, enc.ciphertext)
+    verified = verify_bundle(ctx.registry, bundle2, order.nonce,
+                             {bank.public_enc_key.key_id(): bank.public_enc_key,
+                              ctx.authority.public_enc_key.key_id(): ctx.authority.public_enc_key})
+    account_number = paillier_decrypt(bank.enc_keys, enc.ciphertext) if verified else None
     account = bank.accounts.get(account_number)
     if account is None:
-        ctx.net.send(bank.party_id, "platform", "fiat-rejected",
-                     {"cause": "bank-verify", "order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("bank-verify", ctx.clock.now_ms)
+        _reject(ctx, order, bank.party_id, "platform", "fiat-rejected", "bank-verify")
         return
 
     # MFA over the user side channel tied to the account owner
@@ -584,9 +576,7 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
                  {"answer": answer, "order_id": order.order_id}, PHASE_EXCHANGE)
     if answer != code:
         del bank.mfa_pending[order.order_id]
-        ctx.net.send(bank.party_id, "platform", "fiat-rejected",
-                     {"cause": "mfa", "order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("mfa", ctx.clock.now_ms)
+        _reject(ctx, order, bank.party_id, "platform", "fiat-rejected", "mfa")
         return
     ctx.net.send(bank.party_id, "platform", "bank-user-verified",
                  {"order_id": order.order_id}, PHASE_EXCHANGE)
@@ -607,9 +597,7 @@ def exchange_step3_transfer(ctx: SimContext, user: User, order: ExchangeOrder,
     _, account_number = code_entry
     account = bank.accounts[account_number]
     if account.balance < order.fiat_due:
-        ctx.net.send(bank.party_id, "platform", "fiat-rejected",
-                     {"cause": "funds", "order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("funds", ctx.clock.now_ms)
+        _reject(ctx, order, bank.party_id, "platform", "fiat-rejected", "funds")
         return
     account.balance -= order.fiat_due
     bank.accounts[platform.bank_account].balance += order.fiat_due
@@ -749,9 +737,7 @@ def baseline_settle(ctx: SimContext, user: User, order: ExchangeOrder) -> None:
     bank = ctx.bank
     account = bank.accounts[user.bank_account]
     if account.balance < order.fiat_due:
-        ctx.net.send(bank.party_id, "platform", "fiat-rejected",
-                     {"cause": "funds", "order_id": order.order_id}, PHASE_EXCHANGE)
-        order.fail("funds", ctx.clock.now_ms)
+        _reject(ctx, order, bank.party_id, "platform", "fiat-rejected", "funds")
         return
     account.balance -= order.fiat_due
     bank.accounts[ctx.platform.bank_account].balance += order.fiat_due

@@ -8,12 +8,15 @@ seed, and the named assertions to evaluate after the run. Identical
 
 from __future__ import annotations
 
+import copy
+import datetime
 import json
 import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from .crypto.elgamal import elgamal_keygen
+from .crypto.encoding import ATTRIBUTE_BOUND
 from .errors import ProtocolError, ScenarioError
 from .keycache import bank_paillier_keys, fill_missing, issuer_keys
 from .ledger import Chain, Registry
@@ -57,20 +60,6 @@ PLATFORM_BANK_ACCOUNT = 999_000_001
 PHASES = ("registration", "identity_verification", "bank_interaction",
           "bank_transfer", "crypto_transfer", "audit")
 
-DEFAULTS = {
-    "audit": True,
-    "bank_name": "Bank of A",
-    "current_date": 20250101,
-    "delay_max_ms": 600_000,
-    "mode": "fcguard",
-    "pool_size": 4,
-    "profile": "toy",
-    "rate": [1, 1],
-    "rotation_epoch": 10,
-    "seed": 1,
-    "treasury_crypto": None,  # default: 2x the sum of order amounts
-}
-
 
 def load_scenario(path: str | Path) -> dict:
     text = Path(path).read_text()
@@ -83,89 +72,129 @@ def load_scenario(path: str | Path) -> dict:
     return cfg
 
 
-# The keys a scenario, each of its users and each of its orders may hold.
-_SCENARIO_KEYS = frozenset(DEFAULTS) | {"assertions", "orders", "users"}
-_USER_KEYS = frozenset({"balance", "bank_account", "birthday", "name", "seed_ssa", "self_report", "ssn"})
-_ORDER_KEYS = frozenset({"address_count", "age_check_years", "asset", "attack", "crypto_amount",
-                         "self_report", "user"})
+# ---------------------------------------------------------------------------
+# the scenario format: per level, key -> (check, default or REQUIRED, what the
+# check requires). README's schema table is read off these tables.
+
+REQUIRED = object()
 
 
-def _unknown_keys(where: str, entry: dict, known: frozenset) -> None:
-    unknown = sorted(set(entry) - known)
+def _int_in(least: int, below: int | None = None):
+    """An int that is not a bool, in [least, below)."""
+    return lambda v: (isinstance(v, int) and not isinstance(v, bool) and v >= least
+                      and (below is None or v < below))
+
+
+def _or_null(check):
+    return lambda v: v is None or check(v)
+
+
+def _one_of(*choices: str):
+    return lambda v: isinstance(v, str) and v in choices
+
+
+def _is_bool(v: object) -> bool:
+    return isinstance(v, bool)
+
+
+def _is_text(v: object) -> bool:
+    return isinstance(v, str) and v.isprintable()
+
+
+def _is_date(v: object) -> bool:
+    """A YYYYMMDD integer that names a real calendar date."""
+    if not _int_in(0)(v):
+        return False
+    try:
+        datetime.date(v // 10000, v // 100 % 100, v % 100)
+    except (OverflowError, ValueError):
+        return False
+    return True
+
+
+SCENARIO_FIELDS = {
+    "seed": (_int_in(0), 1, "an integer of at least 0"),  # names key-cache files
+    "profile": (_one_of(*PROFILES), "toy", " or ".join(PROFILES)),
+    "mode": (_one_of("fcguard", "baseline"), "fcguard", "fcguard or baseline"),
+    "users": (lambda v: isinstance(v, list) and v != [], REQUIRED, "a non-empty list of users"),
+    "orders": (lambda v: isinstance(v, list), [], "a list of orders"),
+    "assertions": (lambda v: isinstance(v, list) and all(isinstance(n, str) and n in ASSERTIONS for n in v),
+                   [], "a list of assertion names"),
+    "audit": (_is_bool, True, "true or false"),
+    "bank_name": (_is_text, "Bank of A", "a printable string"),
+    "current_date": (_is_date, 20250101, "a YYYYMMDD calendar date"),
+    "delay_max_ms": (_int_in(0), 600_000, "an integer of at least 0"),
+    "pool_size": (_int_in(1, 1001), 4, "an integer from 1 to 1000"),
+    "rate": (lambda v: isinstance(v, list) and len(v) == 2 and all(_int_in(1)(x) for x in v),
+             [1, 1], "a [numerator, denominator] pair of integers of at least 1"),
+    "rotation_epoch": (_int_in(0), 10, "an integer of at least 0"),
+    "treasury_crypto": (_or_null(_int_in(0)), None,
+                        "null or an integer of at least the sum of the orders' crypto_amount"),
+}
+USER_FIELDS = {
+    "name": (_is_text, REQUIRED, "a printable string"),
+    "birthday": (_is_date, REQUIRED, "a YYYYMMDD calendar date"),
+    "ssn": (_int_in(1, 1_000_000_000), REQUIRED, "an integer from 1 to 999999999"),
+    "bank_account": (_int_in(0, ATTRIBUTE_BOUND), REQUIRED, "an integer from 0 to 2^252 - 1"),
+    "balance": (_int_in(0), REQUIRED, "an integer of at least 0"),
+    "self_report": (_is_bool, True, "true or false"),
+    "seed_ssa": (_is_bool, True, "true or false"),
+}
+ORDER_FIELDS = {
+    # checked against the users list after the walk
+    "user": (None, REQUIRED, "an index into users"),
+    "crypto_amount": (_int_in(1), REQUIRED, "an integer of at least 1"),
+    "asset": (_is_text, "BTC", "a printable string"),
+    "address_count": (_int_in(1, 101), 1, "an integer from 1 to 100"),
+    "age_check_years": (_or_null(_int_in(0)), None, "null or an integer of at least 0"),
+    "attack": (_or_null(_one_of("replay")), None, "null or replay"),
+    "self_report": (_or_null(_is_bool), None, "null (the user's self_report), true or false"),
+}
+
+
+def _fields(where: str, entry: object, spec: dict) -> dict:
+    """A new dict of entry's fields with every default filled in; refuses
+    unknown keys, missing required keys and values that fail their check."""
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{where} must be an object")
+    unknown = sorted(set(entry) - set(spec))
     if unknown:
-        raise ScenarioError(f"{where} has unknown keys {unknown}; expected some of {sorted(known)}")
+        raise ScenarioError(f"{where} has unknown keys {unknown}; expected some of {sorted(spec)}")
+    out = {}
+    for key, (check, default, what) in spec.items():
+        if key not in entry and default is REQUIRED:
+            raise ScenarioError(f"{where} is missing required field {key!r}")
+        value = entry[key] if key in entry else copy.copy(default)  # never share a default list
+        if check is not None and not check(value):
+            raise ScenarioError(f"{where} {key} must be {what}, got {value!r}")
+        out[key] = value
+    return out
 
 
-def _is_int(value: object, least: int) -> bool:
-    """Whether value is an int (not a bool) of at least `least`."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _require_int(where: str, value: object, least: int) -> None:
-    if not _is_int(value, least):
-        raise ScenarioError(f"{where} must be an integer of at least {least}, got {value!r}")
-
-
-def _validated(cfg: dict) -> dict:
-    _unknown_keys("scenario", cfg, _SCENARIO_KEYS)
-    merged = dict(DEFAULTS)
-    merged.update(cfg)
-    if merged["mode"] not in ("fcguard", "baseline"):
-        raise ScenarioError(f"mode must be fcguard or baseline, got {merged['mode']!r}")
-    if merged["profile"] not in tuple(PROFILES):
-        raise ScenarioError(f"unknown profile {merged['profile']!r}; expected one of {sorted(PROFILES)}")
-    # the seed names key-cache files, so it is never a path or a list
-    _require_int("seed", merged["seed"], 0)
-    _require_int("pool_size", merged["pool_size"], 1)
-    _require_int("rotation_epoch", merged["rotation_epoch"], 0)  # 0: no rotation
-    _require_int("delay_max_ms", merged["delay_max_ms"], 0)
-    if not isinstance(merged["audit"], bool):
-        raise ScenarioError(f"audit must be true or false, got {merged['audit']!r}")
-    users = merged.get("users")
-    if not isinstance(users, list) or not users:
-        raise ScenarioError("scenario needs a non-empty users list")
-    accounts = {PLATFORM_BANK_ACCOUNT}
+def _validated(cfg: object) -> dict:
+    """A copy of cfg with every default filled in, after the rules that span
+    fields; raises ScenarioError naming the first field that breaks one."""
+    cfg = _fields("scenario", cfg, SCENARIO_FIELDS)
+    users = cfg["users"] = [_fields(f"users[{i}]", u, USER_FIELDS) for i, u in enumerate(cfg["users"])]
+    taken = {PLATFORM_BANK_ACCOUNT}
     for i, user in enumerate(users):
-        if not isinstance(user, dict):
-            raise ScenarioError(f"users[{i}] must be an object")
-        _unknown_keys(f"users[{i}]", user, _USER_KEYS)
-        for key in ("name", "birthday", "ssn", "bank_account", "balance"):
-            if key not in user:
-                raise ScenarioError(f"users[{i}] missing required field {key!r}")
-        try:
-            PiiRecord(name=user["name"], birthday=user["birthday"], ssn=user["ssn"])
-        except (ProtocolError, TypeError) as exc:
-            raise ScenarioError(f"users[{i}]: {exc}") from exc
-        _require_int(f"users[{i}] balance", user["balance"], 0)
-        if user["bank_account"] in accounts:
+        if user["bank_account"] in taken:
             raise ScenarioError(f"users[{i}] bank_account {user['bank_account']} is already taken "
                                 "by another user or the platform")
-        accounts.add(user["bank_account"])
-    orders = merged.get("orders", [])
-    if not isinstance(orders, list):
-        raise ScenarioError("orders must be a list")
+        taken.add(user["bank_account"])
+    orders = cfg["orders"] = [_fields(f"orders[{i}]", o, ORDER_FIELDS) for i, o in enumerate(cfg["orders"])]
     for i, order in enumerate(orders):
-        if not isinstance(order, dict):
-            raise ScenarioError(f"orders[{i}] must be an object")
-        _unknown_keys(f"orders[{i}]", order, _ORDER_KEYS)
-        if order.get("attack") not in (None, "replay"):
-            raise ScenarioError(f"orders[{i}] attack must be \"replay\", got {order['attack']!r}")
-        user = order.get("user")
-        if not _is_int(user, 0) or user >= len(users):
-            raise ScenarioError(f"orders[{i}] has no valid user index")
-        amount = order.get("crypto_amount", 0)
-        if not _is_int(amount, 1):
-            raise ScenarioError(f"orders[{i}] needs a positive integer crypto_amount")
-        _require_int(f"orders[{i}] address_count", order.get("address_count", 1), 1)
-    merged["orders"] = orders
-    treasury, declared = merged["treasury_crypto"], sum(o["crypto_amount"] for o in orders)
-    if treasury is not None and not _is_int(treasury, declared):
+        if not _int_in(0, len(users))(order["user"]):
+            raise ScenarioError(f"orders[{i}] has no valid user index, got {order['user']!r}")
+        if order["self_report"] is None:
+            order["self_report"] = users[order["user"]]["self_report"]
+    declared = sum(o["crypto_amount"] for o in orders)
+    if cfg["treasury_crypto"] is None:
+        cfg["treasury_crypto"] = 2 * declared + 1000
+    elif cfg["treasury_crypto"] < declared:
         raise ScenarioError(f"treasury_crypto must be null or an integer of at least {declared}, "
-                            f"the sum of the orders' crypto_amount; got {treasury!r}")
-    rate = merged["rate"]
-    if not (isinstance(rate, list) and len(rate) == 2 and all(_is_int(x, 1) for x in rate)):
-        raise ScenarioError("rate must be a [numerator, denominator] pair of positive integers")
-    return merged
+                            f"the sum of the orders' crypto_amount; got {cfg['treasury_crypto']!r}")
+    return cfg
 
 
 @dataclass
@@ -183,14 +212,11 @@ class OrderOutcome:
 
 @dataclass
 class ScenarioResult:
-    mode: str
-    seed: int
+    cfg: dict  # the validated config, every default filled in
     ctx: SimContext
     orders: list[OrderOutcome]
     audit_outcomes: dict[str, tuple[str, int | None]]
     assertion_results: dict[str, tuple[bool, str]]
-    initial_fiat_total: int
-    initial_crypto_total: int
     registration_ok: dict[int, bool]
     # wall seconds per phase: one sample per registered user or per order
     # that reached the phase; a step made once for the whole run adds an
@@ -245,24 +271,20 @@ def build_context(cfg: dict, key_cache_dir: str | Path | None = None) -> tuple[S
     for i, ucfg in enumerate(cfg["users"]):
         pii = PiiRecord(name=ucfg["name"], birthday=ucfg["birthday"], ssn=ucfg["ssn"])
         user = User(index=i, pii=pii, bank_account=ucfg["bank_account"], profile=profile,
-                    rng=random.Random(f"{seed}:user:{i}"),
-                    self_report=bool(ucfg.get("self_report", True)))
+                    rng=random.Random(f"{seed}:user:{i}"), self_report=ucfg["self_report"])
         users.append(user)
-        if ucfg.get("seed_ssa", True):
+        if ucfg["seed_ssa"]:
             ssa.seed(pii)
         bank.open_account(ucfg["bank_account"], pii.ssn, ucfg["balance"],
                           owner_party=user.party_id)
     bank.open_account(PLATFORM_BANK_ACCOUNT, 0, 0, owner_party="platform")
 
-    treasury = cfg["treasury_crypto"]
-    if treasury is None:
-        treasury = 2 * sum(o["crypto_amount"] for o in cfg["orders"]) + 1000
-    chain.genesis({platform.treasury_address: treasury})
+    chain.genesis({platform.treasury_address: cfg["treasury_crypto"]})
 
     ctx = SimContext(clock=clock, net=net, registry=registry, chain=chain, profile=profile,
                      rng=random.Random(f"{seed}:main"), platform=platform,
                      bank=bank, ssa=ssa, authority=authority, users=users,
-                     rate=(cfg["rate"][0], cfg["rate"][1]), delay_max_ms=cfg["delay_max_ms"],
+                     rate=tuple(cfg["rate"]), delay_max_ms=cfg["delay_max_ms"],
                      current_date=cfg["current_date"])
     publish_issuer_definitions(ctx)
     return ctx, cfg
@@ -276,8 +298,6 @@ def _share(samples: list[float], seconds: float) -> None:
 def run_scenario(cfg: dict, key_cache_dir: str | Path | None = None) -> ScenarioResult:
     ctx, cfg = build_context(cfg, key_cache_dir)
     mode = cfg["mode"]
-    initial_fiat = ctx.fiat_total()
-    initial_crypto = ctx.chain.total_supply()
     step_s: dict[str, list[float]] = {phase: [] for phase in PHASES}
 
     # Steps are named at the call, not held in a table, so that a wrapper put
@@ -301,26 +321,15 @@ def run_scenario(cfg: dict, key_cache_dir: str | Path | None = None) -> Scenario
             registration_ok[user.index] = False
 
     attacker = Attacker()
-    outcomes: list[OrderOutcome] = []
-    notify: dict[str, User] = {}
-    order_objs: dict[str, ExchangeOrder] = {}
-    order_users: dict[str, User] = {}
-    order_reports: dict[str, bool] = {}
-
+    runs: list[tuple[dict, User, ExchangeOrder]] = []  # (order config, user, order)
     for idx, ocfg in enumerate(cfg["orders"]):
         user = ctx.users[ocfg["user"]]
         if not registration_ok[user.index]:
             continue
-        count = ocfg.get("address_count", 1)
-        addresses = tuple(f"{user.party_id}:o{idx}:a{k}" for k in range(count))
-        params = OrderParams(asset=ocfg.get("asset", "BTC"),
-                             crypto_amount=ocfg["crypto_amount"], addresses=addresses,
-                             age_threshold_years=ocfg.get("age_check_years"))
-        attack = ocfg.get("attack")
-        actor = attacker if attack == "replay" else None
-        self_report = ocfg.get("self_report")
-        if self_report is None:
-            self_report = user.self_report
+        addresses = tuple(f"{user.party_id}:o{idx}:a{k}" for k in range(ocfg["address_count"]))
+        params = OrderParams(asset=ocfg["asset"], crypto_amount=ocfg["crypto_amount"],
+                             addresses=addresses, age_threshold_years=ocfg["age_check_years"])
+        actor = attacker if ocfg["attack"] == "replay" else None
 
         if mode == "baseline":
             order = open_order(ctx, user.party_id, params)
@@ -338,55 +347,39 @@ def run_scenario(cfg: dict, key_cache_dir: str | Path | None = None) -> Scenario
                 timed("bank_interaction", exchange_step2_bank, ctx, user, order, handle, actor=actor)
             if order.state == "bank-verified":
                 timed("bank_transfer", exchange_step3_transfer, ctx, user, order, actor=actor)
-            notify[order.order_id] = user
-        order_objs[order.order_id] = order
-        order_users[order.order_id] = user
-        order_reports[order.order_id] = bool(self_report)
-        outcomes.append(OrderOutcome(
-            order_id=order.order_id, user_index=user.index, state=order.state,
-            failure_cause=order.failure_cause, attack=attack, self_report=bool(self_report),
-            addresses=addresses, fiat_due=order.fiat_due, crypto_amount=order.crypto_amount))
+        runs.append((ocfg, user, order))
 
     if mode == "fcguard":
-        step_s["crypto_transfer"] = [0.0] * sum(o.state == "fiat-settled" for o in order_objs.values())
+        step_s["crypto_transfer"] = [0.0] * sum(order.state == "fiat-settled" for _, _, order in runs)
         start = time.perf_counter()
-        drain_transfers(ctx, notify)
+        drain_transfers(ctx, {order.order_id: user for _, user, order in runs})
         _share(step_s["crypto_transfer"], time.perf_counter() - start)
 
     audit_outcomes: dict[str, tuple[str, int | None]] = {}
     if cfg["audit"]:
-        for order_id, order in order_objs.items():
+        for ocfg, user, order in runs:
             if order.state not in ("fiat-settled", "crypto-sent", "complete"):
                 continue
-            user = order_users[order_id]
             if mode == "fcguard":
                 timed("audit", platform_report, ctx, order)
             else:
                 timed("audit", baseline_report, ctx, user, order)
-            if order_reports[order_id]:
+            if ocfg["self_report"]:
                 user_self_report(ctx, user, order)
         if mode == "fcguard":
             start = time.perf_counter()
             audit_outcomes = audit(ctx)
             _share(step_s["audit"], time.perf_counter() - start)
 
-    # refresh final order states after drain
-    for outcome in outcomes:
-        order = order_objs[outcome.order_id]
-        outcome.state = order.state
-        outcome.failure_cause = order.failure_cause
-
-    result = ScenarioResult(
-        mode=mode, seed=cfg["seed"], ctx=ctx, orders=outcomes,
-        audit_outcomes=audit_outcomes, assertion_results={},
-        initial_fiat_total=initial_fiat, initial_crypto_total=initial_crypto,
-        registration_ok=registration_ok, step_s=step_s)
-    for name in cfg.get("assertions", []):
-        check = ASSERTIONS.get(name)
-        if check is None:
-            result.assertion_results[name] = (False, f"unknown assertion {name!r}")
-        else:
-            result.assertion_results[name] = check(result)
+    outcomes = [OrderOutcome(
+        order_id=order.order_id, user_index=user.index, state=order.state,
+        failure_cause=order.failure_cause, attack=ocfg["attack"], self_report=ocfg["self_report"],
+        addresses=order.addresses, fiat_due=order.fiat_due, crypto_amount=order.crypto_amount)
+        for ocfg, user, order in runs]
+    result = ScenarioResult(cfg=cfg, ctx=ctx, orders=outcomes, audit_outcomes=audit_outcomes,
+                            assertion_results={}, registration_ok=registration_ok, step_s=step_s)
+    for name in cfg["assertions"]:
+        result.assertion_results[name] = ASSERTIONS[name](result)
     return result
 
 
@@ -430,11 +423,13 @@ def _assert_orders_complete(result: ScenarioResult) -> tuple[bool, str]:
 
 
 def _assert_conservation(result: ScenarioResult) -> tuple[bool, str]:
-    ctx = result.ctx
-    fiat_ok = ctx.fiat_total() == result.initial_fiat_total
-    crypto_ok = ctx.chain.total_supply() == result.initial_crypto_total
-    detail = f"fiat {result.initial_fiat_total}->{ctx.fiat_total()}, crypto {result.initial_crypto_total}->{ctx.chain.total_supply()}"
-    return (fiat_ok and crypto_ok, detail)
+    """Final totals against the declared inputs: the users' balances (the
+    platform's account opens at 0) and the treasury's genesis allocation."""
+    fiat_in = sum(u["balance"] for u in result.cfg["users"])
+    crypto_in = result.cfg["treasury_crypto"]
+    fiat_out, crypto_out = result.ctx.fiat_total(), result.ctx.chain.total_supply()
+    return (fiat_out == fiat_in and crypto_out == crypto_in,
+            f"fiat {fiat_in}->{fiat_out}, crypto {crypto_in}->{crypto_out}")
 
 
 def _assert_platform_blindness(result: ScenarioResult) -> tuple[bool, str]:
@@ -511,11 +506,11 @@ def _assert_address_hygiene(result: ScenarioResult) -> tuple[bool, str]:
         if tx.recipient in owner:
             credited[owner[tx.recipient]] = credited.get(owner[tx.recipient], 0) + tx.amount
     for o in result.orders:
-        if o.state == "complete" and result.mode == "fcguard":
+        if o.state == "complete" and result.cfg["mode"] == "fcguard":
             if credited.get(o.order_id, 0) != o.crypto_amount:
                 return (False, f"{o.order_id} credited {credited.get(o.order_id, 0)} != {o.crypto_amount}")
     completed = [o for o in result.orders if o.state == "complete"]
-    if result.mode == "fcguard" and len(completed) >= 2 and len(pool_senders) < 2:
+    if result.cfg["mode"] == "fcguard" and len(completed) >= 2 and len(pool_senders) < 2:
         return (False, f"only {len(pool_senders)} pool addresses used")
     return (True, f"{len(owner)} unique user addresses, {len(pool_senders)} pool addresses")
 

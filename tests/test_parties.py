@@ -145,6 +145,14 @@ def test_step1_rejects_foreign_platform_credential(ctx):
                                        credential_defn_id="defn:platform-2")
     assert order.state == "failed"
     assert order.failure_cause == "identity"
+    _assert_rejection_sent(ctx, "step1-rejected", "identity", order)
+
+
+def _assert_rejection_sent(context, mtype: str, cause: str, order) -> None:
+    """The last `mtype` message carries the order's failure cause."""
+    event = [e for e in context.net.events if e.mtype == mtype][-1]
+    payload = {"cause": cause, "order_id": order.order_id}
+    assert event.digest == hashlib.sha256(dumps(payload)).hexdigest()
 
 
 def test_step1_age_predicate_rejects_underage():
@@ -156,6 +164,7 @@ def test_step1_age_predicate_rejects_underage():
     order, _ = exchange_step1_identity(
         context, kid, OrderParams("BTC", 100, ("a0",), age_threshold_years=18))
     assert order.state == "failed" and order.failure_cause == "identity"
+    _assert_rejection_sent(context, "step1-abort", "identity", order)  # the prover refuses
 
 
 def test_step1_age_predicate_accepts_adult(ctx):
@@ -201,6 +210,7 @@ def test_step2_equality_failure_for_mismatched_ssn(ctx):
     order, handle = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",)))
     exchange_step2_bank(ctx, alice, order, handle)
     assert order.state == "failed" and order.failure_cause == "equality"
+    _assert_rejection_sent(ctx, "step2-abort", "equality", order)
 
 
 def _count_verifications(monkeypatch) -> list:

@@ -1,13 +1,25 @@
+import copy
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcguard.cli import main
 from fcguard.errors import ScenarioError
-from fcguard.scenario import PHASES, load_scenario, random_scenario, run_scenario
+from fcguard.parties import Bank
+from fcguard.scenario import (
+    ORDER_FIELDS,
+    PHASES,
+    SCENARIO_FIELDS,
+    USER_FIELDS,
+    load_scenario,
+    random_scenario,
+    run_scenario,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "fcguard" / "scenarios"
 
@@ -63,54 +75,125 @@ def test_scenario_validation_errors():
     cfg["mode"] = "hybrid"
     with pytest.raises(ScenarioError):
         run_scenario(cfg)
-    for bad in _malformed_cfgs():
-        with pytest.raises(ScenarioError):
+    for field, bad in _malformed_cfgs():
+        with pytest.raises(ScenarioError) as err:
             run_scenario(bad)
+        assert field in str(err.value), (field, str(err.value))
 
 
 def _malformed_cfgs():
-    """Configs that must be refused before any party is set up."""
-    def variant(edit):
+    """(the field the refusal must name, a config that must be refused before
+    any party is set up)."""
+    def variant(field, edit):
         cfg = _toy_cfg()
         edit(cfg)
-        return cfg
+        return field, cfg
 
     second_user = {"name": "Yan Example", "birthday": 19880808, "ssn": 369_258_147,
                    "bank_account": 99_888_777_666_555_444, "balance": 10_000}
     return [
-        variant(lambda c: c["orders"][0].update(user="0")),
-        variant(lambda c: c["orders"][0].update(crypto_amount="5")),
-        variant(lambda c: c.update(profile="huge")),
-        variant(lambda c: c.update(pool_size=0)),
-        variant(lambda c: c["users"][0].update(birthday=19901341)),
+        variant("user index", lambda c: c["orders"][0].update(user="0")),
+        variant("crypto_amount", lambda c: c["orders"][0].update(crypto_amount="5")),
+        variant("profile", lambda c: c.update(profile="huge")),
+        variant("pool_size", lambda c: c.update(pool_size=0)),
+        variant("birthday", lambda c: c["users"][0].update(birthday=19901341)),
         # two users on one account, and a user on the platform's account
-        variant(lambda c: c["users"].append(second_user)),
-        variant(lambda c: c["users"][0].update(bank_account=999_000_001)),
+        variant("bank_account", lambda c: c["users"].append(second_user)),
+        variant("bank_account", lambda c: c["users"][0].update(bank_account=999_000_001)),
         # a misspelt key, which would otherwise run an honest order
-        variant(lambda c: c["orders"][0].update(atack="replay")),
-        variant(lambda c: c["users"][0].update(self_reprot=False)),
-        variant(lambda c: c.update(audti=False)),
-        variant(lambda c: c["orders"][0].update(attack="splice")),
+        variant("atack", lambda c: c["orders"][0].update(atack="replay")),
+        variant("self_reprot", lambda c: c["users"][0].update(self_reprot=False)),
+        variant("audti", lambda c: c.update(audti=False)),
+        variant("attack", lambda c: c["orders"][0].update(attack="splice")),
         # the seed names key-cache files
-        *(variant(lambda c, seed=seed: c.update(seed=seed))
+        *(variant("seed", lambda c, seed=seed: c.update(seed=seed))
           for seed in ("../../../tmp/x", [1], -1, True, "11", 1.5)),
-        variant(lambda c: c["users"][0].update(balance="100")),
-        variant(lambda c: c["users"][0].update(balance=-5)),
-        variant(lambda c: c["orders"][0].update(address_count="2")),
-        variant(lambda c: c["orders"][0].update(address_count=0)),
-        variant(lambda c: c.update(delay_max_ms="5")),
-        variant(lambda c: c.update(delay_max_ms=-1)),
-        variant(lambda c: c.update(rotation_epoch=-1)),
-        variant(lambda c: c.update(rotation_epoch="5")),
-        variant(lambda c: c.update(treasury_crypto="x")),
-        variant(lambda c: c.update(treasury_crypto=119)),  # the order declares 120
-        variant(lambda c: c.update(treasury_crypto=10)),
-        variant(lambda c: c.update(audit="no")),
-        variant(lambda c: c.update(audit=0)),
+        variant("balance", lambda c: c["users"][0].update(balance="100")),
+        variant("balance", lambda c: c["users"][0].update(balance=-5)),
+        variant("address_count", lambda c: c["orders"][0].update(address_count="2")),
+        variant("address_count", lambda c: c["orders"][0].update(address_count=0)),
+        variant("address_count", lambda c: c["orders"][0].update(address_count=101)),
+        variant("pool_size", lambda c: c.update(pool_size=1001)),
+        variant("delay_max_ms", lambda c: c.update(delay_max_ms="5")),
+        variant("delay_max_ms", lambda c: c.update(delay_max_ms=-1)),
+        variant("rotation_epoch", lambda c: c.update(rotation_epoch=-1)),
+        variant("rotation_epoch", lambda c: c.update(rotation_epoch="5")),
+        variant("treasury_crypto", lambda c: c.update(treasury_crypto="x")),
+        variant("treasury_crypto", lambda c: c.update(treasury_crypto=119)),  # the order declares 120
+        variant("treasury_crypto", lambda c: c.update(treasury_crypto=10)),
+        variant("audit", lambda c: c.update(audit="no")),
+        variant("audit", lambda c: c.update(audit=0)),
         # a bool is an int to Python, but never a count, an index or a rate
-        variant(lambda c: c["orders"][0].update(user=False)),
-        variant(lambda c: c.update(rate=[True, 1])),
+        variant("user index", lambda c: c["orders"][0].update(user=False)),
+        variant("rate", lambda c: c.update(rate=[True, 1])),
+        # values that used to raise a bare exception, run anyway or be misread
+        variant("bank_name", lambda c: c.update(bank_name=7)),
+        variant("bank_account", lambda c: c["users"][0].update(bank_account=-1)),
+        variant("bank_account", lambda c: c["users"][0].update(bank_account="12")),
+        variant("bank_account", lambda c: c["users"][0].update(bank_account=2**252)),
+        variant("age_check_years", lambda c: c["orders"][0].update(age_check_years="18")),
+        variant("age_check_years", lambda c: c["orders"][0].update(age_check_years=-3)),
+        variant("self_report", lambda c: c["users"][0].update(self_report="no")),
+        variant("seed_ssa", lambda c: c["users"][0].update(seed_ssa="no")),
+        variant("self_report", lambda c: c["orders"][0].update(self_report="no")),
+        variant("asset", lambda c: c["orders"][0].update(asset=5)),
+        variant("name", lambda c: c["users"][0].update(name=5)),
+        variant("name", lambda c: c["users"][0].update(name="\ud800")),  # not UTF-8 encodable
+        variant("current_date", lambda c: c.update(current_date="x")),
+        variant("current_date", lambda c: c.update(current_date=20251399)),
+        variant("assertions", lambda c: c.update(assertions="conservation")),
+        variant("assertions", lambda c: c.update(assertions=["conservation", "no_such_check"])),
     ]
+
+
+def test_cli_refuses_every_malformed_scenario(tmp_path):
+    runner = CliRunner()
+    path = tmp_path / "bad.json"
+    for field, bad in _malformed_cfgs():
+        path.write_text(json.dumps(bad))
+        run = runner.invoke(main, ["scenario", "run", str(path)])
+        assert run.exit_code == 2, (field, run.output)  # an uncaught exception exits 1
+        assert field in run.output
+
+
+def test_validation_fills_defaults_without_changing_the_input():
+    cfg = _toy_cfg()
+    before = copy.deepcopy(cfg)
+    result = run_scenario(cfg)
+    assert cfg == before
+    assert result.cfg["treasury_crypto"] == 2 * 120 + 1000
+    assert result.cfg["orders"][0]["self_report"] is True  # the user's default
+    assert result.cfg["users"][0]["seed_ssa"] is True
+
+
+def test_conservation_is_checked_against_the_declared_inputs(monkeypatch):
+    open_account = Bank.open_account
+
+    def generous(self, number, owner_ssn, balance, owner_party=None):
+        open_account(self, number, owner_ssn, balance + 1, owner_party)
+
+    monkeypatch.setattr(Bank, "open_account", generous)
+    ok, detail = run_scenario(_toy_cfg()).assertion_results["conservation"]
+    assert not ok
+    assert detail.startswith("fiat 4000->4002,")  # one extra unit each for the user and the platform
+
+
+_ANY_VALUE = st.one_of(st.integers(), st.booleans(), st.text(max_size=8), st.none(),
+                       st.lists(st.integers(), max_size=3),
+                       st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=3500)
+@given(data=st.data())
+def test_any_one_field_replaced_is_refused_or_runs(data):
+    cfg = _toy_cfg()
+    entry, spec = data.draw(st.sampled_from([(cfg, SCENARIO_FIELDS), (cfg["users"][0], USER_FIELDS),
+                                             (cfg["orders"][0], ORDER_FIELDS)]))
+    entry[data.draw(st.sampled_from(sorted(spec) + ["unknown"]))] = data.draw(_ANY_VALUE)
+    try:
+        run_scenario(cfg)
+    except ScenarioError:
+        pass
 
 
 @pytest.mark.parametrize("seed", ["../../../tmp/x", [1]])
@@ -241,7 +324,7 @@ def test_cli_exit_codes(tmp_path):
     assert run.exit_code == 1
     assert "FAIL" in run.output
     # a malformed scenario exits 2, with no traceback
-    path.write_text(json.dumps(_malformed_cfgs()[0]))
+    path.write_text(json.dumps(_malformed_cfgs()[0][1]))
     run = runner.invoke(main, ["scenario", "run", str(path)])
     assert run.exit_code == 2
     assert "no valid user index" in run.output
