@@ -23,15 +23,14 @@ from .crypto.cl import (
     ClPublicKey,
     ClSignature,
     SignatureProof,
-    cl_verify,
-    recompute_q,
     sign_with_proof,
     signature_exponent_prime,
+    signature_q,
     verify_signature_proof,
 )
 from .crypto.commitment import OpeningProof, prove_opening, verify_opening
 from .crypto.encoding import encode_attribute
-from .crypto.primes import powmod_fixed
+from .crypto.primes import multi_powmod
 from .errors import SchemaMismatchError, VerificationError, WalletError
 from .ledger import Registry
 from .params import Profile, get_profile
@@ -154,8 +153,7 @@ def create_credential_request(link_secret: LinkSecret, definition: CredentialDef
     profile = definition.profile()
     pk = definition.public_key
     v_prime = rng.getrandbits(pk.n.bit_length() + profile.stat_bits)
-    blinded = (powmod_fixed(pk.s, v_prime, pk.n)
-               * powmod_fixed(pk.r_bases[LINK_SLOT], link_secret.value, pk.n) % pk.n)
+    blinded = multi_powmod(((pk.s, v_prime, True), (pk.r_bases[LINK_SLOT], link_secret.value, True)), pk.n)
     proof = prove_opening(
         pk.n, pk.r_bases[LINK_SLOT], pk.s, blinded, link_secret.value, v_prime,
         label="credential-request", nonce=nonce + definition.defn_id.encode(),
@@ -163,12 +161,16 @@ def create_credential_request(link_secret: LinkSecret, definition: CredentialDef
     return CredentialRequest(defn_id=definition.defn_id, nonce=nonce, blinded=blinded, proof=proof), v_prime
 
 
-def verify_credential_request(definition: CredentialDefinition, request: CredentialRequest) -> bool:
+def verify_credential_request(definition: CredentialDefinition, request: CredentialRequest,
+                              issuer_keys: ClIssuerKeyPair | None = None) -> bool:
+    """The request's opening proof; the issuer, passing its own key pair,
+    evaluates it mod p and mod q."""
     pk = definition.public_key
+    own = issuer_keys is not None and issuer_keys.public.n == pk.n
     return verify_opening(
         pk.n, pk.r_bases[LINK_SLOT], pk.s, request.blinded, request.proof,
         label="credential-request", nonce=request.nonce + definition.defn_id.encode(),
-        profile=definition.profile(),
+        profile=definition.profile(), crt=issuer_keys.crt if own else None,
     )
 
 
@@ -177,7 +179,7 @@ def issue_credential(issuer_keys: ClIssuerKeyPair, definition: CredentialDefinit
                      rng: random.Random) -> Credential:
     if request.defn_id != definition.defn_id:
         raise VerificationError("request targets a different credential definition")
-    if not verify_credential_request(definition, request):
+    if not verify_credential_request(definition, request, issuer_keys):
         raise VerificationError("invalid credential request proof")
     if set(attribute_values) != set(schema.attribute_names):
         raise SchemaMismatchError(
@@ -202,11 +204,11 @@ def holder_finalize_credential(definition: CredentialDefinition, schema: Schema,
     sig = credential.signature
     full = ClSignature(a=sig.a, e=sig.e, v=sig.v + v_prime)
     slots = [link_secret.value] + [credential.attributes[name] for name in schema.attribute_names]
-    if not cl_verify(pk, slots, full):
+    q_value = signature_q(pk, slots, full)
+    if q_value is None:
         raise VerificationError("credential signature invalid")
     if not signature_exponent_prime(full, profile):
         raise VerificationError("signature exponent outside the accepted prime range")
-    q_value = recompute_q(pk, slots, full.v)
     if not verify_signature_proof(pk, full.a, q_value, credential.signature_proof, request_nonce, profile):
         raise VerificationError("issuer signature-correctness proof invalid")
     return Credential(defn_id=credential.defn_id, attributes=dict(credential.attributes),

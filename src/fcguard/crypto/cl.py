@@ -7,6 +7,11 @@ prime exponent e and random blinding v, so verification is the single
 equation A^e * S^v * prod R_i^(m_i) = Z (mod n). A blinded commitment can
 occupy the reserved first slot during issuance, which is how the holder's
 link secret gets signed without being revealed.
+
+The issuer computes Z and the R_i when a key is assembled, and Q = A^e and A
+for each signature, mod p and mod q (`multi_powmod_crt`); `sign_with_proof`
+reuses the signature's Q. The holder computes Q once (`signature_q`) and
+checks both A^e = Q and the issuer's proof against it.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from ..errors import EncodingRangeError, ParameterError
 from ..params import Profile
 from ..serialize import serializable
 from .encoding import ATTRIBUTE_BOUND
-from .primes import (crt_pair, invert, is_probable_prime, powmod, powmod_fixed, random_prime_in_range,
-                     sophie_germain_prime)
+from .primes import (Crt, Term, invert, is_probable_prime, multi_powmod, multi_powmod_crt, powmod,
+                     random_prime_in_range, sophie_germain_prime)
 from .transcript import Transcript
 
 
@@ -53,11 +58,14 @@ class ClIssuerKeyPair:
         """Order of the quadratic-residue subgroup S generates."""
         return self.p_prime * self.q_prime
 
+    @property
+    def crt(self) -> Crt:
+        """n's factors for `multi_powmod_crt`."""
+        return (self.p, self.p - 1), (self.q, self.q - 1)
+
     def powmod_crt(self, x: int, exp: int) -> int:
-        """x^exp mod n for x coprime to n and exp >= 0, computed mod p and
-        mod q with exponents reduced by Fermat."""
-        return crt_pair(powmod(x % self.p, exp % (self.p - 1), self.p), self.p,
-                        powmod(x % self.q, exp % (self.q - 1), self.q), self.q)
+        """x^exp mod n, computed mod p and mod q."""
+        return multi_powmod_crt(((x, exp, False),), self.crt)
 
     @classmethod
     def from_secrets(cls, p_prime: int, q_prime: int, s: int, x_z: int,
@@ -65,11 +73,11 @@ class ClIssuerKeyPair:
         """Assemble a key pair from chosen secrets (used by tests with forced
         toy primes and by cl_keygen internally)."""
         p, q = 2 * p_prime + 1, 2 * q_prime + 1
-        n = p * q
-        z = powmod_fixed(s, x_z, n)
-        r_bases = tuple(powmod_fixed(s, x, n) for x in x_r)
+        crt = (p, p - 1), (q, q - 1)
+        z = multi_powmod_crt(((s, x_z, True),), crt)
+        r_bases = tuple(multi_powmod_crt(((s, x, True),), crt) for x in x_r)
         return cls(
-            public=ClPublicKey(n=n, s=s, z=z, r_bases=r_bases),
+            public=ClPublicKey(n=p * q, s=s, z=z, r_bases=r_bases),
             p=p, q=q, p_prime=p_prime, q_prime=q_prime, x_z=x_z, x_r=tuple(x_r),
         )
 
@@ -112,11 +120,16 @@ def cl_keygen(attribute_count: int, profile: Profile, rng: random.Random) -> ClI
     return ClIssuerKeyPair.from_secrets(p_prime, q_prime, s, x_z, x_r)
 
 
-def _attribute_term(public: ClPublicKey, attributes: Sequence[int], offset: int) -> int:
-    acc = 1
-    for i, m in enumerate(attributes):
-        acc = acc * powmod_fixed(public.r_bases[offset + i], m, public.n) % public.n
-    return acc
+def _q_terms(public: ClPublicKey, attributes: Sequence[int], v: int,
+             hidden_commitment: int | None) -> list[Term]:
+    """S^v * prod R_i^(m_i) * [commitment] as terms; attributes start at slot 1
+    when the commitment takes slot 0."""
+    offset = 1 if hidden_commitment is not None else 0
+    terms = [(public.s, v, True)]
+    terms += [(public.r_bases[offset + i], m, True) for i, m in enumerate(attributes)]
+    if hidden_commitment is not None:
+        terms.append((hidden_commitment, 1, False))
+    return terms
 
 
 def _check_attributes(attributes: Sequence[int]) -> None:
@@ -132,6 +145,12 @@ def cl_sign(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: Profile,
     """Sign an attribute vector. When hidden_commitment is given it occupies
     the reserved slot 0 and `attributes` fill the remaining slots; the v in
     the returned signature is then only the issuer's share."""
+    return _sign(keys, attributes, profile, rng, hidden_commitment)[0]
+
+
+def _sign(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: Profile,
+          rng: random.Random, hidden_commitment: int | None) -> tuple[ClSignature, int]:
+    """The signature and its Q, both computed mod p and mod q."""
     public = keys.public
     reserved = 1 if hidden_commitment is not None else 0
     if len(attributes) + reserved > public.slot_count:
@@ -140,8 +159,9 @@ def cl_sign(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: Profile,
     order = keys.group_order
     e = _random_signature_exponent(profile, order, rng)
     v = rng.getrandbits(profile.v_bits) | (1 << (profile.v_bits - 1))
-    a = keys.powmod_crt(recompute_q(public, attributes, v, hidden_commitment), invert(e, order))
-    return ClSignature(a=a, e=e, v=v)
+    base = multi_powmod_crt(_q_terms(public, attributes, v, hidden_commitment), keys.crt)
+    q_value = public.z * invert(base, public.n) % public.n
+    return ClSignature(a=keys.powmod_crt(q_value, invert(e, order)), e=e, v=v), q_value
 
 
 def _random_signature_exponent(profile: Profile, order: int, rng: random.Random) -> int:
@@ -156,44 +176,45 @@ def cl_verify(public: ClPublicKey, attributes: Sequence[int], signature: ClSigna
               hidden_commitment: int | None = None) -> bool:
     """True iff A^e * S^v * prod R_i^(m_i) = Z (mod n). Returns False on any
     malformed input instead of raising."""
+    return signature_q(public, attributes, signature, hidden_commitment) is not None
+
+
+def signature_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
+                hidden_commitment: int | None = None) -> int | None:
+    """Q = Z / (S^v * prod R_i^(m_i) * [commitment]) when the inputs are well
+    formed and A^e = Q (mod n), else None; the holder checks the issuer's
+    proof against this same Q."""
     try:
         reserved = 1 if hidden_commitment is not None else 0
         if len(attributes) + reserved > public.slot_count:
-            return False
+            return None
         if not all(isinstance(m, int) and not isinstance(m, bool) and 0 <= m < ATTRIBUTE_BOUND
                    for m in attributes):
-            return False
+            return None
         a, e, v = signature.a, signature.e, signature.v
         if not all(isinstance(x, int) for x in (a, e, v)):
-            return False
+            return None
         if not 1 < a < public.n or e <= 2 or e % 2 == 0:
-            return False
-        rhs = powmod(a, e, public.n) * powmod_fixed(public.s, v, public.n) % public.n
-        rhs = rhs * _attribute_term(public, attributes, reserved) % public.n
-        if hidden_commitment is not None:
-            rhs = rhs * (hidden_commitment % public.n) % public.n
-        return rhs == public.z
+            return None
+        q_value = recompute_q(public, attributes, v, hidden_commitment)
+        return q_value if powmod(a, e, public.n) == q_value else None
     except (AttributeError, TypeError, ValueError):
-        return False
+        return None
 
 
 def recompute_q(public: ClPublicKey, attributes: Sequence[int], v: int,
                 hidden_commitment: int | None = None) -> int:
     """The value A^e must equal: Z / (S^v * prod R_i^(m_i) * [commitment])."""
-    reserved = 1 if hidden_commitment is not None else 0
-    base = powmod_fixed(public.s, v, public.n) * _attribute_term(public, attributes, reserved) % public.n
-    if hidden_commitment is not None:
-        base = base * (hidden_commitment % public.n) % public.n
+    base = multi_powmod(_q_terms(public, attributes, v, hidden_commitment), public.n)
     return public.z * invert(base, public.n) % public.n
 
 
 def sign_with_proof(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: Profile,
                     rng: random.Random, nonce: bytes,
                     hidden_commitment: int | None = None) -> tuple[ClSignature, SignatureProof]:
-    sig = cl_sign(keys, attributes, profile, rng, hidden_commitment)
+    sig, q_value = _sign(keys, attributes, profile, rng, hidden_commitment)
     public = keys.public
     order = keys.group_order
-    q_value = recompute_q(public, attributes, sig.v, hidden_commitment)
     r = rng.randrange(2, order)
     a_tilde = keys.powmod_crt(q_value, r)
     c = _signature_proof_challenge(public, q_value, sig.a, a_tilde, nonce, profile)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ..params import Profile
 from ..serialize import encode_int, serializable
-from .primes import powmod, powmod_fixed
+from .primes import Crt, multi_powmod, multi_powmod_crt
 from .transcript import Transcript
 
 
@@ -54,21 +54,22 @@ def commit(key: CommitmentKey, m: int, rng: random.Random | None = None, r: int 
             raise ValueError("either rng or explicit randomness r is required")
         bits = randomizer_bits(key, profile) if profile else key.n.bit_length() + 80
         r = rng.getrandbits(bits)
-    value = powmod_fixed(key.r_base, m, key.n) * powmod_fixed(key.s_base, r, key.n) % key.n
+    value = multi_powmod(((key.r_base, m, True), (key.s_base, r, True)), key.n)
     return IntegerCommitment(value=value), r
 
 
 def open_verify(key: CommitmentKey, commitment: IntegerCommitment, m: int, r: int) -> bool:
     if not isinstance(m, int) or not isinstance(r, int):
         return False
-    value = powmod_fixed(key.r_base, m, key.n) * powmod_fixed(key.s_base, r, key.n) % key.n
+    value = multi_powmod(((key.r_base, m, True), (key.s_base, r, True)), key.n)
     return value == commitment.value
 
 
 @dataclass(frozen=True)
 class OpeningProof:
     """Proof of knowledge of (m, r) with C = base1^m * base2^r (mod n). The
-    bases are public-key constants, so both sides use the fixed-base tables."""
+    bases are public-key constants, so both sides use the fixed-base tables,
+    and each t-value is one multi-exponentiation."""
 
     challenge: int
     s_m: int
@@ -80,20 +81,18 @@ def prove_opening(n: int, base1: int, base2: int, value: int, m: int, r: int,
     slack = profile.challenge_bits + profile.stat_bits
     m_t = rng.getrandbits(profile.attr_bits + slack)
     r_t = rng.getrandbits(n.bit_length() + profile.stat_bits + slack)
-    t_value = powmod_fixed(base1, m_t, n) * powmod_fixed(base2, r_t, n) % n
+    t_value = multi_powmod(((base1, m_t, True), (base2, r_t, True)), n)
     c = _opening_challenge(label, nonce, n, base1, base2, value, t_value, profile)
     return OpeningProof(challenge=c, s_m=m_t + c * m, s_r=r_t + c * r)
 
 
 def verify_opening(n: int, base1: int, base2: int, value: int, proof: OpeningProof,
-                   label: str, nonce: bytes, profile: Profile) -> bool:
+                   label: str, nonce: bytes, profile: Profile, crt: Crt | None = None) -> bool:
+    """Recomputes the t-value as C^-c * base1^s_m * base2^s_r, mod p and mod q
+    when the verifier passes n's factors as `crt`."""
+    terms = ((value, -proof.challenge, False), (base1, proof.s_m, True), (base2, proof.s_r, True))
     try:
-        t_hat = (
-            powmod(value, -proof.challenge, n)
-            * powmod_fixed(base1, proof.s_m, n)
-            * powmod_fixed(base2, proof.s_r, n)
-            % n
-        )
+        t_hat = multi_powmod_crt(terms, crt) if crt else multi_powmod(terms, n)
     except (ValueError, ZeroDivisionError):
         return False
     return proof.challenge == _opening_challenge(label, nonce, n, base1, base2, value, t_hat, profile)

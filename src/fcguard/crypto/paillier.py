@@ -22,7 +22,7 @@ from ..errors import DecryptionError, EncodingRangeError
 from ..params import Profile
 from ..serialize import dumps, serializable
 from .ciphertext import Ciphertext
-from .primes import crt_pair, invert, powmod, random_prime
+from .primes import Crt, crt_pair, invert, powmod, random_prime
 
 
 @serializable("paillier-pk")
@@ -58,6 +58,11 @@ class PaillierKeyPair:
         # g^lam = (1 + n)^lam = 1 + lam*n (mod n^2), so L(g^lam) = lam mod n
         mu = invert(lam % n, n)
         return cls(public=PaillierPublicKey(n=n, g=n + 1), lam=lam, mu=mu, p=p, q=q)
+
+    @property
+    def crt(self) -> Crt:
+        """n^2's factors for `multi_powmod_crt`: p^2 and q^2 with lambda(p^2) = p(p-1)."""
+        return (self.p * self.p, self.p * (self.p - 1)), (self.q * self.q, self.q * (self.q - 1))
 
     def pow_lam(self, c: int) -> int:
         """c^lam mod n^2, assembled from c^lam mod p^2 and mod q^2."""

@@ -27,24 +27,38 @@ and is struck, as it always has been. Below 15 bits (below 16384) the 20000
 sieve strikes every candidate, so those sizes draw candidates one at a time
 (`_sophie_germain_small`) instead.
 
-`powmod_fixed` is for bases that are public-key constants (issuer S and R_i,
-commitment bases, ElGamal g and h, the Paillier h_s). Without gmpy2 it
-keeps, per (base, modulus) value, a radix-2^5
-Brickell-Gordon-McCurley-Wilson table of base^(2^(5i)); an exponentiation
-then costs one multiplication per nonzero digit plus 62, instead of one
-squaring per exponent bit. Tables are keyed by
-value, because deserialized keys are fresh objects on every registry fetch;
-they grow on demand to the longest exponent asked for and live in an LRU of
-64 tables. An exponent longer than 4096 bits (past every honest exponent at
-the paper profile, the longest being v_hat below 2^4080) goes to plain
-`powmod` and neither creates nor grows a table, so a verifier fed an
-oversized response cannot inflate memory. Negative exponents invert the
-positive result. With gmpy2, `powmod_fixed` is `powmod`.
+`multi_powmod(terms, mod)` evaluates a product of powers, each term a
+(base, exponent, fixed) triple; every proof equation is one such product.
+A variable base goes through `powmod`. A fixed base is a public-key constant
+(issuer S, Z and R_i, commitment bases, ElGamal g and h, the Paillier h_s):
+without gmpy2 it keeps, per (base, modulus) value, a radix-2^5
+Brickell-Gordon-McCurley-Wilson table of base^(2^(5i)), and all fixed terms
+of one product share a single set of 31 buckets and one finish (Pippenger;
+Moller, "Algorithms for multi-exponentiation", SAC 2001). A fixed power then
+costs one multiplication per nonzero digit, plus about 62 per product,
+instead of one squaring per exponent bit. Tables are keyed by value, because
+deserialized keys are fresh objects on every registry fetch; they grow on
+demand to the longest exponent asked for and live in an LRU of 64 tables. An
+exponent longer than 4096 bits (past every honest exponent at the paper
+profile, the longest being v_hat below 2^4080) goes to plain `powmod` and
+neither creates nor grows a table, so a verifier fed an oversized response
+cannot inflate memory. A negative exponent inverts its base, which raises
+ValueError for a non-unit. `powmod_fixed` is the one-term case. With gmpy2,
+`multi_powmod` is the plain product of `powmod` calls.
 
 Holders of a factored modulus use the Chinese remainder theorem
-(Quisquater-Couvreur) through `crt_pair`: the issuer's e-th root and proof
-commitment in `crypto.cl`, and Paillier decryption mod p^2 and q^2. Every
-value is the same as the plain computation.
+(Quisquater-Couvreur). `multi_powmod_crt(terms, ((m1, lam1), (m2, lam2)))`
+evaluates the same product mod m1 and mod m2 and joins the halves with
+`crt_pair`: ((p, p-1), (q, q-1)) for an issuer modulus n = pq, and
+((p^2, p(p-1)), (q^2, q(q-1))) for a Paillier n^2. Each exponent e >= lam is
+replaced by e mod lam + lam, a value in [lam, 2 lam). For a unit x mod m_i,
+x^lam = 1, so the power is unchanged. A non-unit x is a multiple of the
+prime p under m_i, and x^e = 0 (mod m_i) for every e >= 2 (e >= 1 for
+m_i = p); the reduced exponent is still at least lam >= 2, so that power is
+unchanged too. Exponents below lam are kept. So every value equals the plain
+computation mod m1 m2, for any base. Issuers sign, answer the request proof,
+and verify presentation equations over their own moduli this way, and the
+bank decrypts and verifies its Paillier arm mod p^2 and q^2.
 """
 
 from __future__ import annotations
@@ -55,7 +69,7 @@ import random
 from array import array
 from collections import OrderedDict
 from itertools import compress
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from ..errors import PrimeGenerationError
 
@@ -65,6 +79,9 @@ _FIXED_TABLES_MAX = 64
 # (base, modulus) -> [base^(2^(_FIXED_WINDOW * i)) mod modulus for i = 0, 1, ...]
 _FIXED_TABLES: OrderedDict[tuple[int, int], list[int]] = OrderedDict()
 
+Term = tuple[int, int, bool]  # (base, exponent, base is a public-key constant)
+Crt = tuple[tuple[int, int], tuple[int, int]]  # ((m1, lam1), (m2, lam2)), see multi_powmod_crt
+
 
 try:
     import gmpy2
@@ -72,33 +89,53 @@ try:
     def powmod(base: int, exp: int, mod: int) -> int:
         return int(gmpy2.powmod(base, exp, mod))
 
-    powmod_fixed = powmod
-
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     gmpy2 = None
 
     def powmod(base: int, exp: int, mod: int) -> int:
         return pow(base, exp, mod)
 
-    def powmod_fixed(base: int, exp: int, mod: int) -> int:
-        """base^exp mod mod through a cached fixed-base table for base."""
+
+def _powmod_product(terms: Iterable[Term], mod: int) -> int:
+    """`multi_powmod` as a plain product of `powmod` calls."""
+    acc = 1 % mod
+    for base, exp, _ in terms:
+        acc = acc * powmod(base, exp, mod) % mod
+    return acc
+
+
+def _fixed_table(base: int, mod: int, bits: int) -> list[int]:
+    """The cached table of base^(2^(5i)) mod `mod`, grown to cover `bits`."""
+    key = (base, mod)
+    table = _FIXED_TABLES.get(key)
+    if table is None:
+        table = _FIXED_TABLES[key] = [base % mod]
+        if len(_FIXED_TABLES) > _FIXED_TABLES_MAX:
+            _FIXED_TABLES.popitem(last=False)
+    else:
+        _FIXED_TABLES.move_to_end(key)
+    while len(table) * _FIXED_WINDOW < bits:
+        table.append(pow(table[-1], 1 << _FIXED_WINDOW, mod))
+    return table
+
+
+def _multi_powmod(terms: Iterable[Term], mod: int) -> int:
+    """prod base^exp mod `mod` over (base, exp, fixed) terms: variable bases
+    through `powmod`, fixed bases through one shared set of buckets."""
+    mask = (1 << _FIXED_WINDOW) - 1
+    acc, buckets = 1 % mod, None
+    for base, exp, fixed in terms:
         if exp < 0:
-            return invert(powmod_fixed(base, -exp, mod), mod)
-        if exp.bit_length() > _FIXED_EXP_CAP or mod < 2:
-            return powmod(base, exp, mod)
-        key = (base, mod)
-        table = _FIXED_TABLES.get(key)
-        if table is None:
-            table = _FIXED_TABLES[key] = [base % mod]
-            if len(_FIXED_TABLES) > _FIXED_TABLES_MAX:
-                _FIXED_TABLES.popitem(last=False)
-        else:
-            _FIXED_TABLES.move_to_end(key)
-        while len(table) * _FIXED_WINDOW < exp.bit_length():
-            table.append(pow(table[-1], 1 << _FIXED_WINDOW, mod))
+            base, exp = invert(base, mod), -exp
+        if not exp:
+            continue
+        if not fixed or exp.bit_length() > _FIXED_EXP_CAP or mod < 2:
+            acc = acc * powmod(base, exp, mod) % mod
+            continue
+        table = _fixed_table(base, mod, exp.bit_length())
+        if buckets is None:
+            buckets = [1] * (mask + 1)
         # bucket[d] = product of the table entries whose exponent digit is d
-        mask = (1 << _FIXED_WINDOW) - 1
-        buckets = [1] * (mask + 1)
         i = 0
         while exp:
             d = exp & mask
@@ -106,14 +143,44 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
                 buckets[d] = buckets[d] * table[i] % mod
             exp >>= _FIXED_WINDOW
             i += 1
+    if buckets is not None:
         # prod bucket[d]^d as a product of running products, top digit down
-        acc = run = 1
+        run = 1
         for d in range(mask, 0, -1):
             if buckets[d] != 1:
                 run = run * buckets[d] % mod
             if run != 1:
                 acc = acc * run % mod
-        return acc
+    return acc
+
+
+multi_powmod = _powmod_product if gmpy2 is not None else _multi_powmod
+
+
+def powmod_fixed(base: int, exp: int, mod: int) -> int:
+    """base^exp mod `mod` for a public-key constant base."""
+    return multi_powmod(((base, exp, True),), mod)
+
+
+def multi_powmod_crt(terms: Iterable[Term], crt: Crt) -> int:
+    """`multi_powmod(terms, m1 * m2)` for crt = ((m1, lam1), (m2, lam2)):
+    each half is evaluated mod m_i with exponents reduced by the [lam, 2 lam)
+    rule (module docstring) and the halves are joined by `crt_pair`."""
+    (m1, lam1), (m2, lam2) = crt
+    terms = tuple(terms)
+    return crt_pair(_crt_half(terms, m1, lam1), m1, _crt_half(terms, m2, lam2), m2)
+
+
+def _crt_half(terms: tuple[Term, ...], mod: int, lam: int) -> int:
+    reduced = []
+    for base, exp, fixed in terms:
+        base %= mod
+        if exp < 0:
+            base, exp = invert(base, mod), -exp
+        if exp >= lam:
+            exp = exp % lam + lam
+        reduced.append((base, exp, fixed))
+    return multi_powmod(reduced, mod)
 
 
 def invert(a: int, mod: int) -> int:

@@ -490,7 +490,7 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
         ok = ok and pred is not None \
             and pred.threshold == _age_threshold(ctx.current_date, params.age_threshold_years)
     ok = ok and verify_bundle(ctx.registry, bundle1, order.nonce, {aa_key.key_id(): aa_key},
-                              expected_prev=b"")
+                              expected_prev=b"", own_keys=(ctx.platform.issuer_keys,))
     if not ok:
         _reject(ctx, order, "platform", actor.party_id, "step1-rejected", "identity")
         return order, handle
@@ -537,14 +537,16 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
         and enc.key_id == bank.public_enc_key.key_id()
     keys = {k.key_id(): k for k in (ctx.authority.public_enc_key, bank.public_enc_key)} \
         if bank is not None else {}
+    # the platform's n is also the link-commitment modulus
+    own = (platform.issuer_keys,)
     ok = ok and verify_bundle(ctx.registry, bundle2, order.nonce, keys,
-                              expected_prev=bundle_digest(handle.bundle1))
+                              expected_prev=bundle_digest(handle.bundle1), own_keys=own)
     if not ok:
         _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "bank-presentation")
         return
     if equality.attr_a != "ssn" or equality.attr_b != "ssn" \
             or not verify_equality(ctx.registry, equality, handle.bundle1, bundle2,
-                                   order.nonce, order.nonce, keys):
+                                   order.nonce, order.nonce, keys, own_keys=own):
         _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "equality")
         return
     platform.order_bank[order.order_id] = bank.party_id
@@ -557,7 +559,8 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
 
     verified = verify_bundle(ctx.registry, bundle2, order.nonce,
                              {bank.public_enc_key.key_id(): bank.public_enc_key,
-                              ctx.authority.public_enc_key.key_id(): ctx.authority.public_enc_key})
+                              ctx.authority.public_enc_key.key_id(): ctx.authority.public_enc_key},
+                             own_keys=(bank.issuer_keys, bank.enc_keys))
     account_number = paillier_decrypt(bank.enc_keys, enc.ciphertext) if verified else None
     account = bank.accounts.get(account_number)
     if account is None:
@@ -714,7 +717,7 @@ def baseline_identity(ctx: SimContext, user: User, order: ExchangeOrder,
                   "user_id": user.user_id}, PHASE_EXCHANGE)
     store = ctx.platform.baseline_users.get(user.user_id or "")
     if store is None:
-        order.fail("identity", ctx.clock.now_ms)
+        _reject(ctx, order, "platform", user.party_id, "baseline-identity-rejected", "identity")
         return
     store["bank_account"] = user.bank_account
     store["addresses"] = list(params.addresses)
@@ -728,7 +731,7 @@ def baseline_bank(ctx: SimContext, user: User, order: ExchangeOrder) -> None:
                   "platform_account": ctx.platform.bank_account,
                   "user_account": user.bank_account}, PHASE_EXCHANGE)
     if ctx.bank.accounts.get(user.bank_account) is None:
-        order.fail("bank-verify", ctx.clock.now_ms)
+        _reject(ctx, order, ctx.bank.party_id, "platform", "fiat-rejected", "bank-verify")
         return
     order.advance("bank-verified", ctx.clock.now_ms)
 

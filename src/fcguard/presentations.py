@@ -13,12 +13,16 @@ cannot be mixed across sessions.
 Each arm kind (core, link, encryption, predicate) is defined once, by a
 `_*_arm` function that gives its statement entry, its relation and the
 layout of its t-values. A relation is a conjunction of equations
-target = prod term(witness) (mod m), Camenisch-Stadler style. The prover
-evaluates the terms at its blindings; the verifier evaluates them at the
-responses and multiplies by target^-c, which gives the same t-values for an
-honest proof. `build_bundle` and `_verify_bundle` build the same arms in the
-same order, and `_bundle_challenge` alone lays out the statement and the
-t-values it hashes.
+target = prod base^witness (mod m), Camenisch-Stadler style, each target also
+stated as a product of powers. The prover evaluates the terms at its
+blindings; the verifier evaluates them at the responses times target^-c,
+which gives the same t-values for an honest proof. Either way a t-value is
+one multi-exponentiation (`crypto.primes.multi_powmod`). A verifier that
+passes its own key pairs evaluates each equation over one of their moduli
+mod the prime factors (`multi_powmod_crt`), to the same value.
+`build_bundle` and `_verify_bundle` build the same arms in the same order,
+and `_bundle_challenge` alone lays out the statement and the t-values it
+hashes.
 
 Equality across two presentations rides on a shared integer commitment to
 the attribute under a commitment key derived from a credential definition:
@@ -30,22 +34,27 @@ both bundles, the second chained onto the first.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .credentials import Credential, CredentialDefinition, LinkSecret, Schema, fetch_definition, fetch_schema
 from .crypto.ciphertext import Ciphertext
+from .crypto.cl import ClIssuerKeyPair
 from .crypto.commitment import CommitmentKey, commit
 from .crypto.elgamal import ElGamalPublicKey
 from .crypto.encoding import ATTRIBUTE_BOUND
-from .crypto.paillier import PaillierPublicKey, paillier_hs
-from .crypto.primes import invert, powmod, powmod_fixed
+from .crypto.paillier import PaillierKeyPair, PaillierPublicKey, paillier_hs
+from .crypto.primes import Crt, Term, invert, multi_powmod, multi_powmod_crt, powmod, powmod_fixed
 from .crypto.transcript import Transcript
 from .errors import ProofRefusedError, RegistryError, SchemaMismatchError
 from .ledger import Registry
 from .params import Profile
 from .serialize import dumps, serializable
+
+# A verifier's own key pairs, whose factors it holds.
+OwnKeys = ClIssuerKeyPair | PaillierKeyPair
 
 # Pseudo-attribute name for the link-secret slot; always hidden.
 LINK_NAME = "@link"
@@ -179,21 +188,37 @@ def find_arm(arms: Iterable, attr: str):
 
 @dataclass(frozen=True)
 class _Eq:
-    """One equation target = prod term(witness) (mod `mod`), each term a
-    homomorphism of one named witness. An OR branch reads its own challenge
-    from the witness map under `chal`. The target is computed only when the
-    challenge is nonzero, so the prover never pays for it."""
+    """One equation target = prod base^witness (mod `mod`). `terms` are
+    (base, witness name, fixed) triples; `target` gives the target as
+    (base, k, fixed) triples, target = prod base^k. The t-value
+    target^-c * prod base^witness is one `multi_powmod`, a base named on both
+    sides taking one exponent. An OR branch reads its own challenge from the
+    witness map under `chal`. The target is stated only when the challenge
+    is nonzero, so the prover never pays for it. For a Paillier equation,
+    `paillier_n` is N and the factor (1+N)^m, m the witness "m", is
+    1 + (m mod N) N (mod N^2)."""
 
     mod: int
-    terms: tuple[tuple[Callable[[int], int], str], ...]
-    target: Callable[[], int]
+    terms: tuple[tuple[int, str, bool], ...]
+    target: Callable[[], Iterable[Term]]
     chal: str | None = None
+    paillier_n: int = 0
 
-    def t_value(self, exps: Mapping[str, int], c: int) -> int:
+    def t_value(self, exps: Mapping[str, int], c: int, factored: Mapping[int, Crt]) -> int:
+        """Evaluated mod each prime by a holder of `mod`'s factors, whose
+        moduli `factored` maps to them."""
         c = exps[self.chal] if self.chal else c
-        t = powmod(self.target(), -c, self.mod) if c else 1
-        for term, name in self.terms:
-            t = t * term(exps[name]) % self.mod
+        powers: dict[tuple[int, bool], int] = {}
+        for base, name, fixed in self.terms:
+            powers[base, fixed] = powers.get((base, fixed), 0) + exps[name]
+        if c:
+            for base, k, fixed in self.target():
+                powers[base, fixed] = powers.get((base, fixed), 0) - k * c
+        terms = [(base, exp, fixed) for (base, fixed), exp in powers.items()]
+        crt = factored.get(self.mod)
+        t = multi_powmod_crt(terms, crt) if crt else multi_powmod(terms, self.mod)
+        if self.paillier_n:
+            t = (1 + exps["m"] % self.paillier_n * self.paillier_n) * t % self.mod
         return t
 
 
@@ -206,12 +231,8 @@ class _Arm:
     eqs: list[_Eq]
     layout: Callable[[list[int]], object]
 
-    def t_values(self, exps: Mapping[str, int], c: int):
-        return self.layout([eq.t_value(exps, c) for eq in self.eqs])
-
-
-def _fixed(base: int, mod: int) -> Callable[[int], int]:
-    return lambda x: powmod_fixed(base, x, mod)
+    def t_values(self, exps: Mapping[str, int], c: int, factored: Mapping[int, Crt]):
+        return self.layout([eq.t_value(exps, c, factored) for eq in self.eqs])
 
 
 def _scheme(key: ElGamalPublicKey | PaillierPublicKey) -> str:
@@ -222,27 +243,22 @@ def _core_arm(definition: CredentialDefinition, profile: Profile, names: Sequenc
               a_prime: int, hidden_names: Sequence[str], disclosed: Mapping[str, int]) -> _Arm:
     """Z / (A'^(2^(e_bits-1)) * prod_disclosed R_i^m_i) = A'^e' * S^v' * prod_hidden R_i^m_i
     (mod n): a signature on the link secret and every attribute. Witnesses
-    "@e", "@v" and the hidden names; the statement entries are top-level."""
+    "@e", "@v" and the hidden names; the statement entries are top-level.
+    The verifier's t-value is
+    A'^(e_hat + c 2^(e_bits-1)) * Z^-c * prod_disclosed R_i^(c m_i) * S^v_hat * prod_hidden R_i^m_hat."""
     pk = definition.public_key
-    n = pk.n
     r_base = dict(zip((LINK_NAME,) + tuple(names), pk.r_bases))
-
-    def target() -> int:
-        base = pk.z
-        for nm, value in disclosed.items():
-            base = base * invert(powmod_fixed(r_base[nm], value, n), n) % n
-        return base * invert(powmod(a_prime, 1 << (profile.e_bits - 1), n), n) % n
-
-    terms = ((lambda x: powmod(a_prime, x, n), "@e"), (_fixed(pk.s, n), "@v"),
-             *((_fixed(r_base[nm], n), nm) for nm in hidden_names))
+    terms = ((a_prime, "@e", False), (pk.s, "@v", True), *((r_base[nm], nm, True) for nm in hidden_names))
+    target = lambda: ((pk.z, 1, True), (a_prime, -(1 << (profile.e_bits - 1)), False),  # noqa: E731
+                      *((r_base[nm], -value, True) for nm, value in disclosed.items()))
     return _Arm({"a_prime": a_prime, "defn": definition.defn_id, "disclosed": dict(disclosed),
-                 "hidden": list(hidden_names)}, [_Eq(n, terms, target)], lambda ts: ts[0])
+                 "hidden": list(hidden_names)}, [_Eq(pk.n, terms, target)], lambda ts: ts[0])
 
 
 def _link_arm(ck: CommitmentKey, attr: str, commitment: int) -> _Arm:
     """C = R^m * S^r (mod N): the hidden attribute m opens the commitment all
     bundles of the session share for it."""
-    eq = _Eq(ck.n, ((_fixed(ck.r_base, ck.n), "m"), (_fixed(ck.s_base, ck.n), "r")), lambda: commitment)
+    eq = _Eq(ck.n, ((ck.r_base, "m", True), (ck.s_base, "r", True)), lambda: ((commitment, 1, False),))
     return _Arm({"attr": attr, "commitment": commitment}, [eq], lambda ts: ts[0])
 
 
@@ -257,12 +273,12 @@ def _encryption_arm(attr: str, key: ElGamalPublicKey | PaillierPublicKey,
     so with dc below p and q the ciphertext opens to the core arm's m."""
     if isinstance(key, ElGamalPublicKey):
         p, (c1, c2) = key.p, parts
-        g, h = _fixed(key.g, p), _fixed(key.h, p)
-        eqs = [_Eq(p, ((g, "r"),), lambda: c1), _Eq(p, ((g, "m"), (h, "r")), lambda: c2)]
+        eqs = [_Eq(p, ((key.g, "r", True),), lambda: ((c1, 1, False),)),
+               _Eq(p, ((key.g, "m", True), (key.h, "r", True)), lambda: ((c2, 1, False),))]
     else:
-        n, n2, (ct,) = key.n, key.n_squared, parts
-        eqs = [_Eq(n2, ((lambda x: 1 + x % n * n, "m"), (_fixed(paillier_hs(n), n2), "r")),
-                   lambda: ct)]
+        (ct,) = parts
+        eqs = [_Eq(key.n_squared, ((paillier_hs(key.n), "r", True),), lambda: ((ct, 1, False),),
+                   paillier_n=key.n)]
     return _Arm({"attr": attr, "key_id": key.key_id(), "parts": list(parts), "scheme": _scheme(key)},
                 eqs, list)
 
@@ -291,20 +307,20 @@ def _predicate_arm(ck: CommitmentKey, attr: str, threshold: int, bits: Sequence[
     challenges c0 + c1 equal the bundle challenge mod 2^challenge_bits; then
     R^threshold / prod D_j^(2^j) = R^m * S^u ties the bits to m."""
     n = ck.n
-    r_pow, s_pow = _fixed(ck.r_base, n), _fixed(ck.s_base, n)
     r_inv = invert(ck.r_base, n)
     eqs = []
     for j, d in enumerate(bits):
-        eqs.append(_Eq(n, ((s_pow, f"s0.{j}"),), lambda d=d: d, chal=f"c0.{j}"))
-        eqs.append(_Eq(n, ((s_pow, f"s1.{j}"),), lambda d=d: d * r_inv % n, chal=f"c1.{j}"))
+        eqs.append(_Eq(n, ((ck.s_base, f"s0.{j}", True),), lambda d=d: ((d, 1, False),), chal=f"c0.{j}"))
+        eqs.append(_Eq(n, ((ck.s_base, f"s1.{j}", True),), lambda d=d: ((d * r_inv % n, 1, False),),
+                       chal=f"c1.{j}"))
 
-    def lin_target() -> int:
+    def lin_target() -> tuple[Term, ...]:
         agg = 1
         for j, d in enumerate(bits):
             agg = agg * powmod(d, 1 << j, n) % n
-        return powmod_fixed(ck.r_base, threshold, n) * invert(agg, n) % n
+        return ((powmod_fixed(ck.r_base, threshold, n) * invert(agg, n) % n, 1, False),)
 
-    eqs.append(_Eq(n, ((r_pow, "m"), (s_pow, "u")), lin_target))
+    eqs.append(_Eq(n, ((ck.r_base, "m", True), (ck.s_base, "u", True)), lin_target))
     return _Arm({"attr": attr, "bits": list(bits), "threshold": threshold}, eqs,
                 lambda ts: {"bits": [ts[i:i + 2] for i in range(0, len(ts) - 1, 2)], "lin": ts[-1]})
 
@@ -389,7 +405,7 @@ class ProofSession:
             "encs": [self._prove_encryption(spec, hidden_names, values, blind) for spec in encrypt],
             "preds": [self._prove_predicate(spec, hidden_names, values, blind) for spec in predicates],
         }
-        c = _bundle_challenge(profile, core, core.t_values(blind, 0), self.nonce,
+        c = _bundle_challenge(profile, core, core.t_values(blind, 0, {}), self.nonce,
                               self.commitment_source, self.prev_digest, arms)
 
         hats = {name: blind[name] + c * witness[name] for name in blind}
@@ -417,7 +433,7 @@ class ProofSession:
         c_value, c_rand = self._link_commitment(label, value)
         r_blind = self.rng.getrandbits(ck.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits)
         arm = _link_arm(ck, attr, c_value)
-        return arm, arm.t_values({"m": m_blind, "r": r_blind}, 0), \
+        return arm, arm.t_values({"m": m_blind, "r": r_blind}, 0, {}), \
             lambda c: LinkProof(attr=attr, commitment=c_value, r_hat=r_blind + c * c_rand)
 
     def _prove_encryption(self, spec: EncryptionSpec, hidden_names: Sequence[str],
@@ -430,7 +446,7 @@ class ProofSession:
                 raise ProofRefusedError("plaintext exceeds the ElGamal bound")
             rho = rng.randrange(1, key.q)
             parts = (powmod_fixed(key.g, rho, key.p),
-                     powmod_fixed(key.g, value, key.p) * powmod_fixed(key.h, rho, key.p) % key.p)
+                     multi_powmod(((key.g, value, True), (key.h, rho, True)), key.p))
             rho_blind = rng.randrange(0, key.q)
             r_hat = lambda c: (rho_blind + c * rho) % key.q  # noqa: E731
         else:
@@ -442,7 +458,7 @@ class ProofSession:
             rho_blind = rng.getrandbits(_paillier_r_hat_bits(self.profile, key))
             r_hat = lambda c: rho_blind + c * rho  # noqa: E731
         arm = _encryption_arm(spec.attr, key, parts)
-        return arm, arm.t_values({"m": blind[spec.attr], "r": rho_blind}, 0), \
+        return arm, arm.t_values({"m": blind[spec.attr], "r": rho_blind}, 0, {}), \
             lambda c: VerifiableEncryptionProof(attr=spec.attr, scheme=spec.scheme, key_id=key.key_id(),
                                                 ciphertext=Ciphertext(spec.scheme, parts), r_hat=r_hat(c))
 
@@ -462,7 +478,7 @@ class ProofSession:
             b = (delta >> j) & 1
             rho = rng.getrandbits(ck.n.bit_length() + profile.stat_bits)
             rho_sum += rho << j
-            d_values.append(powmod_fixed(ck.r_base, b, ck.n) * powmod_fixed(ck.s_base, rho, ck.n) % ck.n)
+            d_values.append(multi_powmod(((ck.r_base, b, True), (ck.s_base, rho, True)), ck.n))
             # the false branch is simulated from (c_sim, s_sim); branch b runs
             # honestly from the blinding w, and its challenge is fixed later
             c_sim = rng.getrandbits(profile.challenge_bits)
@@ -484,7 +500,7 @@ class ProofSession:
             return PredicateProof(attr=spec.attr, threshold=spec.threshold, bit_commitments=tuple(d_values),
                                   bit_proofs=bit_proofs, u_hat=u_blind - c * rho_sum)
 
-        return arm, arm.t_values(exps, 0), respond
+        return arm, arm.t_values(exps, 0, {}), respond
 
     def equality_proof(self, bundle_a: PresentationBundle, attr_a: str,
                        bundle_b: PresentationBundle, attr_b: str) -> EqualityProof:
@@ -516,21 +532,30 @@ def create_presentation(registry: Registry, credential: Credential, link_secret:
 
 def verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce: bytes,
                   encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey] | None = None,
-                  expected_prev: bytes | None = None) -> bool:
+                  expected_prev: bytes | None = None, own_keys: Sequence[OwnKeys] = ()) -> bool:
     """Full verification of a bundle: every arm's t-values are recomputed from
     the stored responses and the single challenge is re-derived from the
-    whole transcript. A definition the registry does not know, or a group
+    whole transcript. An equation over the modulus of one of the verifier's
+    `own_keys` (its issuer key pair, its Paillier key pair) is evaluated mod
+    each prime factor; every t-value, and so the verdict, is the same as
+    without them. A definition the registry does not know, or a group
     element with no inverse, gives False; any other exception is a bug and
     propagates."""
     try:
-        return _verify_bundle(registry, bundle, expected_nonce, encryption_keys or {}, expected_prev)
+        return _verify_bundle(registry, bundle, expected_nonce, encryption_keys or {}, expected_prev,
+                              _factored(own_keys))
     except (RegistryError, ValueError):
         return False
 
 
+def _factored(own_keys: Sequence[OwnKeys]) -> dict[int, Crt]:
+    """Modulus -> its factors, for the verifier's own key pairs."""
+    return {crt[0][0] * crt[1][0]: crt for crt in (k.crt for k in own_keys)}
+
+
 def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce: bytes,
                    encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey],
-                   expected_prev: bytes | None) -> bool:
+                   expected_prev: bytes | None, factored: Mapping[int, Crt]) -> bool:
     pres = bundle.presentation
     if pres.nonce != expected_nonce or pres.challenge != bundle.challenge:
         return False
@@ -565,7 +590,9 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
     for value in pres.disclosed.values():
         if not 0 <= value < ATTRIBUTE_BOUND:
             return False
-    if not 1 < pres.a_prime < definition.public_key.n:
+    # A' enters with a positive exponent only, so no inversion refuses a non-unit
+    n = definition.public_key.n
+    if not 1 < pres.a_prime < n or math.gcd(pres.a_prime, n) != 1:
         return False
 
     core = _core_arm(definition, profile, names, pres.a_prime, pres.hidden_names, pres.disclosed)
@@ -575,7 +602,7 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         if p.attr not in hidden_attrs:
             return False
         arm = _link_arm(ck, p.attr, p.commitment)
-        arms["links"].append((arm, arm.t_values({"m": pres.m_hats[p.attr], "r": p.r_hat}, c)))
+        arms["links"].append((arm, arm.t_values({"m": pres.m_hats[p.attr], "r": p.r_hat}, c, factored)))
     for p in bundle.enc_proofs:
         key = encryption_keys.get(p.key_id)
         if p.attr not in pres.hidden_names or key is None or key.key_id() != p.key_id:
@@ -583,7 +610,7 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         if not p.scheme == p.ciphertext.scheme == _scheme(key) or not _encryption_in_range(profile, key, p):
             return False
         arm = _encryption_arm(p.attr, key, p.ciphertext.parts)
-        arms["encs"].append((arm, arm.t_values({"m": pres.m_hats[p.attr], "r": p.r_hat}, c)))
+        arms["encs"].append((arm, arm.t_values({"m": pres.m_hats[p.attr], "r": p.r_hat}, c, factored)))
     for p in bundle.predicate_proofs:
         if p.attr not in hidden_attrs or p.threshold not in PRED_RANGE:
             return False
@@ -596,9 +623,9 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
             exps.update({f"s0.{j}": bp.s0, f"c0.{j}": bp.c0,
                          f"s1.{j}": bp.s1, f"c1.{j}": (c - bp.c0) % chal_mod})
         arm = _predicate_arm(ck, p.attr, p.threshold, p.bit_commitments)
-        arms["preds"].append((arm, arm.t_values(exps, c)))
+        arms["preds"].append((arm, arm.t_values(exps, c, factored)))
 
-    t_core = core.t_values({"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats}, c)
+    t_core = core.t_values({"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats}, c, factored)
     return _bundle_challenge(profile, core, t_core, pres.nonce, bundle.commitment_source,
                              bundle.prev_digest, arms) == c
 
@@ -606,12 +633,14 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
 def verify_equality(registry: Registry, proof: EqualityProof,
                     bundle_a: PresentationBundle, bundle_b: PresentationBundle,
                     nonce_a: bytes, nonce_b: bytes,
-                    encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey] | None = None) -> bool:
+                    encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey] | None = None,
+                    own_keys: Sequence[OwnKeys] = ()) -> bool:
     """True iff both bundles carry a link arm for the named attribute against
     `proof.commitment`, with the proof's responses, under one commitment key,
     the proof names both bundles by digest, bundle_b chains onto bundle_a,
-    and both bundles verify. The linkage is checked first, so a splice costs
-    no proof work. Binding of the commitment then forces the hidden values equal."""
+    and both bundles verify, each with the verifier's `own_keys` as in
+    `verify_bundle`. The linkage is checked first, so a splice costs no proof
+    work. Binding of the commitment then forces the hidden values equal."""
     arm_a = find_arm(bundle_a.link_proofs, proof.attr_a)
     arm_b = find_arm(bundle_b.link_proofs, proof.attr_b)
     digest_a = bundle_digest(bundle_a)
@@ -621,5 +650,6 @@ def verify_equality(registry: Registry, proof: EqualityProof,
             and bundle_a.commitment_source == bundle_b.commitment_source
             and (proof.bundle_digest_a, proof.bundle_digest_b) == (digest_a, bundle_digest(bundle_b))
             and bundle_b.prev_digest == digest_a
-            and verify_bundle(registry, bundle_a, nonce_a, encryption_keys)
-            and verify_bundle(registry, bundle_b, nonce_b, encryption_keys, expected_prev=digest_a))
+            and verify_bundle(registry, bundle_a, nonce_a, encryption_keys, own_keys=own_keys)
+            and verify_bundle(registry, bundle_b, nonce_b, encryption_keys, expected_prev=digest_a,
+                              own_keys=own_keys))

@@ -79,6 +79,7 @@ class _Fixture:
     bank_defn: object
     bank_schema: Schema
     platform_keys: object
+    bank_keys: object
     vc_pu: object
     vc_bu: object
     nonce: bytes
@@ -133,24 +134,33 @@ def build_fixture(seed: int = 1301, ssn: int = 123_456_789) -> _Fixture:
     return _Fixture(registry=registry, profile=profile, wallet=wallet,
                     platform_defn=p_defn, platform_schema=p_schema,
                     bank_defn=b_defn, bank_schema=b_schema, platform_keys=platform_keys,
+                    bank_keys=bank_keys,
                     vc_pu=vc_pu, vc_bu=vc_bu, nonce=nonce, bundle1=bundle1, bundle2=bundle2,
                     equality=equality, enc_keys=enc_keys, aa_keys=aa_keys,
                     bank_enc=bank_enc, rng=rng)
 
 
-def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
+def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[tuple[str, bool]]:
     """Enumerated tamper matrix. Each entry is (case name, accepted); a sound
-    system accepts none of them."""
+    system accepts none of them. With `with_keys`, verifiers pass their own
+    key pairs: the platform's for bundle 1, the request proof and the
+    equality checks, and all three for bundle 2, so every one of its
+    equations is evaluated mod the primes."""
     fx = fx or build_fixture()
     registry, nonce, enc_keys = fx.registry, fx.nonce, fx.enc_keys
+    own1 = (fx.platform_keys,) if with_keys else ()
+    own2 = (fx.platform_keys, fx.bank_keys, fx.bank_enc) if with_keys else ()
     cases: list[tuple[str, bool]] = []
 
     def verify1(bundle) -> bool:
-        return verify_bundle(registry, bundle, nonce, enc_keys, expected_prev=b"")
+        return verify_bundle(registry, bundle, nonce, enc_keys, expected_prev=b"", own_keys=own1)
 
     def verify2(bundle) -> bool:
         return verify_bundle(registry, bundle, nonce, enc_keys,
-                             expected_prev=bundle_digest(fx.bundle1))
+                             expected_prev=bundle_digest(fx.bundle1), own_keys=own2)
+
+    def equality(proof, bundle1, bundle2) -> bool:
+        return verify_equality(registry, proof, bundle1, bundle2, nonce, nonce, enc_keys, own_keys=own1)
 
     # CL signature field and attribute mutations
     slots = [fx.wallet.link_secret.value] + [fx.vc_pu.attributes[n] for n in PLATFORM_ATTRIBUTES]
@@ -181,13 +191,16 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
     # credential request proof
     request, _ = create_credential_request(fx.wallet.link_secret, fx.platform_defn,
                                            b"matrix-nonce", fx.rng)
+    issuer = fx.platform_keys if with_keys else None
     cases.append(("cred-request:blinded+1", verify_credential_request(
-        fx.platform_defn, dataclasses.replace(request, blinded=request.blinded + 1))))
+        fx.platform_defn, dataclasses.replace(request, blinded=request.blinded + 1), issuer)))
+    cases.append(("cred-request:blinded-non-unit", verify_credential_request(
+        fx.platform_defn, dataclasses.replace(request, blinded=fx.platform_keys.p), issuer)))
     for field_name in ("challenge", "s_m", "s_r"):
         bad_proof = dataclasses.replace(request.proof,
                                         **{field_name: getattr(request.proof, field_name) + 1})
         cases.append((f"cred-request:{field_name}+1", verify_credential_request(
-            fx.platform_defn, dataclasses.replace(request, proof=bad_proof))))
+            fx.platform_defn, dataclasses.replace(request, proof=bad_proof), issuer)))
 
     # presentation responses, both bundles
     for tag, bundle, checker in (("vp1", fx.bundle1, verify1), ("vp2", fx.bundle2, verify2)):
@@ -205,10 +218,15 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
             bad = dataclasses.replace(pres, m_hats=hats)
             cases.append((f"{tag}:m_hat[{attr}]+1",
                           checker(dataclasses.replace(bundle, presentation=bad))))
+    # A' sharing a factor with n, in bundle 1 under the platform's n and bundle 2 under the bank's
+    for tag, bundle, checker, prime in (("vp1", fx.bundle1, verify1, fx.platform_keys.p),
+                                        ("vp2", fx.bundle2, verify2, fx.bank_keys.q)):
+        bad = dataclasses.replace(bundle.presentation, a_prime=prime)
+        cases.append((f"{tag}:a_prime-non-unit", checker(dataclasses.replace(bundle, presentation=bad))))
     cases.append(("vp1:nonce-swap", verify_bundle(
-        registry, fx.bundle1, b"some-other-nonce", enc_keys, expected_prev=b"")))
+        registry, fx.bundle1, b"some-other-nonce", enc_keys, expected_prev=b"", own_keys=own1)))
     cases.append(("vp2:prev-digest-tamper", verify_bundle(
-        registry, fx.bundle2, nonce, enc_keys, expected_prev=b"wrong")))
+        registry, fx.bundle2, nonce, enc_keys, expected_prev=b"wrong", own_keys=own2)))
     disclosed = dict(fx.bundle2.presentation.disclosed)
     disclosed["bank_name"] += 1
     bad_pres = dataclasses.replace(fx.bundle2.presentation, disclosed=disclosed)
@@ -221,6 +239,10 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
             bad_arm = dataclasses.replace(arm, **{field_name: getattr(arm, field_name) + 1})
             cases.append((f"{tag}:link-{field_name}+1",
                           checker(dataclasses.replace(bundle, link_proofs=(bad_arm,)))))
+        # the commitment modulus is the platform's n
+        bad_arm = dataclasses.replace(arm, commitment=fx.platform_keys.q)
+        cases.append((f"{tag}:link-commitment-non-unit",
+                      checker(dataclasses.replace(bundle, link_proofs=(bad_arm,)))))
 
     # verifiable-encryption arms
     arm = fx.bundle1.enc_proofs[0]
@@ -233,6 +255,14 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
                       verify1(dataclasses.replace(fx.bundle1, enc_proofs=(bad_arm,)))))
     cases.append(("verenc-eg:r_hat+1", verify1(dataclasses.replace(
         fx.bundle1, enc_proofs=(dataclasses.replace(arm, r_hat=arm.r_hat + 1),)))))
+    # the only non-unit mod the ElGamal prime p is 0, here written as p itself
+    for idx, label in ((0, "c1"), (1, "c2")):
+        parts = list(arm.ciphertext.parts)
+        parts[idx] = fx.aa_keys.public.p
+        bad_arm = dataclasses.replace(arm, ciphertext=dataclasses.replace(
+            arm.ciphertext, parts=tuple(parts)))
+        cases.append((f"verenc-eg:{label}-non-unit",
+                      verify1(dataclasses.replace(fx.bundle1, enc_proofs=(bad_arm,)))))
     other_ct = elgamal_encrypt(fx.aa_keys.public, 999, rng=fx.rng)
     cases.append(("verenc-eg:ciphertext-swap", verify1(dataclasses.replace(
         fx.bundle1, enc_proofs=(dataclasses.replace(arm, ciphertext=other_ct),)))))
@@ -241,6 +271,10 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
     bad_ct = dataclasses.replace(parm.ciphertext, parts=(parm.ciphertext.parts[0] + 1,))
     cases.append(("verenc-paillier:c+1", verify2(dataclasses.replace(
         fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=bad_ct),)))))
+    for label, ct in (("c-non-unit-p", fx.bank_enc.p), ("c-non-unit-p2", fx.bank_enc.p ** 2)):
+        bad_ct = dataclasses.replace(parm.ciphertext, parts=(ct,))
+        cases.append((f"verenc-paillier:{label}", verify2(dataclasses.replace(
+            fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=bad_ct),)))))
     # the integer response lies in [0, 2^(|n| + 2 stat + challenge + 1))
     r_hat_bound = 1 << (fx.bank_enc.public.n.bit_length() + 2 * fx.profile.stat_bits
                         + fx.profile.challenge_bits + 1)
@@ -279,26 +313,22 @@ def mutation_cases(fx: _Fixture | None = None) -> list[tuple[str, bool]]:
     # equality splices across sessions with different SSNs
     other = build_fixture(seed=1302, ssn=987_654_321)
     eq = fx.equality
-    cases.append(("equality:foreign-commitment", verify_equality(
-        registry, dataclasses.replace(eq, commitment=other.equality.commitment),
-        fx.bundle1, fx.bundle2, nonce, nonce, enc_keys)))
-    cases.append(("equality:foreign-r_hat_a", verify_equality(
-        registry, dataclasses.replace(eq, r_hat_a=other.equality.r_hat_a),
-        fx.bundle1, fx.bundle2, nonce, nonce, enc_keys)))
-    cases.append(("equality:foreign-r_hat_b", verify_equality(
-        registry, dataclasses.replace(eq, r_hat_b=other.equality.r_hat_b),
-        fx.bundle1, fx.bundle2, nonce, nonce, enc_keys)))
-    cases.append(("equality:foreign-bundle2", verify_equality(
-        registry, eq, fx.bundle1, other.bundle2, nonce, nonce, enc_keys)))
-    cases.append(("equality:foreign-bundle1", verify_equality(
-        registry, eq, other.bundle1, fx.bundle2, nonce, nonce, enc_keys)))
+    cases.append(("equality:foreign-commitment", equality(
+        dataclasses.replace(eq, commitment=other.equality.commitment), fx.bundle1, fx.bundle2)))
+    cases.append(("equality:foreign-r_hat_a", equality(
+        dataclasses.replace(eq, r_hat_a=other.equality.r_hat_a), fx.bundle1, fx.bundle2)))
+    cases.append(("equality:foreign-r_hat_b", equality(
+        dataclasses.replace(eq, r_hat_b=other.equality.r_hat_b), fx.bundle1, fx.bundle2)))
+    cases.append(("equality:foreign-bundle2", equality(eq, fx.bundle1, other.bundle2)))
+    cases.append(("equality:foreign-bundle1", equality(eq, other.bundle1, fx.bundle2)))
 
     return cases
 
 
-def splice_harness(trials: int = 50, seed: int = 77) -> tuple[int, int]:
+def splice_harness(trials: int = 50, seed: int = 77, with_keys: bool = False) -> tuple[int, int]:
     """Random splices of equality material across two unequal-SSN sessions;
-    returns (trials, rejected)."""
+    returns (trials, rejected). With `with_keys` the verifying platform
+    passes its own key pair."""
     fx_a = build_fixture(seed=seed, ssn=111_111_111)
     fx_b = build_fixture(seed=seed + 1, ssn=222_222_222)
     rng = random.Random(f"splice:{seed}")
@@ -312,7 +342,7 @@ def splice_harness(trials: int = 50, seed: int = 77) -> tuple[int, int]:
         bundle1 = fx_b.bundle1 if rng.getrandbits(1) else fx_a.bundle1
         bundle2 = fx_b.bundle2 if (bundle1 is fx_a.bundle1) else fx_a.bundle2
         ok = verify_equality(fx_a.registry, eq, bundle1, bundle2, fx_a.nonce, fx_a.nonce,
-                             fx_a.enc_keys)
+                             fx_a.enc_keys, own_keys=(fx_a.platform_keys,) if with_keys else ())
         if not ok:
             rejected += 1
     return trials, rejected

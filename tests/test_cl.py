@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
+from fcguard import keycache
+from fcguard.crypto import cl
 from fcguard.crypto.cl import (
     ClIssuerKeyPair,
     _signature_proof_challenge,
@@ -16,7 +19,8 @@ from fcguard.crypto.cl import (
 )
 from fcguard.crypto.primes import is_probable_prime
 from fcguard.errors import EncodingRangeError, ParameterError
-from fcguard.params import TOY
+from fcguard.params import PAPER, TOY
+from fcguard.serialize import dumps
 
 
 def schoolbook_pow(base, exponent, modulus):
@@ -185,3 +189,53 @@ def test_crt_signing_matches_plain_exponentiation(hidden):
         a_tilde = pow(q_value, r, pk.n)
         c = _signature_proof_challenge(pk, q_value, sig.a, a_tilde, b"crt", TOY)
         assert (proof.challenge, proof.s_e) == (c, (r - c * pow(sig.e, -1, order)) % order)
+
+
+def _public_digest(keys):
+    return hashlib.sha256(dumps(keys.public)).hexdigest()
+
+
+# SHA-256 of the serialized public keys as `from_secrets` made them when Z and
+# the R_i were plain powers mod n; computing them mod p and q changes no byte.
+TOY_KEY_DIGESTS = {
+    (1, "platform"): "5c82f921fff218fe08bf4dcb1a030f5c4f1fc0ba679c19736dbf516214179f55",
+    (1, "bank"): "558c35d6219f61af506f6bd00d6528f65f0c7f607b20bcde60d738da430c9496",
+    (42, "platform"): "cc3d6beb65dbeb75f6b236951bb5f07446979666492416bebe55d408b902664f",
+    (42, "bank"): "752aea0cae88c6fb7efd6fd020513a27c641de9b36e6c532677f39c266164838",
+}
+PAPER_SEED_42_KEY_DIGESTS = {
+    "platform": "efcfb213b36392377db0e5ac32794b7a14eb39a9249b7c869af38b78ae493b80",
+    "bank": "a9c10b807d3ae0e649d08cf1555dbc7730729960e948f6ee37d523e6c1cf27ca",
+}
+
+
+def test_toy_keys_are_pinned():
+    for (seed, label), digest in TOY_KEY_DIGESTS.items():
+        assert _public_digest(keycache.issuer_keys(TOY, seed, label, 4, None)) == digest, (seed, label)
+    forced = ClIssuerKeyPair.from_secrets(5, 11, 4, 7, [9, 13, 21])
+    assert _public_digest(forced) == "476fc21528f954eac1fc3a8986157a91a94deea73afef95de2bdcb7dd1193884"
+
+
+def test_seed_42_paper_keys_load_pinned(paper_key_cache):
+    # the criterion-01 cache: made once per session, loaded here through from_secrets
+    keycache.fill_missing(PAPER, 42, [(label, 4) for label in PAPER_SEED_42_KEY_DIGESTS], paper_key_cache)
+    for label, digest in PAPER_SEED_42_KEY_DIGESTS.items():
+        keys = keycache.issuer_keys(PAPER, 42, label, 4, paper_key_cache)
+        assert _public_digest(keys) == digest, label
+
+
+def test_issuance_computes_q_once_per_side(monkeypatch):
+    rng = random.Random(111)
+    keys = cl_keygen(4, TOY, rng)
+    pk = keys.public
+    attrs, blind, secret = [5, 6, 7], 4242, 99
+    commitment = pow(pk.s, blind, pk.n) * pow(pk.r_bases[0], secret, pk.n) % pk.n
+    holder_q = []
+    real = cl.recompute_q
+    monkeypatch.setattr(cl, "recompute_q", lambda *args: holder_q.append(args) or real(*args))
+    sig, proof = sign_with_proof(keys, attrs, TOY, rng, nonce=b"q", hidden_commitment=commitment)
+    assert holder_q == []  # the issuer's Q is made mod p and q, once, inside the signing
+    full = dataclasses.replace(sig, v=sig.v + blind)
+    q_value = cl.signature_q(pk, [secret, *attrs], full)
+    assert len(holder_q) == 1 and q_value == real(pk, [secret, *attrs], full.v)
+    assert verify_signature_proof(pk, full.a, q_value, proof, b"q", TOY)

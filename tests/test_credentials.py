@@ -214,3 +214,13 @@ def test_issuance_mutation_sweep(toy_env):
                 with pytest.raises(VerificationError):
                     holder_finalize_credential(defn, schema, bad,
                                                toy_env.wallet.link_secret, v_prime, nonce)
+
+
+def test_request_proof_verdict_is_the_same_with_the_issuers_own_key(toy_env):
+    defn = toy_env.platform_defn
+    request, _ = create_credential_request(toy_env.wallet.link_secret, defn, b"n-crt", toy_env.rng)
+    bad = dataclasses.replace(request, proof=dataclasses.replace(request.proof, s_m=request.proof.s_m + 1))
+    # the bank's key pair is over another modulus, so it is not used
+    for keys in (None, toy_env.platform_keys, toy_env.bank_keys):
+        assert verify_credential_request(defn, request, keys)
+        assert not verify_credential_request(defn, bad, keys)

@@ -474,3 +474,76 @@ def test_chain_is_publicly_readable_for_bank_inference():
     outcome = result.orders[0]
     assert observed == {a for a in outcome.addresses
                         if any(tx.recipient == a for tx in chain.all_txs())}
+
+
+def test_key_holders_evaluate_no_equation_over_their_own_modulus(ctx, monkeypatch):
+    """Each verification's equations, by modulus: the platform passes its
+    issuer key pair (its n is also the link-commitment modulus) and the bank
+    its issuer and Paillier key pairs, and each of their equations over those
+    moduli runs mod the primes."""
+    alice = ctx.users[0]
+    _onboard(ctx, alice)
+    platform_n, bank = ctx.platform.issuer_keys.public.n, ctx.bank
+    names = {platform_n: "platform n", bank.issuer_keys.public.n: "bank n",
+             bank.enc_keys.public.n_squared: "paillier n^2", ctx.authority.public_enc_key.p: "elgamal p"}
+    evaluated = []
+    real_plain, real_crt = presentations.multi_powmod, presentations.multi_powmod_crt
+    monkeypatch.setattr(presentations, "multi_powmod",
+                        lambda terms, mod: evaluated.append(("plain", names[mod])) or real_plain(terms, mod))
+    monkeypatch.setattr(presentations, "multi_powmod_crt", lambda terms, crt: evaluated.append(
+        ("crt", names[crt[0][0] * crt[1][0]])) or real_crt(terms, crt))
+    calls = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            evaluated.clear()
+            result = fn(*args, **kwargs)
+            own = sorted(names[k.crt[0][0] * k.crt[1][0]] for k in kwargs["own_keys"])
+            calls.append((fn.__name__, own, sorted(evaluated), result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(parties, "verify_bundle", recorded(parties.verify_bundle))
+    monkeypatch.setattr(parties, "verify_equality", recorded(parties.verify_equality))
+    order, handle = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",)))
+    exchange_step2_bank(ctx, alice, order, handle)
+    assert order.state == "bank-verified"
+    platform, bank_keys = ["platform n"], ["bank n", "paillier n^2"]
+    bundle1 = [("crt", "platform n")] * 2 + [("plain", "elgamal p")] * 2  # core, link; ElGamal c1, c2
+    bundle2_platform = [("crt", "platform n"), ("plain", "bank n"), ("plain", "paillier n^2")]
+    assert calls == [
+        ("verify_bundle", platform, sorted(bundle1), True),  # step 1, platform
+        ("verify_bundle", platform, sorted(bundle2_platform), True),  # step 2, platform
+        ("verify_equality", platform, sorted(bundle1 + bundle2_platform), True),
+        ("verify_bundle", bank_keys, sorted([("crt", "bank n"), ("crt", "paillier n^2"),
+                                             ("plain", "platform n")]), True),  # the bank
+    ]
+
+
+def _baseline_order(context, user, register=True):
+    if register:
+        parties.baseline_register(context, user)
+    params = OrderParams("BTC", 100, ("a0",))
+    return parties.open_order(context, user.party_id, params), params
+
+
+def test_baseline_identity_failure_is_sent_with_its_cause():
+    context, _ = build_context(_base_cfg(mode="baseline"))
+    alice = context.users[0]
+    order, params = _baseline_order(context, alice, register=False)  # no user id to look up
+    parties.baseline_identity(context, alice, order, params)
+    assert order.state == "failed" and order.failure_cause == "identity"
+    _assert_rejection_sent(context, "baseline-identity-rejected", "identity", order)
+    assert context.net.events[-1].mtype == "baseline-identity-rejected"
+
+
+def test_baseline_bank_failure_is_sent_with_its_cause():
+    context, _ = build_context(_base_cfg(mode="baseline"))
+    alice = context.users[0]
+    order, params = _baseline_order(context, alice)
+    alice.bank_account = 99  # an account the bank does not hold
+    parties.baseline_identity(context, alice, order, params)
+    parties.baseline_bank(context, alice, order)
+    assert order.state == "failed" and order.failure_cause == "bank-verify"
+    _assert_rejection_sent(context, "fiat-rejected", "bank-verify", order)
+    assert context.net.events[-1].mtype == "fiat-rejected"

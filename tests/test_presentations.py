@@ -18,6 +18,7 @@ from fcguard.presentations import (
     verify_bundle,
     verify_equality,
 )
+from fcguard.security import build_fixture
 from fcguard.serialize import canonical_int_hex, dumps
 
 
@@ -330,3 +331,48 @@ def test_verify_lets_an_unexpected_error_propagate(toy_env, monkeypatch):
     monkeypatch.setattr(presentations, "commitment_key_for", broken)
     with pytest.raises(RuntimeError):
         verify_bundle(toy_env.registry, b1, nonce, toy_env.enc_keys)
+
+
+def test_own_keys_leave_every_t_value_unchanged(monkeypatch):
+    # every arm kind, honest and tampered, including exponents past lambda, a
+    # negative v_hat and a link response past the table cap
+    fx = build_fixture()
+    seen = []
+    real = presentations._bundle_challenge
+
+    def recording(profile, core, t_core, nonce, source, prev, arms):
+        seen.append((t_core, {kind: [ts for _, ts, *_ in group] for kind, group in arms.items()}))
+        return real(profile, core, t_core, nonce, source, prev, arms)
+
+    monkeypatch.setattr(presentations, "_bundle_challenge", recording)
+    own = (fx.platform_keys, fx.bank_keys, fx.bank_enc)
+    prev2 = bundle_digest(fx.bundle1)
+    cases = [(fx.bundle1, b""), (fx.bundle2, prev2)]
+    for bundle, prev in list(cases):
+        pres = bundle.presentation
+        hats = {name: value + (1 << 300) for name, value in pres.m_hats.items()}
+        pres = dataclasses.replace(pres, v_hat=-pres.v_hat, e_hat=pres.e_hat + 1, m_hats=hats)
+        link = dataclasses.replace(bundle.link_proofs[0], r_hat=(1 << 5000) + 1)
+        enc = bundle.enc_proofs[0]
+        enc = dataclasses.replace(enc, r_hat=(enc.r_hat * 3) % (1 << enc.r_hat.bit_length()))
+        cases.append((dataclasses.replace(bundle, presentation=pres, link_proofs=(link,),
+                                          enc_proofs=(enc,)), prev))
+    for bundle, prev in cases:
+        seen.clear()
+        verdicts = [verify_bundle(fx.registry, bundle, fx.nonce, fx.enc_keys, expected_prev=prev,
+                                  own_keys=keys) for keys in ((), own)]
+        assert verdicts == [bundle in (fx.bundle1, fx.bundle2)] * 2
+        assert len(seen) == 2 and seen[0] == seen[1]
+
+
+def test_a_prime_sharing_a_factor_is_rejected_before_any_equation(toy_env, monkeypatch):
+    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    keys = toy_env.platform_keys
+    evaluated = []
+    monkeypatch.setattr(presentations._Eq, "t_value", lambda *args: evaluated.append(args))
+    for a_prime in (keys.p, keys.q * 5):
+        pres = dataclasses.replace(b1.presentation, a_prime=a_prime)
+        bad = dataclasses.replace(b1, presentation=pres)
+        for own in ((), (keys,)):
+            assert not verify_bundle(toy_env.registry, bad, nonce, toy_env.enc_keys, own_keys=own)
+    assert evaluated == []

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcguard.crypto import primes
@@ -10,6 +10,8 @@ from fcguard.crypto.primes import (
     invert,
     is_prime_2q_plus_1,
     is_probable_prime,
+    multi_powmod,
+    multi_powmod_crt,
     powmod,
     powmod_fixed,
     random_prime,
@@ -130,6 +132,101 @@ def test_fixed_base_tables_stay_within_the_lru_bound():
         assert powmod_fixed(base, 12345, mod) == pow(base, 12345, mod)
     assert len(primes._FIXED_TABLES) == primes._FIXED_TABLES_MAX
     assert (2, mod) not in primes._FIXED_TABLES and (base, mod) in primes._FIXED_TABLES
+
+
+# Prime pairs for the CRT form: tiny, Mersenne, and a pair of 256-bit primes,
+# each taken as ((p, p-1), (q, q-1)) and as ((p^2, p(p-1)), (q^2, q(q-1))).
+CRT_PRIME_PAIRS = [(2, 3), (11, 23), (2**61 - 1, 2**89 - 1), (2**127 - 1, 2**107 - 1),
+                   (2**255 - 19, 2**256 - 2**224 + 2**192 + 2**96 - 1)]
+
+
+def _crt_form(p, q, squared):
+    if squared:
+        return (p * p, p * (p - 1)), (q * q, q * (q - 1))
+    return (p, p - 1), (q, q - 1)
+
+
+@st.composite
+def _products(draw):
+    """(terms, crt): up to five terms over a factored modulus M, with bases 0,
+    1, multiples of p, values at least M and arbitrary ones; exponents 0, +-1,
+    up to 700 bits, at the 4096-bit table cap and past it, negative only for
+    a unit base."""
+    p, q = draw(st.sampled_from(CRT_PRIME_PAIRS))
+    crt = _crt_form(p, q, draw(st.booleans()))
+    mod = crt[0][0] * crt[1][0]
+    cap = primes._FIXED_EXP_CAP
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        base = draw(st.one_of(st.sampled_from([0, 1]), st.integers(min_value=0, max_value=mod - 1),
+                              st.integers(min_value=1, max_value=mod // p).map(lambda k: k * p)))
+        base += draw(st.sampled_from([0, 0, 1, 3])) * mod
+        exp = draw(st.one_of(st.sampled_from([0, 1, -1, (1 << cap) - 1, 1 << cap, (1 << (cap + 1)) + 5]),
+                             st.integers(min_value=-(1 << 700), max_value=1 << 700),
+                             st.integers(min_value=0, max_value=(1 << cap) - 1)))
+        if exp < 0 and math.gcd(base, mod) != 1:
+            exp = -exp
+        terms.append((base, exp, draw(st.booleans())))
+    return terms, crt
+
+
+def _expected(terms, mod):
+    return math.prod(pow(base, exp, mod) for base, exp, _ in terms) % mod
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(case=_products())
+def test_multi_powmod_and_its_crt_form_equal_the_product_of_pow(case):
+    terms, crt = case
+    mod = crt[0][0] * crt[1][0]
+    expected = _expected(terms, mod)
+    assert multi_powmod(terms, mod) == expected
+    assert multi_powmod_crt(terms, crt) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=_products())
+def test_gmpy2_shape_equals_the_product_of_pow(case):
+    terms, crt = case
+    mod = crt[0][0] * crt[1][0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "multi_powmod", primes._powmod_product)
+        mp.setattr(primes, "powmod_fixed", primes.powmod)
+        assert primes.multi_powmod(terms, mod) == _expected(terms, mod)
+        assert multi_powmod_crt(terms, crt) == _expected(terms, mod)
+
+
+def test_negative_exponent_of_a_non_unit_raises_on_both_forms():
+    crt = _crt_form(11, 23, False)
+    for fixed in (False, True):
+        with pytest.raises(ValueError):
+            multi_powmod([(11 * 5, -3, fixed)], 253)
+        with pytest.raises(ValueError):
+            multi_powmod_crt([(11 * 5, -3, fixed)], crt)
+
+
+def test_crt_form_reduces_exponents_into_lambda_to_two_lambda(monkeypatch):
+    seen = []
+    real = primes.multi_powmod
+    monkeypatch.setattr(primes, "multi_powmod", lambda terms, mod: seen.append(terms) or real(terms, mod))
+    p, q = 2**61 - 1, 2**89 - 1
+    assert multi_powmod_crt([(3, 1 << 600, True), (p, 5, False), (7, 9, False)],
+                            _crt_form(p, q, False)) == pow(3, 1 << 600, p * q) * p**5 * 7**9 % (p * q)
+    (half_p, half_q) = seen
+    assert half_p[0][1] == (1 << 600) % (p - 1) + (p - 1) and half_q[0][1] == (1 << 600) % (q - 1) + (q - 1)
+    assert [t[1] for t in half_p[1:]] == [5, 9]  # exponents below lambda are kept
+
+
+def test_fixed_terms_of_one_product_share_tables_and_count_no_powmod(monkeypatch):
+    if primes.gmpy2 is not None:
+        pytest.skip("the gmpy2 backend keeps no tables")
+    calls = []
+    monkeypatch.setattr(primes, "powmod", lambda b, e, m: calls.append(m) or pow(b, e, m))
+    mod = 2**127 - 1
+    terms = [(3, 12345, True), (5, 1 << 300, True), (7, 99, False)]
+    assert multi_powmod(terms, mod) == _expected(terms, mod)
+    assert calls == [mod]  # only the variable base goes through powmod
+    assert (3, mod) in primes._FIXED_TABLES and (5, mod) in primes._FIXED_TABLES
 
 
 def test_trial_division_keeps_primality_answers():

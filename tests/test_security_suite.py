@@ -33,6 +33,20 @@ def test_mutation_matrix_size_and_rejection():
             "verenc-paillier:r_hat-at-bound"} <= names
 
 
+def test_verdicts_are_the_same_with_the_verifiers_own_keys():
+    # each run on a fresh fixture, so both draw the same randomness
+    plain = mutation_cases(build_fixture())
+    with_keys = mutation_cases(build_fixture(), with_keys=True)
+    assert plain == with_keys
+    assert [name for name, ok in with_keys if ok] == []
+    names = {name for name, _ in with_keys}
+    assert {"vp1:a_prime-non-unit", "vp2:a_prime-non-unit", "vp1:link-commitment-non-unit",
+            "vp2:link-commitment-non-unit", "verenc-eg:c1-non-unit", "verenc-eg:c2-non-unit",
+            "verenc-paillier:c-non-unit-p", "verenc-paillier:c-non-unit-p2",
+            "cred-request:blinded-non-unit"} <= names
+    assert splice_harness(trials=50, with_keys=True) == (50, 50)
+
+
 def test_mutation_case_names_unique():
     names = [name for name, _ in mutation_cases(build_fixture())]
     assert len(names) == len(set(names))
