@@ -22,7 +22,7 @@ from ..errors import DecryptionError, EncodingRangeError
 from ..params import Profile
 from ..serialize import dumps, serializable
 from .ciphertext import Ciphertext
-from .primes import Crt, crt_pair, invert, powmod, random_prime
+from .primes import Crt, crt_pair, invert, multi_powmod_pair, powmod, random_prime
 
 
 @serializable("paillier-pk")
@@ -65,19 +65,21 @@ class PaillierKeyPair:
         return (self.p * self.p, self.p * (self.p - 1)), (self.q * self.q, self.q * (self.q - 1))
 
     def pow_lam(self, c: int) -> int:
-        """c^lam mod n^2, assembled from c^lam mod p^2 and mod q^2."""
-        return crt_pair(_pow_lam_mod_square(c, self.lam, self.p), self.p * self.p,
-                        _pow_lam_mod_square(c, self.lam, self.q), self.q * self.q)
+        """c^lam mod n^2, assembled from c^lam mod p^2 and mod q^2; the
+        powers c^(p-1) mod p^2 and c^(q-1) mod q^2 are one `multi_powmod_pair`."""
+        p, q = self.p, self.q
+        x_p, x_q = multi_powmod_pair((((c, p - 1, False),), p * p), (((c, q - 1, False),), q * q))
+        return crt_pair(_lam_power(c, x_p, self.lam, p), p * p, _lam_power(c, x_q, self.lam, q), q * q)
 
 
-def _pow_lam_mod_square(c: int, lam: int, p: int) -> int:
-    """c^lam mod p^2 for a prime p with (p-1) | lam. For c coprime to p,
-    c^(p-1) = 1 + p*t (mod p^2), and (1 + p*t)^k = 1 + k*p*t (mod p^2); for
-    c divisible by p, c^lam = 0 (mod p^2) because lam >= 2."""
+def _lam_power(c: int, x: int, lam: int, p: int) -> int:
+    """c^lam mod p^2 from x = c^(p-1) mod p^2, for a prime p with
+    (p-1) | lam. For c coprime to p, x = 1 + p*t (mod p^2), and
+    (1 + p*t)^k = 1 + k*p*t (mod p^2); for c divisible by p, c^lam = 0
+    (mod p^2) because lam >= 2."""
     if c % p == 0:
         return 0
-    t = (powmod(c, p - 1, p * p) - 1) // p
-    return 1 + p * (t * (lam // (p - 1)) % p)
+    return 1 + p * ((x - 1) // p * (lam // (p - 1)) % p)
 
 
 def _ell(u: int, n: int) -> int:

@@ -59,17 +59,57 @@ unchanged too. Exponents below lam are kept. So every value equals the plain
 computation mod m1 m2, for any base. Issuers sign, answer the request proof,
 and verify presentation equations over their own moduli this way, and the
 bank decrypts and verifies its Paillier arm mod p^2 and q^2.
+
+Without gmpy2, large products use a second core. One helper process,
+forked on first use, reads products from a pipe and evaluates them with the
+same serial `_multi_powmod` (its own copy of the table LRU, the same
+4096-bit cap and the same oversized-exponent rule) while this process
+evaluates another. Requests and replies hold only ints, so they travel
+marshal-encoded, and neither multiprocessing nor its resource tracker is
+involved. The helper is forked rather than spawned, so it starts without
+importing anything; that is safe because the program starts no threads.
+`multi_powmod_pair` gives the helper the second of two products, so a CRT
+form and Paillier's pow_lam each evaluate one half there (Quisquater-
+Couvreur's split is two independent jobs). The pure-Python `multi_powmod`
+cuts a plain product into two sub-products of about equal estimated cost,
+costliest term first, each to the side with less work so far: a fixed term
+costs about bits/5 multiplications, any other about 1.2 bits. It multiplies
+the two results. The helper is used only for a modulus above 1024 bits (one
+integer comparison, made first) and then only when its share is at least
+`_PARALLEL_MIN_WORK` estimated multiplications, about 20 pipe round trips.
+So the toy profile, whose moduli are at most 1024 bits, never starts it,
+and neither does a process whose CPU affinity holds one CPU: there the
+round trip would buy nothing.
+
+A ValueError raised in the helper (no inverse) is raised again in the
+caller, and the helper's reply is read even when this process's half
+raises, so the pipes never go out of step. A helper that cannot answer
+(EOF, killed, an interrupted wait) is dropped and reaped, and its product
+is evaluated here; so is one that hit any other error, which ends it, so
+that error is raised here as it always was. The next large product starts a
+new helper. The helper ignores SIGINT, takes SIGTERM's default, and exits
+at EOF, which includes the death of this process. An exit hook closes the
+pipes and reaps it, so a SIGTERM that ends this process through `sys.exit`
+leaves no child. The values are those of the serial evaluation, so every
+seeded output is unchanged. A tracer that wraps `powmod` in this process
+does not see the powers the helper computes, and `RUSAGE_SELF` does not
+count the helper's memory.
 """
 
 from __future__ import annotations
 
+import atexit
 import bisect
+import contextlib
+import marshal
 import math
+import os
 import random
+import signal
 from array import array
 from collections import OrderedDict
 from itertools import compress
-from typing import Iterable, NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple
 
 from ..errors import PrimeGenerationError
 
@@ -154,7 +194,34 @@ def _multi_powmod(terms: Iterable[Term], mod: int) -> int:
     return acc
 
 
-multi_powmod = _powmod_product if gmpy2 is not None else _multi_powmod
+def _term_cost(term: Term) -> int:
+    """Estimated modular multiplications of one term in `_multi_powmod`:
+    about bits/5 for a fixed base within the table cap, 1.2 bits otherwise."""
+    _, exp, fixed = term
+    bits = int.bit_length(exp)
+    return bits // 5 if fixed and bits <= _FIXED_EXP_CAP else bits * 6 // 5
+
+
+def _split_multi_powmod(terms: Iterable[Term], mod: int) -> int:
+    """`_multi_powmod`, as two sub-products on two processes when the
+    lighter one is worth a round trip to the helper (module docstring)."""
+    if mod > _PARALLEL_MIN_MOD:
+        terms = tuple(terms)
+        # costliest term first, each to the side with less work so far
+        sides: tuple[list[Term], list[Term]] = ([], [])
+        loads = [0, 0]
+        for cost, i in sorted(((_term_cost(t), i) for i, t in enumerate(terms)), reverse=True):
+            side = loads[1] < loads[0]
+            sides[side].append(terms[i])
+            loads[side] += cost
+        if min(loads) >= _PARALLEL_MIN_WORK:
+            both = _on_two_processes((sides[0], mod), (sides[1], mod))
+            if both is not None:
+                return both[0] * both[1] % mod
+    return _multi_powmod(terms, mod)
+
+
+multi_powmod = _powmod_product if gmpy2 is not None else _split_multi_powmod
 
 
 def powmod_fixed(base: int, exp: int, mod: int) -> int:
@@ -162,16 +229,33 @@ def powmod_fixed(base: int, exp: int, mod: int) -> int:
     return multi_powmod(((base, exp, True),), mod)
 
 
+def multi_powmod_pair(first: tuple[Iterable[Term], int],
+                      second: tuple[Iterable[Term], int]) -> tuple[int, int]:
+    """(multi_powmod(*first), multi_powmod(*second)). Without gmpy2, when the
+    second product is large enough, the helper process evaluates it while
+    this one evaluates the first."""
+    terms, mod = second
+    if gmpy2 is None and mod > _PARALLEL_MIN_MOD:
+        terms = tuple(terms)
+        if sum(map(_term_cost, terms)) >= _PARALLEL_MIN_WORK:
+            both = _on_two_processes(first, (terms, mod))
+            if both is not None:
+                return both
+    return multi_powmod(*first), multi_powmod(terms, mod)
+
+
 def multi_powmod_crt(terms: Iterable[Term], crt: Crt) -> int:
     """`multi_powmod(terms, m1 * m2)` for crt = ((m1, lam1), (m2, lam2)):
     each half is evaluated mod m_i with exponents reduced by the [lam, 2 lam)
-    rule (module docstring) and the halves are joined by `crt_pair`."""
+    rule (module docstring), the two through `multi_powmod_pair`, and the
+    halves are joined by `crt_pair`."""
     (m1, lam1), (m2, lam2) = crt
     terms = tuple(terms)
-    return crt_pair(_crt_half(terms, m1, lam1), m1, _crt_half(terms, m2, lam2), m2)
+    x1, x2 = multi_powmod_pair((_crt_half(terms, m1, lam1), m1), (_crt_half(terms, m2, lam2), m2))
+    return crt_pair(x1, m1, x2, m2)
 
 
-def _crt_half(terms: tuple[Term, ...], mod: int, lam: int) -> int:
+def _crt_half(terms: tuple[Term, ...], mod: int, lam: int) -> list[Term]:
     reduced = []
     for base, exp, fixed in terms:
         base %= mod
@@ -180,7 +264,158 @@ def _crt_half(terms: tuple[Term, ...], mod: int, lam: int) -> int:
         if exp >= lam:
             exp = exp % lam + lam
         reduced.append((base, exp, fixed))
-    return multi_powmod(reduced, mod)
+    return reduced
+
+
+# ---------------------------------------------------------------------------
+# the helper process: one lazily forked copy of this one, fed over two pipes
+
+_PARALLEL_MIN_MOD = 1 << 1024  # only moduli above 1024 bits, so never at the toy profile
+_PARALLEL_MIN_WORK = 256  # estimated multiplications the helper must get, about 20 round trips
+# (pid, request pipe, reply pipe) while a helper runs
+_HELPER: tuple[int, BinaryIO, BinaryIO] | None = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _helper_pipes() -> tuple[BinaryIO, BinaryIO] | None:
+    """The helper's request and reply pipes, forking it on first use; None
+    when this process may use one CPU only or cannot fork."""
+    global _HELPER
+    if _HELPER is None:
+        if not hasattr(os, "fork") or _usable_cpus() < 2:
+            return None
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return None
+        request_r, request_w, reply_r, reply_w = fds
+        if pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(request_w)  # so that EOF comes when the parent closes its end or dies
+                os.close(reply_r)
+                _serve(os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(request_r)
+        os.close(reply_w)
+        _HELPER = pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb")
+    return _HELPER[1], _HELPER[2]
+
+
+def _serve(requests: BinaryIO, replies: BinaryIO) -> None:
+    """The helper's loop: evaluate each (terms, mod) it reads with the
+    serial `_multi_powmod` and reply (True, value), or (False, message) for
+    a ValueError, until EOF. Any other exception ends the helper, and the
+    caller then evaluates the product itself and raises it there."""
+    while True:
+        try:
+            terms, mod = marshal.load(requests)
+        except EOFError:
+            return
+        try:
+            reply = True, _multi_powmod(terms, mod)
+        except ValueError as exc:  # no inverse
+            reply = False, str(exc)
+        replies.write(marshal.dumps(reply))
+        replies.flush()
+
+
+def _on_two_processes(local: tuple[Iterable[Term], int],
+                      remote: tuple[Iterable[Term], int]) -> tuple[int, int] | None:
+    """(_multi_powmod(*local), _multi_powmod(*remote)), the remote product
+    evaluated by the helper meanwhile; None when no helper can be had or
+    the remote terms are not plain values. The helper's reply is read even
+    when the local product raises, so the pipes stay in step; a helper that
+    cannot answer is dropped and its product evaluated here."""
+    pipes = _helper_pipes()
+    if pipes is None:
+        return None
+    requests, replies = pipes
+    try:
+        request = marshal.dumps(remote)
+    except ValueError:  # not ints: evaluated here, where it fails as it always has
+        return None
+    try:
+        requests.write(request)
+        requests.flush()
+    except OSError:
+        _stop_helper(kill=True)
+        return None
+    except BaseException:  # a request cut short leaves the pipe out of step
+        _stop_helper(kill=True)
+        raise
+    try:
+        mine = _multi_powmod(*local)
+    except BaseException:
+        _receive(replies)
+        raise
+    reply = _receive(replies)
+    if reply is None:
+        return mine, _multi_powmod(*remote)
+    ok, theirs = reply
+    if not ok:
+        raise ValueError(theirs)
+    return mine, theirs
+
+
+def _receive(replies: BinaryIO) -> tuple[bool, int | str] | None:
+    """The helper's reply, or None after dropping a helper that cannot
+    answer."""
+    try:
+        return marshal.load(replies)
+    except (EOFError, ValueError, OSError):  # it died, perhaps mid-reply
+        _stop_helper(kill=True)
+        return None
+    except BaseException:  # an interrupted wait leaves the pipe out of step
+        _stop_helper(kill=True)
+        raise
+
+
+def _close_pipes() -> int | None:
+    """Forget the helper and close this process's ends of its pipes;
+    returns its pid."""
+    global _HELPER
+    if _HELPER is None:
+        return None
+    pid, *pipes = _HELPER
+    _HELPER = None
+    for pipe in pipes:
+        with contextlib.suppress(OSError):  # a request the dead helper never read
+            pipe.close()
+    return pid
+
+
+def _stop_helper(kill: bool = False) -> None:
+    """Close the pipes and reap the helper. Unless killed, it exits on EOF
+    at once: every request is answered before the next is sent, so it is
+    idle. This runs at exit, so a SIGTERM that ends the process through
+    `sys.exit` leaves no helper behind."""
+    pid = _close_pipes()
+    if pid is not None:
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    # a forked child shares the parent's pipes, so it must not use its helper
+    os.register_at_fork(after_in_child=_close_pipes)
 
 
 def invert(a: int, mod: int) -> int:

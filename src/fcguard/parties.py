@@ -622,8 +622,11 @@ def exchange_step3_transfer(ctx: SimContext, user: User, order: ExchangeOrder,
 
 
 def _split_amount(amount: int, parts: int, rng: random.Random) -> list[int]:
-    """Uniform random composition of `amount` into `parts` non-negative
-    integers summing exactly to amount."""
+    """Random composition of `amount` into `parts` non-negative integers
+    summing exactly to amount: the gaps between `parts - 1` independent
+    uniform cuts in [0, amount], sorted. It is not uniform over compositions;
+    for amount 2 and 3 parts, (0, 1, 1) comes with probability 2/9 and
+    (0, 0, 2) with 1/9."""
     if parts <= 1:
         return [amount]
     cuts = sorted(rng.randrange(0, amount + 1) for _ in range(parts - 1))

@@ -1,0 +1,248 @@
+"""The helper process of `crypto.primes`: with it forced on at toy size,
+every value and verdict is the serial one, and no process is left behind."""
+
+import contextlib
+import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fcguard.cli import main
+from fcguard.crypto import primes
+from fcguard.crypto.paillier import PaillierKeyPair
+from fcguard.presentations import bundle_digest
+from fcguard.scenario import load_scenario, run_scenario
+from fcguard.security import build_fixture, mutation_cases, splice_harness
+from test_primes import CRT_PRIME_PAIRS, _crt_form, _expected, _products
+from test_scenario_cli import GOLDEN_DIGESTS, SCENARIO_DIR
+from test_security_suite import FIXTURE_DIGESTS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FORCED = settings(derandomize=True, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@contextlib.contextmanager
+def _helper_forced():
+    """Every product goes to the helper, however small its modulus or work."""
+    primes._stop_helper()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_PARALLEL_MIN_MOD", 0)
+        mp.setattr(primes, "_PARALLEL_MIN_WORK", 0)
+        try:
+            yield
+        finally:
+            primes._stop_helper()
+
+
+@pytest.fixture
+def forced():
+    with _helper_forced():
+        yield
+
+
+@FORCED
+@given(case=_products())
+def test_forced_helper_gives_the_serial_products(forced, case):
+    terms, crt = case
+    mod = crt[0][0] * crt[1][0]
+    serial = primes._multi_powmod(terms, mod)
+    assert serial == _expected(terms, mod)
+    assert primes.multi_powmod(terms, mod) == serial
+    assert primes.multi_powmod_crt(terms, crt) == serial
+    assert primes._HELPER is not None
+
+
+# prime pairs with gcd(lambda, n) = 1, which a Paillier key needs
+PAILLIER_PAIRS = [(5, 7)] + CRT_PRIME_PAIRS[2:]
+
+
+@FORCED
+@given(data=st.data())
+def test_forced_helper_gives_the_serial_pow_lam(forced, data):
+    p, q = data.draw(st.sampled_from(PAILLIER_PAIRS))
+    keys = PaillierKeyPair.from_primes(p, q)
+    n2 = keys.public.n_squared
+    c = data.draw(st.one_of(st.sampled_from([0, 1, p, q, p * p, q * q, n2 - 1]),
+                            st.integers(min_value=0, max_value=n2 - 1),
+                            st.integers(min_value=1, max_value=n2 // p - 1).map(lambda k: k * p)))
+    assert keys.pow_lam(c) == pow(c, keys.lam, n2)
+    assert primes._HELPER is not None
+
+
+@pytest.mark.parametrize("side", ["helper", "here"])
+def test_a_non_unit_inverted_on_either_side_raises_and_keeps_the_pipe_in_step(forced, side):
+    # the costlier term is evaluated here, the other one by the helper
+    big = (7, 1 << 200, False)
+    non_unit = (11 * 5, -3 if side == "helper" else -(1 << 300), False)
+    terms = [(3, 12345, True), (5, 1 << 300, False)]
+    assert primes.multi_powmod(terms, 253) == _expected(terms, 253)
+    helper = primes._HELPER[0]
+    with pytest.raises(ValueError):
+        primes.multi_powmod([big, non_unit], 253)
+    assert primes.multi_powmod(terms, 253) == _expected(terms, 253)
+    with pytest.raises(ValueError):
+        primes.multi_powmod_crt([big, non_unit], _crt_form(11, 23, False))
+    assert primes._HELPER[0] is helper  # a raised ValueError does not cost the helper
+
+
+def test_crt_halves_reduce_exponents_with_the_helper_forced_on(forced, monkeypatch):
+    seen = []
+    real = primes._on_two_processes
+    monkeypatch.setattr(primes, "_on_two_processes",
+                        lambda local, remote: seen.append((local, remote)) or real(local, remote))
+    p, q = 2**61 - 1, 2**89 - 1
+    assert primes.multi_powmod_crt([(3, 1 << 600, True), (p, 5, False), (7, 9, False)],
+                                   _crt_form(p, q, False)) == pow(3, 1 << 600, p * q) * p**5 * 7**9 % (p * q)
+    ((half_p, mod_p), (half_q, mod_q)), = seen
+    assert (mod_p, mod_q) == (p, q)
+    assert half_p[0][1] == (1 << 600) % (p - 1) + (p - 1) and half_q[0][1] == (1 << 600) % (q - 1) + (q - 1)
+    assert [t[1] for t in half_p[1:]] == [5, 9]
+
+
+def test_verdicts_and_digests_hold_with_the_helper_forced_on(tmp_path):
+    plain = mutation_cases(build_fixture())
+    with _helper_forced():
+        forced_plain = mutation_cases(build_fixture())
+        forced_keys = mutation_cases(build_fixture(), with_keys=True)
+        splices = splice_harness(trials=50), splice_harness(trials=50, with_keys=True)
+        fx = build_fixture()
+        digests = bundle_digest(fx.bundle1).hex(), bundle_digest(fx.bundle2).hex()
+        runs = {}
+        for name in sorted(GOLDEN_DIGESTS):
+            out = tmp_path / name
+            result = CliRunner().invoke(main, ["--out", str(out), "scenario", "run", name])
+            assert result.exit_code == 0, result.output
+            runs[name] = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                               for f in ("events.jsonl", "ledger.jsonl"))
+        assert primes._HELPER is not None
+    assert len(plain) == 67 and not any(ok for _, ok in plain)
+    assert forced_plain == forced_keys == plain
+    assert splices == ((50, 50), (50, 50))
+    assert digests == FIXTURE_DIGESTS
+    assert runs == GOLDEN_DIGESTS
+
+
+def test_a_toy_run_starts_no_helper(monkeypatch):
+    primes._stop_helper()
+
+    def refuse():
+        raise AssertionError("a toy run asked for the helper process")
+
+    monkeypatch.setattr(primes, "_helper_pipes", refuse)
+    result = run_scenario(load_scenario(str(SCENARIO_DIR / "address_rotation.json")))
+    assert all(ok for ok, _ in result.assertion_results.values())
+    assert primes._HELPER is None
+
+
+def test_one_cpu_starts_no_helper(forced, monkeypatch):
+    monkeypatch.setattr(primes.os, "sched_getaffinity", lambda pid: {0})
+    terms = [(3, 1 << 300, True), (5, 12345, False), (7, 99, True)]
+    assert primes.multi_powmod(terms, 253) == _expected(terms, 253)
+    assert primes.multi_powmod_crt(terms, _crt_form(11, 23, True)) == _expected(terms, 11**2 * 23**2)
+    assert primes._HELPER is None
+
+
+def test_stopping_the_helper_leaves_no_child(forced):
+    terms = [(3, 1 << 300, True), (5, 12345, False)]
+    assert primes.multi_powmod(terms, 253) == _expected(terms, 253)
+    helper = primes._HELPER[0]
+    primes._stop_helper()
+    assert primes._HELPER is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(helper, os.WNOHANG)
+
+
+def test_a_killed_helper_is_reaped_and_its_product_made_here(forced):
+    terms = [(3, 1 << 300, True), (5, 12345, False)]
+    expected = _expected(terms, 253)
+    assert primes.multi_powmod(terms, 253) == expected
+    helper = primes._HELPER[0]
+    os.kill(helper, signal.SIGKILL)
+    os.waitid(os.P_PID, helper, os.WEXITED | os.WNOWAIT)  # dead, and not yet reaped
+    assert primes.multi_powmod(terms, 253) == expected
+    assert primes._HELPER is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(helper, os.WNOHANG)
+    assert primes.multi_powmod(terms, 253) == expected
+    assert primes._HELPER is not None and primes._HELPER[0] != helper
+
+
+# Starts the helper, then exits as asked. Its own exit hook is registered
+# before fcguard's, so it runs after it and sees whether the helper was reaped.
+EXIT_SCRIPT = """
+import atexit, os, signal, sys, time
+pids = []
+
+def report():
+    try:
+        os.waitpid(pids[0], os.WNOHANG)
+        print("left", flush=True)
+    except ChildProcessError:
+        print("reaped", flush=True)
+    print("multiprocessing", "multiprocessing" in sys.modules, flush=True)
+
+atexit.register(report)
+from fcguard.crypto import primes
+primes._PARALLEL_MIN_MOD = primes._PARALLEL_MIN_WORK = 0
+assert primes.multi_powmod([(3, 5, True), (7, 9, False)], 253) == 3**5 * 7**9 % 253
+pids.append(primes._HELPER[0])
+signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+print("ready", pids[0], flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(60)
+"""
+
+
+def _exit_script(how):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    return subprocess.Popen([sys.executable, "-c", EXIT_SCRIPT, how], env=env,
+                            stdout=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("how", ["return", "sigterm"])
+def test_the_exit_hook_reaps_the_helper(how):
+    child = _exit_script("wait" if how == "sigterm" else "return")
+    try:
+        assert child.stdout.readline().startswith("ready")
+        if how == "sigterm":
+            child.send_signal(signal.SIGTERM)
+        out, _ = child.communicate(timeout=30)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert child.returncode == (143 if how == "sigterm" else 0)
+    assert out.split("\n") == ["reaped", "multiprocessing False", ""]
+
+
+def _state(pid):
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return "gone"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_the_helper_exits_when_its_parent_dies():
+    child = _exit_script("wait")
+    try:
+        helper = int(child.stdout.readline().split()[1])
+        child.kill()
+        child.wait()
+        deadline = time.monotonic() + 10
+        while _state(helper) not in ("gone", "Z", "X") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _state(helper) in ("gone", "Z", "X")  # a zombie waits for init, its new parent
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcguard import parties, presentations
 from fcguard.credentials import Schema, publish_definition
@@ -547,3 +550,13 @@ def test_baseline_bank_failure_is_sent_with_its_cause():
     assert order.state == "failed" and order.failure_cause == "bank-verify"
     _assert_rejection_sent(context, "fiat-rejected", "bank-verify", order)
     assert context.net.events[-1].mtype == "fiat-rejected"
+
+
+@settings(derandomize=True)
+@given(amount=st.integers(min_value=0, max_value=10**12), parts=st.integers(min_value=1, max_value=12),
+       seed=st.integers(min_value=0, max_value=2**32))
+def test_split_amount_is_a_composition(amount, parts, seed):
+    split = parties._split_amount(amount, parts, random.Random(seed))
+    assert len(split) == parts and min(split) >= 0 and sum(split) == amount
+    if parts == 1:
+        assert split == [amount]

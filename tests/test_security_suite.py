@@ -13,14 +13,15 @@ from fcguard.security import (
 )
 
 
+# bundle1 carries link, ElGamal and predicate arms; bundle2 a disclosed
+# attribute, a link arm and a Paillier arm: every arm kind's bytes
+FIXTURE_DIGESTS = ("688abdf1812600838090100aaac913253049b99457106d3da5546201fc1cb43d",
+                   "efbf2dbae37de993386728af2c9860e21fc11dab637618aa36811329d8180679")
+
+
 def test_fixture_bundle_digests_are_pinned():
-    # bundle1 carries link, ElGamal and predicate arms; bundle2 a disclosed
-    # attribute, a link arm and a Paillier arm: every arm kind's bytes
     fx = build_fixture()
-    assert bundle_digest(fx.bundle1).hex() == (
-        "688abdf1812600838090100aaac913253049b99457106d3da5546201fc1cb43d")
-    assert bundle_digest(fx.bundle2).hex() == (
-        "efbf2dbae37de993386728af2c9860e21fc11dab637618aa36811329d8180679")
+    assert (bundle_digest(fx.bundle1).hex(), bundle_digest(fx.bundle2).hex()) == FIXTURE_DIGESTS
 
 
 def test_mutation_matrix_size_and_rejection():
