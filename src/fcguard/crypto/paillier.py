@@ -22,7 +22,7 @@ from ..errors import DecryptionError, EncodingRangeError
 from ..params import Profile
 from ..serialize import dumps, serializable
 from .ciphertext import Ciphertext
-from .primes import Crt, crt_pair, invert, multi_powmod_pair, powmod, random_prime
+from .primes import Crt, crt_pair, invert, multi_powmod_many, powmod, random_prime
 
 
 @serializable("paillier-pk")
@@ -66,9 +66,9 @@ class PaillierKeyPair:
 
     def pow_lam(self, c: int) -> int:
         """c^lam mod n^2, assembled from c^lam mod p^2 and mod q^2; the
-        powers c^(p-1) mod p^2 and c^(q-1) mod q^2 are one `multi_powmod_pair`."""
+        powers c^(p-1) mod p^2 and c^(q-1) mod q^2 are one `multi_powmod_many`."""
         p, q = self.p, self.q
-        x_p, x_q = multi_powmod_pair((((c, p - 1, False),), p * p), (((c, q - 1, False),), q * q))
+        x_p, x_q = multi_powmod_many(((((c, p - 1, False),), p * p), (((c, q - 1, False),), q * q)))
         return crt_pair(_lam_power(c, x_p, self.lam, p), p * p, _lam_power(c, x_q, self.lam, q), q * q)
 
 

@@ -27,73 +27,62 @@ and is struck, as it always has been. Below 15 bits (below 16384) the 20000
 sieve strikes every candidate, so those sizes draw candidates one at a time
 (`_sophie_germain_small`) instead.
 
-`multi_powmod(terms, mod)` evaluates a product of powers, each term a
-(base, exponent, fixed) triple; every proof equation is one such product.
-A variable base goes through `powmod`. A fixed base is a public-key constant
+`multi_powmod_many(products)` evaluates a list of products of powers, each
+(terms, mod) or (terms, crt), a term being (base, exponent, fixed);
+`multi_powmod`, `multi_powmod_crt` and `powmod_fixed` evaluate one. A
+variable base goes through `powmod`. A fixed base is a public-key constant
 (issuer S, Z and R_i, commitment bases, ElGamal g and h, the Paillier h_s):
 without gmpy2 it keeps, per (base, modulus) value, a radix-2^5
 Brickell-Gordon-McCurley-Wilson table of base^(2^(5i)), and all fixed terms
 of one product share a single set of 31 buckets and one finish (Pippenger;
-Moller, "Algorithms for multi-exponentiation", SAC 2001). A fixed power then
-costs one multiplication per nonzero digit, plus about 62 per product,
-instead of one squaring per exponent bit. Tables are keyed by value, because
-deserialized keys are fresh objects on every registry fetch; they grow on
-demand to the longest exponent asked for and live in an LRU of 64 tables. An
-exponent longer than 4096 bits (past every honest exponent at the paper
-profile, the longest being v_hat below 2^4080) goes to plain `powmod` and
-neither creates nor grows a table, so a verifier fed an oversized response
-cannot inflate memory. A negative exponent inverts its base, which raises
-ValueError for a non-unit. `powmod_fixed` is the one-term case. With gmpy2,
-`multi_powmod` is the plain product of `powmod` calls.
+Moller, "Algorithms for multi-exponentiation", SAC 2001): one multiplication
+per nonzero digit, plus about 62 per product. Tables are keyed by value, as
+deserialized keys are fresh objects on every registry fetch; they grow to
+the longest exponent asked for and live in an LRU of 64 tables. An exponent
+longer than 4096 bits (past every honest one at the paper profile, the
+longest being v_hat below 2^4080) goes to plain `powmod` and neither creates
+nor grows a table, so an oversized response cannot inflate memory. A
+negative exponent inverts its base, which raises ValueError for a non-unit.
+With gmpy2 each product is a plain product of `powmod` calls.
 
 Holders of a factored modulus use the Chinese remainder theorem
-(Quisquater-Couvreur). `multi_powmod_crt(terms, ((m1, lam1), (m2, lam2)))`
-evaluates the same product mod m1 and mod m2 and joins the halves with
-`crt_pair`: ((p, p-1), (q, q-1)) for an issuer modulus n = pq, and
-((p^2, p(p-1)), (q^2, q(q-1))) for a Paillier n^2. Each exponent e >= lam is
-replaced by e mod lam + lam, a value in [lam, 2 lam). For a unit x mod m_i,
-x^lam = 1, so the power is unchanged. A non-unit x is a multiple of the
-prime p under m_i, and x^e = 0 (mod m_i) for every e >= 2 (e >= 1 for
-m_i = p); the reduced exponent is still at least lam >= 2, so that power is
-unchanged too. Exponents below lam are kept. So every value equals the plain
-computation mod m1 m2, for any base. Issuers sign, answer the request proof,
-and verify presentation equations over their own moduli this way, and the
-bank decrypts and verifies its Paillier arm mod p^2 and q^2.
+(Quisquater-Couvreur): (terms, ((m1, lam1), (m2, lam2))) is evaluated mod m1
+and mod m2 as two jobs, joined by `crt_pair`, with ((p, p-1), (q, q-1)) for
+an issuer modulus n = pq and ((p^2, p(p-1)), (q^2, q(q-1))) for a Paillier
+n^2. Each exponent e >= lam becomes e mod lam + lam, in [lam, 2 lam). For a
+unit x mod m_i, x^lam = 1, so the power is unchanged. A non-unit x is a
+multiple of the prime p under m_i, and x^e = 0 (mod m_i) for every e >= 2
+(e >= 1 for m_i = p); the reduced exponent is still at least lam >= 2, so
+that power is unchanged too. So every value equals the plain computation mod
+m1 m2, for any base.
 
-Without gmpy2, large products use a second core. One helper process,
-forked on first use, reads products from a pipe and evaluates them with the
-same serial `_multi_powmod` (its own copy of the table LRU, the same
-4096-bit cap and the same oversized-exponent rule) while this process
-evaluates another. Requests and replies hold only ints, so they travel
-marshal-encoded, and neither multiprocessing nor its resource tracker is
-involved. The helper is forked rather than spawned, so it starts without
-importing anything; that is safe because the program starts no threads.
-`multi_powmod_pair` gives the helper the second of two products, so a CRT
-form and Paillier's pow_lam each evaluate one half there (Quisquater-
-Couvreur's split is two independent jobs). The pure-Python `multi_powmod`
-cuts a plain product into two sub-products of about equal estimated cost,
-costliest term first, each to the side with less work so far: a fixed term
-costs about bits/5 multiplications, any other about 1.2 bits. It multiplies
-the two results. The helper is used only for a modulus above 1024 bits (one
-integer comparison, made first) and then only when its share is at least
-`_PARALLEL_MIN_WORK` estimated multiplications, about 20 pipe round trips.
-So the toy profile, whose moduli are at most 1024 bits, never starts it,
-and neither does a process whose CPU affinity holds one CPU: there the
-round trip would buy nothing.
+Without gmpy2, a list with a modulus above 1024 bits uses a second core.
+Its jobs are scheduled by Graham's LPT rule ("Bounds on multiprocessing
+timing anomalies", 1969): costliest first, each to the process with less
+estimated work so far. A job costs its estimated multiplications times
+(|m|/1024)^1.8 for its modulus m, the growth of one multiplication from
+1536 to 4096 bits, the widths a list mixes (CPython 3.11, 2-vCPU Xeon). A
+list of one job is cut instead, its terms scheduled alike into one
+sub-product per process. One helper process, forked on first use, gets its
+side as one marshal-encoded request on a pipe and sends one reply,
+evaluated by the same serial `_multi_powmod` while this process evaluates
+its side. Forked, it starts without importing anything (the program starts
+no threads). It is used only when its share is at least
+`_PARALLEL_MIN_WORK`, about 40 pipe round trips. So the toy profile, whose
+moduli are at most 1024 bits, never starts it and evaluates each list as a
+plain loop, and neither does a process whose CPU affinity holds one CPU.
 
-A ValueError raised in the helper (no inverse) is raised again in the
-caller, and the helper's reply is read even when this process's half
-raises, so the pipes never go out of step. A helper that cannot answer
-(EOF, killed, an interrupted wait) is dropped and reaped, and its product
-is evaluated here; so is one that hit any other error, which ends it, so
-that error is raised here as it always was. The next large product starts a
-new helper. The helper ignores SIGINT, takes SIGTERM's default, and exits
-at EOF, which includes the death of this process. An exit hook closes the
-pipes and reaps it, so a SIGTERM that ends this process through `sys.exit`
-leaves no child. The values are those of the serial evaluation, so every
-seeded output is unchanged. A tracer that wraps `powmod` in this process
-does not see the powers the helper computes, and `RUSAGE_SELF` does not
-count the helper's memory.
+A ValueError raised in the helper (no inverse) is raised again here, and
+the helper's reply is read even when a job here raises, so the pipes never
+go out of step. A helper that cannot answer (EOF, killed, an interrupted
+wait, any other error, which is then raised here) is dropped and reaped, and
+its jobs are evaluated here. The helper ignores SIGINT, takes SIGTERM's
+default, and exits at EOF, which includes the death of this process. An exit
+hook closes the pipes and reaps it, so a SIGTERM that ends this process
+through `sys.exit` leaves no child. The values are those of the serial
+evaluation, so every seeded output is unchanged. A tracer that wraps `powmod` here does
+not see the powers the helper computes, and `RUSAGE_SELF` does not count
+the helper's memory.
 """
 
 from __future__ import annotations
@@ -109,7 +98,7 @@ import signal
 from array import array
 from collections import OrderedDict
 from itertools import compress
-from typing import BinaryIO, Iterable, NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 from ..errors import PrimeGenerationError
 
@@ -121,6 +110,8 @@ _FIXED_TABLES: OrderedDict[tuple[int, int], list[int]] = OrderedDict()
 
 Term = tuple[int, int, bool]  # (base, exponent, base is a public-key constant)
 Crt = tuple[tuple[int, int], tuple[int, int]]  # ((m1, lam1), (m2, lam2)), see multi_powmod_crt
+Job = tuple[Iterable[Term], int]  # (terms, modulus)
+Product = tuple[Iterable[Term], int | Crt]  # a Job, or (terms, the modulus's factors)
 
 
 try:
@@ -194,65 +185,51 @@ def _multi_powmod(terms: Iterable[Term], mod: int) -> int:
     return acc
 
 
-def _term_cost(term: Term) -> int:
-    """Estimated modular multiplications of one term in `_multi_powmod`:
-    about bits/5 for a fixed base within the table cap, 1.2 bits otherwise."""
-    _, exp, fixed = term
-    bits = int.bit_length(exp)
-    return bits // 5 if fixed and bits <= _FIXED_EXP_CAP else bits * 6 // 5
+def _job_cost(terms: Iterable[Term], mod: int) -> float:
+    """Estimated multiplications of a job in `_multi_powmod` (bits/5 per fixed
+    term within the cap, else 1.2 bits), plus one, weighted to 1024 bits."""
+    work = 1
+    for _, exp, fixed in terms:
+        bits = int.bit_length(exp)
+        work += bits // 5 if fixed and bits <= _FIXED_EXP_CAP else bits * 6 // 5
+    return work * (mod.bit_length() / 1024) ** _WIDTH_EXPONENT
 
 
-def _split_multi_powmod(terms: Iterable[Term], mod: int) -> int:
-    """`_multi_powmod`, as two sub-products on two processes when the
-    lighter one is worth a round trip to the helper (module docstring)."""
-    if mod > _PARALLEL_MIN_MOD:
-        terms = tuple(terms)
-        # costliest term first, each to the side with less work so far
-        sides: tuple[list[Term], list[Term]] = ([], [])
-        loads = [0, 0]
-        for cost, i in sorted(((_term_cost(t), i) for i, t in enumerate(terms)), reverse=True):
-            side = loads[1] < loads[0]
-            sides[side].append(terms[i])
-            loads[side] += cost
-        if min(loads) >= _PARALLEL_MIN_WORK:
-            both = _on_two_processes((sides[0], mod), (sides[1], mod))
-            if both is not None:
-                return both[0] * both[1] % mod
-    return _multi_powmod(terms, mod)
+def multi_powmod_many(products: Sequence[Product]) -> list[int]:
+    """The value of each product, (terms, mod) or (terms, crt), evaluated
+    together: each CRT product as its two halves, and all the jobs on two
+    processes when `_scheduled` finds the helper worth its round trip."""
+    jobs: list[Job] = []
+    for terms, mod in products:
+        if mod.__class__ is int:
+            jobs.append((terms, mod))
+        else:
+            (m1, lam1), (m2, lam2) = mod
+            terms = tuple(terms)
+            jobs += (_crt_half(terms, m1, lam1), m1), (_crt_half(terms, m2, lam2), m2)
+    if gmpy2 is not None:
+        values = [_powmod_product(terms, mod) for terms, mod in jobs]
+    elif not any(mod > _PARALLEL_MIN_MOD for _, mod in jobs) or (values := _scheduled(jobs)) is None:
+        values = [_multi_powmod(terms, mod) for terms, mod in jobs]
+    # a CRT product takes two values in turn; arguments are evaluated left to right
+    it = iter(values)
+    return [next(it) if mod.__class__ is int else crt_pair(next(it), mod[0][0], next(it), mod[1][0])
+            for _, mod in products]
 
 
-multi_powmod = _powmod_product if gmpy2 is not None else _split_multi_powmod
+def multi_powmod(terms: Iterable[Term], mod: int) -> int:
+    """prod base^exp mod `mod` over (base, exp, fixed) terms."""
+    return multi_powmod_many(((terms, mod),))[0]
+
+
+def multi_powmod_crt(terms: Iterable[Term], crt: Crt) -> int:
+    """`multi_powmod(terms, m1 * m2)` for crt = ((m1, lam1), (m2, lam2))."""
+    return multi_powmod_many(((terms, crt),))[0]
 
 
 def powmod_fixed(base: int, exp: int, mod: int) -> int:
     """base^exp mod `mod` for a public-key constant base."""
-    return multi_powmod(((base, exp, True),), mod)
-
-
-def multi_powmod_pair(first: tuple[Iterable[Term], int],
-                      second: tuple[Iterable[Term], int]) -> tuple[int, int]:
-    """(multi_powmod(*first), multi_powmod(*second)). Without gmpy2, when the
-    second product is large enough, the helper process evaluates it while
-    this one evaluates the first."""
-    terms, mod = second
-    if gmpy2 is None and mod > _PARALLEL_MIN_MOD:
-        terms = tuple(terms)
-        if sum(map(_term_cost, terms)) >= _PARALLEL_MIN_WORK:
-            both = _on_two_processes(first, (terms, mod))
-            if both is not None:
-                return both
-    return multi_powmod(*first), multi_powmod(terms, mod)
-
-
-def multi_powmod_crt(terms: Iterable[Term], crt: Crt) -> int:
-    """`multi_powmod(terms, m1 * m2)` for crt = ((m1, lam1), (m2, lam2)):
-    each half is evaluated mod m_i with exponents reduced by the [lam, 2 lam)
-    rule (module docstring), the two through `multi_powmod_pair`, and the
-    halves are joined by `crt_pair`."""
-    (m1, lam1), (m2, lam2) = crt
-    terms = tuple(terms)
-    x1, x2 = multi_powmod_pair((_crt_half(terms, m1, lam1), m1), (_crt_half(terms, m2, lam2), m2))
-    return crt_pair(x1, m1, x2, m2)
+    return multi_powmod_many(((((base, exp, True),), mod),))[0]
 
 
 def _crt_half(terms: tuple[Term, ...], mod: int, lam: int) -> list[Term]:
@@ -267,13 +244,41 @@ def _crt_half(terms: tuple[Term, ...], mod: int, lam: int) -> list[Term]:
     return reduced
 
 
+def _scheduled(jobs: list[Job]) -> list[int] | None:
+    """The jobs' values from both processes by the LPT rule, or None when the
+    helper's share would not pay for its round trip. One job alone is cut:
+    its terms are scheduled instead, into one sub-product per side."""
+    cut = len(jobs) == 1
+    items = [((term,), jobs[0][1]) for term in jobs[0][0]] if cut else [(tuple(t), m) for t, m in jobs]
+    costs = [_job_cost(*item) for item in items]
+    sides, loads = ([], []), [0.0, 0.0]  # item indices and estimated work, here and in the helper
+    for i in sorted(range(len(items)), key=costs.__getitem__, reverse=True):
+        side = loads[1] < loads[0]
+        sides[side].append(i)
+        loads[side] += costs[i]
+    if not sides[1] or min(loads) < _PARALLEL_MIN_WORK:
+        return None
+    mod = jobs[0][1]
+    if cut:
+        local, remote = ([([items[i][0][0] for i in side], mod)] for side in sides)
+    else:
+        local, remote = ([items[i] for i in side] for side in sides)
+    both = _on_two_processes(local, remote)
+    if both is None:
+        return None
+    if cut:
+        return [both[0][0] * both[1][0] % mod]
+    values = dict(zip(sides[0] + sides[1], both[0] + both[1]))
+    return [values[i] for i in range(len(items))]
+
+
 # ---------------------------------------------------------------------------
 # the helper process: one lazily forked copy of this one, fed over two pipes
 
 _PARALLEL_MIN_MOD = 1 << 1024  # only moduli above 1024 bits, so never at the toy profile
-_PARALLEL_MIN_WORK = 256  # estimated multiplications the helper must get, about 20 round trips
-# (pid, request pipe, reply pipe) while a helper runs
-_HELPER: tuple[int, BinaryIO, BinaryIO] | None = None
+_PARALLEL_MIN_WORK = 256  # estimated 1024-bit multiplications the helper must get, about 40 round trips
+_WIDTH_EXPONENT = 1.8  # a multiplication mod m costs (|m|/1024)^1.8 of one mod a 1024-bit modulus
+_HELPER: tuple[int, BinaryIO, BinaryIO] | None = None  # (pid, request pipe, reply pipe) while one runs
 
 
 def _usable_cpus() -> int:
@@ -318,30 +323,27 @@ def _helper_pipes() -> tuple[BinaryIO, BinaryIO] | None:
 
 
 def _serve(requests: BinaryIO, replies: BinaryIO) -> None:
-    """The helper's loop: evaluate each (terms, mod) it reads with the
-    serial `_multi_powmod` and reply (True, value), or (False, message) for
-    a ValueError, until EOF. Any other exception ends the helper, and the
-    caller then evaluates the product itself and raises it there."""
+    """The helper's loop until EOF: reply to each list of jobs with their
+    values, or (False, message) at the first ValueError. Any other exception
+    ends the helper; the caller then evaluates the jobs and raises it."""
     while True:
         try:
-            terms, mod = marshal.load(requests)
+            jobs = marshal.load(requests)
         except EOFError:
             return
         try:
-            reply = True, _multi_powmod(terms, mod)
+            reply = [_multi_powmod(terms, mod) for terms, mod in jobs]
         except ValueError as exc:  # no inverse
             reply = False, str(exc)
         replies.write(marshal.dumps(reply))
         replies.flush()
 
 
-def _on_two_processes(local: tuple[Iterable[Term], int],
-                      remote: tuple[Iterable[Term], int]) -> tuple[int, int] | None:
-    """(_multi_powmod(*local), _multi_powmod(*remote)), the remote product
-    evaluated by the helper meanwhile; None when no helper can be had or
-    the remote terms are not plain values. The helper's reply is read even
-    when the local product raises, so the pipes stay in step; a helper that
-    cannot answer is dropped and its product evaluated here."""
+def _on_two_processes(local: list[Job], remote: list[Job]) -> tuple[list[int], list[int]] | None:
+    """The values of the local jobs, evaluated here, and of the remote ones,
+    by the helper meanwhile in one request and one reply; None when no helper
+    can be had or the remote terms are not plain values. A helper that
+    cannot answer is dropped and its jobs evaluated here."""
     pipes = _helper_pipes()
     if pipes is None:
         return None
@@ -360,22 +362,20 @@ def _on_two_processes(local: tuple[Iterable[Term], int],
         _stop_helper(kill=True)
         raise
     try:
-        mine = _multi_powmod(*local)
+        mine = [_multi_powmod(terms, mod) for terms, mod in local]
     except BaseException:
         _receive(replies)
         raise
-    reply = _receive(replies)
-    if reply is None:
-        return mine, _multi_powmod(*remote)
-    ok, theirs = reply
-    if not ok:
-        raise ValueError(theirs)
+    theirs = _receive(replies)
+    if theirs is None:
+        return mine, [_multi_powmod(terms, mod) for terms, mod in remote]
+    if theirs.__class__ is tuple:
+        raise ValueError(theirs[1])
     return mine, theirs
 
 
-def _receive(replies: BinaryIO) -> tuple[bool, int | str] | None:
-    """The helper's reply, or None after dropping a helper that cannot
-    answer."""
+def _receive(replies: BinaryIO) -> list[int] | tuple[bool, str] | None:
+    """The helper's reply, or None after dropping a helper that cannot answer."""
     try:
         return marshal.load(replies)
     except (EOFError, ValueError, OSError):  # it died, perhaps mid-reply
@@ -387,8 +387,7 @@ def _receive(replies: BinaryIO) -> tuple[bool, int | str] | None:
 
 
 def _close_pipes() -> int | None:
-    """Forget the helper and close this process's ends of its pipes;
-    returns its pid."""
+    """Forget the helper and close this process's ends of its pipes; its pid."""
     global _HELPER
     if _HELPER is None:
         return None

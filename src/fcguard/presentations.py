@@ -16,12 +16,18 @@ layout of its t-values. A relation is a conjunction of equations
 target = prod base^witness (mod m), Camenisch-Stadler style, each target also
 stated as a product of powers. The prover evaluates the terms at its
 blindings; the verifier evaluates them at the responses times target^-c,
-which gives the same t-values for an honest proof. Either way a t-value is
-one multi-exponentiation (`crypto.primes.multi_powmod`). A verifier that
-passes its own key pairs evaluates each equation over one of their moduli
-mod the prime factors (`multi_powmod_crt`), to the same value.
-`build_bundle` and `_verify_bundle` build the same arms in the same order,
-and `_bundle_challenge` alone lays out the statement and the t-values it
+which gives the same t-values for an honest proof. Either way a bundle's
+t-values are one batched evaluation (`crypto.primes.multi_powmod_many`), which
+shares the products between two processes. The verifier evaluates every
+equation of the bundle in one call. The prover needs two: round 1 evaluates
+A' = A S^r_a, the link commitments, the ciphertexts, the predicate's bit
+commitments and the link and encryption t-values; round 2 the core t-value,
+which needs A', and the predicate t-values, which need the bit commitments.
+The prover draws all its randomness before round 1, in the order it always
+has. A verifier that passes its own key pairs evaluates each equation over
+one of their moduli mod the prime factors, to the same value. `build_bundle`
+and `_verify_bundle` build the same arms in the same order, and
+`_bundle_challenge` alone lays out the statement and the t-values it
 hashes.
 
 Equality across two presentations rides on a shared integer commitment to
@@ -42,11 +48,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .credentials import Credential, CredentialDefinition, LinkSecret, Schema, fetch_definition, fetch_schema
 from .crypto.ciphertext import Ciphertext
 from .crypto.cl import ClIssuerKeyPair
-from .crypto.commitment import CommitmentKey, commit
+from .crypto.commitment import CommitmentKey, randomizer_bits
 from .crypto.elgamal import ElGamalPublicKey
 from .crypto.encoding import ATTRIBUTE_BOUND
 from .crypto.paillier import PaillierKeyPair, PaillierPublicKey, paillier_hs
-from .crypto.primes import Crt, Term, invert, multi_powmod, multi_powmod_crt, powmod, powmod_fixed
+from .crypto.primes import Crt, Product, Term, invert, multi_powmod_many, powmod, powmod_fixed
 from .crypto.transcript import Transcript
 from .errors import ProofRefusedError, RegistryError, SchemaMismatchError
 from .ledger import Registry
@@ -191,22 +197,22 @@ class _Eq:
     """One equation target = prod base^witness (mod `mod`). `terms` are
     (base, witness name, fixed) triples; `target` gives the target as
     (base, k, fixed) triples, target = prod base^k. The t-value
-    target^-c * prod base^witness is one `multi_powmod`, a base named on both
-    sides taking one exponent. An OR branch reads its own challenge from the
+    target^-c * prod base^witness is one product, a base named on both sides
+    taking one exponent. An OR branch reads its own challenge from the
     witness map under `chal`. The target is stated only when the challenge
-    is nonzero, so the prover never pays for it. For a Paillier equation,
-    `paillier_n` is N and the factor (1+N)^m, m the witness "m", is
-    1 + (m mod N) N (mod N^2)."""
+    is nonzero, so the prover never pays for it; a product only the prover
+    evaluates states none. For a Paillier equation, `paillier_n` is N and the
+    factor (1+N)^m, m the witness "m", is 1 + (m mod N) N (mod N^2)."""
 
     mod: int
     terms: tuple[tuple[int, str, bool], ...]
-    target: Callable[[], Iterable[Term]]
+    target: Callable[[], Iterable[Term]] = tuple
     chal: str | None = None
     paillier_n: int = 0
 
-    def t_value(self, exps: Mapping[str, int], c: int, factored: Mapping[int, Crt]) -> int:
-        """Evaluated mod each prime by a holder of `mod`'s factors, whose
-        moduli `factored` maps to them."""
+    def product(self, exps: Mapping[str, int], c: int, factored: Mapping[int, Crt]) -> Product:
+        """The t-value's product for `multi_powmod_many`, mod each prime for a
+        holder of `mod`'s factors, whose moduli `factored` maps to them."""
         c = exps[self.chal] if self.chal else c
         powers: dict[tuple[int, bool], int] = {}
         for base, name, fixed in self.terms:
@@ -214,12 +220,13 @@ class _Eq:
         if c:
             for base, k, fixed in self.target():
                 powers[base, fixed] = powers.get((base, fixed), 0) - k * c
-        terms = [(base, exp, fixed) for (base, fixed), exp in powers.items()]
-        crt = factored.get(self.mod)
-        t = multi_powmod_crt(terms, crt) if crt else multi_powmod(terms, self.mod)
+        return [(base, exp, fixed) for (base, fixed), exp in powers.items()], factored.get(self.mod, self.mod)
+
+    def finish(self, value: int, exps: Mapping[str, int]) -> int:
+        """The t-value from its product's value."""
         if self.paillier_n:
-            t = (1 + exps["m"] % self.paillier_n * self.paillier_n) * t % self.mod
-        return t
+            return (1 + exps["m"] % self.paillier_n * self.paillier_n) * value % self.mod
+        return value
 
 
 @dataclass(frozen=True)
@@ -231,8 +238,18 @@ class _Arm:
     eqs: list[_Eq]
     layout: Callable[[list[int]], object]
 
-    def t_values(self, exps: Mapping[str, int], c: int, factored: Mapping[int, Crt]):
-        return self.layout([eq.t_value(exps, c, factored) for eq in self.eqs])
+
+def _evaluate(eqs: Sequence[tuple[_Eq, Mapping[str, int]]], c: int, factored: Mapping[int, Crt]) -> list[int]:
+    """The t-value of each (equation, exponents) pair at challenge c, from one
+    `multi_powmod_many`."""
+    values = multi_powmod_many([eq.product(exps, c, factored) for eq, exps in eqs])
+    return [eq.finish(value, exps) for (eq, exps), value in zip(eqs, values)]
+
+
+def _t_values(arms: Sequence[tuple[_Arm, Mapping[str, int]]], c: int, factored: Mapping[int, Crt]) -> list:
+    """Each arm's t-values at its exponents, laid out, from one `_evaluate`."""
+    values = iter(_evaluate([(eq, exps) for arm, exps in arms for eq in arm.eqs], c, factored))
+    return [arm.layout([next(values) for _ in arm.eqs]) for arm, _ in arms]
 
 
 def _scheme(key: ElGamalPublicKey | PaillierPublicKey) -> str:
@@ -255,15 +272,16 @@ def _core_arm(definition: CredentialDefinition, profile: Profile, names: Sequenc
                  "hidden": list(hidden_names)}, [_Eq(pk.n, terms, target)], lambda ts: ts[0])
 
 
-def _link_arm(ck: CommitmentKey, attr: str, commitment: int) -> _Arm:
+def _link_arm(ck: CommitmentKey, attr: str, commitment: int | None) -> _Arm:
     """C = R^m * S^r (mod N): the hidden attribute m opens the commitment all
-    bundles of the session share for it."""
+    bundles of the session share for it. The prover passes None for a
+    commitment it has yet to evaluate (`ProofSession._prove_link`)."""
     eq = _Eq(ck.n, ((ck.r_base, "m", True), (ck.s_base, "r", True)), lambda: ((commitment, 1, False),))
     return _Arm({"attr": attr, "commitment": commitment}, [eq], lambda ts: ts[0])
 
 
 def _encryption_arm(attr: str, key: ElGamalPublicKey | PaillierPublicKey,
-                    parts: Sequence[int]) -> _Arm:
+                    parts: Sequence[int | None]) -> _Arm:
     """ElGamal: c1 = g^r and c2 = g^m * h^r (mod p). Paillier, in the
     fixed-base form of Damgard-Jurik-Nielsen: c = (1+n)^m * h_s^r (mod n^2)
     for the key's public n-th residue h_s (`paillier_hs`), with
@@ -350,18 +368,20 @@ class ProofSession:
         self.profile = source_defn.profile()
         self.commitment_key = commitment_key_for(source_defn)
         self.prev_digest = b""
-        self._links: dict[str, tuple[int, int, int]] = {}  # label -> (C, value, randomness)
+        self._links: dict[str, tuple[int | None, int, int]] = {}  # label -> (C, value, randomness)
 
-    def _link_commitment(self, label: str, value: int) -> tuple[int, int]:
+    def _link_commitment(self, label: str, value: int) -> tuple[int | None, int]:
+        """The session's commitment R^value S^r under `label`, and r. A new
+        one draws r now and stays None until `build_bundle` evaluates it."""
         if label in self._links:
             c_value, known, r = self._links[label]
             if known != value:
                 raise ProofRefusedError(
                     f"attribute linked as {label!r} differs from the session's committed value")
             return c_value, r
-        c, r = commit(self.commitment_key, value, rng=self.rng, profile=self.profile)
-        self._links[label] = (c.value, value, r)
-        return c.value, r
+        r = self.rng.getrandbits(randomizer_bits(self.commitment_key, self.profile))
+        self._links[label] = (None, value, r)
+        return None, r
 
     def build_bundle(self, definition: CredentialDefinition, schema: Schema, credential: Credential,
                      link_secret: LinkSecret, disclose: Iterable[str] = (),
@@ -387,10 +407,9 @@ class ProofSession:
         values = {LINK_NAME: link_secret.value, **credential.attributes}
         disclosed = {nm: credential.attributes[nm] for nm in sorted(disclose)}
 
-        # randomize the signature
+        # randomize the signature: A' = A * S^r_a
         sig = credential.signature
         r_a = rng.getrandbits(n.bit_length() + profile.stat_bits)
-        a_prime = sig.a * powmod_fixed(pk.s, r_a, n) % n
         witness = {"@e": sig.e - (1 << (profile.e_bits - 1)), "@v": sig.v - sig.e * r_a, **values}
 
         # blindings; hidden-attribute blindings are shared with every arm
@@ -399,14 +418,24 @@ class ProofSession:
         for nm in hidden_names:
             blind[nm] = rng.getrandbits(profile.attr_bits + profile.challenge_bits + profile.stat_bits)
 
-        core = _core_arm(definition, profile, names, a_prime, hidden_names, disclosed)
-        arms = {
+        provers = {
             "links": [self._prove_link(attr, link[attr], values[attr], blind[attr]) for attr in sorted(link)],
             "encs": [self._prove_encryption(spec, hidden_names, values, blind) for spec in encrypt],
             "preds": [self._prove_predicate(spec, hidden_names, values, blind) for spec in predicates],
         }
-        c = _bundle_challenge(profile, core, core.t_values(blind, 0, {}), self.nonce,
-                              self.commitment_source, self.prev_digest, arms)
+        # round 1: S^r_a, then each arm's pairs; `settle` builds the arm from their values
+        first = [pair for group in provers.values() for pairs, _ in group for pair in pairs]
+        s_r_a, *found = _evaluate([(_Eq(n, ((pk.s, "r", True),)), {"r": r_a})] + first, 0, {})
+        a_prime = sig.a * s_r_a % n
+        found = iter(found)
+        arms = {kind: [settle([next(found) for _ in pairs]) for pairs, settle in group]
+                for kind, group in provers.items()}
+        # round 2: the core t-value and the predicate t-values, in whose
+        # entries the exponents stand until then
+        core = _core_arm(definition, profile, names, a_prime, hidden_names, disclosed)
+        t_core, *t_preds = _t_values([(core, blind)] + [(arm, exps) for arm, exps, _ in arms["preds"]], 0, {})
+        arms["preds"] = [(arm, ts, respond) for (arm, _, respond), ts in zip(arms["preds"], t_preds)]
+        c = _bundle_challenge(profile, core, t_core, self.nonce, self.commitment_source, self.prev_digest, arms)
 
         hats = {name: blind[name] + c * witness[name] for name in blind}
         presentation = Presentation(
@@ -425,16 +454,30 @@ class ProofSession:
         return bundle
 
     # Each _prove_* draws its arm's randomness and blindings, in bundle order,
-    # and returns (arm, t-values, respond), respond mapping the challenge to
-    # the arm's wire proof.
+    # and returns (pairs, settle): the (equation, exponents) pairs it needs
+    # evaluated in round 1, and `settle`, which maps their values to
+    # (arm, t-values, respond), respond mapping the challenge to the arm's wire
+    # proof. The link and encryption arms' equations read no target at c = 0,
+    # so an arm built with None for its statement values gives their t-values,
+    # and at the witness the values themselves, in the same round.
 
     def _prove_link(self, attr: str, label: str, value: int, m_blind: int):
         ck, profile = self.commitment_key, self.profile
         c_value, c_rand = self._link_commitment(label, value)
         r_blind = self.rng.getrandbits(ck.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits)
-        arm = _link_arm(ck, attr, c_value)
-        return arm, arm.t_values({"m": m_blind, "r": r_blind}, 0, {}), \
-            lambda c: LinkProof(attr=attr, commitment=c_value, r_hat=r_blind + c * c_rand)
+        (eq,) = _link_arm(ck, attr, None).eqs
+        pairs = [(eq, {"m": m_blind, "r": r_blind})]
+        if c_value is None:
+            pairs.append((eq, {"m": value, "r": c_rand}))
+
+        def settle(found: list[int]):
+            commitment = found[1] if c_value is None else c_value
+            self._links[label] = (commitment, value, c_rand)
+            arm = _link_arm(ck, attr, commitment)
+            return arm, arm.layout(found[:1]), \
+                lambda c: LinkProof(attr=attr, commitment=commitment, r_hat=r_blind + c * c_rand)
+
+        return pairs, settle
 
     def _prove_encryption(self, spec: EncryptionSpec, hidden_names: Sequence[str],
                           values: Mapping[str, int], blind: Mapping[str, int]):
@@ -445,22 +488,28 @@ class ProofSession:
             if value >= key.plain_bound:
                 raise ProofRefusedError("plaintext exceeds the ElGamal bound")
             rho = rng.randrange(1, key.q)
-            parts = (powmod_fixed(key.g, rho, key.p),
-                     multi_powmod(((key.g, value, True), (key.h, rho, True)), key.p))
             rho_blind = rng.randrange(0, key.q)
             r_hat = lambda c: (rho_blind + c * rho) % key.q  # noqa: E731
+            unknown = (None, None)
         else:
             if value >= key.n:
                 raise ProofRefusedError("plaintext exceeds the Paillier modulus")
-            n2 = key.n_squared
             rho = rng.getrandbits(key.n.bit_length() + self.profile.stat_bits)
-            parts = ((1 + value * key.n) % n2 * powmod_fixed(paillier_hs(key.n), rho, n2) % n2,)
             rho_blind = rng.getrandbits(_paillier_r_hat_bits(self.profile, key))
             r_hat = lambda c: rho_blind + c * rho  # noqa: E731
-        arm = _encryption_arm(spec.attr, key, parts)
-        return arm, arm.t_values({"m": blind[spec.attr], "r": rho_blind}, 0, {}), \
-            lambda c: VerifiableEncryptionProof(attr=spec.attr, scheme=spec.scheme, key_id=key.key_id(),
-                                                ciphertext=Ciphertext(spec.scheme, parts), r_hat=r_hat(c))
+            unknown = (None,)
+        # the ciphertext parts are the relation at the witness
+        eqs = _encryption_arm(spec.attr, key, unknown).eqs
+        blinds, witness = {"m": blind[spec.attr], "r": rho_blind}, {"m": value, "r": rho}
+
+        def settle(found: list[int]):
+            parts = tuple(found[len(eqs):])
+            arm = _encryption_arm(spec.attr, key, parts)
+            return arm, arm.layout(found[:len(eqs)]), \
+                lambda c: VerifiableEncryptionProof(attr=spec.attr, scheme=spec.scheme, key_id=key.key_id(),
+                                                    ciphertext=Ciphertext(spec.scheme, parts), r_hat=r_hat(c))
+
+        return [(eq, blinds) for eq in eqs] + [(eq, witness) for eq in eqs], settle
 
     def _prove_predicate(self, spec: PredicateSpec, hidden_names: Sequence[str],
                          values: Mapping[str, int], blind: Mapping[str, int]):
@@ -473,12 +522,11 @@ class ProofSession:
             raise ProofRefusedError("attribute violates the predicate")
         ck, profile, rng = self.commitment_key, self.profile, self.rng
         resp_bits = ck.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits
-        exps, bits, d_values, rho_sum = {"m": blind[spec.attr]}, [], [], 0
+        exps, bits, rho_sum = {"m": blind[spec.attr]}, [], 0
         for j in range(PRED_BITS):
             b = (delta >> j) & 1
             rho = rng.getrandbits(ck.n.bit_length() + profile.stat_bits)
             rho_sum += rho << j
-            d_values.append(multi_powmod(((ck.r_base, b, True), (ck.s_base, rho, True)), ck.n))
             # the false branch is simulated from (c_sim, s_sim); branch b runs
             # honestly from the blinding w, and its challenge is fixed later
             c_sim = rng.getrandbits(profile.challenge_bits)
@@ -488,9 +536,9 @@ class ProofSession:
             bits.append((b, rho))
         exps["u"] = u_blind = rng.getrandbits(rho_sum.bit_length() + profile.challenge_bits
                                               + profile.stat_bits)
-        arm = _predicate_arm(ck, spec.attr, spec.threshold, d_values)
+        bit_commitment = _Eq(ck.n, ((ck.r_base, "b", True), (ck.s_base, "rho", True)))  # D_j = R^b S^rho
 
-        def respond(c: int) -> PredicateProof:
+        def respond(c: int, d_values: list[int]) -> PredicateProof:
             hats = dict(exps)
             for j, (b, rho) in enumerate(bits):
                 hats[f"c{b}.{j}"] = (c - exps[f"c{1 - b}.{j}"]) % (1 << profile.challenge_bits)
@@ -500,7 +548,11 @@ class ProofSession:
             return PredicateProof(attr=spec.attr, threshold=spec.threshold, bit_commitments=tuple(d_values),
                                   bit_proofs=bit_proofs, u_hat=u_blind - c * rho_sum)
 
-        return arm, arm.t_values(exps, 0, {}), respond
+        def settle(d_values: list[int]):
+            # the t-values need the bit commitments: the exponents stand in for them until round 2
+            return _predicate_arm(ck, spec.attr, spec.threshold, d_values), exps, lambda c: respond(c, d_values)
+
+        return [(bit_commitment, {"b": b, "rho": rho}) for b, rho in bits], settle
 
     def equality_proof(self, bundle_a: PresentationBundle, attr_a: str,
                        bundle_b: PresentationBundle, attr_b: str) -> EqualityProof:
@@ -601,16 +653,15 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
     for p in bundle.link_proofs:
         if p.attr not in hidden_attrs:
             return False
-        arm = _link_arm(ck, p.attr, p.commitment)
-        arms["links"].append((arm, arm.t_values({"m": pres.m_hats[p.attr], "r": p.r_hat}, c, factored)))
+        arms["links"].append((_link_arm(ck, p.attr, p.commitment), {"m": pres.m_hats[p.attr], "r": p.r_hat}))
     for p in bundle.enc_proofs:
         key = encryption_keys.get(p.key_id)
         if p.attr not in pres.hidden_names or key is None or key.key_id() != p.key_id:
             return False
         if not p.scheme == p.ciphertext.scheme == _scheme(key) or not _encryption_in_range(profile, key, p):
             return False
-        arm = _encryption_arm(p.attr, key, p.ciphertext.parts)
-        arms["encs"].append((arm, arm.t_values({"m": pres.m_hats[p.attr], "r": p.r_hat}, c, factored)))
+        arms["encs"].append((_encryption_arm(p.attr, key, p.ciphertext.parts),
+                             {"m": pres.m_hats[p.attr], "r": p.r_hat}))
     for p in bundle.predicate_proofs:
         if p.attr not in hidden_attrs or p.threshold not in PRED_RANGE:
             return False
@@ -622,10 +673,14 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
                 return False
             exps.update({f"s0.{j}": bp.s0, f"c0.{j}": bp.c0,
                          f"s1.{j}": bp.s1, f"c1.{j}": (c - bp.c0) % chal_mod})
-        arm = _predicate_arm(ck, p.attr, p.threshold, p.bit_commitments)
-        arms["preds"].append((arm, arm.t_values(exps, c, factored)))
+        arms["preds"].append((_predicate_arm(ck, p.attr, p.threshold, p.bit_commitments), exps))
 
-    t_core = core.t_values({"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats}, c, factored)
+    # every equation of the bundle in one evaluation, then each arm's t-values in place of its exponents
+    core_exps = {"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats}
+    t_core, *t_arms = _t_values([(core, core_exps)] + [entry for group in arms.values() for entry in group],
+                                c, factored)
+    t_arms = iter(t_arms)
+    arms = {kind: [(arm, next(t_arms)) for arm, _ in group] for kind, group in arms.items()}
     return _bundle_challenge(profile, core, t_core, pres.nonce, bundle.commitment_source,
                              bundle.prev_digest, arms) == c
 

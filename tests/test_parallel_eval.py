@@ -4,6 +4,7 @@ every value and verdict is the serial one, and no process is left behind."""
 import contextlib
 import hashlib
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from fcguard.cli import main
 from fcguard.crypto import primes
 from fcguard.crypto.paillier import PaillierKeyPair
-from fcguard.presentations import bundle_digest
+from fcguard.presentations import EncryptionSpec, PredicateSpec, ProofSession, bundle_digest, verify_bundle
 from fcguard.scenario import load_scenario, run_scenario
 from fcguard.security import build_fixture, mutation_cases, splice_harness
 from test_primes import CRT_PRIME_PAIRS, _crt_form, _expected, _products
@@ -61,6 +62,37 @@ def test_forced_helper_gives_the_serial_products(forced, case):
     assert primes._HELPER is not None
 
 
+@FORCED
+@given(data=st.data())
+def test_forced_helper_evaluates_a_batch_product_by_product(forced, data):
+    # plain and CRT products over different moduli, a half modulus among them
+    products, serial = [], []
+    for terms, crt in data.draw(st.lists(_products(), max_size=5)):
+        form = data.draw(st.sampled_from(["plain", "crt", "half"]))
+        mod = crt[0][0] if form == "half" else crt[0][0] * crt[1][0]
+        products.append((terms, crt if form == "crt" else mod))
+        serial.append(primes._multi_powmod(terms, mod))
+        assert serial[-1] == _expected(terms, mod)
+    assert primes.multi_powmod_many(products) == serial
+
+
+def test_forced_helper_takes_the_empty_batch_and_a_single_product(forced):
+    assert primes.multi_powmod_many([]) == []
+    assert primes._HELPER is None
+    terms = [(3, 1 << 300, True), (5, 12345, False)]
+    assert primes.multi_powmod_many([(terms, 253)]) == [_expected(terms, 253)]
+    assert primes._HELPER is not None
+
+
+def _requests(monkeypatch):
+    """The list of requests sent to the helper, each a (local, remote) pair."""
+    sent = []
+    real = primes._on_two_processes
+    monkeypatch.setattr(primes, "_on_two_processes",
+                        lambda local, remote: sent.append((local, remote)) or real(local, remote))
+    return sent
+
+
 # prime pairs with gcd(lambda, n) = 1, which a Paillier key needs
 PAILLIER_PAIRS = [(5, 7)] + CRT_PRIME_PAIRS[2:]
 
@@ -91,21 +123,48 @@ def test_a_non_unit_inverted_on_either_side_raises_and_keeps_the_pipe_in_step(fo
     assert primes.multi_powmod(terms, 253) == _expected(terms, 253)
     with pytest.raises(ValueError):
         primes.multi_powmod_crt([big, non_unit], _crt_form(11, 23, False))
+    # whole jobs: the costlier one is evaluated here
+    batch = [([big], 253), ([non_unit], 253), ([(3, 12345, True)], 23)]
+    with pytest.raises(ValueError):
+        primes.multi_powmod_many(batch)
+    assert primes.multi_powmod_many([(terms, 253), (terms, 23)]) == [_expected(terms, 253), _expected(terms, 23)]
     assert primes._HELPER[0] is helper  # a raised ValueError does not cost the helper
 
 
 def test_crt_halves_reduce_exponents_with_the_helper_forced_on(forced, monkeypatch):
-    seen = []
-    real = primes._on_two_processes
-    monkeypatch.setattr(primes, "_on_two_processes",
-                        lambda local, remote: seen.append((local, remote)) or real(local, remote))
+    sent = _requests(monkeypatch)
     p, q = 2**61 - 1, 2**89 - 1
     assert primes.multi_powmod_crt([(3, 1 << 600, True), (p, 5, False), (7, 9, False)],
                                    _crt_form(p, q, False)) == pow(3, 1 << 600, p * q) * p**5 * 7**9 % (p * q)
-    ((half_p, mod_p), (half_q, mod_q)), = seen
-    assert (mod_p, mod_q) == (p, q)
+    ((local, remote),) = sent
+    halves = {mod: terms for terms, mod in local + remote}
+    assert len(local) == len(remote) == 1 and set(halves) == {p, q}
+    half_p, half_q = halves[p], halves[q]
     assert half_p[0][1] == (1 << 600) % (p - 1) + (p - 1) and half_q[0][1] == (1 << 600) % (q - 1) + (q - 1)
     assert [t[1] for t in half_p[1:]] == [5, 9]
+
+
+def test_one_request_per_round_of_a_bundle(forced, monkeypatch):
+    # the fixture's bundles: link, ElGamal and predicate arms, then link and Paillier arms
+    fx = build_fixture()
+    sent = _requests(monkeypatch)
+    session = ProofSession(fx.registry, fx.nonce, random.Random(7), commitment_source=fx.platform_defn.defn_id)
+    counts = []
+    bundle1 = session.build_bundle(
+        fx.platform_defn, fx.platform_schema, fx.vc_pu, fx.wallet.link_secret, link={"ssn": "ssn"},
+        encrypt=[EncryptionSpec("ssn", fx.aa_keys.public)], predicates=[PredicateSpec("birthday", 20070101)])
+    counts.append(len(sent))
+    bundle2 = session.build_bundle(
+        fx.bank_defn, fx.bank_schema, fx.vc_bu, fx.wallet.link_secret, disclose=("bank_name",),
+        link={"ssn": "ssn"}, encrypt=[EncryptionSpec("bank_account", fx.bank_enc.public)])
+    counts.append(len(sent))
+    own = (fx.platform_keys, fx.bank_keys, fx.bank_enc)
+    for bundle, prev in ((bundle1, None), (bundle2, bundle_digest(bundle1))):
+        for keys in ((), own):
+            assert verify_bundle(fx.registry, bundle, fx.nonce, fx.enc_keys, expected_prev=prev, own_keys=keys)
+            counts.append(len(sent))
+    assert counts == [2, 4, 5, 6, 7, 8]
+    assert all(local and remote for local, remote in sent)
 
 
 def test_verdicts_and_digests_hold_with_the_helper_forced_on(tmp_path):
@@ -159,6 +218,22 @@ def test_stopping_the_helper_leaves_no_child(forced):
     assert primes._HELPER is None
     with pytest.raises(ChildProcessError):
         os.waitpid(helper, os.WNOHANG)
+
+
+def test_a_helper_killed_before_a_batch_leaves_its_share_here_and_no_zombie(forced):
+    terms = [(3, 1 << 300, True), (5, 12345, False)]
+    batch = [(terms, 253), (terms, _crt_form(11, 23, True)), ([(7, 1 << 200, False)], 23)]
+    expected = [_expected(terms, 253), _expected(terms, 11**2 * 23**2), pow(7, 1 << 200, 23)]
+    assert primes.multi_powmod_many(batch) == expected
+    helper = primes._HELPER[0]
+    os.kill(helper, signal.SIGKILL)
+    os.waitid(os.P_PID, helper, os.WEXITED | os.WNOWAIT)  # dead, and not yet reaped
+    assert primes.multi_powmod_many(batch) == expected
+    assert primes._HELPER is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(helper, os.WNOHANG)
+    assert primes.multi_powmod_many(batch) == expected
+    assert primes._HELPER is not None and primes._HELPER[0] != helper
 
 
 def test_a_killed_helper_is_reaped_and_its_product_made_here(forced):

@@ -490,11 +490,14 @@ def test_key_holders_evaluate_no_equation_over_their_own_modulus(ctx, monkeypatc
     names = {platform_n: "platform n", bank.issuer_keys.public.n: "bank n",
              bank.enc_keys.public.n_squared: "paillier n^2", ctx.authority.public_enc_key.p: "elgamal p"}
     evaluated = []
-    real_plain, real_crt = presentations.multi_powmod, presentations.multi_powmod_crt
-    monkeypatch.setattr(presentations, "multi_powmod",
-                        lambda terms, mod: evaluated.append(("plain", names[mod])) or real_plain(terms, mod))
-    monkeypatch.setattr(presentations, "multi_powmod_crt", lambda terms, crt: evaluated.append(
-        ("crt", names[crt[0][0] * crt[1][0]])) or real_crt(terms, crt))
+    real = presentations.multi_powmod_many
+
+    def spy(products):
+        evaluated.extend(("plain", names[mod]) if isinstance(mod, int) else ("crt", names[mod[0][0] * mod[1][0]])
+                         for _, mod in products)
+        return real(products)
+
+    monkeypatch.setattr(presentations, "multi_powmod_many", spy)
     calls = []
 
     def recorded(fn):

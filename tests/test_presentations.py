@@ -369,7 +369,7 @@ def test_a_prime_sharing_a_factor_is_rejected_before_any_equation(toy_env, monke
     nonce, b1, _, _ = _exchange_bundles(toy_env)
     keys = toy_env.platform_keys
     evaluated = []
-    monkeypatch.setattr(presentations._Eq, "t_value", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(presentations._Eq, "product", lambda *args: evaluated.append(args))
     for a_prime in (keys.p, keys.q * 5):
         pres = dataclasses.replace(b1.presentation, a_prime=a_prime)
         bad = dataclasses.replace(b1, presentation=pres)

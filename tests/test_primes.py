@@ -12,6 +12,7 @@ from fcguard.crypto.primes import (
     is_probable_prime,
     multi_powmod,
     multi_powmod_crt,
+    multi_powmod_many,
     powmod,
     powmod_fixed,
     random_prime,
@@ -189,11 +190,16 @@ def test_multi_powmod_and_its_crt_form_equal_the_product_of_pow(case):
 def test_gmpy2_shape_equals_the_product_of_pow(case):
     terms, crt = case
     mod = crt[0][0] * crt[1][0]
+    expected = _expected(terms, mod)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primes, "multi_powmod", primes._powmod_product)
-        mp.setattr(primes, "powmod_fixed", primes.powmod)
-        assert primes.multi_powmod(terms, mod) == _expected(terms, mod)
-        assert multi_powmod_crt(terms, crt) == _expected(terms, mod)
+        mp.setattr(primes, "gmpy2", object())  # any value other than None selects the plain products
+        mp.setattr(primes, "_multi_powmod", None)
+        assert primes.multi_powmod(terms, mod) == expected
+        assert multi_powmod_crt(terms, crt) == expected
+        assert multi_powmod_many([(terms, mod), (terms, crt), (terms[:1], crt[0][0])]) == [
+            expected, expected, _expected(terms[:1], crt[0][0])]
+        base, exp, _ = terms[0]
+        assert powmod_fixed(base, abs(exp), mod) == pow(base, abs(exp), mod)
 
 
 def test_negative_exponent_of_a_non_unit_raises_on_both_forms():
@@ -207,8 +213,8 @@ def test_negative_exponent_of_a_non_unit_raises_on_both_forms():
 
 def test_crt_form_reduces_exponents_into_lambda_to_two_lambda(monkeypatch):
     seen = []
-    real = primes.multi_powmod
-    monkeypatch.setattr(primes, "multi_powmod", lambda terms, mod: seen.append(terms) or real(terms, mod))
+    real = primes._multi_powmod
+    monkeypatch.setattr(primes, "_multi_powmod", lambda terms, mod: seen.append(terms) or real(terms, mod))
     p, q = 2**61 - 1, 2**89 - 1
     assert multi_powmod_crt([(3, 1 << 600, True), (p, 5, False), (7, 9, False)],
                             _crt_form(p, q, False)) == pow(3, 1 << 600, p * q) * p**5 * 7**9 % (p * q)
