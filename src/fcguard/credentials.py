@@ -6,6 +6,12 @@ secret under the issuer's bases, proves knowledge of the opening, and the
 issuer signs the commitment into the reserved slot without ever seeing the
 secret. The holder then completes the blinding exponent and verifies both
 the signature and the issuer's correctness proof before storing anything.
+
+Each holder step is one batched evaluation per round: the request's
+commitment S^v' R_0^(link secret) and its proof's t-value together
+(`prove_opening`), and on receipt S^v prod R_i^(m_i), A^e and A^c together,
+then Q^s_e (`cl.issued_signature_fault`). The randomness is drawn in the
+order it always was, so every value and byte on the wire is unchanged.
 """
 
 from __future__ import annotations
@@ -23,14 +29,11 @@ from .crypto.cl import (
     ClPublicKey,
     ClSignature,
     SignatureProof,
+    issued_signature_fault,
     sign_with_proof,
-    signature_exponent_prime,
-    signature_q,
-    verify_signature_proof,
 )
 from .crypto.commitment import OpeningProof, prove_opening, verify_opening
 from .crypto.encoding import encode_attribute
-from .crypto.primes import multi_powmod
 from .errors import SchemaMismatchError, VerificationError, WalletError
 from .ledger import Registry
 from .params import Profile, get_profile
@@ -153,9 +156,8 @@ def create_credential_request(link_secret: LinkSecret, definition: CredentialDef
     profile = definition.profile()
     pk = definition.public_key
     v_prime = rng.getrandbits(pk.n.bit_length() + profile.stat_bits)
-    blinded = multi_powmod(((pk.s, v_prime, True), (pk.r_bases[LINK_SLOT], link_secret.value, True)), pk.n)
-    proof = prove_opening(
-        pk.n, pk.r_bases[LINK_SLOT], pk.s, blinded, link_secret.value, v_prime,
+    blinded, proof = prove_opening(
+        pk.n, pk.r_bases[LINK_SLOT], pk.s, link_secret.value, v_prime,
         label="credential-request", nonce=nonce + definition.defn_id.encode(),
         profile=profile, rng=rng)
     return CredentialRequest(defn_id=definition.defn_id, nonce=nonce, blinded=blinded, proof=proof), v_prime
@@ -197,22 +199,25 @@ def issue_credential(issuer_keys: ClIssuerKeyPair, definition: CredentialDefinit
 def holder_finalize_credential(definition: CredentialDefinition, schema: Schema,
                                credential: Credential, link_secret: LinkSecret,
                                v_prime: int, request_nonce: bytes) -> Credential:
-    """Complete the blinding exponent and verify signature plus issuer proof.
-    Raises VerificationError on any failure; the credential is not stored."""
-    profile = definition.profile()
-    pk = definition.public_key
+    """Complete the blinding exponent and verify signature plus issuer proof
+    (`issued_signature_fault`). Raises VerificationError on any failure; the
+    credential is not stored."""
     sig = credential.signature
     full = ClSignature(a=sig.a, e=sig.e, v=sig.v + v_prime)
     slots = [link_secret.value] + [credential.attributes[name] for name in schema.attribute_names]
-    q_value = signature_q(pk, slots, full)
-    if q_value is None:
-        raise VerificationError("credential signature invalid")
-    if not signature_exponent_prime(full, profile):
-        raise VerificationError("signature exponent outside the accepted prime range")
-    if not verify_signature_proof(pk, full.a, q_value, credential.signature_proof, request_nonce, profile):
-        raise VerificationError("issuer signature-correctness proof invalid")
+    fault = issued_signature_fault(definition.public_key, slots, full, credential.signature_proof,
+                                   request_nonce, definition.profile())
+    if fault is not None:
+        raise VerificationError(_FAULT_MESSAGES[fault])
     return Credential(defn_id=credential.defn_id, attributes=dict(credential.attributes),
                       signature=full, signature_proof=credential.signature_proof)
+
+
+_FAULT_MESSAGES = {
+    "signature": "credential signature invalid",
+    "exponent": "signature exponent outside the accepted prime range",
+    "proof": "issuer signature-correctness proof invalid",
+}
 
 
 class Wallet:

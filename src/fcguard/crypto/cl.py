@@ -10,8 +10,15 @@ link secret gets signed without being revealed.
 
 The issuer computes Z and the R_i when a key is assembled, and Q = A^e and A
 for each signature, mod p and mod q (`multi_powmod_crt`); `sign_with_proof`
-reuses the signature's Q. The holder computes Q once (`signature_q`) and
-checks both A^e = Q and the issuer's proof against it.
+reuses the signature's Q. Its exponent e comes from `random_prime_in_range`,
+which tests its candidates on two processes while the helper process runs.
+
+Each equation has one definition, which every checker runs: `_checked_q`
+for A^e = Q and `verify_signature_proof` for the issuer's proof. The holder
+(`issued_signature_fault`) evaluates S^v * prod R_i^(m_i), A^e and A^c in
+one batched call (`multi_powmod_many`), so two processes share them at the
+paper profile, and then Q^s_e, the one power that needs Q. `cl_verify` runs
+the same batch without A^c.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from ..errors import EncodingRangeError, ParameterError
 from ..params import Profile
 from ..serialize import serializable
 from .encoding import ATTRIBUTE_BOUND
-from .primes import (Crt, Term, invert, is_probable_prime, multi_powmod, multi_powmod_crt, powmod,
-                     random_prime_in_range, sophie_germain_prime)
+from .primes import (Crt, Term, invert, is_probable_prime, multi_powmod, multi_powmod_crt, multi_powmod_many,
+                     powmod, random_prime_in_range, sophie_germain_prime)
 from .transcript import Transcript
 
 
@@ -182,8 +189,16 @@ def cl_verify(public: ClPublicKey, attributes: Sequence[int], signature: ClSigna
 def signature_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
                 hidden_commitment: int | None = None) -> int | None:
     """Q = Z / (S^v * prod R_i^(m_i) * [commitment]) when the inputs are well
-    formed and A^e = Q (mod n), else None; the holder checks the issuer's
-    proof against this same Q."""
+    formed and A^e = Q (mod n), else None."""
+    checked = _checked_q(public, attributes, signature, hidden_commitment)
+    return None if checked is None else checked[0]
+
+
+def _checked_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
+               hidden_commitment: int | None, powers: Sequence[Term] = ()) -> list[int] | None:
+    """[Q, then each of `powers` mod n] when the inputs are well formed and
+    A^e = Q (mod n), else None. The product behind Q, A^e and the powers are
+    one batched evaluation."""
     try:
         reserved = 1 if hidden_commitment is not None else 0
         if len(attributes) + reserved > public.slot_count:
@@ -196,8 +211,12 @@ def signature_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSig
             return None
         if not 1 < a < public.n or e <= 2 or e % 2 == 0:
             return None
-        q_value = recompute_q(public, attributes, v, hidden_commitment)
-        return q_value if powmod(a, e, public.n) == q_value else None
+        n = public.n
+        base, a_e, *values = multi_powmod_many(
+            [(_q_terms(public, attributes, v, hidden_commitment), n), (((a, e, False),), n)]
+            + [((term,), n) for term in powers])
+        q_value = _q_from(public, base)
+        return [q_value, *values] if a_e == q_value else None
     except (AttributeError, TypeError, ValueError):
         return None
 
@@ -205,7 +224,11 @@ def signature_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSig
 def recompute_q(public: ClPublicKey, attributes: Sequence[int], v: int,
                 hidden_commitment: int | None = None) -> int:
     """The value A^e must equal: Z / (S^v * prod R_i^(m_i) * [commitment])."""
-    base = multi_powmod(_q_terms(public, attributes, v, hidden_commitment), public.n)
+    return _q_from(public, multi_powmod(_q_terms(public, attributes, v, hidden_commitment), public.n))
+
+
+def _q_from(public: ClPublicKey, base: int) -> int:
+    """Z / base mod n, for base = S^v * prod R_i^(m_i) * [commitment]."""
     return public.z * invert(base, public.n) % public.n
 
 
@@ -223,12 +246,40 @@ def sign_with_proof(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: P
 
 
 def verify_signature_proof(public: ClPublicKey, a: int, q_value: int, proof: SignatureProof,
-                           nonce: bytes, profile: Profile) -> bool:
+                           nonce: bytes, profile: Profile, a_c: int | None = None) -> bool:
+    """The proof's challenge is that of A^c * Q^s_e; `a_c` is A^c when the
+    caller has evaluated it already."""
     try:
-        a_hat = powmod(a, proof.challenge, public.n) * powmod(q_value, proof.s_e, public.n) % public.n
+        if a_c is None:
+            a_c = powmod(a, proof.challenge, public.n)
+        a_hat = a_c * powmod(q_value, proof.s_e, public.n) % public.n
     except (AttributeError, TypeError, ValueError):
         return False
     return proof.challenge == _signature_proof_challenge(public, q_value, a, a_hat, nonce, profile)
+
+
+def issued_signature_fault(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
+                           proof: SignatureProof, nonce: bytes, profile: Profile) -> str | None:
+    """The holder's check of an issued signature over all its slots: the
+    first of "signature" (`cl_verify`'s equation), "exponent"
+    (`signature_exponent_prime`) and "proof" (`verify_signature_proof`'s)
+    that fails, or None.
+
+    S^v * prod R_i^(m_i), A^e and A^c are one batched evaluation, then
+    Q^s_e, the one power that needs Q. A challenge outside
+    [0, 2^challenge_bits) never equals the recomputed one, so such a proof,
+    or one with a field that is not an int, fails without A^c."""
+    c, s_e = getattr(proof, "challenge", None), getattr(proof, "s_e", None)
+    well_formed = isinstance(c, int) and isinstance(s_e, int) and 0 <= c < 1 << profile.challenge_bits
+    checked = _checked_q(public, attributes, signature, None, [(signature.a, c, False)] if well_formed else [])
+    if checked is None:
+        return "signature"
+    if not signature_exponent_prime(signature, profile):
+        return "exponent"
+    if not well_formed or not verify_signature_proof(public, signature.a, checked[0], proof, nonce, profile,
+                                                     a_c=checked[1]):
+        return "proof"
+    return None
 
 
 def _signature_proof_challenge(public: ClPublicKey, q_value: int, a: int, a_tilde: int,

@@ -1,6 +1,8 @@
-"""Integer commitments C = R^m * S^r in an RSA group of hidden order, plus the
-generic two-base proof of knowledge of an opening used by credential requests
-and the cross-presentation link arms."""
+"""Integer commitments C = R^m * S^r in an RSA group of hidden order, whose
+keys also serve the cross-presentation link arms, plus the generic two-base
+proof of knowledge of an opening used by credential requests.
+`prove_opening` makes the commitment and its t-value in one batched
+evaluation, which two processes share at the paper profile."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 from ..params import Profile
 from ..serialize import encode_int, serializable
-from .primes import Crt, multi_powmod, multi_powmod_crt
+from .primes import Crt, multi_powmod, multi_powmod_crt, multi_powmod_many
 from .transcript import Transcript
 
 
@@ -69,21 +71,26 @@ def open_verify(key: CommitmentKey, commitment: IntegerCommitment, m: int, r: in
 class OpeningProof:
     """Proof of knowledge of (m, r) with C = base1^m * base2^r (mod n). The
     bases are public-key constants, so both sides use the fixed-base tables,
-    and each t-value is one multi-exponentiation."""
+    and each t-value is one multi-exponentiation; the prover's shares one
+    batched evaluation with C."""
 
     challenge: int
     s_m: int
     s_r: int
 
 
-def prove_opening(n: int, base1: int, base2: int, value: int, m: int, r: int,
-                  label: str, nonce: bytes, profile: Profile, rng: random.Random) -> OpeningProof:
+def prove_opening(n: int, base1: int, base2: int, m: int, r: int, label: str, nonce: bytes,
+                  profile: Profile, rng: random.Random) -> tuple[int, OpeningProof]:
+    """The commitment C = base1^m * base2^r and a proof of knowledge of its
+    opening. C and the t-value are one batched evaluation, after the two
+    blindings are drawn."""
     slack = profile.challenge_bits + profile.stat_bits
     m_t = rng.getrandbits(profile.attr_bits + slack)
     r_t = rng.getrandbits(n.bit_length() + profile.stat_bits + slack)
-    t_value = multi_powmod(((base1, m_t, True), (base2, r_t, True)), n)
+    value, t_value = multi_powmod_many([(((base1, m, True), (base2, r, True)), n),
+                                        (((base1, m_t, True), (base2, r_t, True)), n)])
     c = _opening_challenge(label, nonce, n, base1, base2, value, t_value, profile)
-    return OpeningProof(challenge=c, s_m=m_t + c * m, s_r=r_t + c * r)
+    return value, OpeningProof(challenge=c, s_m=m_t + c * m, s_r=r_t + c * r)
 
 
 def verify_opening(n: int, base1: int, base2: int, value: int, proof: OpeningProof,

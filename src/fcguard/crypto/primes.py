@@ -27,6 +27,19 @@ and is struck, as it always has been. Below 15 bits (below 16384) the 20000
 sieve strikes every candidate, so those sizes draw candidates one at a time
 (`_sophie_germain_small`) instead.
 
+`random_prime_in_range`, the issuer's signature-exponent search, tests
+independent random draws; at the paper profile about 55 of some 420 draws
+per search pass trial division. While the helper process below is running,
+they are tested in rounds of `_SEARCH_ROUND`: each gets a base-2 Fermat test,
+half of them in the helper, and the first in draw order that passes and that
+`is_probable_prime` confirms is taken. The RNG is then set back to its state
+at the round's start and the draws up to that one are made again, so a
+round keeps one saved state, not one per draw. Every prime passes the
+Fermat test and a candidate that fails it is composite, so the strong
+base-2 test would reject it too: the prime and every later draw are the
+one-at-a-time search's. The search never starts the helper, so it stays
+serial at the toy profile and under gmpy2.
+
 `multi_powmod_many(products)` evaluates a list of products of powers, each
 (terms, mod) or (terms, crt), a term being (base, exponent, fixed);
 `multi_powmod`, `multi_powmod_crt` and `powmod_fixed` evaluate one. A
@@ -82,7 +95,9 @@ hook closes the pipes and reaps it, so a SIGTERM that ends this process
 through `sys.exit` leaves no child. The values are those of the serial
 evaluation, so every seeded output is unchanged. A tracer that wraps `powmod` here does
 not see the powers the helper computes, and `RUSAGE_SELF` does not count
-the helper's memory.
+the helper's memory. Its requests carry proof and signature products, CRT
+halves of the key holders' equations, and the Fermat tests of the exponent
+search, all through `_on_two_processes`.
 """
 
 from __future__ import annotations
@@ -97,8 +112,8 @@ import random
 import signal
 from array import array
 from collections import OrderedDict
-from itertools import compress
-from typing import BinaryIO, Iterable, NamedTuple, Sequence
+from itertools import compress, islice
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import PrimeGenerationError
 
@@ -427,7 +442,8 @@ def crt_pair(x_p: int, p: int, x_q: int, q: int) -> int:
     return x_q + q * ((x_p - x_q) * invert(q, p) % p)
 
 
-_TRIAL_PRIMES = frozenset(p for p in range(3, 2000, 2)
+_TRIAL_BOUND = 2000  # is_probable_prime divides by the odd primes below it
+_TRIAL_PRIMES = frozenset(p for p in range(3, _TRIAL_BOUND, 2)
                           if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
@@ -531,15 +547,69 @@ def random_prime(bits: int, rng: random.Random, max_tries: int = 100000) -> int:
     raise PrimeGenerationError(f"no {bits}-bit prime found in {max_tries} draws")
 
 
+_SEARCH_ROUND = 8  # trial-division survivors Fermat-tested per round, half of them by the helper
+
+
 def random_prime_in_range(lo: int, hi: int, rng: random.Random, max_tries: int = 100000) -> int:
-    """Random prime in [lo, hi)."""
+    """Random prime in [lo, hi): the first draw, in draw order, that
+    `is_probable_prime` accepts, in at most `max_tries` draws.
+
+    While the helper runs (never under gmpy2) and lo is above every trial
+    prime, the draws that pass trial division are tested in rounds on both
+    processes (`_search_round`). The prime and the RNG state it leaves are
+    the ones the one-at-a-time search gives: the RNG is set back to its state
+    after the round's first draw, and the draws up to the prime's are made
+    again."""
+    draws = _draws(lo, hi, rng, max_tries)
+    rounds = gmpy2 is None and lo >= _TRIAL_BOUND
+    for cand in draws:
+        if not (rounds and _HELPER is not None):
+            if is_probable_prime(cand):
+                return cand
+        elif math.gcd(cand, _TRIAL_PRODUCT) == 1:
+            state = rng.getstate()
+            found = _search_round(cand, draws)
+            if found is not None:
+                rng.setstate(state)
+                for _ in islice(_draws(lo, hi, rng, max_tries), found[1]):
+                    pass
+                return found[0]
+    raise PrimeGenerationError(f"no prime found in [{lo}, {hi}) after {max_tries} draws")
+
+
+def _draws(lo: int, hi: int, rng: random.Random, max_tries: int) -> Iterator[int]:
+    """The odd candidates below hi of `max_tries` draws from [lo, hi), each
+    yielded right after its draw."""
     for _ in range(max_tries):
         cand = rng.randrange(lo, hi) | 1
-        if cand >= hi:
-            continue
-        if is_probable_prime(cand):
-            return cand
-    raise PrimeGenerationError(f"no prime found in [{lo}, {hi}) after {max_tries} draws")
+        if cand < hi:
+            yield cand
+
+
+def _search_round(first: int, draws: Iterator[int]) -> tuple[int, int] | None:
+    """`first` and the next draws that pass trial division, up to
+    `_SEARCH_ROUND`, each base-2 Fermat tested, the first half by the helper:
+    the first of them in draw order that `is_probable_prime` confirms, with
+    the number of candidates drawn after `first` up to it, or None.
+
+    A prime passes the Fermat test, and a candidate that fails it is
+    composite, so the strong base-2 test in `is_probable_prime` rejects it
+    too: the confirmed candidate is the serial search's prime."""
+    found, drawn = [(first, 0)], 0
+    while len(found) < _SEARCH_ROUND and (cand := next(draws, None)) is not None:
+        drawn += 1
+        if math.gcd(cand, _TRIAL_PRODUCT) == 1:
+            found.append((cand, drawn))
+    jobs = [(((2, cand - 1, False),), cand) for cand, _ in found]
+    half = len(jobs) // 2
+    if half and (both := _on_two_processes(jobs[half:], jobs[:half])) is not None:
+        values = both[1] + both[0]
+    else:
+        values = [_multi_powmod(terms, mod) for terms, mod in jobs]
+    for (cand, skip), value in zip(found, values):
+        if value == 1 and is_probable_prime(cand):
+            return cand, skip
+    return None
 
 
 _WINDOW = 1 << 16  # candidate positions per sieved window

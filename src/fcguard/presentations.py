@@ -52,7 +52,7 @@ from .crypto.commitment import CommitmentKey, randomizer_bits
 from .crypto.elgamal import ElGamalPublicKey
 from .crypto.encoding import ATTRIBUTE_BOUND
 from .crypto.paillier import PaillierKeyPair, PaillierPublicKey, paillier_hs
-from .crypto.primes import Crt, Product, Term, invert, multi_powmod_many, powmod, powmod_fixed
+from .crypto.primes import Crt, Product, Term, invert, multi_powmod_many, powmod_fixed
 from .crypto.transcript import Transcript
 from .errors import ProofRefusedError, RegistryError, SchemaMismatchError
 from .ledger import Registry
@@ -333,14 +333,20 @@ def _predicate_arm(ck: CommitmentKey, attr: str, threshold: int, bits: Sequence[
                        chal=f"c1.{j}"))
 
     def lin_target() -> tuple[Term, ...]:
-        agg = 1
-        for j, d in enumerate(bits):
-            agg = agg * powmod(d, 1 << j, n) % n
-        return ((powmod_fixed(ck.r_base, threshold, n) * invert(agg, n) % n, 1, False),)
+        return ((powmod_fixed(ck.r_base, threshold, n) * invert(_aggregate_bits(bits, n), n) % n, 1, False),)
 
     eqs.append(_Eq(n, ((ck.r_base, "m", True), (ck.s_base, "u", True)), lin_target))
     return _Arm({"attr": attr, "bits": list(bits), "threshold": threshold}, eqs,
                 lambda ts: {"bits": [ts[i:i + 2] for i in range(0, len(ts) - 1, 2)], "lin": ts[-1]})
+
+
+def _aggregate_bits(bits: Sequence[int], n: int) -> int:
+    """prod D_j^(2^j) mod n by Horner's rule, top bit first: one squaring
+    and one multiplication per bit after the first."""
+    agg = 1
+    for d in reversed(bits):
+        agg = agg * agg % n * d % n
+    return agg
 
 
 def _bundle_challenge(profile: Profile, core: _Arm, t_core: int, nonce: bytes,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .credentials import (
     BANK_ATTRIBUTES,
     PLATFORM_ATTRIBUTES,
+    Credential,
     Schema,
     Wallet,
     create_credential_request,
@@ -20,10 +21,11 @@ from .credentials import (
     publish_definition,
     verify_credential_request,
 )
-from .crypto.cl import cl_verify, cl_keygen, recompute_q, verify_signature_proof
+from .crypto.cl import cl_verify, cl_keygen
 from .crypto.commitment import CommitmentKey, commit, open_verify
 from .crypto.elgamal import elgamal_encrypt, elgamal_keygen
 from .crypto.paillier import paillier_encrypt, paillier_keygen
+from .errors import VerificationError
 from .ledger import Registry
 from .params import TOY, Profile
 from .presentations import (
@@ -81,6 +83,7 @@ class _Fixture:
     platform_keys: object
     bank_keys: object
     vc_pu: object
+    vc_pu_nonce: bytes  # the nonce vc_pu was issued under
     vc_bu: object
     nonce: bytes
     bundle1: PresentationBundle
@@ -108,12 +111,12 @@ def build_fixture(seed: int = 1301, ssn: int = 123_456_789) -> _Fixture:
         nonce = rng.getrandbits(128).to_bytes(16, "big")
         request, v_prime = create_credential_request(wallet.link_secret, defn, nonce, rng)
         cred = issue_credential(keys, defn, schema, request, values, rng)
-        return holder_finalize_credential(defn, schema, cred, wallet.link_secret, v_prime, nonce)
+        return holder_finalize_credential(defn, schema, cred, wallet.link_secret, v_prime, nonce), nonce
 
-    vc_pu = issue(p_defn, p_schema, platform_keys,
-                  {"name": "Holder", "birthday": 19900101, "ssn": ssn})
-    vc_bu = issue(b_defn, b_schema, bank_keys,
-                  {"bank_name": "Bank of A", "bank_account": 12_345_678_901_234_567, "ssn": ssn})
+    vc_pu, vc_pu_nonce = issue(p_defn, p_schema, platform_keys,
+                               {"name": "Holder", "birthday": 19900101, "ssn": ssn})
+    vc_bu, _ = issue(b_defn, b_schema, bank_keys,
+                     {"bank_name": "Bank of A", "bank_account": 12_345_678_901_234_567, "ssn": ssn})
     wallet.store(vc_pu)
     wallet.store(vc_bu)
 
@@ -134,10 +137,21 @@ def build_fixture(seed: int = 1301, ssn: int = 123_456_789) -> _Fixture:
     return _Fixture(registry=registry, profile=profile, wallet=wallet,
                     platform_defn=p_defn, platform_schema=p_schema,
                     bank_defn=b_defn, bank_schema=b_schema, platform_keys=platform_keys,
-                    bank_keys=bank_keys,
-                    vc_pu=vc_pu, vc_bu=vc_bu, nonce=nonce, bundle1=bundle1, bundle2=bundle2,
+                    bank_keys=bank_keys, vc_pu=vc_pu, vc_pu_nonce=vc_pu_nonce, vc_bu=vc_bu,
+                    nonce=nonce, bundle1=bundle1, bundle2=bundle2,
                     equality=equality, enc_keys=enc_keys, aa_keys=aa_keys,
                     bank_enc=bank_enc, rng=rng)
+
+
+def holder_accepts(fx: _Fixture, credential: Credential) -> bool:
+    """Whether the holder's issuance check passes `credential` as the
+    fixture's platform credential: its v is complete, so v' is 0."""
+    try:
+        holder_finalize_credential(fx.platform_defn, fx.platform_schema, credential,
+                                   fx.wallet.link_secret, 0, fx.vc_pu_nonce)
+    except VerificationError:
+        return False
+    return True
 
 
 def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[tuple[str, bool]]:
@@ -174,13 +188,12 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
         mutated[i] += 1
         cases.append((f"cl-sig:attr-{name}+1", cl_verify(pk, mutated, sig)))
 
-    # issuer signature-correctness proof
-    q_value = recompute_q(pk, slots, sig.v)
+    # issuer signature-correctness proof, under the nonce it was issued with
     proof = fx.vc_pu.signature_proof
     for field_name in ("challenge", "s_e"):
         bad = dataclasses.replace(proof, **{field_name: getattr(proof, field_name) + 1})
         cases.append((f"sig-proof:{field_name}+1",
-                      verify_signature_proof(pk, sig.a, q_value, bad, b"", fx.profile)))
+                      holder_accepts(fx, dataclasses.replace(fx.vc_pu, signature_proof=bad))))
 
     # integer commitment opening
     ck = CommitmentKey.derive(pk.n, pk.s, label="matrix")

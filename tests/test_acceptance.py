@@ -36,6 +36,14 @@ PAPER_SEED_42_PRIMES = {
     "bank.q_prime": "2ae648ec2bf29e1e6ab9526f2b2ee590daaa83fa09f3689e353c15e0f16cc53e",
 }
 
+# SHA-256 of the criterion-01 run's event log and ledger, as `scenario run
+# --out` writes them: the only digests that cover the paper profile, where
+# the helper process runs without being forced on.
+PAPER_HAPPY_PATH_DIGESTS = {
+    "events.jsonl": "9f1723f81a76c7dd6f9c5c64b1f787893e4416edf121b0896e1f11d8de715800",
+    "ledger.jsonl": "7ff95f1e8fc588082dde64e9c475765c2e3fbce1e221724bcc3ce4bc7cfa0f4d",
+}
+
 
 def _report(criterion: int, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion}: PASS - {detail}")
@@ -56,6 +64,10 @@ def test_criterion_01_end_to_end_happy_path_paper_profile(paper_key_cache):
         label, field = name.split(".")
         raw = json.loads((paper_key_cache / f"cl-paper-42-{label}-4.json").read_text())
         assert hashlib.sha256(raw[field].encode()).hexdigest() == digest, name
+    written = {"events.jsonl": "\n".join(result.event_log_lines()) + "\n",
+               "ledger.jsonl": result.ctx.chain.dump_jsonl()}
+    for name, digest in PAPER_HAPPY_PATH_DIGESTS.items():
+        assert hashlib.sha256(written[name].encode()).hexdigest() == digest, name
     assert elapsed < 60.0, f"happy path took {elapsed:.1f}s (budget 60s)"
     _report(1, f"order complete with conservation in {elapsed:.1f}s < 60s")
 

@@ -230,12 +230,17 @@ def test_issuance_computes_q_once_per_side(monkeypatch):
     pk = keys.public
     attrs, blind, secret = [5, 6, 7], 4242, 99
     commitment = pow(pk.s, blind, pk.n) * pow(pk.r_bases[0], secret, pk.n) % pk.n
-    holder_q = []
-    real = cl.recompute_q
-    monkeypatch.setattr(cl, "recompute_q", lambda *args: holder_q.append(args) or real(*args))
+    # Q's product is built once per side: the issuer's mod p and q inside the
+    # signing, the holder's in the batch that also gives A^e and A^c
+    built = []
+    real = cl._q_terms
+    monkeypatch.setattr(cl, "_q_terms", lambda *args: built.append(args) or real(*args))
     sig, proof = sign_with_proof(keys, attrs, TOY, rng, nonce=b"q", hidden_commitment=commitment)
-    assert holder_q == []  # the issuer's Q is made mod p and q, once, inside the signing
+    assert len(built) == 1
     full = dataclasses.replace(sig, v=sig.v + blind)
     q_value = cl.signature_q(pk, [secret, *attrs], full)
-    assert len(holder_q) == 1 and q_value == real(pk, [secret, *attrs], full.v)
+    assert len(built) == 2
+    assert cl.issued_signature_fault(pk, [secret, *attrs], full, proof, b"q", TOY) is None
+    assert len(built) == 3
+    assert q_value == cl.recompute_q(pk, [secret, *attrs], full.v)
     assert verify_signature_proof(pk, full.a, q_value, proof, b"q", TOY)

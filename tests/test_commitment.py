@@ -49,8 +49,9 @@ def test_opening_proof_round_trip():
     rng = random.Random(29)
     key = CommitmentKey.derive(253 * 263, 4, label="pok")
     c, r = commit(key, 777, rng=rng, profile=TOY)
-    proof = prove_opening(key.n, key.r_base, key.s_base, c.value, 777, r,
-                          label="pok-test", nonce=b"n1", profile=TOY, rng=rng)
+    value, proof = prove_opening(key.n, key.r_base, key.s_base, 777, r,
+                                 label="pok-test", nonce=b"n1", profile=TOY, rng=rng)
+    assert value == c.value
     assert verify_opening(key.n, key.r_base, key.s_base, c.value, proof,
                           label="pok-test", nonce=b"n1", profile=TOY)
     assert not verify_opening(key.n, key.r_base, key.s_base, c.value, proof,

@@ -1,7 +1,10 @@
 """The helper process of `crypto.primes`: with it forced on at toy size,
-every value and verdict is the serial one, and no process is left behind."""
+every value and verdict is the serial one, and no process is left behind.
+That covers registration too: the issuer's exponent search gives the serial
+prime and RNG state, and the holder's checks give the serial verdicts."""
 
 import contextlib
+import dataclasses
 import hashlib
 import os
 import random
@@ -10,6 +13,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -17,8 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fcguard.cli import main
+from fcguard.credentials import (PLATFORM_ATTRIBUTES, Schema, Wallet, create_credential_request,
+                                 holder_finalize_credential, issue_credential, publish_definition)
 from fcguard.crypto import primes
+from fcguard.crypto.cl import ClSignature, cl_keygen, recompute_q
 from fcguard.crypto.paillier import PaillierKeyPair
+from fcguard.errors import VerificationError
+from fcguard.ledger import Registry
+from fcguard.params import PAPER, TOY
 from fcguard.presentations import EncryptionSpec, PredicateSpec, ProofSession, bundle_digest, verify_bundle
 from fcguard.scenario import load_scenario, run_scenario
 from fcguard.security import build_fixture, mutation_cases, splice_harness
@@ -321,3 +331,160 @@ def test_the_helper_exits_when_its_parent_dies():
         if child.poll() is None:
             child.kill()
             child.wait()
+
+
+# ---------------------------------------------------------------------------
+# registration: the issuer's exponent search and the holder's two rounds
+
+def _one_at_a_time(lo, hi, rng):
+    """The exponent search as one draw and one full test at a time."""
+    while True:
+        cand = rng.randrange(lo, hi) | 1
+        if cand < hi and primes.is_probable_prime(cand):
+            return cand
+
+
+def _start_helper():
+    terms = [(3, 1 << 300, True), (5, 12345, False)]
+    assert primes.multi_powmod(terms, 253) == _expected(terms, 253)
+    assert primes._HELPER is not None
+
+
+def _e_window(profile):
+    lo = 1 << (profile.e_bits - 1)
+    return lo, lo + (1 << profile.e_window_bits)
+
+
+@pytest.mark.parametrize("profile", [TOY, PAPER], ids=["toy", "paper"])
+def test_the_exponent_search_on_two_processes_gives_the_serial_prime(forced, monkeypatch, profile):
+    _start_helper()
+    sent = _requests(monkeypatch)
+    lo, hi = _e_window(profile)
+    for seed in range(12 if profile is PAPER else 40):
+        expected, mine = random.Random(seed), random.Random(seed)
+        assert primes.random_prime_in_range(lo, hi, mine) == _one_at_a_time(lo, hi, expected), seed
+        assert mine.getrandbits(64) == expected.getrandbits(64), seed
+    assert sent and all(len(local) + len(remote) <= primes._SEARCH_ROUND for local, remote in sent)
+    assert all(terms == ((2, mod - 1, False),) for local, remote in sent for terms, mod in local + remote)
+
+
+# (4^13 - 1)/3 = 8191 * 2731 passes the base-2 Fermat test (Cipolla). Unlike
+# 341, 561 or 645, it has no factor below 2000, so trial division lets it
+# through to the helper's Fermat test, and only the strong test refuses it.
+PSEUDOPRIME = 22369621
+NEXT_PRIME = 22369661
+
+
+def test_the_exponent_search_refuses_a_fermat_pseudoprime(forced, monkeypatch):
+    assert pow(2, PSEUDOPRIME - 1, PSEUDOPRIME) == 1 and not primes.is_probable_prime(PSEUDOPRIME)
+    _start_helper()
+    sent = _requests(monkeypatch)
+    confirmed = []
+    real = primes.is_probable_prime
+    monkeypatch.setattr(primes, "is_probable_prime", lambda n: confirmed.append(n) or real(n))
+    for seed in range(30):
+        expected, mine = random.Random(seed), random.Random(seed)
+        assert _one_at_a_time(PSEUDOPRIME, NEXT_PRIME + 1, expected) == NEXT_PRIME
+        assert primes.random_prime_in_range(PSEUDOPRIME, NEXT_PRIME + 1, mine) == NEXT_PRIME
+        assert mine.getrandbits(64) == expected.getrandbits(64), seed
+    assert sent and PSEUDOPRIME in confirmed  # it passed the Fermat round and was refused after
+
+
+def test_the_exponent_search_survives_a_helper_killed_before_a_round(forced):
+    _start_helper()
+    helper = primes._HELPER[0]
+    os.kill(helper, signal.SIGKILL)
+    os.waitid(os.P_PID, helper, os.WEXITED | os.WNOWAIT)  # dead, and not yet reaped
+    lo, hi = _e_window(PAPER)
+    expected, mine = random.Random(3), random.Random(3)
+    assert primes.random_prime_in_range(lo, hi, mine) == _one_at_a_time(lo, hi, expected)
+    assert mine.getrandbits(64) == expected.getrandbits(64)
+    assert primes._HELPER is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(helper, os.WNOHANG)
+
+
+def test_the_gmpy2_shape_keeps_the_serial_exponent_search(forced, monkeypatch):
+    _start_helper()
+    sent = _requests(monkeypatch)
+    monkeypatch.setattr(primes, "gmpy2", SimpleNamespace(is_prime=lambda n, reps: primes._bpsw(n)))
+    lo, hi = _e_window(PAPER)
+    for seed in range(3):
+        expected, mine = random.Random(seed), random.Random(seed)
+        assert primes.random_prime_in_range(lo, hi, mine) == _one_at_a_time(lo, hi, expected)
+        assert mine.getrandbits(64) == expected.getrandbits(64)
+    assert sent == []
+
+
+def _issuance(seed):
+    """A toy issuer's definition, a wallet and a request's parts."""
+    rng = random.Random(seed)
+    keys = cl_keygen(4, TOY, rng)
+    schema = Schema("schema:p", "platform", PLATFORM_ATTRIBUTES)
+    _, defn = publish_definition(Registry(), keys, schema, "defn:p", TOY)
+    return rng, keys, schema, defn, Wallet.create(TOY, rng)
+
+
+def test_the_holder_sends_one_request_and_finalizes_in_at_most_two(forced, monkeypatch):
+    rng, keys, schema, defn, wallet = _issuance("holder-rounds")
+    sent = _requests(monkeypatch)
+    for i in range(3):
+        before = len(sent)
+        request, v_prime = create_credential_request(wallet.link_secret, defn, b"n%d" % i, rng)
+        assert len(sent) - before == 1
+        cred = issue_credential(keys, defn, schema, request, {"name": "H", "birthday": 19900101, "ssn": i}, rng)
+        before = len(sent)
+        holder_finalize_credential(defn, schema, cred, wallet.link_secret, v_prime, b"n%d" % i)
+        assert 1 <= len(sent) - before <= 2
+
+
+def _tampers(keys, defn, schema, cred, slots):
+    """(name, credential) pairs the holder must refuse."""
+    sig, proof = cred.signature, cred.signature_proof
+    out = [("a+1", dataclasses.replace(cred, signature=dataclasses.replace(sig, a=sig.a + 1))),
+           ("e+2", dataclasses.replace(cred, signature=dataclasses.replace(sig, e=sig.e + 2))),
+           ("v+1", dataclasses.replace(cred, signature=dataclasses.replace(sig, v=sig.v + 1)))]
+    for name in schema.attribute_names:
+        attrs = dict(cred.attributes)
+        attrs[name] += 1
+        out.append((f"{name}+1", dataclasses.replace(cred, attributes=attrs)))
+    # a valid signature whose e lies past the window: the issuer signs with that e
+    e = primes.random_prime_in_range(*(w + (1 << TOY.e_window_bits) for w in _e_window(TOY)), random.Random(1))
+    pk = defn.public_key
+    q_value = recompute_q(pk, slots, sig.v)
+    a = keys.powmod_crt(q_value, pow(e, -1, keys.group_order))
+    out.append(("e-outside", dataclasses.replace(cred, signature=ClSignature(a=a, e=e, v=sig.v))))
+    for field, value in (("challenge", proof.challenge + 1), ("s_e", proof.s_e + 1), ("s_e", "x")):
+        out.append((f"{field}-tamper", dataclasses.replace(
+            cred, signature_proof=dataclasses.replace(proof, **{field: value}))))
+    return out
+
+
+SIGNATURE, EXPONENT, PROOF = ("credential signature invalid",
+                              "signature exponent outside the accepted prime range",
+                              "issuer signature-correctness proof invalid")
+
+
+def test_the_holder_refuses_each_tamper_as_before_with_the_helper_on_and_off():
+    rng, keys, schema, defn, wallet = _issuance("holder-tampers")
+    nonce = b"tamper"
+    request, v_prime = create_credential_request(wallet.link_secret, defn, nonce, rng)
+    cred = issue_credential(keys, defn, schema, request, {"name": "H", "birthday": 19900101, "ssn": 7}, rng)
+    fine = holder_finalize_credential(defn, schema, cred, wallet.link_secret, v_prime, nonce)
+    slots = [wallet.link_secret.value] + [fine.attributes[name] for name in schema.attribute_names]
+    # the finalized credential's v is complete, so these are checked with v' = 0
+    tampers = _tampers(keys, defn, schema, fine, slots)
+    expected = [SIGNATURE] * 6 + [EXPONENT] + [PROOF] * 3
+    verdicts = []
+    for forced_on in (False, True):
+        with _helper_forced() if forced_on else contextlib.nullcontext():
+            if forced_on:
+                _start_helper()
+            assert holder_finalize_credential(defn, schema, fine, wallet.link_secret, 0, nonce) == fine
+            messages = []
+            for name, bad in tampers:
+                with pytest.raises(VerificationError) as info:
+                    holder_finalize_credential(defn, schema, bad, wallet.link_secret, 0, nonce)
+                messages.append(str(info.value))
+            verdicts.append(messages)
+    assert verdicts == [expected, expected], [name for name, _ in tampers]

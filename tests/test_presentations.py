@@ -376,3 +376,24 @@ def test_a_prime_sharing_a_factor_is_rejected_before_any_equation(toy_env, monke
         for own in ((), (keys,)):
             assert not verify_bundle(toy_env.registry, bad, nonce, toy_env.enc_keys, own_keys=own)
     assert evaluated == []
+
+
+def test_the_predicate_target_aggregates_the_bit_commitments_by_horner():
+    fx = build_fixture()
+    ck = presentations.commitment_key_for(fx.platform_defn)
+    n, rng = ck.n, random.Random(27)
+    for _ in range(20):
+        bits = [pow(ck.s_base, rng.getrandbits(96), n) * rng.choice([1, ck.r_base]) % n
+                for _ in range(presentations.PRED_BITS)]
+        expected = 1
+        for j, d in enumerate(bits):
+            expected = expected * pow(d, 2**j, n) % n
+        assert presentations._aggregate_bits(bits, n) == expected
+        threshold = rng.randrange(1 << presentations.PRED_BITS)
+        lin = presentations._predicate_arm(ck, "birthday", threshold, bits).eqs[-1]
+        assert lin.target() == ((pow(ck.r_base, threshold, n) * pow(expected, -1, n) % n, 1, False),)
+    # a bit commitment sharing a factor with n leaves the aggregate a non-unit
+    bits[5] = fx.platform_keys.p
+    lin = presentations._predicate_arm(ck, "birthday", 0, bits).eqs[-1]
+    with pytest.raises(ValueError):
+        lin.target()

@@ -7,6 +7,7 @@ from fcguard.security import (
     check_audit_branches,
     check_replay_protection,
     check_unlinkability,
+    holder_accepts,
     mutation_cases,
     run_security_suite,
     splice_harness,
@@ -32,6 +33,15 @@ def test_mutation_matrix_size_and_rejection():
     names = {name for name, _ in cases}
     assert {"verenc-paillier:r_hat+1", "verenc-paillier:r_hat-negative",
             "verenc-paillier:r_hat-at-bound"} <= names
+
+
+def test_the_signature_proof_cases_tamper_a_proof_the_holder_accepts():
+    # sig-proof:challenge+1 and sig-proof:s_e+1 are checked as the holder checks
+    # the fixture's platform credential, under the nonce it was issued with
+    fx = build_fixture()
+    assert holder_accepts(fx, fx.vc_pu)
+    verdicts = dict(mutation_cases(fx))
+    assert verdicts["sig-proof:challenge+1"] is verdicts["sig-proof:s_e+1"] is False
 
 
 def test_verdicts_are_the_same_with_the_verifiers_own_keys():
