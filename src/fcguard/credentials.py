@@ -10,7 +10,7 @@ the signature and the issuer's correctness proof before storing anything.
 Each holder step is one batched evaluation per round: the request's
 commitment S^v' R_0^(link secret) and its proof's t-value together
 (`prove_opening`), and on receipt S^v prod R_i^(m_i), A^e and A^c together,
-then Q^s_e (`cl.issued_signature_fault`). The randomness is drawn in the
+then Q^s_e (`cl.check_issued_signature`). The randomness is drawn in the
 order it always was, so every value and byte on the wire is unchanged.
 """
 
@@ -29,7 +29,7 @@ from .crypto.cl import (
     ClPublicKey,
     ClSignature,
     SignatureProof,
-    issued_signature_fault,
+    check_issued_signature,
     sign_with_proof,
 )
 from .crypto.commitment import OpeningProof, prove_opening, verify_opening
@@ -200,24 +200,15 @@ def holder_finalize_credential(definition: CredentialDefinition, schema: Schema,
                                credential: Credential, link_secret: LinkSecret,
                                v_prime: int, request_nonce: bytes) -> Credential:
     """Complete the blinding exponent and verify signature plus issuer proof
-    (`issued_signature_fault`). Raises VerificationError on any failure; the
+    (`check_issued_signature`). Raises VerificationError on any failure; the
     credential is not stored."""
     sig = credential.signature
     full = ClSignature(a=sig.a, e=sig.e, v=sig.v + v_prime)
     slots = [link_secret.value] + [credential.attributes[name] for name in schema.attribute_names]
-    fault = issued_signature_fault(definition.public_key, slots, full, credential.signature_proof,
-                                   request_nonce, definition.profile())
-    if fault is not None:
-        raise VerificationError(_FAULT_MESSAGES[fault])
+    check_issued_signature(definition.public_key, slots, full, credential.signature_proof,
+                           request_nonce, definition.profile())
     return Credential(defn_id=credential.defn_id, attributes=dict(credential.attributes),
                       signature=full, signature_proof=credential.signature_proof)
-
-
-_FAULT_MESSAGES = {
-    "signature": "credential signature invalid",
-    "exponent": "signature exponent outside the accepted prime range",
-    "proof": "issuer signature-correctness proof invalid",
-}
 
 
 class Wallet:

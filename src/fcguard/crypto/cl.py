@@ -13,9 +13,9 @@ for each signature, mod p and mod q (`multi_powmod_crt`); `sign_with_proof`
 reuses the signature's Q. Its exponent e comes from `random_prime_in_range`,
 which tests its candidates on two processes while the helper process runs.
 
-Each equation has one definition, which every checker runs: `_checked_q`
+Each equation has one definition, which every checker runs: `signature_q`
 for A^e = Q and `verify_signature_proof` for the issuer's proof. The holder
-(`issued_signature_fault`) evaluates S^v * prod R_i^(m_i), A^e and A^c in
+(`check_issued_signature`) evaluates S^v * prod R_i^(m_i), A^e and A^c in
 one batched call (`multi_powmod_many`), so two processes share them at the
 paper profile, and then Q^s_e, the one power that needs Q. `cl_verify` runs
 the same batch without A^c.
@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import EncodingRangeError, ParameterError
+from ..errors import EncodingRangeError, ParameterError, VerificationError
 from ..params import Profile
 from ..serialize import serializable
 from .encoding import ATTRIBUTE_BOUND
@@ -187,18 +187,11 @@ def cl_verify(public: ClPublicKey, attributes: Sequence[int], signature: ClSigna
 
 
 def signature_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
-                hidden_commitment: int | None = None) -> int | None:
-    """Q = Z / (S^v * prod R_i^(m_i) * [commitment]) when the inputs are well
-    formed and A^e = Q (mod n), else None."""
-    checked = _checked_q(public, attributes, signature, hidden_commitment)
-    return None if checked is None else checked[0]
-
-
-def _checked_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
-               hidden_commitment: int | None, powers: Sequence[Term] = ()) -> list[int] | None:
-    """[Q, then each of `powers` mod n] when the inputs are well formed and
-    A^e = Q (mod n), else None. The product behind Q, A^e and the powers are
-    one batched evaluation."""
+                hidden_commitment: int | None = None, powers: Sequence[Term] = ()) -> list[int] | None:
+    """[Q, then each of `powers` mod n], for Q = Z / (S^v * prod R_i^(m_i) *
+    [commitment]), when the inputs are well formed and A^e = Q (mod n), else
+    None. The product behind Q, A^e and the powers are one batched
+    evaluation."""
     try:
         reserved = 1 if hidden_commitment is not None else 0
         if len(attributes) + reserved > public.slot_count:
@@ -246,24 +239,21 @@ def sign_with_proof(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: P
 
 
 def verify_signature_proof(public: ClPublicKey, a: int, q_value: int, proof: SignatureProof,
-                           nonce: bytes, profile: Profile, a_c: int | None = None) -> bool:
-    """The proof's challenge is that of A^c * Q^s_e; `a_c` is A^c when the
-    caller has evaluated it already."""
+                           nonce: bytes, profile: Profile, a_c: int) -> bool:
+    """The proof's challenge is that of A^c * Q^s_e, for `a_c` = A^c, which
+    the caller evaluates with its other powers."""
     try:
-        if a_c is None:
-            a_c = powmod(a, proof.challenge, public.n)
         a_hat = a_c * powmod(q_value, proof.s_e, public.n) % public.n
     except (AttributeError, TypeError, ValueError):
         return False
     return proof.challenge == _signature_proof_challenge(public, q_value, a, a_hat, nonce, profile)
 
 
-def issued_signature_fault(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
-                           proof: SignatureProof, nonce: bytes, profile: Profile) -> str | None:
-    """The holder's check of an issued signature over all its slots: the
-    first of "signature" (`cl_verify`'s equation), "exponent"
-    (`signature_exponent_prime`) and "proof" (`verify_signature_proof`'s)
-    that fails, or None.
+def check_issued_signature(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
+                           proof: SignatureProof, nonce: bytes, profile: Profile) -> None:
+    """The holder's check of an issued signature over all its slots. Raises
+    VerificationError for the first that fails of `cl_verify`'s equation,
+    `signature_exponent_prime` and `verify_signature_proof`.
 
     S^v * prod R_i^(m_i), A^e and A^c are one batched evaluation, then
     Q^s_e, the one power that needs Q. A challenge outside
@@ -271,15 +261,14 @@ def issued_signature_fault(public: ClPublicKey, attributes: Sequence[int], signa
     or one with a field that is not an int, fails without A^c."""
     c, s_e = getattr(proof, "challenge", None), getattr(proof, "s_e", None)
     well_formed = isinstance(c, int) and isinstance(s_e, int) and 0 <= c < 1 << profile.challenge_bits
-    checked = _checked_q(public, attributes, signature, None, [(signature.a, c, False)] if well_formed else [])
+    checked = signature_q(public, attributes, signature, None, [(signature.a, c, False)] if well_formed else [])
     if checked is None:
-        return "signature"
+        raise VerificationError("credential signature invalid")
     if not signature_exponent_prime(signature, profile):
-        return "exponent"
+        raise VerificationError("signature exponent outside the accepted prime range")
     if not well_formed or not verify_signature_proof(public, signature.a, checked[0], proof, nonce, profile,
-                                                     a_c=checked[1]):
-        return "proof"
-    return None
+                                                     checked[1]):
+        raise VerificationError("issuer signature-correctness proof invalid")
 
 
 def _signature_proof_challenge(public: ClPublicKey, q_value: int, a: int, a_tilde: int,

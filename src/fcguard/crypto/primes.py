@@ -547,7 +547,7 @@ def random_prime(bits: int, rng: random.Random, max_tries: int = 100000) -> int:
     raise PrimeGenerationError(f"no {bits}-bit prime found in {max_tries} draws")
 
 
-_SEARCH_ROUND = 8  # trial-division survivors Fermat-tested per round, half of them by the helper
+_SEARCH_ROUND = 8  # trial-division survivors Fermat-tested per round, about half of them by the helper
 
 
 def random_prime_in_range(lo: int, hi: int, rng: random.Random, max_tries: int = 100000) -> int:
@@ -588,9 +588,10 @@ def _draws(lo: int, hi: int, rng: random.Random, max_tries: int) -> Iterator[int
 
 def _search_round(first: int, draws: Iterator[int]) -> tuple[int, int] | None:
     """`first` and the next draws that pass trial division, up to
-    `_SEARCH_ROUND`, each base-2 Fermat tested, the first half by the helper:
-    the first of them in draw order that `is_probable_prime` confirms, with
-    the number of candidates drawn after `first` up to it, or None.
+    `_SEARCH_ROUND`, each base-2 Fermat tested, on both processes when
+    `_scheduled` finds the helper worth its round trip: the first of them in
+    draw order that `is_probable_prime` confirms, with the number of
+    candidates drawn after `first` up to it, or None.
 
     A prime passes the Fermat test, and a candidate that fails it is
     composite, so the strong base-2 test in `is_probable_prime` rejects it
@@ -601,11 +602,7 @@ def _search_round(first: int, draws: Iterator[int]) -> tuple[int, int] | None:
         if math.gcd(cand, _TRIAL_PRODUCT) == 1:
             found.append((cand, drawn))
     jobs = [(((2, cand - 1, False),), cand) for cand, _ in found]
-    half = len(jobs) // 2
-    if half and (both := _on_two_processes(jobs[half:], jobs[:half])) is not None:
-        values = both[1] + both[0]
-    else:
-        values = [_multi_powmod(terms, mod) for terms, mod in jobs]
+    values = _scheduled(jobs) or [_multi_powmod(terms, mod) for terms, mod in jobs]
     for (cand, skip), value in zip(found, values):
         if value == 1 and is_probable_prime(cand):
             return cand, skip

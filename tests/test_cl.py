@@ -149,10 +149,11 @@ def test_signature_proof_round_trip():
     attrs = [1, 2, 3]
     sig, proof = sign_with_proof(keys, attrs, TOY, rng, nonce=b"n-1")
     q_value = recompute_q(keys.public, attrs, sig.v)
-    assert verify_signature_proof(keys.public, sig.a, q_value, proof, b"n-1", TOY)
-    assert not verify_signature_proof(keys.public, sig.a, q_value, proof, b"n-2", TOY)
+    a_c = pow(sig.a, proof.challenge, keys.public.n)
+    assert verify_signature_proof(keys.public, sig.a, q_value, proof, b"n-1", TOY, a_c)
+    assert not verify_signature_proof(keys.public, sig.a, q_value, proof, b"n-2", TOY, a_c)
     bad = dataclasses.replace(proof, s_e=proof.s_e + 1)
-    assert not verify_signature_proof(keys.public, sig.a, q_value, bad, b"n-1", TOY)
+    assert not verify_signature_proof(keys.public, sig.a, q_value, bad, b"n-1", TOY, a_c)
     assert signature_exponent_prime(sig, TOY)
 
 
@@ -232,15 +233,17 @@ def test_issuance_computes_q_once_per_side(monkeypatch):
     commitment = pow(pk.s, blind, pk.n) * pow(pk.r_bases[0], secret, pk.n) % pk.n
     # Q's product is built once per side: the issuer's mod p and q inside the
     # signing, the holder's in the batch that also gives A^e and A^c
-    built = []
-    real = cl._q_terms
-    monkeypatch.setattr(cl, "_q_terms", lambda *args: built.append(args) or real(*args))
+    built, holder_q = [], []
+    real_terms, real_q = cl._q_terms, cl.recompute_q
+    monkeypatch.setattr(cl, "_q_terms", lambda *args: built.append(args) or real_terms(*args))
+    monkeypatch.setattr(cl, "recompute_q", lambda *args: holder_q.append(args) or real_q(*args))
     sig, proof = sign_with_proof(keys, attrs, TOY, rng, nonce=b"q", hidden_commitment=commitment)
     assert len(built) == 1
+    assert holder_q == []  # the issuer's Q is made mod p and q, once, inside the signing
     full = dataclasses.replace(sig, v=sig.v + blind)
-    q_value = cl.signature_q(pk, [secret, *attrs], full)
+    q_value, = cl.signature_q(pk, [secret, *attrs], full)
     assert len(built) == 2
-    assert cl.issued_signature_fault(pk, [secret, *attrs], full, proof, b"q", TOY) is None
-    assert len(built) == 3
-    assert q_value == cl.recompute_q(pk, [secret, *attrs], full.v)
-    assert verify_signature_proof(pk, full.a, q_value, proof, b"q", TOY)
+    cl.check_issued_signature(pk, [secret, *attrs], full, proof, b"q", TOY)
+    assert len(built) == 3 and holder_q == []
+    assert q_value == real_q(pk, [secret, *attrs], full.v)
+    assert verify_signature_proof(pk, full.a, q_value, proof, b"q", TOY, pow(full.a, proof.challenge, pk.n))
