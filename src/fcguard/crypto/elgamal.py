@@ -61,7 +61,7 @@ class ElGamalKeyPair:
 
     @classmethod
     def from_secrets(cls, p: int, q: int, g: int, sk: int, plain_bound: int = 1 << 30) -> "ElGamalKeyPair":
-        pub = ElGamalPublicKey(p=p, q=q, g=g, h=powmod(g, sk, p), plain_bound=plain_bound)
+        pub = ElGamalPublicKey(p=p, q=q, g=g, h=powmod_fixed(g, sk, p), plain_bound=plain_bound)
         return cls(public=pub, sk=sk)
 
 

@@ -75,15 +75,27 @@ timing anomalies", 1969): costliest first, each to the process with less
 estimated work so far. A job costs its estimated multiplications times
 (|m|/1024)^1.8 for its modulus m, the growth of one multiplication from
 1536 to 4096 bits, the widths a list mixes (CPython 3.11, 2-vCPU Xeon). A
-list of one job is cut instead, its terms scheduled alike into one
-sub-product per process. One helper process, forked on first use, gets its
-side as one marshal-encoded request on a pipe and sends one reply,
-evaluated by the same serial `_multi_powmod` while this process evaluates
-its side. Forked, it starts without importing anything (the program starts
-no threads). It is used only when its share is at least
-`_PARALLEL_MIN_WORK`, about 40 pipe round trips. So the toy profile, whose
-moduli are at most 1024 bits, never starts it and evaluates each list as a
-plain loop, and neither does a process whose CPU affinity holds one CPU.
+list of one product is cut instead, its terms scheduled alike into one
+sub-product per process.
+
+A job is a product, or (None, n): a BPSW test of an n that trial division
+left undecided, whose value is the verdict. `primality_many` checks a
+cached key's primes with such jobs beside the Pocklington powers
+((2, 2q, False),) mod 2q + 1, in one list. A BPSW test is costed as
+`_BPSW_POWS` = 4 powers of n's size, 1.2 multiplications per bit each (it
+measured 3.7-4.4 times `pow(2, n - 1, n)` at 1024 to 2048 bits). It is
+never cut: a list of one BPSW test is evaluated here. The same modulus gate
+holds, so an issuer key's 1536-bit primes are tested on both processes and
+the 1024-bit Paillier primes here.
+
+One helper process, forked on first use, gets its side as one
+marshal-encoded request on a pipe and sends one reply, evaluated by the
+same serial `_run` while this process evaluates its side. Forked, it starts
+without importing anything (the program starts no threads). It is used
+only when its share is at least `_PARALLEL_MIN_WORK`, about 40 pipe round
+trips. So the toy profile, whose moduli are at most 1024 bits, never starts
+it and evaluates each list as a plain loop, and neither does a process
+whose CPU affinity holds one CPU.
 
 A ValueError raised in the helper (no inverse) is raised again here, and
 the helper's reply is read even when a job here raises, so the pipes never
@@ -93,11 +105,13 @@ its jobs are evaluated here. The helper ignores SIGINT, takes SIGTERM's
 default, and exits at EOF, which includes the death of this process. An exit
 hook closes the pipes and reaps it, so a SIGTERM that ends this process
 through `sys.exit` leaves no child. The values are those of the serial
-evaluation, so every seeded output is unchanged. A tracer that wraps `powmod` here does
-not see the powers the helper computes, and `RUSAGE_SELF` does not count
-the helper's memory. Its requests carry proof and signature products, CRT
-halves of the key holders' equations, and the Fermat tests of the exponent
-search, all through `_on_two_processes`.
+evaluation, so every seeded output is unchanged. A tracer that wraps
+`powmod` here does not see the powers the helper computes, nor one that
+wraps `is_probable_prime` the tests of `primality_many`, and `RUSAGE_SELF`
+does not count the helper's memory. Its requests carry proof and signature
+products, CRT halves of the key holders' equations, the Fermat tests of the
+exponent search and the prime checks of cached keys, all through
+`_on_two_processes`.
 """
 
 from __future__ import annotations
@@ -125,7 +139,7 @@ _FIXED_TABLES: OrderedDict[tuple[int, int], list[int]] = OrderedDict()
 
 Term = tuple[int, int, bool]  # (base, exponent, base is a public-key constant)
 Crt = tuple[tuple[int, int], tuple[int, int]]  # ((m1, lam1), (m2, lam2)), see multi_powmod_crt
-Job = tuple[Iterable[Term], int]  # (terms, modulus)
+Job = tuple[Iterable[Term] | None, int]  # (terms, modulus), or (None, n) for a BPSW test of n
 Product = tuple[Iterable[Term], int | Crt]  # a Job, or (terms, the modulus's factors)
 
 
@@ -200,14 +214,31 @@ def _multi_powmod(terms: Iterable[Term], mod: int) -> int:
     return acc
 
 
-def _job_cost(terms: Iterable[Term], mod: int) -> float:
+def _job_cost(terms: Iterable[Term] | None, mod: int) -> float:
     """Estimated multiplications of a job in `_multi_powmod` (bits/5 per fixed
-    term within the cap, else 1.2 bits), plus one, weighted to 1024 bits."""
+    term within the cap, else 1.2 bits), plus one, or of a BPSW test
+    (`_BPSW_POWS` powers of the modulus's size), weighted to 1024 bits."""
     work = 1
-    for _, exp, fixed in terms:
-        bits = int.bit_length(exp)
-        work += bits // 5 if fixed and bits <= _FIXED_EXP_CAP else bits * 6 // 5
+    if terms is None:
+        work += _BPSW_POWS * mod.bit_length() * 6 // 5
+    else:
+        for _, exp, fixed in terms:
+            bits = int.bit_length(exp)
+            work += bits // 5 if fixed and bits <= _FIXED_EXP_CAP else bits * 6 // 5
     return work * (mod.bit_length() / 1024) ** _WIDTH_EXPONENT
+
+
+def _run(terms: Iterable[Term] | None, mod: int) -> int:
+    """A job's value: the product, or for (None, n) `_bpsw(n)`."""
+    return _bpsw(mod) if terms is None else _multi_powmod(terms, mod)
+
+
+def _evaluated(jobs: list[Job]) -> list[int]:
+    """The jobs' values, on both processes when a modulus is above
+    `_PARALLEL_MIN_MOD` and `_scheduled` finds the helper worth its round trip."""
+    if any(mod > _PARALLEL_MIN_MOD for _, mod in jobs) and (values := _scheduled(jobs)) is not None:
+        return values
+    return [_run(terms, mod) for terms, mod in jobs]
 
 
 def multi_powmod_many(products: Sequence[Product]) -> list[int]:
@@ -224,8 +255,8 @@ def multi_powmod_many(products: Sequence[Product]) -> list[int]:
             jobs += (_crt_half(terms, m1, lam1), m1), (_crt_half(terms, m2, lam2), m2)
     if gmpy2 is not None:
         values = [_powmod_product(terms, mod) for terms, mod in jobs]
-    elif not any(mod > _PARALLEL_MIN_MOD for _, mod in jobs) or (values := _scheduled(jobs)) is None:
-        values = [_multi_powmod(terms, mod) for terms, mod in jobs]
+    else:
+        values = _evaluated(jobs)
     # a CRT product takes two values in turn; arguments are evaluated left to right
     it = iter(values)
     return [next(it) if mod.__class__ is int else crt_pair(next(it), mod[0][0], next(it), mod[1][0])
@@ -261,10 +292,12 @@ def _crt_half(terms: tuple[Term, ...], mod: int, lam: int) -> list[Term]:
 
 def _scheduled(jobs: list[Job]) -> list[int] | None:
     """The jobs' values from both processes by the LPT rule, or None when the
-    helper's share would not pay for its round trip. One job alone is cut:
-    its terms are scheduled instead, into one sub-product per side."""
-    cut = len(jobs) == 1
-    items = [((term,), jobs[0][1]) for term in jobs[0][0]] if cut else [(tuple(t), m) for t, m in jobs]
+    helper's share would not pay for its round trip. One product alone is
+    cut: its terms are scheduled instead, into one sub-product per side. A
+    prime test is never cut."""
+    cut = len(jobs) == 1 and jobs[0][0] is not None
+    items = ([((term,), jobs[0][1]) for term in jobs[0][0]] if cut
+             else [(t if t is None else tuple(t), m) for t, m in jobs])
     costs = [_job_cost(*item) for item in items]
     sides, loads = ([], []), [0.0, 0.0]  # item indices and estimated work, here and in the helper
     for i in sorted(range(len(items)), key=costs.__getitem__, reverse=True):
@@ -293,6 +326,7 @@ def _scheduled(jobs: list[Job]) -> list[int] | None:
 _PARALLEL_MIN_MOD = 1 << 1024  # only moduli above 1024 bits, so never at the toy profile
 _PARALLEL_MIN_WORK = 256  # estimated 1024-bit multiplications the helper must get, about 40 round trips
 _WIDTH_EXPONENT = 1.8  # a multiplication mod m costs (|m|/1024)^1.8 of one mod a 1024-bit modulus
+_BPSW_POWS = 4  # a BPSW test of n costs about 4 powers mod n (3.7-4.4 measured at 1024-2048 bits)
 _HELPER: tuple[int, BinaryIO, BinaryIO] | None = None  # (pid, request pipe, reply pipe) while one runs
 
 
@@ -347,7 +381,7 @@ def _serve(requests: BinaryIO, replies: BinaryIO) -> None:
         except EOFError:
             return
         try:
-            reply = [_multi_powmod(terms, mod) for terms, mod in jobs]
+            reply = [_run(terms, mod) for terms, mod in jobs]
         except ValueError as exc:  # no inverse
             reply = False, str(exc)
         replies.write(marshal.dumps(reply))
@@ -377,13 +411,13 @@ def _on_two_processes(local: list[Job], remote: list[Job]) -> tuple[list[int], l
         _stop_helper(kill=True)
         raise
     try:
-        mine = [_multi_powmod(terms, mod) for terms, mod in local]
+        mine = [_run(terms, mod) for terms, mod in local]
     except BaseException:
         _receive(replies)
         raise
     theirs = _receive(replies)
     if theirs is None:
-        return mine, [_multi_powmod(terms, mod) for terms, mod in remote]
+        return mine, [_run(terms, mod) for terms, mod in remote]
     if theirs.__class__ is tuple:
         raise ValueError(theirs[1])
     return mine, theirs
@@ -449,6 +483,17 @@ _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def is_probable_prime(n: int) -> bool:
+    verdict = _trial_verdict(n)
+    if verdict is not None:
+        return verdict
+    if gmpy2 is not None:
+        return bool(gmpy2.is_prime(n, 25))
+    return _bpsw(n)
+
+
+def _trial_verdict(n: int) -> bool | None:
+    """Whether n is prime, when trial division by the primes below
+    `_TRIAL_BOUND` decides it; else None, for an odd n >= 5."""
     if n < 2:
         return False
     if n in (2, 3):
@@ -457,9 +502,28 @@ def is_probable_prime(n: int) -> bool:
         return False
     if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return n in _TRIAL_PRIMES
+    return None
+
+
+def primality_many(numbers: Sequence[int], partners: Sequence[int] = ()) -> list[bool]:
+    """[is_probable_prime(n) for n in numbers] + [is_prime_2q_plus_1(q) for q
+    in partners], their exponentiations evaluated together.
+
+    Without gmpy2, each number that trial division leaves undecided is a BPSW
+    job, (None, n), and each partner 2q + 1 that 3 does not divide is a
+    Pocklington job, ((2, 2q, False),) mod 2q + 1, all in one list for
+    `_evaluated`: on both processes in one request when a modulus is above
+    the gate. Trial division stays here, and gmpy2 tests each one here."""
     if gmpy2 is not None:
-        return bool(gmpy2.is_prime(n, 25))
-    return _bpsw(n)
+        return [is_probable_prime(n) for n in numbers] + [is_prime_2q_plus_1(q) for q in partners]
+    verdicts = [_trial_verdict(n) for n in numbers] + [None if (2 * q + 1) % 3 else False for q in partners]
+    jobs: list[Job] = [(None, n) for n in numbers]
+    jobs += [(((2, 2 * q, False),), 2 * q + 1) for q in partners]
+    pending = [i for i, verdict in enumerate(verdicts) if verdict is None]
+    values = _evaluated([jobs[i] for i in pending])
+    for i, value in zip(pending, values):
+        verdicts[i] = bool(value) if i < len(numbers) else value == 1
+    return verdicts
 
 
 def _bpsw(n: int) -> bool:
@@ -482,7 +546,7 @@ def _strong_base2(n: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
+def jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a/n) for an odd n > 0."""
     a %= n
     sign = 1
@@ -510,7 +574,7 @@ def _strong_lucas(n: int) -> bool:
     if math.isqrt(n) ** 2 == n:
         return False
     disc = 5
-    while (j := _jacobi(disc, n)) != -1:
+    while (j := jacobi(disc, n)) != -1:
         if j == 0 and disc % n:
             return False  # D has a factor in common with n, below n
         disc = -disc - 2 if disc > 0 else 2 - disc

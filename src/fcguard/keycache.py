@@ -4,16 +4,21 @@ key.
 Benchmark-profile key generation hunts for 1536-bit Sophie Germain primes,
 which costs tens of seconds; since generation is deterministic in (profile,
 seed, label, slot count), the result can be cached and reloaded byte-for-byte.
-Every load rebuilds Z and the R_i from the cached secrets and revalidates the
-modulus structure and sizes. Primality is checked with `is_probable_prime`
-(Baillie-PSW) on p' and q', then one exponentiation each for p = 2p'+1 and
-q = 2q'+1: for a prime p', Pocklington's criterion decides 2p'+1 exactly
-(`crypto.primes.is_prime_2q_plus_1`).
+Every load first checks the cached secrets by name: p' and q' have the
+profile's `sg_prime_bits` bits and differ, and 1 < S < n with Jacobi
+symbols (S/p) = (S/q) = 1 and S != 1 mod p and mod q, so that S generates
+QR_n once p = 2p'+1 and q = 2q'+1 are prime. It then rebuilds Z and the R_i
+from them and revalidates the modulus structure. Primality is checked by
+one `crypto.primes.primality_many` call per key: the Baillie-PSW test on p'
+and q' and one exponentiation each for p and q (for a prime p',
+Pocklington's criterion decides 2p'+1 exactly). At the paper profile these
+four go to both processes in one helper request, as the proof products do.
 
 `bank_paillier_keys` caches the bank's Paillier key the same way, as its
 primes p and q, which must differ, have exactly half the profile's modulus
-bits and be prime; the key is the one `paillier_keygen` makes from the same
-seed. A cache file that fails its checks is deleted and made again.
+bits and be prime (one `primality_many` call, evaluated in this process at
+1024 bits); the key is the one `paillier_keygen` makes from the same seed. A
+cache file that fails its checks is deleted and made again.
 
 `fill_missing` generates several missing issuer keys at the same time: the
 first in this process, each other one in a plain child process
@@ -41,7 +46,7 @@ from typing import Callable, TypeVar
 
 from .crypto.cl import ClIssuerKeyPair, cl_keygen
 from .crypto.paillier import PaillierKeyPair, paillier_keygen
-from .crypto.primes import is_prime_2q_plus_1, is_probable_prime
+from .crypto.primes import jacobi, primality_many
 from .errors import FcGuardError
 from .params import Profile, get_profile
 
@@ -49,6 +54,21 @@ from .params import Profile, get_profile
 IN_PROCESS_PROFILES = frozenset({"toy"})
 
 _Key = TypeVar("_Key")
+
+
+def _check_secrets(p_prime: int, q_prime: int, s: int, profile: Profile) -> None:
+    """The checks a cached issuer key's secrets must pass before its public
+    key is computed: p' and q' of the profile's size and distinct, and S a
+    generator of QR_n once p = 2p'+1 and q = 2q'+1 are found prime."""
+    bits = profile.sg_prime_bits
+    if not all(1 << (bits - 1) <= x < 1 << bits for x in (p_prime, q_prime)):
+        raise FcGuardError(f"cached issuer key: p' and q' must have {bits} bits")
+    if p_prime == q_prime:
+        raise FcGuardError("cached issuer key: p' = q'")
+    p, q = 2 * p_prime + 1, 2 * q_prime + 1
+    # QR_p has prime order p', so a residue other than 1 generates it; so mod q
+    if not (1 < s < p * q and jacobi(s, p) == jacobi(s, q) == 1 and s % p != 1 and s % q != 1):
+        raise FcGuardError("cached issuer key: S does not generate QR_n")
 
 
 def _validate(keys: ClIssuerKeyPair, profile: Profile, slot_count: int) -> None:
@@ -60,8 +80,7 @@ def _validate(keys: ClIssuerKeyPair, profile: Profile, slot_count: int) -> None:
         and keys.q == 2 * keys.q_prime + 1
         and keys.p_prime.bit_length() == profile.sg_prime_bits
         and len(pk.r_bases) == slot_count
-        and is_probable_prime(keys.p_prime) and is_probable_prime(keys.q_prime)
-        and is_prime_2q_plus_1(keys.p_prime) and is_prime_2q_plus_1(keys.q_prime)
+        and all(primality_many((keys.p_prime, keys.q_prime), (keys.p_prime, keys.q_prime)))
     )
     if not ok:
         raise FcGuardError("cached issuer key failed validation")
@@ -100,9 +119,9 @@ def _cached(path: Path, load: Callable[[dict], _Key], make: Callable[[], _Key],
 
 
 def _load_issuer_keys(raw: dict, profile: Profile, slot_count: int) -> ClIssuerKeyPair:
-    keys = ClIssuerKeyPair.from_secrets(
-        int(raw["p_prime"]), int(raw["q_prime"]), int(raw["s"]),
-        int(raw["x_z"]), [int(x) for x in raw["x_r"]])
+    p_prime, q_prime, s = int(raw["p_prime"]), int(raw["q_prime"]), int(raw["s"])
+    _check_secrets(p_prime, q_prime, s, profile)
+    keys = ClIssuerKeyPair.from_secrets(p_prime, q_prime, s, int(raw["x_z"]), [int(x) for x in raw["x_r"]])
     _validate(keys, profile, slot_count)
     return keys
 
@@ -127,8 +146,7 @@ def issuer_keys(profile: Profile, seed: int | str, label: str, slot_count: int,
 def _load_paillier_keys(raw: dict, profile: Profile) -> PaillierKeyPair:
     p, q = int(raw["p"]), int(raw["q"])
     half = profile.paillier_modulus_bits // 2
-    if not (p != q and p.bit_length() == q.bit_length() == half
-            and is_probable_prime(p) and is_probable_prime(q)):
+    if not (p != q and p.bit_length() == q.bit_length() == half and all(primality_many((p, q)))):
         raise FcGuardError("cached Paillier key failed validation")
     return PaillierKeyPair.from_primes(p, q)
 

@@ -88,6 +88,7 @@ def test_paper_profile_uses_2048_bit_group():
     assert kp.public.p == MODP_2048
     assert kp.public.p.bit_length() == 2048
     assert pow(kp.public.g, kp.public.q, kp.public.p) == 1
+    assert kp.public.h == pow(kp.public.g, kp.sk, kp.public.p)
     # bounded decryption still works at full size
     ct = elgamal_encrypt(kp.public, 123_456_789, rng=rng)
     assert elgamal_decrypt(kp, ct) == 123_456_789

@@ -10,7 +10,7 @@ from fcguard import keycache
 from fcguard.bench import run_bench
 from fcguard.crypto.cl import ClIssuerKeyPair
 from fcguard.crypto.paillier import paillier_keygen
-from fcguard.crypto.primes import is_probable_prime, random_prime
+from fcguard.crypto.primes import crt_pair, is_probable_prime, random_prime
 from fcguard.errors import FcGuardError
 from fcguard.keycache import issuer_keys
 from fcguard.params import TOY
@@ -56,6 +56,27 @@ def test_prime_p_prime_with_composite_partner_is_rejected_and_regenerated(tmp_pa
         keycache._validate(forged, TOY, 4)
     assert issuer_keys(TOY, 5, "platform", 4, tmp_path) == fresh
     assert json.loads(path.read_text())["p_prime"] == str(fresh.p_prime)
+
+
+@pytest.mark.parametrize("forge,reason", [
+    (lambda keys: {"q_prime": "5"}, "bits"),  # a 69-bit n at the toy profile
+    (lambda keys: {"q_prime": str(keys.p_prime)}, "p' = q'"),
+    (lambda keys: {"s": "0"}, "S does not generate"),
+    (lambda keys: {"s": "1"}, "S does not generate"),  # Z = R_i = S = 1
+    (lambda keys: {"s": str(keys.public.n - 1)}, "S does not generate"),  # (-1/p) = -1
+    (lambda keys: {"s": str(keys.public.s + keys.public.n)}, "S does not generate"),
+    (lambda keys: {"s": str(crt_pair(1, keys.p, keys.public.s, keys.q))}, "S does not generate"),
+], ids=["small-q", "p-equals-q", "s-0", "s-1", "s-non-residue", "s-past-n", "s-1-mod-p"])
+def test_bad_issuer_secrets_are_rejected_by_name_and_regenerated(tmp_path, forge, reason):
+    fresh = issuer_keys(TOY, 5, "platform", 4, tmp_path)
+    path = _cache_file(tmp_path)
+    raw = json.loads(path.read_text())
+    forged = {**raw, **forge(fresh)}
+    with pytest.raises(FcGuardError, match=reason):
+        keycache._load_issuer_keys(forged, TOY, 4)
+    path.write_text(json.dumps(forged))
+    assert issuer_keys(TOY, 5, "platform", 4, tmp_path) == fresh
+    assert json.loads(path.read_text()) == raw
 
 
 def test_fill_missing_makes_the_same_keys_in_parallel(tmp_path):

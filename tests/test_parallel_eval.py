@@ -1,11 +1,13 @@
 """The helper process of `crypto.primes`: with it forced on at toy size,
 every value and verdict is the serial one, and no process is left behind.
 That covers registration too: the issuer's exponent search gives the serial
-prime and RNG state, and the holder's checks give the serial verdicts."""
+prime and RNG state, and the holder's checks give the serial verdicts; and
+set-up: the prime checks of a cached key give the serial verdicts."""
 
 import contextlib
 import dataclasses
 import hashlib
+import math
 import os
 import random
 import signal
@@ -20,6 +22,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fcguard import keycache
 from fcguard.cli import main
 from fcguard.credentials import (PLATFORM_ATTRIBUTES, Schema, Wallet, create_credential_request,
                                  holder_finalize_credential, issue_credential, publish_definition)
@@ -30,9 +33,11 @@ from fcguard.errors import VerificationError
 from fcguard.ledger import Registry
 from fcguard.params import PAPER, TOY
 from fcguard.presentations import EncryptionSpec, PredicateSpec, ProofSession, bundle_digest, verify_bundle
-from fcguard.scenario import load_scenario, run_scenario
+from fcguard.scenario import build_context, load_scenario, run_scenario
 from fcguard.security import build_fixture, mutation_cases, splice_harness
-from test_primes import CRT_PRIME_PAIRS, _crt_form, _expected, _products
+from test_keycache import _toy_cfg
+from test_primes import (CRT_PRIME_PAIRS, FIXED_BASE_PSEUDOPRIMES, PINNED_SOPHIE_GERMAIN, SQUARE_ROOTS,
+                         _crt_form, _expected, _next_prime, _products, strong_pseudoprimes_below_100000)
 from test_scenario_cli import GOLDEN_DIGESTS, SCENARIO_DIR
 from test_security_suite import FIXTURE_DIGESTS
 
@@ -200,7 +205,7 @@ def test_verdicts_and_digests_hold_with_the_helper_forced_on(tmp_path):
     assert runs == GOLDEN_DIGESTS
 
 
-def test_a_toy_run_starts_no_helper(monkeypatch):
+def test_a_toy_run_starts_no_helper(monkeypatch, tmp_path):
     primes._stop_helper()
 
     def refuse():
@@ -209,6 +214,8 @@ def test_a_toy_run_starts_no_helper(monkeypatch):
     monkeypatch.setattr(primes, "_helper_pipes", refuse)
     result = run_scenario(load_scenario(str(SCENARIO_DIR / "address_rotation.json")))
     assert all(ok for ok, _ in result.assertion_results.values())
+    for _ in range(2):  # cold, then warm: the second validates the cached keys
+        build_context(_toy_cfg(13), tmp_path)
     assert primes._HELPER is None
 
 
@@ -488,3 +495,121 @@ def test_the_holder_refuses_each_tamper_as_before_with_the_helper_on_and_off():
                 messages.append(str(info.value))
             verdicts.append(messages)
     assert verdicts == [expected, expected], [name for name, _ in tampers]
+
+
+# ---------------------------------------------------------------------------
+# set-up: the prime checks of a cached key in one request
+
+def _prime_corpus():
+    """Numbers for is_probable_prime and partners q for is_prime_2q_plus_1:
+    strong pseudoprimes, fixed-base pseudoprimes, perfect squares, a Fermat
+    pseudoprime past trial division, and primes whose partner is composite."""
+    base2, lucas = strong_pseudoprimes_below_100000()
+    pinned = sorted(PINNED_SOPHIE_GERMAIN.values())
+    numbers = (list(range(-3, 3000)) + base2 + lucas + [n for n, _ in FIXED_BASE_PSEUDOPRIMES]
+               + [r * r for r in SQUARE_ROOTS] + [PSEUDOPRIME, NEXT_PRIME] + pinned
+               + [2 * q + 1 for q in pinned])
+    partners = ([q for q in range(-3, 20000) if primes.is_probable_prime(q)] + pinned
+                + [_next_prime(q + 1) for q in pinned])
+    assert not all(primes.is_prime_2q_plus_1(q) for q in partners[-len(pinned):])
+    return numbers, partners
+
+
+def _serial_verdicts(numbers, partners):
+    return [primes.is_probable_prime(n) for n in numbers] + [primes.is_prime_2q_plus_1(q) for q in partners]
+
+
+def test_the_batched_prime_check_gives_the_serial_verdicts(forced, monkeypatch):
+    numbers, partners = _prime_corpus()
+    expected = _serial_verdicts(numbers, partners)
+    sent = _requests(monkeypatch)
+    assert primes.primality_many(numbers, partners) == expected
+    ((local, remote),) = sent
+    for side in (local, remote):  # BPSW and Pocklington jobs on both sides
+        assert any(terms is None for terms, _ in side)
+        assert any(terms is not None and terms[0][0] == 2 for terms, _ in side)
+    # trial division and 2q + 1 = 0 (mod 3) stay here
+    assert all(terms is not None or math.gcd(n, primes._TRIAL_PRODUCT) == 1 for terms, n in local + remote)
+    assert all(mod % 3 for terms, mod in local + remote if terms is not None)
+
+
+def _prime_check_requests(sent):
+    """The requests that carry prime tests: (BPSW moduli, Pocklington moduli)."""
+    out = []
+    for local, remote in sent:
+        jobs = local + remote
+        if any(terms is None for terms, _ in jobs):
+            out.append((sorted(n for terms, n in jobs if terms is None),
+                        sorted(mod for terms, mod in jobs if terms is not None)))
+    return out
+
+
+def test_loading_a_key_sends_its_prime_checks_in_one_request(forced, monkeypatch, tmp_path):
+    keys = keycache.issuer_keys(TOY, 5, "platform", 4, tmp_path)
+    paillier = keycache.bank_paillier_keys(TOY, 5, tmp_path)
+    sent = _requests(monkeypatch)
+    assert keycache.issuer_keys(TOY, 5, "platform", 4, tmp_path) == keys
+    assert _prime_check_requests(sent) == [(sorted((keys.p_prime, keys.q_prime)), sorted((keys.p, keys.q)))]
+    sent.clear()
+    assert keycache.bank_paillier_keys(TOY, 5, tmp_path) == paillier
+    assert _prime_check_requests(sent) == [(sorted((paillier.p, paillier.q)), [])]
+
+
+def test_a_helper_killed_before_the_prime_checks_leaves_the_serial_verdicts(forced, monkeypatch, tmp_path):
+    keys = keycache.issuer_keys(TOY, 5, "platform", 4, tmp_path)
+    (path,) = tmp_path.glob("cl-*.json")
+    text = path.read_text()
+    killed = []
+    real = keycache.primality_many
+
+    def kill_first(*args):
+        _start_helper()
+        killed.append(primes._HELPER[0])
+        os.kill(killed[0], signal.SIGKILL)
+        os.waitid(os.P_PID, killed[0], os.WEXITED | os.WNOWAIT)  # dead, and not yet reaped
+        return real(*args)
+
+    def refuse(*args):
+        raise AssertionError("a valid cached key was made again")
+
+    monkeypatch.setattr(keycache, "primality_many", kill_first)
+    monkeypatch.setattr(keycache, "cl_keygen", refuse)
+    assert keycache.issuer_keys(TOY, 5, "platform", 4, tmp_path) == keys
+    assert path.read_text() == text
+    assert primes._HELPER is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(killed[0], os.WNOHANG)
+
+
+def test_the_gmpy2_shape_checks_primes_here(forced, monkeypatch, tmp_path):
+    numbers, partners = _prime_corpus()
+    expected = _serial_verdicts(numbers, partners)
+    keys = keycache.issuer_keys(TOY, 5, "platform", 4, tmp_path)
+    _start_helper()
+    sent = _requests(monkeypatch)
+    monkeypatch.setattr(primes, "gmpy2", SimpleNamespace(is_prime=lambda n, reps: primes._bpsw(n)))
+    assert primes.primality_many(numbers, partners) == expected
+    assert keycache.issuer_keys(TOY, 5, "platform", 4, tmp_path) == keys
+    assert sent == []
+
+
+def _past_trial_division(bits, count):
+    """`count` odd numbers of `bits` bits that trial division leaves to BPSW."""
+    n, out = (1 << (bits - 1)) + 1, []
+    while len(out) < count:
+        if math.gcd(n, primes._TRIAL_PRODUCT) == 1:
+            out.append(n)
+        n += 2
+    return out
+
+
+def test_only_checks_above_the_modulus_gate_use_the_helper(monkeypatch):
+    sent = _requests(monkeypatch)
+    try:
+        # one prime test alone is never cut, so it stays here
+        for bits, count, requests in ((1024, 2, 0), (1025, 1, 0), (1025, 2, 1)):
+            numbers = _past_trial_division(bits, count)
+            assert primes.primality_many(numbers) == [primes.is_probable_prime(n) for n in numbers]
+            assert len(sent) == requests
+    finally:
+        primes._stop_helper()

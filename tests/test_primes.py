@@ -364,11 +364,17 @@ def test_bpsw_agrees_with_a_sieve_below_100000():
         assert primes._bpsw(n) == bool(prime[n]), n
 
 
-def test_bpsw_rejects_every_strong_pseudoprime_below_100000():
+def strong_pseudoprimes_below_100000():
+    """The odd composites below 10^5 that pass the strong base-2 test, and
+    those that pass the strong Lucas test."""
     prime = _sieve_flags(10**5)
     composites = [n for n in range(5, 10**5, 2) if not prime[n]]
-    base2 = [n for n in composites if primes._strong_base2(n)]
-    lucas = [n for n in composites if primes._strong_lucas(n)]
+    return ([n for n in composites if primes._strong_base2(n)],
+            [n for n in composites if primes._strong_lucas(n)])
+
+
+def test_bpsw_rejects_every_strong_pseudoprime_below_100000():
+    base2, lucas = strong_pseudoprimes_below_100000()
     # OEIS A001262 and A217255 below 10^5
     assert len(base2) == 16 and base2[0] == 2047
     assert len(lucas) == 12 and lucas[0] == 5459
@@ -377,7 +383,10 @@ def test_bpsw_rejects_every_strong_pseudoprime_below_100000():
         assert not primes._bpsw(n), n
 
 
-@pytest.mark.parametrize("root", [3, 7, 1093, 3511, 7919, 2**61 - 1, 2**89 - 1, 1999 * 2003])
+SQUARE_ROOTS = [3, 7, 1093, 3511, 7919, 2**61 - 1, 2**89 - 1, 1999 * 2003]
+
+
+@pytest.mark.parametrize("root", SQUARE_ROOTS)
 def test_bpsw_rejects_perfect_squares(root):
     # 1093^2 and 3511^2 are strong base-2 pseudoprimes; a square has no
     # Selfridge D, so the Lucas test must refuse it before searching
