@@ -1,7 +1,8 @@
 """One-time verifiable presentations with selective disclosure, plus the
 attached proofs an exchange needs: cross-presentation equality of a hidden
-attribute, verifiable encryption toward a designated key holder, and a
-greater-than-threshold predicate on a hidden date attribute.
+attribute, verifiable encryption toward a designated key holder, and an
+at-most-threshold predicate on a hidden date attribute, by Lagrange's four
+squares.
 
 All proofs of one bundle share a single Fiat-Shamir challenge: the prover
 collects every component's commitment values, absorbs the full statement and
@@ -20,15 +21,15 @@ which gives the same t-values for an honest proof. Either way a bundle's
 t-values are one batched evaluation (`crypto.primes.multi_powmod_many`), which
 shares the products between two processes. The verifier evaluates every
 equation of the bundle in one call. The prover needs two: round 1 evaluates
-A' = A S^r_a, the link commitments, the ciphertexts, the predicate's bit
+A' = A S^r_a, the link commitments, the ciphertexts, the predicate's square
 commitments and the link and encryption t-values; round 2 the core t-value,
-which needs A', and the predicate t-values, which need the bit commitments.
-The prover draws all its randomness before round 1, in the order it always
-has. A verifier that passes its own key pairs evaluates each equation over
-one of their moduli mod the prime factors, to the same value. `build_bundle`
-and `_verify_bundle` build the same arms in the same order, and
-`_bundle_challenge` alone lays out the statement and the t-values it
-hashes.
+which needs A', and the predicate t-values, which need the square
+commitments as bases. The prover draws all its randomness before round 1,
+in bundle order. A verifier that passes its own key pairs evaluates each
+equation over one of their moduli mod the prime factors, to the same
+value. `build_bundle` and `_verify_bundle` build the same arms in
+the same order, and `_bundle_challenge` alone lays out the statement and the
+t-values it hashes.
 
 Equality across two presentations rides on a shared integer commitment to
 the attribute under a commitment key derived from a credential definition:
@@ -52,7 +53,7 @@ from .crypto.commitment import CommitmentKey, randomizer_bits
 from .crypto.elgamal import ElGamalPublicKey
 from .crypto.encoding import ATTRIBUTE_BOUND
 from .crypto.paillier import PaillierKeyPair, PaillierPublicKey, paillier_hs
-from .crypto.primes import Crt, Product, Term, invert, multi_powmod_many, powmod_fixed
+from .crypto.primes import Crt, Product, Term, multi_powmod_many
 from .crypto.transcript import Transcript
 from .errors import ProofRefusedError, RegistryError, SchemaMismatchError
 from .ledger import Registry
@@ -65,9 +66,8 @@ OwnKeys = ClIssuerKeyPair | PaillierKeyPair
 # Pseudo-attribute name for the link-secret slot; always hidden.
 LINK_NAME = "@link"
 
-# Bit width of the predicate decomposition; covers YYYYMMDD date integers.
-PRED_BITS = 27
-PRED_RANGE = range(1 << PRED_BITS)  # thresholds a predicate arm may name
+PRED_RANGE = range(1 << 27)  # thresholds a predicate arm may name; covers YYYYMMDD dates
+SQUARE_BITS = 14  # threshold - m < 2^27 is four squares u_i^2, each u_i < 2^14
 
 
 @serializable("presentation")
@@ -105,28 +105,18 @@ class VerifiableEncryptionProof:
     r_hat: int  # randomness response; mod q for elgamal, integer for paillier
 
 
-@serializable("bit-proof")
-@dataclass(frozen=True)
-class BitProof:
-    """OR-proof that a commitment opens to 0 or 1; c1 is implied by the
-    bundle challenge: c1 = (c - c0) mod 2^challenge_bits."""
-
-    c0: int
-    s0: int
-    s1: int
-
-
 @serializable("predicate-proof")
 @dataclass(frozen=True)
 class PredicateProof:
-    """Shows the hidden attribute value is at most `threshold` via a bit
-    decomposition of the difference."""
+    """Shows the hidden attribute value is at most `threshold`: the
+    difference is the sum of the squares committed to in `squares`."""
 
     attr: str
     threshold: int
-    bit_commitments: tuple[int, ...]
-    bit_proofs: tuple[BitProof, ...]
-    u_hat: int  # response for the aggregated bit randomness in the linear arm
+    squares: tuple[int, ...]  # T_i = R^u_i S^r_i, four of them
+    u_hats: tuple[int, ...]
+    r_hats: tuple[int, ...]
+    rho_hat: int  # response for rho = -sum u_i r_i
 
 
 @serializable("presentation-bundle")
@@ -198,22 +188,19 @@ class _Eq:
     (base, witness name, fixed) triples; `target` gives the target as
     (base, k, fixed) triples, target = prod base^k. The t-value
     target^-c * prod base^witness is one product, a base named on both sides
-    taking one exponent. An OR branch reads its own challenge from the
-    witness map under `chal`. The target is stated only when the challenge
-    is nonzero, so the prover never pays for it; a product only the prover
+    taking one exponent. The target is stated only when the challenge is
+    nonzero, so the prover never pays for it; a product only the prover
     evaluates states none. For a Paillier equation, `paillier_n` is N and the
     factor (1+N)^m, m the witness "m", is 1 + (m mod N) N (mod N^2)."""
 
     mod: int
     terms: tuple[tuple[int, str, bool], ...]
     target: Callable[[], Iterable[Term]] = tuple
-    chal: str | None = None
     paillier_n: int = 0
 
     def product(self, exps: Mapping[str, int], c: int, factored: Mapping[int, Crt]) -> Product:
         """The t-value's product for `multi_powmod_many`, mod each prime for a
         holder of `mod`'s factors, whose moduli `factored` maps to them."""
-        c = exps[self.chal] if self.chal else c
         powers: dict[tuple[int, bool], int] = {}
         for base, name, fixed in self.terms:
             powers[base, fixed] = powers.get((base, fixed), 0) + exps[name]
@@ -319,34 +306,62 @@ def _encryption_in_range(profile: Profile, key: ElGamalPublicKey | PaillierPubli
     return 0 < ct < key.n_squared and 0 <= proof.r_hat < 1 << (_paillier_r_hat_bits(profile, key) + 1)
 
 
-def _predicate_arm(ck: CommitmentKey, attr: str, threshold: int, bits: Sequence[int]) -> _Arm:
-    """Hidden m <= threshold, by the bits of threshold - m. Bit commitment j
-    proves D_j = S^rho (bit 0) or D_j / R = S^rho (bit 1), an OR whose branch
-    challenges c0 + c1 equal the bundle challenge mod 2^challenge_bits; then
-    R^threshold / prod D_j^(2^j) = R^m * S^u ties the bits to m."""
-    n = ck.n
-    r_inv = invert(ck.r_base, n)
-    eqs = []
-    for j, d in enumerate(bits):
-        eqs.append(_Eq(n, ((ck.s_base, f"s0.{j}", True),), lambda d=d: ((d, 1, False),), chal=f"c0.{j}"))
-        eqs.append(_Eq(n, ((ck.s_base, f"s1.{j}", True),), lambda d=d: ((d * r_inv % n, 1, False),),
-                       chal=f"c1.{j}"))
-
-    def lin_target() -> tuple[Term, ...]:
-        return ((powmod_fixed(ck.r_base, threshold, n) * invert(_aggregate_bits(bits, n), n) % n, 1, False),)
-
-    eqs.append(_Eq(n, ((ck.r_base, "m", True), (ck.s_base, "u", True)), lin_target))
-    return _Arm({"attr": attr, "bits": list(bits), "threshold": threshold}, eqs,
-                lambda ts: {"bits": [ts[i:i + 2] for i in range(0, len(ts) - 1, 2)], "lin": ts[-1]})
+def _predicate_arm(ck: CommitmentKey, attr: str, threshold: int, squares: Sequence[int | None]) -> _Arm:
+    """Hidden m <= threshold, by Lagrange's four squares (Lipmaa; Boudot):
+    T_i = R^u_i * S^r_i (mod N) commits to u_i for each of the four
+    `squares`, and R^threshold = R^m * prod T_i^u_i * S^rho (mod N), with
+    rho = -sum u_i r_i, gives threshold - m = sum u_i^2 >= 0 in the group of
+    hidden order. Witnesses "m" (shared with the core arm), "u<i>", "r<i>"
+    and "rho". The prover passes None for the commitments it has yet to
+    evaluate (`ProofSession._prove_predicate`)."""
+    n, r_base, s_base = ck.n, ck.r_base, ck.s_base
+    eqs = [_Eq(n, ((r_base, f"u{i}", True), (s_base, f"r{i}", True)), lambda t=t: ((t, 1, False),))
+           for i, t in enumerate(squares)]
+    eqs.append(_Eq(n, ((r_base, "m", True), *((t, f"u{i}", False) for i, t in enumerate(squares)),
+                       (s_base, "rho", True)), lambda: ((r_base, threshold, True),)))
+    return _Arm({"attr": attr, "squares": list(squares), "threshold": threshold}, eqs, list)
 
 
-def _aggregate_bits(bits: Sequence[int], n: int) -> int:
-    """prod D_j^(2^j) mod n by Horner's rule, top bit first: one squaring
-    and one multiplication per bit after the first."""
-    agg = 1
-    for d in reversed(bits):
-        agg = agg * agg % n * d % n
-    return agg
+def _four_squares(delta: int) -> tuple[int, int, int, int]:
+    """(u_1, u_2, u_3, u_4) with delta = sum u_i^2, searched from the largest
+    square down once the factors of 4 are out (each halves every u_i, and
+    without them the search stays short): deterministic, and it draws no
+    randomness."""
+    if delta and delta % 4 == 0:
+        return tuple(2 * u for u in _four_squares(delta // 4))
+    for u1 in range(math.isqrt(delta), -1, -1):
+        for u2 in range(math.isqrt(delta - u1 * u1), -1, -1):
+            rest = delta - u1 * u1 - u2 * u2
+            for u3 in range(math.isqrt(rest), -1, -1):
+                u4 = math.isqrt(rest - u3 * u3)
+                if u3 * u3 + u4 * u4 == rest:
+                    return u1, u2, u3, u4
+
+
+def _predicate_blind_bits(profile: Profile, ck: CommitmentKey) -> dict[str, int]:
+    """Bits of the blinding of each witness of the predicate arm but m, in
+    draw order. Each covers c times its witness with stat_bits of slack:
+    |rho| < 4 * 2^SQUARE_BITS * 2^(|N| + stat), u_i < 2^SQUARE_BITS, and r_i
+    has |N| + stat bits."""
+    slack, r_bits = profile.challenge_bits + profile.stat_bits, randomizer_bits(ck, profile)
+    return {"rho": r_bits + SQUARE_BITS + 2 + slack, **{f"u{i}": SQUARE_BITS + slack for i in range(4)},
+            **{f"r{i}": r_bits + slack for i in range(4)}}
+
+
+def _predicate_responses(profile: Profile, ck: CommitmentKey, proof: PredicateProof) -> dict[str, int] | None:
+    """The arm's responses by witness name, or None unless `squares`,
+    `u_hats` and `r_hats` are four ints each, `rho_hat` is an int, the
+    threshold lies in PRED_RANGE, and each response lies within two bits of
+    its blinding, non-negative but for rho_hat, as rho is negative."""
+    if not all(isinstance(field, (tuple, list)) and len(field) == 4
+               for field in (proof.squares, proof.u_hats, proof.r_hats)):
+        return None
+    bits = _predicate_blind_bits(profile, ck)
+    hats = dict(zip(bits, (proof.rho_hat, *proof.u_hats, *proof.r_hats)))
+    if not all(isinstance(x, int) for x in (proof.threshold, *proof.squares, *hats.values())):
+        return None
+    in_range = all(abs(z) < 1 << (bits[name] + 2) and (z >= 0 or name == "rho") for name, z in hats.items())
+    return hats if in_range and proof.threshold in PRED_RANGE else None
 
 
 def _bundle_challenge(profile: Profile, core: _Arm, t_core: int, nonce: bytes,
@@ -519,6 +534,10 @@ class ProofSession:
 
     def _prove_predicate(self, spec: PredicateSpec, hidden_names: Sequence[str],
                          values: Mapping[str, int], blind: Mapping[str, int]):
+        """Draws r_i for each square, then the rho blinding, then the u_i
+        blindings and then the r_i blindings; `_four_squares` draws nothing.
+        Round 1 evaluates the commitments T_i, and the arm's t-values, which
+        take them as bases, wait for round 2."""
         if spec.attr not in hidden_names[1:]:
             raise ProofRefusedError(f"attribute {spec.attr!r} must be hidden for a predicate proof")
         if spec.threshold not in PRED_RANGE:
@@ -526,39 +545,26 @@ class ProofSession:
         delta = spec.threshold - values[spec.attr]
         if delta < 0:
             raise ProofRefusedError("attribute violates the predicate")
-        ck, profile, rng = self.commitment_key, self.profile, self.rng
-        resp_bits = ck.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits
-        exps, bits, rho_sum = {"m": blind[spec.attr]}, [], 0
-        for j in range(PRED_BITS):
-            b = (delta >> j) & 1
-            rho = rng.getrandbits(ck.n.bit_length() + profile.stat_bits)
-            rho_sum += rho << j
-            # the false branch is simulated from (c_sim, s_sim); branch b runs
-            # honestly from the blinding w, and its challenge is fixed later
-            c_sim = rng.getrandbits(profile.challenge_bits)
-            s_sim = rng.getrandbits(resp_bits)
-            w = rng.getrandbits(resp_bits)
-            exps.update({f"c{1 - b}.{j}": c_sim, f"s{1 - b}.{j}": s_sim, f"c{b}.{j}": 0, f"s{b}.{j}": w})
-            bits.append((b, rho))
-        exps["u"] = u_blind = rng.getrandbits(rho_sum.bit_length() + profile.challenge_bits
-                                              + profile.stat_bits)
-        bit_commitment = _Eq(ck.n, ((ck.r_base, "b", True), (ck.s_base, "rho", True)))  # D_j = R^b S^rho
+        ck, rng = self.commitment_key, self.rng
+        witness = {}
+        for i, u in enumerate(_four_squares(delta)):
+            witness[f"u{i}"], witness[f"r{i}"] = u, rng.getrandbits(randomizer_bits(ck, self.profile))
+        witness["rho"] = -sum(witness[f"u{i}"] * witness[f"r{i}"] for i in range(4))
+        exps = {"m": blind[spec.attr],
+                **{name: rng.getrandbits(bits) for name, bits in _predicate_blind_bits(self.profile, ck).items()}}
 
-        def respond(c: int, d_values: list[int]) -> PredicateProof:
-            hats = dict(exps)
-            for j, (b, rho) in enumerate(bits):
-                hats[f"c{b}.{j}"] = (c - exps[f"c{1 - b}.{j}"]) % (1 << profile.challenge_bits)
-                hats[f"s{b}.{j}"] += hats[f"c{b}.{j}"] * rho
-            bit_proofs = tuple(BitProof(c0=hats[f"c0.{j}"], s0=hats[f"s0.{j}"], s1=hats[f"s1.{j}"])
-                               for j in range(PRED_BITS))
-            return PredicateProof(attr=spec.attr, threshold=spec.threshold, bit_commitments=tuple(d_values),
-                                  bit_proofs=bit_proofs, u_hat=u_blind - c * rho_sum)
+        def respond(c: int, squares: list[int]) -> PredicateProof:
+            hats = {name: exps[name] + c * value for name, value in witness.items()}
+            return PredicateProof(attr=spec.attr, threshold=spec.threshold, squares=tuple(squares),
+                                  u_hats=tuple(hats[f"u{i}"] for i in range(4)),
+                                  r_hats=tuple(hats[f"r{i}"] for i in range(4)), rho_hat=hats["rho"])
 
-        def settle(d_values: list[int]):
-            # the t-values need the bit commitments: the exponents stand in for them until round 2
-            return _predicate_arm(ck, spec.attr, spec.threshold, d_values), exps, lambda c: respond(c, d_values)
+        def settle(squares: list[int]):
+            # the exponents stand in for the t-values until round 2
+            return _predicate_arm(ck, spec.attr, spec.threshold, squares), exps, lambda c: respond(c, squares)
 
-        return [(bit_commitment, {"b": b, "rho": rho}) for b, rho in bits], settle
+        commitments = _predicate_arm(ck, spec.attr, spec.threshold, (None,) * 4).eqs[:4]
+        return [(eq, witness) for eq in commitments], settle
 
     def equality_proof(self, bundle_a: PresentationBundle, attr_a: str,
                        bundle_b: PresentationBundle, attr_b: str) -> EqualityProof:
@@ -634,9 +640,8 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         return False
 
     c = bundle.challenge
-    chal_mod = 1 << profile.challenge_bits
     # response range checks (loose soundness bounds)
-    if not 0 <= c < chal_mod:
+    if not 0 <= c < 1 << profile.challenge_bits:
         return False
     if not 0 <= pres.e_hat < (1 << (profile.e_window_bits + profile.challenge_bits + profile.stat_bits + 2)):
         return False
@@ -669,17 +674,11 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         arms["encs"].append((_encryption_arm(p.attr, key, p.ciphertext.parts),
                              {"m": pres.m_hats[p.attr], "r": p.r_hat}))
     for p in bundle.predicate_proofs:
-        if p.attr not in hidden_attrs or p.threshold not in PRED_RANGE:
+        hats = _predicate_responses(profile, ck, p)
+        if p.attr not in hidden_attrs or hats is None:
             return False
-        if len(p.bit_commitments) != PRED_BITS or len(p.bit_proofs) != PRED_BITS:
-            return False
-        exps = {"m": pres.m_hats[p.attr], "u": p.u_hat}
-        for j, bp in enumerate(p.bit_proofs):
-            if not 0 <= bp.c0 < chal_mod:
-                return False
-            exps.update({f"s0.{j}": bp.s0, f"c0.{j}": bp.c0,
-                         f"s1.{j}": bp.s1, f"c1.{j}": (c - bp.c0) % chal_mod})
-        arms["preds"].append((_predicate_arm(ck, p.attr, p.threshold, p.bit_commitments), exps))
+        arms["preds"].append((_predicate_arm(ck, p.attr, p.threshold, p.squares),
+                              {"m": pres.m_hats[p.attr], **hats}))
 
     # every equation of the bundle in one evaluation, then each arm's t-values in place of its exponents
     core_exps = {"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats}

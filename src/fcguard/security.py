@@ -63,8 +63,7 @@ def presentation_randomized_fields(bundle: PresentationBundle) -> set[int]:
         values.add(arm.r_hat)
         values.update(arm.ciphertext.parts)
     for arm in bundle.predicate_proofs:
-        values.add(arm.u_hat)
-        values.update(arm.bit_commitments)
+        values.update(arm.squares + arm.u_hats + arm.r_hats + (arm.rho_hat,))
     return values
 
 
@@ -299,29 +298,26 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
     cases.append(("verenc-paillier:ciphertext-swap", verify2(dataclasses.replace(
         fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=other_pct),)))))
 
-    # predicate arms
+    # predicate arms: T_0 shifted by R or sharing a factor with the platform's
+    # n, T_0 and T_1 swapped, each kind of response moved, and malformed fields
     pred = fx.bundle1.predicate_proofs[0]
     ckey = commitment_key_for(fx.platform_defn)
-    flipped = list(pred.bit_commitments)
-    flipped[0] = flipped[0] * ckey.r_base % ckey.n
-    cases.append(("predicate:bit0-flip", verify1(dataclasses.replace(
-        fx.bundle1, predicate_proofs=(dataclasses.replace(
-            pred, bit_commitments=tuple(flipped)),)))))
-    swapped = list(pred.bit_commitments)
-    swapped[0], swapped[1] = swapped[1], swapped[0]
-    cases.append(("predicate:bit-swap", verify1(dataclasses.replace(
-        fx.bundle1, predicate_proofs=(dataclasses.replace(
-            pred, bit_commitments=tuple(swapped)),)))))
-    for field_name in ("u_hat", "threshold"):
-        bad_pred = dataclasses.replace(pred, **{field_name: getattr(pred, field_name) + 1})
-        cases.append((f"predicate:{field_name}+1", verify1(dataclasses.replace(
-            fx.bundle1, predicate_proofs=(bad_pred,)))))
-    for field_name in ("c0", "s0", "s1"):
-        bit = pred.bit_proofs[0]
-        bad_bits = (dataclasses.replace(bit, **{field_name: getattr(bit, field_name) + 1}),) \
-            + pred.bit_proofs[1:]
-        cases.append((f"predicate:bit0-{field_name}+1", verify1(dataclasses.replace(
-            fx.bundle1, predicate_proofs=(dataclasses.replace(pred, bit_proofs=bad_bits),)))))
+    t0, t1, *rest = pred.squares
+    bad_preds = {"T0-shift": {"squares": (t0 * ckey.r_base % ckey.n, t1, *rest)},
+                 "T-swap": {"squares": (t1, t0, *rest)},
+                 "T0-non-unit": {"squares": (fx.platform_keys.p, t1, *rest)},
+                 "threshold+1": {"threshold": pred.threshold + 1},
+                 "rho_hat+1": {"rho_hat": pred.rho_hat + 1},
+                 "u_hats[0]+1": {"u_hats": (pred.u_hats[0] + 1, *pred.u_hats[1:])},
+                 "r_hats[0]+1": {"r_hats": (pred.r_hats[0] + 1, *pred.r_hats[1:])},
+                 "squares-three": {"squares": pred.squares[:3]},
+                 "u_hats-five": {"u_hats": pred.u_hats + (0,)},
+                 "r_hats-int": {"r_hats": pred.r_hats[0]},
+                 "u_hats[0]-str": {"u_hats": ("1", *pred.u_hats[1:])},
+                 "rho_hat-str": {"rho_hat": str(pred.rho_hat)}}
+    for label, fields in bad_preds.items():
+        cases.append((f"predicate:{label}", verify1(dataclasses.replace(
+            fx.bundle1, predicate_proofs=(dataclasses.replace(pred, **fields),)))))
 
     # equality splices across sessions with different SSNs
     other = build_fixture(seed=1302, ssn=987_654_321)
@@ -407,7 +403,8 @@ def check_unlinkability(seed: int, presentations: int = 100) -> PropertyResult:
         bundle = session.build_bundle(fx.platform_defn, fx.platform_schema, fx.vc_pu,
                                       fx.wallet.link_secret, disclose=(),
                                       link={"ssn": "ssn"},
-                                      encrypt=[EncryptionSpec("ssn", fx.aa_keys.public)])
+                                      encrypt=[EncryptionSpec("ssn", fx.aa_keys.public)],
+                                      predicates=[PredicateSpec("birthday", 20070101)])  # 18 on 2025-01-01
         if not verify_bundle(fx.registry, bundle, nonce, fx.enc_keys):
             return PropertyResult("unlinkability", False, f"presentation {i} failed verification")
         for value in presentation_randomized_fields(bundle):

@@ -262,6 +262,35 @@ def test_predicate_agrees_with_brute_force_over_corpus(toy_env):
             assert verify_bundle(toy_env.registry, bundle, nonce, toy_env.enc_keys) == expected
 
 
+def test_predicate_out_of_range_thresholds_and_responses_are_refused(toy_env, monkeypatch):
+    # the largest threshold proves; one past either end of the range, or a
+    # response outside its bound, is refused before any equation
+    nonce, session = _session(toy_env)
+    top = presentations.PRED_RANGE[-1]
+    bundle = session.build_bundle(toy_env.platform_defn, toy_env.platform_schema, toy_env.vc_pu,
+                                  toy_env.wallet.link_secret, predicates=[PredicateSpec("birthday", top)])
+    assert verify_bundle(toy_env.registry, bundle, nonce)
+    pred = bundle.predicate_proofs[0]
+    ck = presentations.commitment_key_for(toy_env.platform_defn)
+    bits = presentations._predicate_blind_bits(toy_env.profile, ck)
+    bad = [{"threshold": -1}, {"threshold": top + 1}, {"rho_hat": 1 << (bits["rho"] + 2)},
+           {"rho_hat": -(1 << (bits["rho"] + 2))}]
+    for field_name, key in (("u_hats", "u0"), ("r_hats", "r0")):
+        rest = getattr(pred, field_name)[1:]
+        bad += [{field_name: (-1, *rest)}, {field_name: (1 << (bits[key] + 2), *rest)}]
+    for threshold in (-1, top + 1):
+        with pytest.raises(ProofRefusedError):
+            _session(toy_env)[1].build_bundle(toy_env.platform_defn, toy_env.platform_schema, toy_env.vc_pu,
+                                              toy_env.wallet.link_secret,
+                                              predicates=[PredicateSpec("birthday", threshold)])
+    evaluated = []
+    monkeypatch.setattr(presentations._Eq, "product", lambda *args: evaluated.append(args))
+    for fields in bad:
+        tampered = dataclasses.replace(bundle, predicate_proofs=(dataclasses.replace(pred, **fields),))
+        assert not verify_bundle(toy_env.registry, tampered, nonce)
+    assert evaluated == []
+
+
 def test_session_chains_bundles(toy_env):
     nonce, b1, b2, _ = _exchange_bundles(toy_env)
     assert b1.prev_digest == b""
@@ -378,22 +407,58 @@ def test_a_prime_sharing_a_factor_is_rejected_before_any_equation(toy_env, monke
     assert evaluated == []
 
 
-def test_the_predicate_target_aggregates_the_bit_commitments_by_horner():
+def test_four_squares_is_deterministic_and_draws_nothing():
+    state = random.getstate()
+    no_three = [delta for a in range(13) for b in (0, 1, 12345, ((1 << 27) // 4**a - 7) // 8)
+                if (delta := 4**a * (8 * b + 7)) < 1 << 27]
+    for delta in [*range(1 << 16), (1 << 27) - 1, *no_three]:
+        squares = presentations._four_squares(delta)
+        assert len(squares) == 4 and sum(u * u for u in squares) == delta
+        assert all(0 <= u < 1 << presentations.SQUARE_BITS for u in squares)
+    for delta in no_three:  # not a sum of three squares
+        assert all(presentations._four_squares(delta))
+    assert presentations._four_squares(0) == (0, 0, 0, 0)
+    assert random.getstate() == state
+
+
+def test_two_answers_on_one_predicate_commitment_give_back_its_witness(monkeypatch):
+    # one commitment, from two sessions on the same RNG state; the first
+    # session's respond closure answers the second challenge as the second does
     fx = build_fixture()
     ck = presentations.commitment_key_for(fx.platform_defn)
-    n, rng = ck.n, random.Random(27)
-    for _ in range(20):
-        bits = [pow(ck.s_base, rng.getrandbits(96), n) * rng.choice([1, ck.r_base]) % n
-                for _ in range(presentations.PRED_BITS)]
-        expected = 1
-        for j, d in enumerate(bits):
-            expected = expected * pow(d, 2**j, n) % n
-        assert presentations._aggregate_bits(bits, n) == expected
-        threshold = rng.randrange(1 << presentations.PRED_BITS)
-        lin = presentations._predicate_arm(ck, "birthday", threshold, bits).eqs[-1]
-        assert lin.target() == ((pow(ck.r_base, threshold, n) * pow(expected, -1, n) % n, 1, False),)
-    # a bit commitment sharing a factor with n leaves the aggregate a non-unit
-    bits[5] = fx.platform_keys.p
-    lin = presentations._predicate_arm(ck, "birthday", 0, bits).eqs[-1]
-    with pytest.raises(ValueError):
-        lin.target()
+    n, threshold = ck.n, 20070101
+    challenges, responds = iter([(1 << 80) - 3, 12345]), []
+
+    def forced(profile, core, t_core, nonce, source, prev, arms):
+        responds.append(arms["preds"][0][2])
+        return next(challenges)
+
+    monkeypatch.setattr(presentations, "_bundle_challenge", forced)
+    state, bundles = random.Random("extract").getstate(), []
+    for _ in range(2):
+        rng = random.Random()
+        rng.setstate(state)
+        session = ProofSession(fx.registry, fx.nonce, rng, commitment_source=fx.platform_defn.defn_id)
+        bundles.append(session.build_bundle(fx.platform_defn, fx.platform_schema, fx.vc_pu, fx.wallet.link_secret,
+                                            predicates=[PredicateSpec("birthday", threshold)]))
+    (p1,), (p2,) = (b.predicate_proofs for b in bundles)
+    c1, c2 = (b.challenge for b in bundles)
+    assert p1.squares == p2.squares and responds[0](c2) == p2
+
+    def extract(z1, z2):
+        witness, rest = divmod(z1 - z2, c1 - c2)
+        assert rest == 0
+        return witness
+
+    m = extract(*(b.presentation.m_hats["birthday"] for b in bundles))
+    us = [extract(a, b) for a, b in zip(p1.u_hats, p2.u_hats)]
+    rs = [extract(a, b) for a, b in zip(p1.r_hats, p2.r_hats)]
+    rho = extract(p1.rho_hat, p2.rho_hat)
+    assert threshold - m == sum(u * u for u in us)
+    for t, u, r in zip(p1.squares, us, rs):
+        assert t == pow(ck.r_base, u, n) * pow(ck.s_base, r, n) % n
+    product = pow(ck.r_base, m, n) * pow(ck.s_base, rho, n)
+    for t, u in zip(p1.squares, us):
+        product = product * pow(t, u, n) % n
+    assert product == pow(ck.r_base, threshold, n)
+    assert m == fx.vc_pu.attributes["birthday"]

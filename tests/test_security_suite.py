@@ -16,8 +16,8 @@ from fcguard.security import (
 
 # bundle1 carries link, ElGamal and predicate arms; bundle2 a disclosed
 # attribute, a link arm and a Paillier arm: every arm kind's bytes
-FIXTURE_DIGESTS = ("688abdf1812600838090100aaac913253049b99457106d3da5546201fc1cb43d",
-                   "efbf2dbae37de993386728af2c9860e21fc11dab637618aa36811329d8180679")
+FIXTURE_DIGESTS = ("14585c68da15e62c2ba5d68128af6e3f9776d51d362e1e66dd799cc85573503d",
+                   "dee2704fe71d73c056952e05a16dd54ff467c121a3df1de9a993fc800b58641e")
 
 
 def test_fixture_bundle_digests_are_pinned():
