@@ -7,11 +7,9 @@ issuer signs the commitment into the reserved slot without ever seeing the
 secret. The holder then completes the blinding exponent and verifies both
 the signature and the issuer's correctness proof before storing anything.
 
-Each holder step is one batched evaluation per round: the request's
-commitment S^v' R_0^(link secret) and its proof's t-value together
-(`prove_opening`), and on receipt S^v prod R_i^(m_i), A^e and A^c together,
-then Q^s_e (`cl.check_issued_signature`). The randomness is drawn in the
-order it always was, so every value and byte on the wire is unchanged.
+Both proofs run on the `crypto.sigma` engine: the request's opening proof
+(`prove_opening`), and the issuer's proof the holder checks with
+`cl.check_issued_signature`.
 """
 
 from __future__ import annotations
@@ -166,13 +164,12 @@ def create_credential_request(link_secret: LinkSecret, definition: CredentialDef
 def verify_credential_request(definition: CredentialDefinition, request: CredentialRequest,
                               issuer_keys: ClIssuerKeyPair | None = None) -> bool:
     """The request's opening proof; the issuer, passing its own key pair,
-    evaluates it mod p and mod q."""
+    evaluates it mod p and mod q. False for a malformed request."""
     pk = definition.public_key
-    own = issuer_keys is not None and issuer_keys.public.n == pk.n
     return verify_opening(
         pk.n, pk.r_bases[LINK_SLOT], pk.s, request.blinded, request.proof,
         label="credential-request", nonce=request.nonce + definition.defn_id.encode(),
-        profile=definition.profile(), crt=issuer_keys.crt if own else None,
+        profile=definition.profile(), crt=issuer_keys.crt if issuer_keys is not None else None,
     )
 
 

@@ -9,16 +9,12 @@ occupy the reserved first slot during issuance, which is how the holder's
 link secret gets signed without being revealed.
 
 The issuer computes Z and the R_i when a key is assembled, and Q = A^e and A
-for each signature, mod p and mod q (`multi_powmod_crt`); `sign_with_proof`
-reuses the signature's Q. Its exponent e comes from `random_prime_in_range`,
-which tests its candidates on two processes while the helper process runs.
+for each signature, mod p and mod q; `sign_with_proof` reuses the
+signature's Q.
 
 Each equation has one definition, which every checker runs: `signature_q`
-for A^e = Q and `verify_signature_proof` for the issuer's proof. The holder
-(`check_issued_signature`) evaluates S^v * prod R_i^(m_i), A^e and A^c in
-one batched call (`multi_powmod_many`), so two processes share them at the
-paper profile, and then Q^s_e, the one power that needs Q. `cl_verify` runs
-the same batch without A^c.
+for A^e = Q and `_signature_eq` for the issuer's proof, on the `sigma`
+engine. The holder (`check_issued_signature`) runs both, the second needing Q.
 """
 
 from __future__ import annotations
@@ -33,8 +29,8 @@ from ..params import Profile
 from ..serialize import serializable
 from .encoding import ATTRIBUTE_BOUND
 from .primes import (Crt, Term, invert, is_probable_prime, multi_powmod, multi_powmod_crt, multi_powmod_many,
-                     powmod, random_prime_in_range, sophie_germain_prime)
-from .transcript import Transcript
+                     random_prime_in_range, sophie_germain_prime)
+from .sigma import Eq, challenge, evaluate, well_formed
 
 
 @serializable("cl-public-key")
@@ -167,7 +163,7 @@ def _sign(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: Profile,
     e = _random_signature_exponent(profile, order, rng)
     v = rng.getrandbits(profile.v_bits) | (1 << (profile.v_bits - 1))
     base = multi_powmod_crt(_q_terms(public, attributes, v, hidden_commitment), keys.crt)
-    q_value = public.z * invert(base, public.n) % public.n
+    q_value = _q_from(public, base)
     return ClSignature(a=keys.powmod_crt(q_value, invert(e, order)), e=e, v=v), q_value
 
 
@@ -187,11 +183,10 @@ def cl_verify(public: ClPublicKey, attributes: Sequence[int], signature: ClSigna
 
 
 def signature_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
-                hidden_commitment: int | None = None, powers: Sequence[Term] = ()) -> list[int] | None:
-    """[Q, then each of `powers` mod n], for Q = Z / (S^v * prod R_i^(m_i) *
-    [commitment]), when the inputs are well formed and A^e = Q (mod n), else
-    None. The product behind Q, A^e and the powers are one batched
-    evaluation."""
+                hidden_commitment: int | None = None) -> int | None:
+    """Q = Z / (S^v * prod R_i^(m_i) * [commitment]) when the inputs are well
+    formed and A^e = Q (mod n), else None. The product behind Q and A^e are
+    one batched evaluation."""
     try:
         reserved = 1 if hidden_commitment is not None else 0
         if len(attributes) + reserved > public.slot_count:
@@ -205,11 +200,10 @@ def signature_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSig
         if not 1 < a < public.n or e <= 2 or e % 2 == 0:
             return None
         n = public.n
-        base, a_e, *values = multi_powmod_many(
-            [(_q_terms(public, attributes, v, hidden_commitment), n), (((a, e, False),), n)]
-            + [((term,), n) for term in powers])
+        base, a_e = multi_powmod_many([(_q_terms(public, attributes, v, hidden_commitment), n),
+                                       (((a, e, False),), n)])
         q_value = _q_from(public, base)
-        return [q_value, *values] if a_e == q_value else None
+        return q_value if a_e == q_value else None
     except (AttributeError, TypeError, ValueError):
         return None
 
@@ -225,59 +219,46 @@ def _q_from(public: ClPublicKey, base: int) -> int:
     return public.z * invert(base, public.n) % public.n
 
 
+def _signature_eq(n: int, a: int, q_value: int) -> Eq:
+    """A^-1 = Q^w (mod n), for the witness w = -1/e mod p'q'."""
+    return Eq(n, ((q_value, "w", False),), lambda: ((a, -1, False),))
+
+
 def sign_with_proof(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: Profile,
                     rng: random.Random, nonce: bytes,
                     hidden_commitment: int | None = None) -> tuple[ClSignature, SignatureProof]:
+    """The signature and a proof that A is Q's e-th root; its t-value is made mod p and q."""
     sig, q_value = _sign(keys, attributes, profile, rng, hidden_commitment)
     public = keys.public
     order = keys.group_order
     r = rng.randrange(2, order)
-    a_tilde = keys.powmod_crt(q_value, r)
-    c = _signature_proof_challenge(public, q_value, sig.a, a_tilde, nonce, profile)
-    s_e = (r - c * invert(sig.e, order)) % order
-    return sig, SignatureProof(challenge=c, s_e=s_e)
+    (a_tilde,) = evaluate([(_signature_eq(public.n, sig.a, q_value), {"w": r})], 0, {public.n: keys.crt})
+    c = challenge("cl-signature-proof", nonce, (public.n, q_value, sig.a, a_tilde), profile.challenge_bits)
+    return sig, SignatureProof(challenge=c, s_e=(r - c * invert(sig.e, order)) % order)
 
 
 def verify_signature_proof(public: ClPublicKey, a: int, q_value: int, proof: SignatureProof,
-                           nonce: bytes, profile: Profile, a_c: int) -> bool:
-    """The proof's challenge is that of A^c * Q^s_e, for `a_c` = A^c, which
-    the caller evaluates with its other powers."""
-    try:
-        a_hat = a_c * powmod(q_value, proof.s_e, public.n) % public.n
-    except (AttributeError, TypeError, ValueError):
+                           nonce: bytes, profile: Profile) -> bool:
+    """The proof's challenge is that of A^c * Q^s_e, for Q from `signature_q`."""
+    c, s_e, bits = getattr(proof, "challenge", None), getattr(proof, "s_e", None), profile.challenge_bits
+    if not well_formed(c, (s_e,), bits):
         return False
-    return proof.challenge == _signature_proof_challenge(public, q_value, a, a_hat, nonce, profile)
+    (a_hat,) = evaluate([(_signature_eq(public.n, a, q_value), {"w": s_e})], c, {})
+    return c == challenge("cl-signature-proof", nonce, (public.n, q_value, a, a_hat), bits)
 
 
 def check_issued_signature(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
                            proof: SignatureProof, nonce: bytes, profile: Profile) -> None:
     """The holder's check of an issued signature over all its slots. Raises
     VerificationError for the first that fails of `cl_verify`'s equation,
-    `signature_exponent_prime` and `verify_signature_proof`.
-
-    S^v * prod R_i^(m_i), A^e and A^c are one batched evaluation, then
-    Q^s_e, the one power that needs Q. A challenge outside
-    [0, 2^challenge_bits) never equals the recomputed one, so such a proof,
-    or one with a field that is not an int, fails without A^c."""
-    c, s_e = getattr(proof, "challenge", None), getattr(proof, "s_e", None)
-    well_formed = isinstance(c, int) and isinstance(s_e, int) and 0 <= c < 1 << profile.challenge_bits
-    checked = signature_q(public, attributes, signature, None, [(signature.a, c, False)] if well_formed else [])
-    if checked is None:
+    `signature_exponent_prime` and `verify_signature_proof`."""
+    q_value = signature_q(public, attributes, signature)
+    if q_value is None:
         raise VerificationError("credential signature invalid")
     if not signature_exponent_prime(signature, profile):
         raise VerificationError("signature exponent outside the accepted prime range")
-    if not well_formed or not verify_signature_proof(public, signature.a, checked[0], proof, nonce, profile,
-                                                     checked[1]):
+    if not verify_signature_proof(public, signature.a, q_value, proof, nonce, profile):
         raise VerificationError("issuer signature-correctness proof invalid")
-
-
-def _signature_proof_challenge(public: ClPublicKey, q_value: int, a: int, a_tilde: int,
-                               nonce: bytes, profile: Profile) -> int:
-    t = Transcript("cl-signature-proof")
-    t.absorb_bytes(nonce)
-    for x in (public.n, q_value, a, a_tilde):
-        t.absorb(x)
-    return t.challenge(profile.challenge_bits)
 
 
 def signature_exponent_prime(signature: ClSignature, profile: Profile) -> bool:

@@ -1,8 +1,7 @@
 """Integer commitments C = R^m * S^r in an RSA group of hidden order, whose
 keys also serve the cross-presentation link arms, plus the generic two-base
-proof of knowledge of an opening used by credential requests.
-`prove_opening` makes the commitment and its t-value in one batched
-evaluation, which two processes share at the paper profile."""
+proof of knowledge of an opening used by credential requests, one equation
+on the `sigma` engine."""
 
 from __future__ import annotations
 
@@ -13,8 +12,8 @@ from dataclasses import dataclass
 
 from ..params import Profile
 from ..serialize import encode_int, serializable
-from .primes import Crt, multi_powmod, multi_powmod_crt, multi_powmod_many
-from .transcript import Transcript
+from .primes import Crt, multi_powmod
+from .sigma import Eq, challenge, evaluate, well_formed
 
 
 @serializable("commitment-key")
@@ -69,14 +68,17 @@ def open_verify(key: CommitmentKey, commitment: IntegerCommitment, m: int, r: in
 
 @dataclass(frozen=True)
 class OpeningProof:
-    """Proof of knowledge of (m, r) with C = base1^m * base2^r (mod n). The
-    bases are public-key constants, so both sides use the fixed-base tables,
-    and each t-value is one multi-exponentiation; the prover's shares one
-    batched evaluation with C."""
+    """Proof of knowledge of (m, r) with C = base1^m * base2^r (mod n)."""
 
     challenge: int
     s_m: int
     s_r: int
+
+
+def opening_eq(n: int, base1: int, base2: int, value: int | None) -> Eq:
+    """C = base1^m * base2^r (mod n), for C = `value`. The bases are
+    public-key constants, so both sides use the fixed-base tables."""
+    return Eq(n, ((base1, "m", True), (base2, "r", True)), lambda: ((value, 1, False),))
 
 
 def prove_opening(n: int, base1: int, base2: int, m: int, r: int, label: str, nonce: bytes,
@@ -87,28 +89,21 @@ def prove_opening(n: int, base1: int, base2: int, m: int, r: int, label: str, no
     slack = profile.challenge_bits + profile.stat_bits
     m_t = rng.getrandbits(profile.attr_bits + slack)
     r_t = rng.getrandbits(n.bit_length() + profile.stat_bits + slack)
-    value, t_value = multi_powmod_many([(((base1, m, True), (base2, r, True)), n),
-                                        (((base1, m_t, True), (base2, r_t, True)), n)])
-    c = _opening_challenge(label, nonce, n, base1, base2, value, t_value, profile)
+    eq = opening_eq(n, base1, base2, None)
+    value, t_value = evaluate([(eq, {"m": m, "r": r}), (eq, {"m": m_t, "r": r_t})], 0, {})
+    c = challenge(label, nonce, (n, base1, base2, value, t_value), profile.challenge_bits)
     return value, OpeningProof(challenge=c, s_m=m_t + c * m, s_r=r_t + c * r)
 
 
 def verify_opening(n: int, base1: int, base2: int, value: int, proof: OpeningProof,
                    label: str, nonce: bytes, profile: Profile, crt: Crt | None = None) -> bool:
-    """Recomputes the t-value as C^-c * base1^s_m * base2^s_r, mod p and mod q
-    when the verifier passes n's factors as `crt`."""
-    terms = ((value, -proof.challenge, False), (base1, proof.s_m, True), (base2, proof.s_r, True))
+    """The proof's verdict, mod p and mod q when the verifier passes n's
+    factors as `crt`."""
+    c, factored = proof.challenge, {crt[0][0] * crt[1][0]: crt} if crt else {}
+    if not well_formed(c, (proof.s_m, proof.s_r, value), profile.challenge_bits):
+        return False
     try:
-        t_hat = multi_powmod_crt(terms, crt) if crt else multi_powmod(terms, n)
+        (t_hat,) = evaluate([(opening_eq(n, base1, base2, value), {"m": proof.s_m, "r": proof.s_r})], c, factored)
     except (ValueError, ZeroDivisionError):
         return False
-    return proof.challenge == _opening_challenge(label, nonce, n, base1, base2, value, t_hat, profile)
-
-
-def _opening_challenge(label: str, nonce: bytes, n: int, base1: int, base2: int,
-                       value: int, t_value: int, profile: Profile) -> int:
-    t = Transcript(label)
-    t.absorb_bytes(nonce)
-    for x in (n, base1, base2, value, t_value):
-        t.absorb(x)
-    return t.challenge(profile.challenge_bits)
+    return c == challenge(label, nonce, (n, base1, base2, value, t_hat), profile.challenge_bits)

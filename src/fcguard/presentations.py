@@ -12,24 +12,16 @@ presentations and their link arms are bound to the same verifier nonce and
 cannot be mixed across sessions.
 
 Each arm kind (core, link, encryption, predicate) is defined once, by a
-`_*_arm` function that gives its statement entry, its relation and the
-layout of its t-values. A relation is a conjunction of equations
-target = prod base^witness (mod m), Camenisch-Stadler style, each target also
-stated as a product of powers. The prover evaluates the terms at its
-blindings; the verifier evaluates them at the responses times target^-c,
-which gives the same t-values for an honest proof. Either way a bundle's
-t-values are one batched evaluation (`crypto.primes.multi_powmod_many`), which
-shares the products between two processes. The verifier evaluates every
-equation of the bundle in one call. The prover needs two: round 1 evaluates
-A' = A S^r_a, the link commitments, the ciphertexts, the predicate's square
-commitments and the link and encryption t-values; round 2 the core t-value,
-which needs A', and the predicate t-values, which need the square
-commitments as bases. The prover draws all its randomness before round 1,
-in bundle order. A verifier that passes its own key pairs evaluates each
-equation over one of their moduli mod the prime factors, to the same
-value. `build_bundle` and `_verify_bundle` build the same arms in
-the same order, and `_bundle_challenge` alone lays out the statement and the
-t-values it hashes.
+`_*_arm` function that gives its statement entry, its relation on the
+`crypto.sigma` engine and the layout of its t-values. The verifier evaluates
+every equation of the bundle in one call. The prover needs two: round 1
+evaluates A' = A S^r_a, the link commitments, the ciphertexts, the
+predicate's square commitments and the link and encryption t-values; round 2
+the core t-value, which needs A', and the predicate t-values, which need the
+square commitments as bases. The prover draws all its randomness before
+round 1, in bundle order. `build_bundle` and `_verify_bundle` build the
+same arms in the same order, and `_bundle_challenge` alone lays out the
+statement and the t-values it hashes.
 
 Equality across two presentations rides on a shared integer commitment to
 the attribute under a commitment key derived from a credential definition:
@@ -49,11 +41,12 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .credentials import Credential, CredentialDefinition, LinkSecret, Schema, fetch_definition, fetch_schema
 from .crypto.ciphertext import Ciphertext
 from .crypto.cl import ClIssuerKeyPair
-from .crypto.commitment import CommitmentKey, randomizer_bits
+from .crypto.commitment import CommitmentKey, opening_eq, randomizer_bits
 from .crypto.elgamal import ElGamalPublicKey
 from .crypto.encoding import ATTRIBUTE_BOUND
 from .crypto.paillier import PaillierKeyPair, PaillierPublicKey, paillier_hs
-from .crypto.primes import Crt, Product, Term, multi_powmod_many
+from .crypto.primes import Crt
+from .crypto.sigma import Eq, evaluate, t_values, well_formed
 from .crypto.transcript import Transcript
 from .errors import ProofRefusedError, RegistryError, SchemaMismatchError
 from .ledger import Registry
@@ -183,60 +176,13 @@ def find_arm(arms: Iterable, attr: str):
 
 
 @dataclass(frozen=True)
-class _Eq:
-    """One equation target = prod base^witness (mod `mod`). `terms` are
-    (base, witness name, fixed) triples; `target` gives the target as
-    (base, k, fixed) triples, target = prod base^k. The t-value
-    target^-c * prod base^witness is one product, a base named on both sides
-    taking one exponent. The target is stated only when the challenge is
-    nonzero, so the prover never pays for it; a product only the prover
-    evaluates states none. For a Paillier equation, `paillier_n` is N and the
-    factor (1+N)^m, m the witness "m", is 1 + (m mod N) N (mod N^2)."""
-
-    mod: int
-    terms: tuple[tuple[int, str, bool], ...]
-    target: Callable[[], Iterable[Term]] = tuple
-    paillier_n: int = 0
-
-    def product(self, exps: Mapping[str, int], c: int, factored: Mapping[int, Crt]) -> Product:
-        """The t-value's product for `multi_powmod_many`, mod each prime for a
-        holder of `mod`'s factors, whose moduli `factored` maps to them."""
-        powers: dict[tuple[int, bool], int] = {}
-        for base, name, fixed in self.terms:
-            powers[base, fixed] = powers.get((base, fixed), 0) + exps[name]
-        if c:
-            for base, k, fixed in self.target():
-                powers[base, fixed] = powers.get((base, fixed), 0) - k * c
-        return [(base, exp, fixed) for (base, fixed), exp in powers.items()], factored.get(self.mod, self.mod)
-
-    def finish(self, value: int, exps: Mapping[str, int]) -> int:
-        """The t-value from its product's value."""
-        if self.paillier_n:
-            return (1 + exps["m"] % self.paillier_n * self.paillier_n) * value % self.mod
-        return value
-
-
-@dataclass(frozen=True)
 class _Arm:
     """A proof arm as both sides build it: its statement entry, its relation
     and how its t-values nest in the transcript."""
 
     statement: dict
-    eqs: list[_Eq]
+    eqs: list[Eq]
     layout: Callable[[list[int]], object]
-
-
-def _evaluate(eqs: Sequence[tuple[_Eq, Mapping[str, int]]], c: int, factored: Mapping[int, Crt]) -> list[int]:
-    """The t-value of each (equation, exponents) pair at challenge c, from one
-    `multi_powmod_many`."""
-    values = multi_powmod_many([eq.product(exps, c, factored) for eq, exps in eqs])
-    return [eq.finish(value, exps) for (eq, exps), value in zip(eqs, values)]
-
-
-def _t_values(arms: Sequence[tuple[_Arm, Mapping[str, int]]], c: int, factored: Mapping[int, Crt]) -> list:
-    """Each arm's t-values at its exponents, laid out, from one `_evaluate`."""
-    values = iter(_evaluate([(eq, exps) for arm, exps in arms for eq in arm.eqs], c, factored))
-    return [arm.layout([next(values) for _ in arm.eqs]) for arm, _ in arms]
 
 
 def _scheme(key: ElGamalPublicKey | PaillierPublicKey) -> str:
@@ -256,15 +202,15 @@ def _core_arm(definition: CredentialDefinition, profile: Profile, names: Sequenc
     target = lambda: ((pk.z, 1, True), (a_prime, -(1 << (profile.e_bits - 1)), False),  # noqa: E731
                       *((r_base[nm], -value, True) for nm, value in disclosed.items()))
     return _Arm({"a_prime": a_prime, "defn": definition.defn_id, "disclosed": dict(disclosed),
-                 "hidden": list(hidden_names)}, [_Eq(pk.n, terms, target)], lambda ts: ts[0])
+                 "hidden": list(hidden_names)}, [Eq(pk.n, terms, target)], lambda ts: ts[0])
 
 
 def _link_arm(ck: CommitmentKey, attr: str, commitment: int | None) -> _Arm:
     """C = R^m * S^r (mod N): the hidden attribute m opens the commitment all
     bundles of the session share for it. The prover passes None for a
     commitment it has yet to evaluate (`ProofSession._prove_link`)."""
-    eq = _Eq(ck.n, ((ck.r_base, "m", True), (ck.s_base, "r", True)), lambda: ((commitment, 1, False),))
-    return _Arm({"attr": attr, "commitment": commitment}, [eq], lambda ts: ts[0])
+    return _Arm({"attr": attr, "commitment": commitment}, [opening_eq(ck.n, ck.r_base, ck.s_base, commitment)],
+                lambda ts: ts[0])
 
 
 def _encryption_arm(attr: str, key: ElGamalPublicKey | PaillierPublicKey,
@@ -278,12 +224,12 @@ def _encryption_arm(attr: str, key: ElGamalPublicKey | PaillierPublicKey,
     so with dc below p and q the ciphertext opens to the core arm's m."""
     if isinstance(key, ElGamalPublicKey):
         p, (c1, c2) = key.p, parts
-        eqs = [_Eq(p, ((key.g, "r", True),), lambda: ((c1, 1, False),)),
-               _Eq(p, ((key.g, "m", True), (key.h, "r", True)), lambda: ((c2, 1, False),))]
+        eqs = [Eq(p, ((key.g, "r", True),), lambda: ((c1, 1, False),)),
+               Eq(p, ((key.g, "m", True), (key.h, "r", True)), lambda: ((c2, 1, False),))]
     else:
         (ct,) = parts
-        eqs = [_Eq(key.n_squared, ((paillier_hs(key.n), "r", True),), lambda: ((ct, 1, False),),
-                   paillier_n=key.n)]
+        eqs = [Eq(key.n_squared, ((paillier_hs(key.n), "r", True),), lambda: ((ct, 1, False),),
+                  paillier_n=key.n)]
     return _Arm({"attr": attr, "key_id": key.key_id(), "parts": list(parts), "scheme": _scheme(key)},
                 eqs, list)
 
@@ -315,10 +261,10 @@ def _predicate_arm(ck: CommitmentKey, attr: str, threshold: int, squares: Sequen
     and "rho". The prover passes None for the commitments it has yet to
     evaluate (`ProofSession._prove_predicate`)."""
     n, r_base, s_base = ck.n, ck.r_base, ck.s_base
-    eqs = [_Eq(n, ((r_base, f"u{i}", True), (s_base, f"r{i}", True)), lambda t=t: ((t, 1, False),))
+    eqs = [Eq(n, ((r_base, f"u{i}", True), (s_base, f"r{i}", True)), lambda t=t: ((t, 1, False),))
            for i, t in enumerate(squares)]
-    eqs.append(_Eq(n, ((r_base, "m", True), *((t, f"u{i}", False) for i, t in enumerate(squares)),
-                       (s_base, "rho", True)), lambda: ((r_base, threshold, True),)))
+    eqs.append(Eq(n, ((r_base, "m", True), *((t, f"u{i}", False) for i, t in enumerate(squares)),
+                      (s_base, "rho", True)), lambda: ((r_base, threshold, True),)))
     return _Arm({"attr": attr, "squares": list(squares), "threshold": threshold}, eqs, list)
 
 
@@ -446,7 +392,7 @@ class ProofSession:
         }
         # round 1: S^r_a, then each arm's pairs; `settle` builds the arm from their values
         first = [pair for group in provers.values() for pairs, _ in group for pair in pairs]
-        s_r_a, *found = _evaluate([(_Eq(n, ((pk.s, "r", True),)), {"r": r_a})] + first, 0, {})
+        s_r_a, *found = evaluate([(Eq(n, ((pk.s, "r", True),)), {"r": r_a})] + first, 0, {})
         a_prime = sig.a * s_r_a % n
         found = iter(found)
         arms = {kind: [settle([next(found) for _ in pairs]) for pairs, settle in group]
@@ -454,7 +400,7 @@ class ProofSession:
         # round 2: the core t-value and the predicate t-values, in whose
         # entries the exponents stand until then
         core = _core_arm(definition, profile, names, a_prime, hidden_names, disclosed)
-        t_core, *t_preds = _t_values([(core, blind)] + [(arm, exps) for arm, exps, _ in arms["preds"]], 0, {})
+        t_core, *t_preds = t_values([(core, blind)] + [(arm, exps) for arm, exps, _ in arms["preds"]], 0, {})
         arms["preds"] = [(arm, ts, respond) for (arm, _, respond), ts in zip(arms["preds"], t_preds)]
         c = _bundle_challenge(profile, core, t_core, self.nonce, self.commitment_source, self.prev_digest, arms)
 
@@ -599,11 +545,10 @@ def verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce
                   expected_prev: bytes | None = None, own_keys: Sequence[OwnKeys] = ()) -> bool:
     """Full verification of a bundle: every arm's t-values are recomputed from
     the stored responses and the single challenge is re-derived from the
-    whole transcript. An equation over the modulus of one of the verifier's
-    `own_keys` (its issuer key pair, its Paillier key pair) is evaluated mod
-    each prime factor; every t-value, and so the verdict, is the same as
-    without them. A definition the registry does not know, or a group
-    element with no inverse, gives False; any other exception is a bug and
+    whole transcript. With the verifier's `own_keys` (its issuer key pair, its
+    Paillier key pair) the engine works mod their primes, to the same verdict.
+    A definition the registry does not know, a malformed response or a group
+    element with no inverse gives False; any other exception is a bug and
     propagates."""
     try:
         return _verify_bundle(registry, bundle, expected_nonce, encryption_keys or {}, expected_prev,
@@ -640,9 +585,10 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         return False
 
     c = bundle.challenge
-    # response range checks (loose soundness bounds)
-    if not 0 <= c < 1 << profile.challenge_bits:
+    if not well_formed(c, (pres.e_hat, pres.v_hat, *pres.m_hats.values(),
+                           *(p.r_hat for p in (*bundle.link_proofs, *bundle.enc_proofs))), profile.challenge_bits):
         return False
+    # response range checks (loose soundness bounds)
     if not 0 <= pres.e_hat < (1 << (profile.e_window_bits + profile.challenge_bits + profile.stat_bits + 2)):
         return False
     if abs(pres.v_hat) >= (1 << (profile.v_bits + profile.challenge_bits + 2 * profile.stat_bits + 2)):
@@ -682,8 +628,8 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
 
     # every equation of the bundle in one evaluation, then each arm's t-values in place of its exponents
     core_exps = {"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats}
-    t_core, *t_arms = _t_values([(core, core_exps)] + [entry for group in arms.values() for entry in group],
-                                c, factored)
+    t_core, *t_arms = t_values([(core, core_exps)] + [entry for group in arms.values() for entry in group],
+                               c, factored)
     t_arms = iter(t_arms)
     arms = {kind: [(arm, next(t_arms)) for arm, _ in group] for kind, group in arms.items()}
     return _bundle_challenge(profile, core, t_core, pres.nonce, bundle.commitment_source,

@@ -50,7 +50,8 @@ class ToyEnv:
                          self.bank_enc.public.key_id(): self.bank_enc.public}
 
     def issue(self, defn, schema, keys, values, wallet=None):
-        wallet = wallet or self.wallet
+        if wallet is None:
+            wallet = self.wallet
         nonce = self.rng.getrandbits(128).to_bytes(16, "big")
         request, v_prime = create_credential_request(wallet.link_secret, defn, nonce, self.rng)
         cred = issue_credential(keys, defn, schema, request, values, self.rng)

@@ -5,10 +5,9 @@ import random
 import pytest
 
 from fcguard import keycache
-from fcguard.crypto import cl
+from fcguard.crypto import cl, sigma
 from fcguard.crypto.cl import (
     ClIssuerKeyPair,
-    _signature_proof_challenge,
     cl_keygen,
     cl_sign,
     cl_verify,
@@ -149,11 +148,10 @@ def test_signature_proof_round_trip():
     attrs = [1, 2, 3]
     sig, proof = sign_with_proof(keys, attrs, TOY, rng, nonce=b"n-1")
     q_value = recompute_q(keys.public, attrs, sig.v)
-    a_c = pow(sig.a, proof.challenge, keys.public.n)
-    assert verify_signature_proof(keys.public, sig.a, q_value, proof, b"n-1", TOY, a_c)
-    assert not verify_signature_proof(keys.public, sig.a, q_value, proof, b"n-2", TOY, a_c)
+    assert verify_signature_proof(keys.public, sig.a, q_value, proof, b"n-1", TOY)
+    assert not verify_signature_proof(keys.public, sig.a, q_value, proof, b"n-2", TOY)
     bad = dataclasses.replace(proof, s_e=proof.s_e + 1)
-    assert not verify_signature_proof(keys.public, sig.a, q_value, bad, b"n-1", TOY, a_c)
+    assert not verify_signature_proof(keys.public, sig.a, q_value, bad, b"n-1", TOY)
     assert signature_exponent_prime(sig, TOY)
 
 
@@ -188,7 +186,7 @@ def test_crt_signing_matches_plain_exponentiation(hidden):
         r = replay.randrange(2, order)
         q_value = recompute_q(pk, attrs, sig.v, commitment)
         a_tilde = pow(q_value, r, pk.n)
-        c = _signature_proof_challenge(pk, q_value, sig.a, a_tilde, b"crt", TOY)
+        c = sigma.challenge("cl-signature-proof", b"crt", (pk.n, q_value, sig.a, a_tilde), TOY.challenge_bits)
         assert (proof.challenge, proof.s_e) == (c, (r - c * pow(sig.e, -1, order)) % order)
 
 
@@ -232,7 +230,7 @@ def test_issuance_computes_q_once_per_side(monkeypatch):
     attrs, blind, secret = [5, 6, 7], 4242, 99
     commitment = pow(pk.s, blind, pk.n) * pow(pk.r_bases[0], secret, pk.n) % pk.n
     # Q's product is built once per side: the issuer's mod p and q inside the
-    # signing, the holder's in the batch that also gives A^e and A^c
+    # signing, the holder's in the batch that also gives A^e
     built, holder_q = [], []
     real_terms, real_q = cl._q_terms, cl.recompute_q
     monkeypatch.setattr(cl, "_q_terms", lambda *args: built.append(args) or real_terms(*args))
@@ -241,9 +239,9 @@ def test_issuance_computes_q_once_per_side(monkeypatch):
     assert len(built) == 1
     assert holder_q == []  # the issuer's Q is made mod p and q, once, inside the signing
     full = dataclasses.replace(sig, v=sig.v + blind)
-    q_value, = cl.signature_q(pk, [secret, *attrs], full)
+    q_value = cl.signature_q(pk, [secret, *attrs], full)
     assert len(built) == 2
     cl.check_issued_signature(pk, [secret, *attrs], full, proof, b"q", TOY)
     assert len(built) == 3 and holder_q == []
     assert q_value == real_q(pk, [secret, *attrs], full.v)
-    assert verify_signature_proof(pk, full.a, q_value, proof, b"q", TOY, pow(full.a, proof.challenge, pk.n))
+    assert verify_signature_proof(pk, full.a, q_value, proof, b"q", TOY)

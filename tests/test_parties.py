@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fcguard import parties, presentations
 from fcguard.credentials import Schema, publish_definition
+from fcguard.crypto import sigma
 from fcguard.crypto.cl import cl_keygen
 from fcguard.errors import ProtocolError
 from fcguard.params import TOY
@@ -490,14 +491,14 @@ def test_key_holders_evaluate_no_equation_over_their_own_modulus(ctx, monkeypatc
     names = {platform_n: "platform n", bank.issuer_keys.public.n: "bank n",
              bank.enc_keys.public.n_squared: "paillier n^2", ctx.authority.public_enc_key.p: "elgamal p"}
     evaluated = []
-    real = presentations.multi_powmod_many
+    real = sigma.multi_powmod_many
 
     def spy(products):
         evaluated.extend(("plain", names[mod]) if isinstance(mod, int) else ("crt", names[mod[0][0] * mod[1][0]])
                          for _, mod in products)
         return real(products)
 
-    monkeypatch.setattr(presentations, "multi_powmod_many", spy)
+    monkeypatch.setattr(sigma, "multi_powmod_many", spy)
     calls = []
 
     def recorded(fn):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fcguard import presentations
-from fcguard.crypto import primes
+from fcguard.crypto import primes, sigma
 from fcguard.crypto.elgamal import elgamal_decrypt
 from fcguard.crypto.paillier import paillier_decrypt
 from fcguard.errors import ProofRefusedError, SchemaMismatchError
@@ -284,7 +284,7 @@ def test_predicate_out_of_range_thresholds_and_responses_are_refused(toy_env, mo
                                               toy_env.wallet.link_secret,
                                               predicates=[PredicateSpec("birthday", threshold)])
     evaluated = []
-    monkeypatch.setattr(presentations._Eq, "product", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(sigma.Eq, "product", lambda *args: evaluated.append(args))
     for fields in bad:
         tampered = dataclasses.replace(bundle, predicate_proofs=(dataclasses.replace(pred, **fields),))
         assert not verify_bundle(toy_env.registry, tampered, nonce)
@@ -398,7 +398,7 @@ def test_a_prime_sharing_a_factor_is_rejected_before_any_equation(toy_env, monke
     nonce, b1, _, _ = _exchange_bundles(toy_env)
     keys = toy_env.platform_keys
     evaluated = []
-    monkeypatch.setattr(presentations._Eq, "product", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(sigma.Eq, "product", lambda *args: evaluated.append(args))
     for a_prime in (keys.p, keys.q * 5):
         pres = dataclasses.replace(b1.presentation, a_prime=a_prime)
         bad = dataclasses.replace(b1, presentation=pres)
