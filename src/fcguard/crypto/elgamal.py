@@ -2,8 +2,22 @@
 
 The message rides in the exponent so that sigma protocols can relate a
 ciphertext to a committed attribute. Decryption recovers g^m and then solves
-a bounded discrete log by baby-step/giant-step, which caps plaintexts at the
-profile's bound (default 2^30, enough for 9-digit SSNs).
+a bounded discrete log over [0, bound), the profile's plaintext bound
+(default 2^30, enough for 9-digit SSNs), by baby-step/giant-step with the
+two sides swapped so that the per-target work multiplies by the small
+generator (4 on toy groups, 2 on the RFC 3526 group), never by a full-size
+residue:
+
+- Stride table: {g^(i*step): i} for i in 0..ceil(bound/step), with step the
+  power of two at or above sqrt(bound) (2^15 for 2^30). It depends only on
+  (p, g, bound), not on the secret key, so it is built once per group and
+  kept in a one-entry cache: the next group replaces it, and the paper group
+  is built once per process rather than once per key pair.
+- Walk: from cur = g^m, look cur up and multiply it by g, at most step
+  times. A hit i after j steps gives m = i*step - j, returned if it lies in
+  [0, bound). Every m in [0, bound) is i*step - j for some j < step, and
+  when g's order exceeds bound + step, as in every profile's group, the
+  table's entries are distinct and the m found is the only one in range.
 """
 
 from __future__ import annotations
@@ -11,8 +25,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from ..errors import DecryptionError, EncodingRangeError
 from ..params import Profile
@@ -57,7 +71,6 @@ class ElGamalPublicKey:
 class ElGamalKeyPair:
     public: ElGamalPublicKey
     sk: int
-    _baby_table: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_secrets(cls, p: int, q: int, g: int, sk: int, plain_bound: int = 1 << 30) -> "ElGamalKeyPair":
@@ -93,27 +106,31 @@ def elgamal_decrypt(keypair: ElGamalKeyPair, ct: Ciphertext) -> int:
     pk = keypair.public
     c1, c2 = ct.parts
     target = c2 * powmod(c1, -keypair.sk, pk.p) % pk.p
-    return _bounded_dlog(keypair, target)
+    return _bounded_dlog(pk, target)
 
 
-def _bounded_dlog(keypair: ElGamalKeyPair, target: int) -> int:
-    """Baby-step/giant-step over [0, plain_bound); the baby table is built
-    once per key and cached."""
-    pk = keypair.public
-    step = 1 << max(1, math.isqrt(pk.plain_bound - 1).bit_length())
-    table = keypair._baby_table
-    if not table:
-        acc = 1
-        for j in range(step):
-            table.setdefault(acc, j)
-            acc = acc * pk.g % pk.p
-    giant = powmod(pk.g, -step, pk.p)
-    cur = target
-    for i in range((pk.plain_bound + step - 1) // step + 1):
-        j = table.get(cur)
-        if j is not None:
-            m = i * step + j
-            if m < pk.plain_bound:
-                return m
-        cur = cur * giant % pk.p
+def _bounded_dlog(pk: ElGamalPublicKey, target: int) -> int:
+    """The m in [0, plain_bound) with g^m = target (mod p): the walk over the
+    group's stride table (module docstring)."""
+    p, g, bound = pk.p, pk.g, pk.plain_bound
+    step, table = _stride_table(p, g, bound)
+    lookup, cur = table.get, target
+    for j in range(step):
+        i = lookup(cur)
+        if i is not None and 0 <= i * step - j < bound:
+            return i * step - j
+        cur = cur * g % p
     raise DecryptionError("discrete log not found below the plaintext bound")
+
+
+@lru_cache(maxsize=1)
+def _stride_table(p: int, g: int, bound: int) -> tuple[int, dict[int, int]]:
+    """(step, {g^(i*step) mod p: i for i in 0..ceil(bound/step)}) for one
+    group; a 256-bit group's table holds about 4 MB, so only the last is kept."""
+    step = 1 << max(1, math.isqrt(bound - 1).bit_length())
+    stride = powmod(g, step, p)
+    table, acc = {}, 1
+    for i in range(-(-bound // step) + 1):
+        table.setdefault(acc, i)
+        acc = acc * stride % p
+    return step, table

@@ -562,9 +562,23 @@ def _factored(own_keys: Sequence[OwnKeys]) -> dict[int, Crt]:
     return {crt[0][0] * crt[1][0]: crt for crt in (k.crt for k in own_keys)}
 
 
+def _arms_well_shaped(bundle: PresentationBundle) -> bool:
+    """Each arm is its proof type with a str attr, and each encryption arm
+    holds a Ciphertext with a sequence of parts, so that reading their fields
+    cannot raise."""
+    kinds = ((bundle.link_proofs, LinkProof), (bundle.enc_proofs, VerifiableEncryptionProof),
+             (bundle.predicate_proofs, PredicateProof))
+    return (all(isinstance(arms, (tuple, list))
+                and all(isinstance(a, kind) and isinstance(a.attr, str) for a in arms) for arms, kind in kinds)
+            and all(isinstance(p.ciphertext, Ciphertext) and isinstance(p.ciphertext.parts, (tuple, list))
+                    for p in bundle.enc_proofs))
+
+
 def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce: bytes,
                    encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey],
                    expected_prev: bytes | None, factored: Mapping[int, Crt]) -> bool:
+    if not _arms_well_shaped(bundle):
+        return False
     pres = bundle.presentation
     if pres.nonce != expected_nonce or pres.challenge != bundle.challenge:
         return False
@@ -585,7 +599,9 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         return False
 
     c = bundle.challenge
-    if not well_formed(c, (pres.e_hat, pres.v_hat, *pres.m_hats.values(),
+    statement = (pres.a_prime, *pres.disclosed.values(), *(p.commitment for p in bundle.link_proofs),
+                 *(part for p in bundle.enc_proofs for part in p.ciphertext.parts))
+    if not well_formed(c, (*statement, pres.e_hat, pres.v_hat, *pres.m_hats.values(),
                            *(p.r_hat for p in (*bundle.link_proofs, *bundle.enc_proofs))), profile.challenge_bits):
         return False
     # response range checks (loose soundness bounds)

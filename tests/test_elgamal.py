@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from fcguard.crypto import elgamal
+from fcguard.crypto.ciphertext import Ciphertext
 from fcguard.crypto.elgamal import (
     MODP_2048,
     ElGamalKeyPair,
@@ -101,3 +103,42 @@ def test_wrong_scheme_rejected():
 
     with pytest.raises(DecryptionError):
         elgamal_decrypt(kp, Ciphertext(scheme="paillier", parts=(1,)))
+
+
+@pytest.mark.parametrize("profile", [TOY, PAPER], ids=["toy", "paper"])
+def test_dlog_decrypts_at_the_stride_edges(profile):
+    kp = elgamal_keygen(profile, random.Random(11))
+    bound = kp.public.plain_bound
+    step, _ = elgamal._stride_table(kp.public.p, kp.public.g, bound)
+    assert step == 1 << 15 and bound == 1 << 30
+    rng = random.Random(12)
+    for m in (0, 1, step - 1, step, step + 1, bound - 1):
+        assert elgamal_decrypt(kp, elgamal_encrypt(kp.public, m, rng=rng)) == m
+
+
+@pytest.mark.parametrize("profile", [TOY, PAPER], ids=["toy", "paper"])
+def test_dlog_refuses_the_bound_and_targets_outside_the_subgroup(profile):
+    # c1 = 1 makes the target c2 itself: g^bound, then p - 1, a non-residue
+    # (p = 3 mod 4), which no power of g reaches
+    kp = elgamal_keygen(profile, random.Random(13))
+    pk = kp.public
+    for target in (pow(pk.g, pk.plain_bound, pk.p), pk.p - 1):
+        with pytest.raises(DecryptionError):
+            elgamal_decrypt(kp, Ciphertext(scheme="elgamal", parts=(1, target)))
+
+
+def test_stride_table_is_built_once_per_group_and_only_the_last_is_kept():
+    elgamal._stride_table.cache_clear()
+    first = elgamal_keygen(TOY, random.Random(14))
+    pk = first.public
+    second = ElGamalKeyPair.from_secrets(pk.p, pk.q, pk.g, first.sk + 1, pk.plain_bound)
+    rng = random.Random(15)
+    for kp in (first, second, first):
+        assert elgamal_decrypt(kp, elgamal_encrypt(kp.public, 123_456_789, rng=rng)) == 123_456_789
+    info = elgamal._stride_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    other = elgamal_keygen(TOY, random.Random(16))
+    assert other.public.p != pk.p
+    assert elgamal_decrypt(other, elgamal_encrypt(other.public, 7, rng=rng)) == 7
+    info = elgamal._stride_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)

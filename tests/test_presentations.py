@@ -5,6 +5,7 @@ import pytest
 
 from fcguard import presentations
 from fcguard.crypto import primes, sigma
+from fcguard.crypto.ciphertext import Ciphertext
 from fcguard.crypto.elgamal import elgamal_decrypt
 from fcguard.crypto.paillier import paillier_decrypt
 from fcguard.errors import ProofRefusedError, SchemaMismatchError
@@ -462,3 +463,45 @@ def test_two_answers_on_one_predicate_commitment_give_back_its_witness(monkeypat
         product = product * pow(t, u, n) % n
     assert product == pow(ck.r_base, threshold, n)
     assert m == fx.vc_pu.attributes["birthday"]
+
+
+
+def _every_arm_bundle(env):
+    nonce, session = _session(env)
+    bundle = session.build_bundle(env.platform_defn, env.platform_schema, env.vc_pu, env.wallet.link_secret,
+                                  disclose=("name",), link={"ssn": "ssn"},
+                                  encrypt=[EncryptionSpec("ssn", env.aa_keys.public),
+                                           EncryptionSpec("ssn", env.bank_enc.public)],
+                                  predicates=[PredicateSpec("birthday", 20070101)])
+    assert verify_bundle(env.registry, bundle, nonce, env.enc_keys)
+    return nonce, bundle
+
+
+def _replace_arm(bundle, kind, index=0, **fields):
+    arms = list(getattr(bundle, kind))
+    arms[index] = dataclasses.replace(arms[index], **fields) if fields else 7
+    return dataclasses.replace(bundle, **{kind: tuple(arms)})
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda b: dataclasses.replace(b, presentation=dataclasses.replace(b.presentation, a_prime="x")),
+    lambda b: dataclasses.replace(b, presentation=dataclasses.replace(
+        b.presentation, disclosed={name: "x" for name in b.presentation.disclosed})),
+    lambda b: _replace_arm(b, "link_proofs", commitment="x"),
+    lambda b: _replace_arm(b, "enc_proofs", ciphertext=Ciphertext("elgamal", ("x", 2))),
+    lambda b: _replace_arm(b, "enc_proofs", ciphertext=Ciphertext("elgamal", (2, "x"))),
+    lambda b: _replace_arm(b, "enc_proofs", 1, ciphertext=Ciphertext("paillier", ("x",))),
+], ids=["a_prime", "disclosed", "link-commitment", "elgamal-c1", "elgamal-c2", "paillier-c"])
+def test_statement_integers_of_the_wrong_type_are_refused(toy_env, tamper):
+    nonce, bundle = _every_arm_bundle(toy_env)
+    assert not verify_bundle(toy_env.registry, tamper(bundle), nonce, toy_env.enc_keys)
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("link_proofs", {}), ("enc_proofs", {}), ("predicate_proofs", {}),
+    ("link_proofs", {"attr": ["ssn"]}), ("predicate_proofs", {"attr": ["birthday"]}),
+], ids=["int-link", "int-enc", "int-predicate", "list-attr-link", "list-attr-predicate"])
+def test_malformed_arm_shapes_are_refused(toy_env, kind, fields):
+    # no fields: an int stands in place of the whole arm
+    nonce, bundle = _every_arm_bundle(toy_env)
+    assert not verify_bundle(toy_env.registry, _replace_arm(bundle, kind, **fields), nonce, toy_env.enc_keys)
