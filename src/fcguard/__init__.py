@@ -40,7 +40,6 @@ from .ledger import Chain, Registry
 from .params import PAPER, TOY, Profile, get_profile
 from .presentations import (
     EncryptionSpec,
-    EqualityProof,
     PredicateSpec,
     Presentation,
     PresentationBundle,
@@ -67,7 +66,6 @@ __all__ = [
     "CredentialRequest",
     "ElGamalKeyPair",
     "EncryptionSpec",
-    "EqualityProof",
     "FcGuardError",
     "LinkSecret",
     "PAPER",

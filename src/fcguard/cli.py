@@ -106,7 +106,7 @@ def scenario_run(ctx: click.Context, path: str) -> None:
 
 
 @main.command()
-@click.option("--iterations", type=int, default=5, show_default=True)
+@click.option("--iterations", type=click.IntRange(min=5), default=5, show_default=True)
 @click.pass_context
 def bench(ctx: click.Context, iterations: int) -> None:
     """Benchmark both modes across the exchange phases and print the
@@ -129,7 +129,7 @@ def bench(ctx: click.Context, iterations: int) -> None:
 
 
 @main.command()
-@click.option("--scenarios", type=int, default=20, show_default=True,
+@click.option("--scenarios", type=click.IntRange(min=1), default=20, show_default=True,
               help="Randomized scenarios per blindness property.")
 @click.option("--negative-control", is_flag=True,
               help="Run the platform-blindness scan against baseline mode; the "

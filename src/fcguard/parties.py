@@ -40,7 +40,6 @@ from .netsim import Network, SimClock
 from .params import Profile
 from .presentations import (
     EncryptionSpec,
-    EqualityProof,
     PredicateSpec,
     PresentationBundle,
     ProofSession,
@@ -336,7 +335,6 @@ class ExchangeSession:
     session: ProofSession
     bundle1: PresentationBundle | None = None
     bundle2: PresentationBundle | None = None
-    equality: EqualityProof | None = None
 
 
 def ssa_verify(ctx: SimContext, requester_id: str, pii_payload: dict) -> bool:
@@ -484,7 +482,7 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
     enc = find_arm(bundle1.enc_proofs, "ssn")
     ok = bundle1.presentation.defn_id == bundle1.commitment_source == ctx.platform_defn.defn_id
     ok = ok and find_arm(bundle1.link_proofs, "ssn") is not None
-    ok = ok and enc is not None and enc.scheme == "elgamal" and enc.key_id == aa_key.key_id()
+    ok = ok and enc is not None and enc.ciphertext.scheme == "elgamal" and enc.key_id == aa_key.key_id()
     if params.age_threshold_years is not None:
         pred = find_arm(bundle1.predicate_proofs, "birthday")
         ok = ok and pred is not None \
@@ -515,15 +513,13 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
             ctx.bank_defn, ctx.bank_schema, user.wallet.get(ctx.bank_defn.defn_id),
             user.wallet.link_secret, disclose=("bank_name",), link={"ssn": "ssn"},
             encrypt=[EncryptionSpec(attr="bank_account", public_key=ctx.bank.public_enc_key)])
-        equality = session.equality_proof(handle.bundle1, "ssn", bundle2, "ssn")
     except ProofRefusedError:
         # the prover's own credentials disagree; abort before anything is sent
         _reject(ctx, order, actor.party_id, "platform", "step2-abort", "equality")
         return
-    handle.bundle2, handle.equality = bundle2, equality
+    handle.bundle2 = bundle2
     ctx.net.send(actor.party_id, "platform", "step2-bundle",
-                 {"bundle": bundle2, "equality": equality, "order_id": order.order_id},
-                 PHASE_EXCHANGE)
+                 {"bundle": bundle2, "order_id": order.order_id}, PHASE_EXCHANGE)
 
     # the arm shapes the platform requires, before any proof work
     platform = ctx.platform
@@ -533,7 +529,7 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
     ok = ok and bundle2.presentation.defn_id == bank.defn_id
     ok = ok and bundle2.commitment_source == ctx.platform_defn.defn_id
     ok = ok and find_arm(bundle2.link_proofs, "ssn") is not None
-    ok = ok and enc is not None and enc.scheme == "paillier" \
+    ok = ok and enc is not None and enc.ciphertext.scheme == "paillier" \
         and enc.key_id == bank.public_enc_key.key_id()
     keys = {k.key_id(): k for k in (ctx.authority.public_enc_key, bank.public_enc_key)} \
         if bank is not None else {}
@@ -544,9 +540,7 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
     if not ok:
         _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "bank-presentation")
         return
-    if equality.attr_a != "ssn" or equality.attr_b != "ssn" \
-            or not verify_equality(ctx.registry, equality, handle.bundle1, bundle2,
-                                   order.nonce, order.nonce, keys, own_keys=own):
+    if not verify_equality(ctx.registry, handle.bundle1, bundle2, "ssn", order.nonce, keys, own_keys=own):
         _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "equality")
         return
     platform.order_bank[order.order_id] = bank.party_id

@@ -1,8 +1,8 @@
 """One-time verifiable presentations with selective disclosure, plus the
-attached proofs an exchange needs: cross-presentation equality of a hidden
-attribute, verifiable encryption toward a designated key holder, and an
-at-most-threshold predicate on a hidden date attribute, by Lagrange's four
-squares.
+attached proofs an exchange needs: a link arm tying a hidden attribute to a
+commitment the session shares, verifiable encryption toward a designated key
+holder, and an at-most-threshold predicate on a hidden date attribute, by
+Lagrange's four squares.
 
 All proofs of one bundle share a single Fiat-Shamir challenge: the prover
 collects every component's commitment values, absorbs the full statement and
@@ -27,8 +27,13 @@ Equality across two presentations rides on a shared integer commitment to
 the attribute under a commitment key derived from a credential definition:
 each presentation carries a link arm proving its hidden response opens that
 same commitment, and binding of the commitment carries equality across the
-two bundles. `verify_equality` checks that linkage first and then verifies
-both bundles, the second chained onto the first.
+two bundles. No separate proof goes on the wire: `verify_equality` reads the
+link arms, commitment sources and chain digest of the two bundles themselves,
+and then verifies both bundles, the second chained onto the first.
+
+Each value goes on the wire once. The challenge travels only in the bundle,
+the verifier nonce not at all (each verifier absorbs the nonce it issued),
+and a ciphertext carries its own scheme.
 """
 from __future__ import annotations
 
@@ -73,8 +78,6 @@ class Presentation:
     e_hat: int
     v_hat: int
     m_hats: dict[str, int]  # hidden name -> response
-    nonce: bytes
-    challenge: int
 
 
 @serializable("link-proof")
@@ -92,7 +95,6 @@ class LinkProof:
 @dataclass(frozen=True)
 class VerifiableEncryptionProof:
     attr: str
-    scheme: str  # "elgamal" | "paillier"
     key_id: str
     ciphertext: Ciphertext
     r_hat: int  # randomness response; mod q for elgamal, integer for paillier
@@ -122,21 +124,6 @@ class PresentationBundle:
     commitment_source: str  # definition id the link commitment key derives from
     prev_digest: bytes  # digest of the previous bundle in the session, b"" for the first
     challenge: int
-
-
-@serializable("equality-proof")
-@dataclass(frozen=True)
-class EqualityProof:
-    """References two presentations and carries the shared commitment plus
-    both link responses tying their hidden attributes to it."""
-
-    attr_a: str
-    attr_b: str
-    commitment: int
-    r_hat_a: int
-    r_hat_b: int
-    bundle_digest_a: bytes
-    bundle_digest_b: bytes
 
 
 @dataclass(frozen=True)
@@ -408,7 +395,6 @@ class ProofSession:
         presentation = Presentation(
             defn_id=definition.defn_id, disclosed=disclosed, hidden_names=hidden_names,
             a_prime=a_prime, e_hat=hats.pop("@e"), v_hat=hats.pop("@v"), m_hats=hats,
-            nonce=self.nonce, challenge=c,
         )
         link_proofs, enc_proofs, predicate_proofs = (
             tuple(respond(c) for _, _, respond in arms[kind]) for kind in ("links", "encs", "preds"))
@@ -473,7 +459,7 @@ class ProofSession:
             parts = tuple(found[len(eqs):])
             arm = _encryption_arm(spec.attr, key, parts)
             return arm, arm.layout(found[:len(eqs)]), \
-                lambda c: VerifiableEncryptionProof(attr=spec.attr, scheme=spec.scheme, key_id=key.key_id(),
+                lambda c: VerifiableEncryptionProof(attr=spec.attr, key_id=key.key_id(),
                                                     ciphertext=Ciphertext(spec.scheme, parts), r_hat=r_hat(c))
 
         return [(eq, blinds) for eq in eqs] + [(eq, witness) for eq in eqs], settle
@@ -512,20 +498,6 @@ class ProofSession:
         commitments = _predicate_arm(ck, spec.attr, spec.threshold, (None,) * 4).eqs[:4]
         return [(eq, witness) for eq in commitments], settle
 
-    def equality_proof(self, bundle_a: PresentationBundle, attr_a: str,
-                       bundle_b: PresentationBundle, attr_b: str) -> EqualityProof:
-        arm_a = find_arm(bundle_a.link_proofs, attr_a)
-        arm_b = find_arm(bundle_b.link_proofs, attr_b)
-        if arm_a is None or arm_b is None:
-            raise ProofRefusedError("both presentations need a link arm for the attribute")
-        if arm_a.commitment != arm_b.commitment:
-            raise ProofRefusedError("hidden attributes differ; refusing to prove equality")
-        return EqualityProof(
-            attr_a=attr_a, attr_b=attr_b, commitment=arm_a.commitment,
-            r_hat_a=arm_a.r_hat, r_hat_b=arm_b.r_hat,
-            bundle_digest_a=bundle_digest(bundle_a), bundle_digest_b=bundle_digest(bundle_b),
-        )
-
 
 def create_presentation(registry: Registry, credential: Credential, link_secret: LinkSecret,
                         disclose: Iterable[str], nonce: bytes, rng: random.Random,
@@ -563,9 +535,15 @@ def _factored(own_keys: Sequence[OwnKeys]) -> dict[int, Crt]:
 
 
 def _arms_well_shaped(bundle: PresentationBundle) -> bool:
-    """Each arm is its proof type with a str attr, and each encryption arm
-    holds a Ciphertext with a sequence of parts, so that reading their fields
-    cannot raise."""
+    """The presentation is a Presentation whose `disclosed` and `m_hats` are
+    dicts and whose `hidden_names` is a sequence of str, each arm is its proof
+    type with a str attr, and each encryption arm holds a Ciphertext with a
+    sequence of parts, so that reading their fields cannot raise."""
+    pres = bundle.presentation
+    if not (isinstance(pres, Presentation) and isinstance(pres.disclosed, dict) and isinstance(pres.m_hats, dict)
+            and isinstance(pres.hidden_names, (tuple, list))
+            and all(isinstance(name, str) for name in pres.hidden_names)):
+        return False
     kinds = ((bundle.link_proofs, LinkProof), (bundle.enc_proofs, VerifiableEncryptionProof),
              (bundle.predicate_proofs, PredicateProof))
     return (all(isinstance(arms, (tuple, list))
@@ -580,8 +558,6 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
     if not _arms_well_shaped(bundle):
         return False
     pres = bundle.presentation
-    if pres.nonce != expected_nonce or pres.challenge != bundle.challenge:
-        return False
     if expected_prev is not None and bundle.prev_digest != expected_prev:
         return False
     definition = fetch_definition(registry, pres.defn_id)
@@ -631,7 +607,7 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         key = encryption_keys.get(p.key_id)
         if p.attr not in pres.hidden_names or key is None or key.key_id() != p.key_id:
             return False
-        if not p.scheme == p.ciphertext.scheme == _scheme(key) or not _encryption_in_range(profile, key, p):
+        if p.ciphertext.scheme != _scheme(key) or not _encryption_in_range(profile, key, p):
             return False
         arms["encs"].append((_encryption_arm(p.attr, key, p.ciphertext.parts),
                              {"m": pres.m_hats[p.attr], "r": p.r_hat}))
@@ -648,30 +624,28 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
                                c, factored)
     t_arms = iter(t_arms)
     arms = {kind: [(arm, next(t_arms)) for arm, _ in group] for kind, group in arms.items()}
-    return _bundle_challenge(profile, core, t_core, pres.nonce, bundle.commitment_source,
+    return _bundle_challenge(profile, core, t_core, expected_nonce, bundle.commitment_source,
                              bundle.prev_digest, arms) == c
 
 
-def verify_equality(registry: Registry, proof: EqualityProof,
-                    bundle_a: PresentationBundle, bundle_b: PresentationBundle,
-                    nonce_a: bytes, nonce_b: bytes,
+def verify_equality(registry: Registry, bundle_a: PresentationBundle, bundle_b: PresentationBundle,
+                    attr: str, nonce: bytes,
                     encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey] | None = None,
                     own_keys: Sequence[OwnKeys] = ()) -> bool:
-    """True iff both bundles carry a link arm for the named attribute against
-    `proof.commitment`, with the proof's responses, under one commitment key,
-    the proof names both bundles by digest, bundle_b chains onto bundle_a,
-    and both bundles verify, each with the verifier's `own_keys` as in
-    `verify_bundle`. The linkage is checked first, so a splice costs no proof
-    work. Binding of the commitment then forces the hidden values equal."""
-    arm_a = find_arm(bundle_a.link_proofs, proof.attr_a)
-    arm_b = find_arm(bundle_b.link_proofs, proof.attr_b)
+    """True iff both bundles carry a link arm for `attr` against one
+    commitment, under one commitment key, bundle_b chains onto bundle_a, and
+    both bundles verify under `nonce`, each with the verifier's `own_keys` as
+    in `verify_bundle`. The linkage is checked first, so a splice costs no
+    proof work. Binding of the commitment then forces the hidden values equal."""
+    if not (_arms_well_shaped(bundle_a) and _arms_well_shaped(bundle_b)):
+        return False
+    arm_a = find_arm(bundle_a.link_proofs, attr)
+    arm_b = find_arm(bundle_b.link_proofs, attr)
     digest_a = bundle_digest(bundle_a)
     return (arm_a is not None and arm_b is not None
-            and arm_a.commitment == arm_b.commitment == proof.commitment
-            and (arm_a.r_hat, arm_b.r_hat) == (proof.r_hat_a, proof.r_hat_b)
+            and arm_a.commitment == arm_b.commitment
             and bundle_a.commitment_source == bundle_b.commitment_source
-            and (proof.bundle_digest_a, proof.bundle_digest_b) == (digest_a, bundle_digest(bundle_b))
             and bundle_b.prev_digest == digest_a
-            and verify_bundle(registry, bundle_a, nonce_a, encryption_keys, own_keys=own_keys)
-            and verify_bundle(registry, bundle_b, nonce_b, encryption_keys, expected_prev=digest_a,
+            and verify_bundle(registry, bundle_a, nonce, encryption_keys, own_keys=own_keys)
+            and verify_bundle(registry, bundle_b, nonce, encryption_keys, expected_prev=digest_a,
                               own_keys=own_keys))

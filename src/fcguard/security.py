@@ -55,7 +55,7 @@ def presentation_randomized_fields(bundle: PresentationBundle) -> set[int]:
     """Every field of a bundle that fresh proof randomness should make unique:
     the randomized signature value, the challenge, and all responses."""
     pres = bundle.presentation
-    values = {pres.a_prime, pres.e_hat, pres.v_hat, pres.challenge}
+    values = {pres.a_prime, pres.e_hat, pres.v_hat, bundle.challenge}
     values.update(pres.m_hats.values())
     for arm in bundle.link_proofs:
         values.add(arm.r_hat)
@@ -87,7 +87,6 @@ class _Fixture:
     nonce: bytes
     bundle1: PresentationBundle
     bundle2: PresentationBundle
-    equality: object
     enc_keys: dict
     aa_keys: object
     bank_enc: object
@@ -130,15 +129,13 @@ def build_fixture(seed: int = 1301, ssn: int = 123_456_789) -> _Fixture:
     bundle2 = session.build_bundle(
         b_defn, b_schema, vc_bu, wallet.link_secret, disclose=("bank_name",),
         link={"ssn": "ssn"}, encrypt=[EncryptionSpec("bank_account", bank_enc.public)])
-    equality = session.equality_proof(bundle1, "ssn", bundle2, "ssn")
     enc_keys = {aa_keys.public.key_id(): aa_keys.public,
                 bank_enc.public.key_id(): bank_enc.public}
     return _Fixture(registry=registry, profile=profile, wallet=wallet,
                     platform_defn=p_defn, platform_schema=p_schema,
                     bank_defn=b_defn, bank_schema=b_schema, platform_keys=platform_keys,
                     bank_keys=bank_keys, vc_pu=vc_pu, vc_pu_nonce=vc_pu_nonce, vc_bu=vc_bu,
-                    nonce=nonce, bundle1=bundle1, bundle2=bundle2,
-                    equality=equality, enc_keys=enc_keys, aa_keys=aa_keys,
+                    nonce=nonce, bundle1=bundle1, bundle2=bundle2, enc_keys=enc_keys, aa_keys=aa_keys,
                     bank_enc=bank_enc, rng=rng)
 
 
@@ -151,6 +148,18 @@ def holder_accepts(fx: _Fixture, credential: Credential) -> bool:
     except VerificationError:
         return False
     return True
+
+
+def _relink(bundle: PresentationBundle, **fields) -> PresentationBundle:
+    """`bundle` with `fields` replaced in its one link arm."""
+    (arm,) = bundle.link_proofs
+    return dataclasses.replace(bundle, link_proofs=(dataclasses.replace(arm, **fields),))
+
+
+def _chained(bundle1: PresentationBundle,
+             bundle2: PresentationBundle) -> tuple[PresentationBundle, PresentationBundle]:
+    """The pair with bundle 2 chained onto bundle 1 as it stands."""
+    return bundle1, dataclasses.replace(bundle2, prev_digest=bundle_digest(bundle1))
 
 
 def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[tuple[str, bool]]:
@@ -172,8 +181,8 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
         return verify_bundle(registry, bundle, nonce, enc_keys,
                              expected_prev=bundle_digest(fx.bundle1), own_keys=own2)
 
-    def equality(proof, bundle1, bundle2) -> bool:
-        return verify_equality(registry, proof, bundle1, bundle2, nonce, nonce, enc_keys, own_keys=own1)
+    def equality(bundle1, bundle2) -> bool:
+        return verify_equality(registry, bundle1, bundle2, "ssn", nonce, enc_keys, own_keys=own1)
 
     # CL signature field and attribute mutations
     slots = [fx.wallet.link_secret.value] + [fx.vc_pu.attributes[n] for n in PLATFORM_ATTRIBUTES]
@@ -217,13 +226,10 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
     # presentation responses, both bundles
     for tag, bundle, checker in (("vp1", fx.bundle1, verify1), ("vp2", fx.bundle2, verify2)):
         pres = bundle.presentation
-        for field_name in ("a_prime", "e_hat", "v_hat", "challenge"):
+        for field_name in ("a_prime", "e_hat", "v_hat"):
             bad = dataclasses.replace(pres, **{field_name: getattr(pres, field_name) + 1})
-            if field_name == "challenge":
-                bad_bundle = dataclasses.replace(bundle, presentation=bad, challenge=bad.challenge)
-            else:
-                bad_bundle = dataclasses.replace(bundle, presentation=bad)
-            cases.append((f"{tag}:{field_name}+1", checker(bad_bundle)))
+            cases.append((f"{tag}:{field_name}+1", checker(dataclasses.replace(bundle, presentation=bad))))
+        cases.append((f"{tag}:challenge+1", checker(dataclasses.replace(bundle, challenge=bundle.challenge + 1))))
         for attr in pres.m_hats:
             hats = dict(pres.m_hats)
             hats[attr] += 1
@@ -319,39 +325,45 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
         cases.append((f"predicate:{label}", verify1(dataclasses.replace(
             fx.bundle1, predicate_proofs=(dataclasses.replace(pred, **fields),)))))
 
-    # equality splices across sessions with different SSNs
+    # equality splices across sessions with different SSNs: the other session's
+    # commitment in both link arms, or one link response, with bundle 2
+    # chained onto the spliced bundle 1 so that only the proofs can refuse
     other = build_fixture(seed=1302, ssn=987_654_321)
-    eq = fx.equality
-    cases.append(("equality:foreign-commitment", equality(
-        dataclasses.replace(eq, commitment=other.equality.commitment), fx.bundle1, fx.bundle2)))
-    cases.append(("equality:foreign-r_hat_a", equality(
-        dataclasses.replace(eq, r_hat_a=other.equality.r_hat_a), fx.bundle1, fx.bundle2)))
+    foreign = other.bundle1.link_proofs[0]
+    cases.append(("equality:foreign-commitment", equality(*_chained(
+        _relink(fx.bundle1, commitment=foreign.commitment), _relink(fx.bundle2, commitment=foreign.commitment)))))
+    cases.append(("equality:foreign-r_hat_a", equality(*_chained(
+        _relink(fx.bundle1, r_hat=foreign.r_hat), fx.bundle2))))
     cases.append(("equality:foreign-r_hat_b", equality(
-        dataclasses.replace(eq, r_hat_b=other.equality.r_hat_b), fx.bundle1, fx.bundle2)))
-    cases.append(("equality:foreign-bundle2", equality(eq, fx.bundle1, other.bundle2)))
-    cases.append(("equality:foreign-bundle1", equality(eq, other.bundle1, fx.bundle2)))
+        fx.bundle1, _relink(fx.bundle2, r_hat=other.bundle2.link_proofs[0].r_hat))))
+    cases.append(("equality:foreign-bundle2", equality(fx.bundle1, other.bundle2)))
+    cases.append(("equality:foreign-bundle1", equality(other.bundle1, fx.bundle2)))
 
     return cases
 
 
 def splice_harness(trials: int = 50, seed: int = 77, with_keys: bool = False) -> tuple[int, int]:
-    """Random splices of equality material across two unequal-SSN sessions;
-    returns (trials, rejected). With `with_keys` the verifying platform
-    passes its own key pair."""
+    """Random splices across two unequal-SSN sessions: one to three link-arm
+    fields from the other session, maybe a whole foreign bundle, maybe bundle
+    2 chained onto the spliced bundle 1; returns (trials, rejected). With
+    `with_keys` the verifying platform passes its own key pair."""
     fx_a = build_fixture(seed=seed, ssn=111_111_111)
     fx_b = build_fixture(seed=seed + 1, ssn=222_222_222)
     rng = random.Random(f"splice:{seed}")
+    donors = (fx_b.bundle1, fx_b.bundle2)
+    slots = [(i, name) for i in range(2) for name in ("commitment", "r_hat")]
     rejected = 0
     for _ in range(trials):
-        eq = fx_a.equality
-        donor = fx_b.equality
-        field_names = rng.sample(["commitment", "r_hat_a", "r_hat_b",
-                                  "bundle_digest_a", "bundle_digest_b"], k=rng.randrange(1, 4))
-        eq = dataclasses.replace(eq, **{f: getattr(donor, f) for f in field_names})
-        bundle1 = fx_b.bundle1 if rng.getrandbits(1) else fx_a.bundle1
-        bundle2 = fx_b.bundle2 if (bundle1 is fx_a.bundle1) else fx_a.bundle2
-        ok = verify_equality(fx_a.registry, eq, bundle1, bundle2, fx_a.nonce, fx_a.nonce,
-                             fx_a.enc_keys, own_keys=(fx_a.platform_keys,) if with_keys else ())
+        pair = [fx_a.bundle1, fx_a.bundle2]
+        for i, name in rng.sample(slots, k=rng.randrange(1, 4)):
+            pair[i] = _relink(pair[i], **{name: getattr(donors[i].link_proofs[0], name)})
+        if rng.getrandbits(1):
+            i = rng.randrange(2)
+            pair[i] = donors[i]
+        if rng.getrandbits(1):
+            pair = _chained(*pair)
+        ok = verify_equality(fx_a.registry, *pair, "ssn", fx_a.nonce, fx_a.enc_keys,
+                             own_keys=(fx_a.platform_keys,) if with_keys else ())
         if not ok:
             rejected += 1
     return trials, rejected

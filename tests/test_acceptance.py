@@ -40,7 +40,7 @@ PAPER_SEED_42_PRIMES = {
 # --out` writes them: the only digests that cover the paper profile, where
 # the helper process runs without being forced on.
 PAPER_HAPPY_PATH_DIGESTS = {
-    "events.jsonl": "9f1723f81a76c7dd6f9c5c64b1f787893e4416edf121b0896e1f11d8de715800",
+    "events.jsonl": "436113bb34eaa446f5ba5d15d296b53cca61a31104410eeef504fddf149fedb7",
     "ledger.jsonl": "7ff95f1e8fc588082dde64e9c475765c2e3fbce1e221724bcc3ce4bc7cfa0f4d",
 }
 

@@ -65,3 +65,10 @@ def test_cli_bench_refuses_a_negative_seed():
     run = CliRunner().invoke(main, ["--profile", "toy", "--seed", "-1", "bench"])
     assert run.exit_code == 2
     assert "seed must be an integer of at least 0" in run.output
+
+
+def test_cli_bench_refuses_fewer_than_five_iterations():
+    run = CliRunner().invoke(main, ["--profile", "toy", "bench", "--iterations", "2"])
+    assert run.exit_code == 2
+    assert isinstance(run.exception, SystemExit)
+    assert "Traceback" not in run.output and "--iterations" in run.output

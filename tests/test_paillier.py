@@ -130,5 +130,5 @@ def test_fixed_base_form_decrypts_unchanged():
 def test_bundle_ciphertext_decrypts_to_the_account_number():
     fx = build_fixture()
     (arm,) = fx.bundle2.enc_proofs
-    assert arm.scheme == "paillier"
+    assert arm.ciphertext.scheme == "paillier"
     assert paillier_decrypt(fx.bank_enc, arm.ciphertext) == fx.vc_bu.attributes["bank_account"]

@@ -29,7 +29,7 @@ from fcguard.parties import (
 )
 from fcguard.presentations import bundle_digest, verify_equality
 from fcguard.scenario import build_context, run_scenario
-from fcguard.security import build_fixture
+from fcguard.security import _relink, build_fixture
 from fcguard.serialize import canonical_int_hex, dumps
 
 
@@ -247,20 +247,34 @@ def test_honest_order_verification_count(ctx, monkeypatch):
 def test_verify_equality_rejects_splices_without_verifying(monkeypatch):
     fx, other = build_fixture(), build_fixture(seed=1302, ssn=987_654_321)
     calls = _count_verifications(monkeypatch)
-    eq, b1, b2 = fx.equality, fx.bundle1, fx.bundle2
+    b1, b2 = fx.bundle1, fx.bundle2
 
-    def linked(proof, bundle_a, bundle_b):
-        return verify_equality(fx.registry, proof, bundle_a, bundle_b, fx.nonce, fx.nonce, fx.enc_keys)
+    def linked(bundle_a, bundle_b):
+        return verify_equality(fx.registry, bundle_a, bundle_b, "ssn", fx.nonce, fx.enc_keys)
 
-    for name in ("commitment", "r_hat_a", "r_hat_b", "bundle_digest_a", "bundle_digest_b"):
-        spliced = dataclasses.replace(eq, **{name: getattr(other.equality, name)})
-        assert not linked(spliced, b1, b2), name
-    # bundle 2 re-chained elsewhere, with the proof naming it: only the chain is broken
-    unchained = dataclasses.replace(b2, prev_digest=bundle_digest(other.bundle1))
-    assert not linked(dataclasses.replace(eq, bundle_digest_b=bundle_digest(unchained)), b1, unchained)
+    # a foreign commitment on either side, bundle 2 chained elsewhere, a foreign bundle
+    foreign = other.bundle1.link_proofs[0]
+    assert not linked(_relink(b1, commitment=foreign.commitment), b2)
+    assert not linked(b1, _relink(b2, commitment=foreign.commitment))
+    assert not linked(b1, dataclasses.replace(b2, prev_digest=bundle_digest(other.bundle1)))
+    assert not linked(b1, other.bundle2)
+    assert not linked(other.bundle1, b2)
     assert calls == []  # the linkage is checked before any proof work
-    assert linked(eq, b1, b2)
+    # a foreign link response leaves the linkage intact; bundle verification refuses it
+    spliced = _relink(b2, r_hat=other.bundle2.link_proofs[0].r_hat)
+    assert not linked(b1, spliced)
+    assert calls == [b1, spliced]
+    calls.clear()
+    assert linked(b1, b2)
     assert calls == [b1, b2]
+
+
+@pytest.mark.parametrize("link_proofs", [None, (5,)], ids=["none", "int-arm"])
+def test_verify_equality_refuses_malformed_link_arms(link_proofs):
+    fx = build_fixture()
+    bad = [dataclasses.replace(bundle, link_proofs=link_proofs) for bundle in (fx.bundle1, fx.bundle2)]
+    for pair in ((bad[0], fx.bundle2), (fx.bundle1, bad[1])):
+        assert not verify_equality(fx.registry, *pair, "ssn", fx.nonce, fx.enc_keys)
 
 
 def test_step2_missing_bank_encryption_rejected_before_verification(ctx, monkeypatch):

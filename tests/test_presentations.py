@@ -38,12 +38,11 @@ def _exchange_bundles(env, nonce=None):
                               env.wallet.link_secret, disclose=("bank_name",),
                               link={"ssn": "ssn"},
                               encrypt=[EncryptionSpec("bank_account", env.bank_enc.public)])
-    eq = session.equality_proof(b1, "ssn", b2, "ssn")
-    return nonce, b1, b2, eq
+    return nonce, b1, b2
 
 
 def test_bank_presentation_discloses_only_bank_name(toy_env):
-    nonce, _, b2, _ = _exchange_bundles(toy_env)
+    nonce, _, b2 = _exchange_bundles(toy_env)
     assert set(b2.presentation.disclosed) == {"bank_name"}
     assert b2.presentation.disclosed["bank_name"] == toy_env.vc_bu.attributes["bank_name"]
     hidden = set(b2.presentation.hidden_names)
@@ -82,20 +81,20 @@ def test_unknown_disclosure_attribute_rejected(toy_env):
 
 def test_exhaustive_single_field_mutation_rejected(toy_env):
     # oracle: every response-vector entry mutated once, all must fail
-    nonce, b1, b2, _ = _exchange_bundles(toy_env)
+    nonce, b1, b2 = _exchange_bundles(toy_env)
     keys = toy_env.enc_keys
     assert verify_bundle(toy_env.registry, b1, nonce, keys)
     pres = b1.presentation
-    mutated = []
-    for field_name in ("a_prime", "e_hat", "v_hat", "challenge"):
-        mutated.append(dataclasses.replace(pres, **{field_name: getattr(pres, field_name) + 1}))
+    mutated = [dataclasses.replace(b1, challenge=b1.challenge + 1)]
+    for field_name in ("a_prime", "e_hat", "v_hat"):
+        mutated.append(dataclasses.replace(b1, presentation=dataclasses.replace(
+            pres, **{field_name: getattr(pres, field_name) + 1})))
     for attr in pres.m_hats:
         hats = dict(pres.m_hats)
         hats[attr] += 1
-        mutated.append(dataclasses.replace(pres, m_hats=hats))
+        mutated.append(dataclasses.replace(b1, presentation=dataclasses.replace(pres, m_hats=hats)))
     assert len(mutated) == 4 + len(pres.m_hats)
-    for bad_pres in mutated:
-        bad = dataclasses.replace(b1, presentation=bad_pres)
+    for bad in mutated:
         assert not verify_bundle(toy_env.registry, bad, nonce, keys)
 
 
@@ -136,8 +135,8 @@ def test_hidden_values_absent_from_serialized_bytes(toy_env):
 def test_equality_honest_sessions_always_verify(toy_env):
     # completeness over 100 honest equal-SSN sessions
     for _ in range(100):
-        nonce, b1, b2, eq = _exchange_bundles(toy_env)
-        assert verify_equality(toy_env.registry, eq, b1, b2, nonce, nonce, toy_env.enc_keys)
+        nonce, b1, b2 = _exchange_bundles(toy_env)
+        assert verify_equality(toy_env.registry, b1, b2, "ssn", nonce, toy_env.enc_keys)
 
 
 def test_equality_refused_for_different_ssns(toy_env):
@@ -164,24 +163,24 @@ def test_equality_splice_harness():
 
 def test_verifiable_encryption_paillier_bank_account(toy_env):
     # oracle: direct Paillier decryption with the bank's private key
-    nonce, _, b2, _ = _exchange_bundles(toy_env)
+    nonce, _, b2 = _exchange_bundles(toy_env)
     arm = b2.enc_proofs[0]
-    assert arm.scheme == "paillier"
+    assert arm.ciphertext.scheme == "paillier"
     assert paillier_decrypt(toy_env.bank_enc, arm.ciphertext) == 12_345_678_901_234_567
 
 
 def test_verifiable_encryption_elgamal_ssn(toy_env):
     # oracle: baby-step/giant-step decryption with the authority's key
-    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    nonce, b1, _ = _exchange_bundles(toy_env)
     arm = b1.enc_proofs[0]
-    assert arm.scheme == "elgamal"
+    assert arm.ciphertext.scheme == "elgamal"
     assert elgamal_decrypt(toy_env.aa_keys, arm.ciphertext) == 123_456_789
 
 
 def test_verifiable_encryption_fresh_ciphertexts(toy_env):
     seen = set()
     for _ in range(20):
-        _, b1, _, _ = _exchange_bundles(toy_env)
+        _, b1, _ = _exchange_bundles(toy_env)
         seen.add(b1.enc_proofs[0].ciphertext.parts)
     assert len(seen) == 20
 
@@ -189,7 +188,7 @@ def test_verifiable_encryption_fresh_ciphertexts(toy_env):
 def test_verifiable_encryption_swapped_ciphertext_rejected(toy_env):
     from fcguard.crypto.elgamal import elgamal_encrypt
 
-    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    nonce, b1, _ = _exchange_bundles(toy_env)
     arm = b1.enc_proofs[0]
     decoy = elgamal_encrypt(toy_env.aa_keys.public, 999_999_999, rng=toy_env.rng)
     bad = dataclasses.replace(b1, enc_proofs=(dataclasses.replace(arm, ciphertext=decoy),))
@@ -293,7 +292,7 @@ def test_predicate_out_of_range_thresholds_and_responses_are_refused(toy_env, mo
 
 
 def test_session_chains_bundles(toy_env):
-    nonce, b1, b2, _ = _exchange_bundles(toy_env)
+    nonce, b1, b2 = _exchange_bundles(toy_env)
     assert b1.prev_digest == b""
     assert b2.prev_digest == bundle_digest(b1)
     assert verify_bundle(toy_env.registry, b2, nonce, toy_env.enc_keys,
@@ -314,7 +313,7 @@ def test_foreign_definition_not_resolvable(toy_env):
 
 
 def test_verify_handles_garbage_gracefully(toy_env):
-    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    nonce, b1, _ = _exchange_bundles(toy_env)
     pres = dataclasses.replace(b1.presentation, hidden_names=("ssn",))
     assert not verify_bundle(toy_env.registry, dataclasses.replace(b1, presentation=pres),
                              nonce, toy_env.enc_keys)
@@ -324,7 +323,7 @@ def test_verify_handles_garbage_gracefully(toy_env):
 
 
 def test_oversized_link_response_grows_no_fixed_base_table(toy_env):
-    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    nonce, b1, _ = _exchange_bundles(toy_env)
     assert verify_bundle(toy_env.registry, b1, nonce, toy_env.enc_keys)
     before = {key: len(table) for key, table in primes._FIXED_TABLES.items()}
     arm = dataclasses.replace(b1.link_proofs[0], r_hat=(1 << 1_000_000) - 1)
@@ -334,7 +333,7 @@ def test_oversized_link_response_grows_no_fixed_base_table(toy_env):
 
 
 def test_verify_rejects_unknown_definition(toy_env):
-    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    nonce, b1, _ = _exchange_bundles(toy_env)
     pres = dataclasses.replace(b1.presentation, defn_id="defn:nowhere")
     assert not verify_bundle(toy_env.registry, dataclasses.replace(b1, presentation=pres),
                              nonce, toy_env.enc_keys)
@@ -344,7 +343,7 @@ def test_verify_rejects_unknown_definition(toy_env):
 
 def test_verify_rejects_paillier_ciphertext_sharing_a_factor(toy_env):
     # c = p has no inverse mod n^2, so c^-challenge cannot be formed
-    nonce, b1, b2, _ = _exchange_bundles(toy_env)
+    nonce, b1, b2 = _exchange_bundles(toy_env)
     arm = b2.enc_proofs[0]
     bad = dataclasses.replace(arm, ciphertext=dataclasses.replace(arm.ciphertext,
                                                                   parts=(toy_env.bank_enc.p,)))
@@ -353,7 +352,7 @@ def test_verify_rejects_paillier_ciphertext_sharing_a_factor(toy_env):
 
 
 def test_verify_lets_an_unexpected_error_propagate(toy_env, monkeypatch):
-    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    nonce, b1, _ = _exchange_bundles(toy_env)
 
     def broken(definition):
         raise RuntimeError("bug inside verification")
@@ -396,7 +395,7 @@ def test_own_keys_leave_every_t_value_unchanged(monkeypatch):
 
 
 def test_a_prime_sharing_a_factor_is_rejected_before_any_equation(toy_env, monkeypatch):
-    nonce, b1, _, _ = _exchange_bundles(toy_env)
+    nonce, b1, _ = _exchange_bundles(toy_env)
     keys = toy_env.platform_keys
     evaluated = []
     monkeypatch.setattr(sigma.Eq, "product", lambda *args: evaluated.append(args))
@@ -491,7 +490,14 @@ def _replace_arm(bundle, kind, index=0, **fields):
     lambda b: _replace_arm(b, "enc_proofs", ciphertext=Ciphertext("elgamal", ("x", 2))),
     lambda b: _replace_arm(b, "enc_proofs", ciphertext=Ciphertext("elgamal", (2, "x"))),
     lambda b: _replace_arm(b, "enc_proofs", 1, ciphertext=Ciphertext("paillier", ("x",))),
-], ids=["a_prime", "disclosed", "link-commitment", "elgamal-c1", "elgamal-c2", "paillier-c"])
+    lambda b: dataclasses.replace(b, presentation=dataclasses.replace(b.presentation, m_hats=None)),
+    lambda b: dataclasses.replace(b, presentation=dataclasses.replace(b.presentation, disclosed=None)),
+    lambda b: dataclasses.replace(b, presentation=dataclasses.replace(b.presentation, hidden_names=5)),
+    lambda b: dataclasses.replace(b, presentation=dataclasses.replace(b.presentation, hidden_names=None)),
+    lambda b: dataclasses.replace(b, presentation=5),
+], ids=["a_prime", "disclosed", "link-commitment", "elgamal-c1", "elgamal-c2", "paillier-c",
+        "m_hats-none", "disclosed-none", "hidden_names-int", "hidden_names-none",
+        "presentation-int"])
 def test_statement_integers_of_the_wrong_type_are_refused(toy_env, tamper):
     nonce, bundle = _every_arm_bundle(toy_env)
     assert not verify_bundle(toy_env.registry, tamper(bundle), nonce, toy_env.enc_keys)

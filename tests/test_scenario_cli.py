@@ -273,11 +273,11 @@ def test_bundled_address_rotation_scenario():
 # bundled toy scenarios. A change to any random draw, key, proof value or wire
 # byte moves them; update them only for a deliberate change of behaviour.
 GOLDEN_DIGESTS = {
-    "address_rotation": ("7920cdb2dee32430d78505949629904b12eb6fafd945055eba0fcab0b108da8e",
+    "address_rotation": ("0cd0727d59d2f647b9453e6b91c15d57f13409ff00df99e63a7ae8259d0e42ff",
                          "7ac46e98ef01add78da6cf2e6aeb71ab760234f81d572f05d075111cc9747236"),
-    "misreport": ("9a5979caa50d7b9ae826bfe853269bd96a61ec481f1ef0cd05c6e0e1479f54ca",
+    "misreport": ("1ce11c525f5b717bde950c0ded416cd0a6c6a6c6dde126e3ee58aca907cc69d4",
                   "38bf6ed3f04e54b2461c5bd238a764a25dcc352f3df91f195c697bec5147be4e"),
-    "replay_attack": ("84750403f2762817b00ed419c36bb6581ed8663f66099e7137e9f971a7a50fe0",
+    "replay_attack": ("9887eb8f4c8f66e4d81bf5cfe789069910a58503d746bcd162969b7ebb4fb625",
                       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 

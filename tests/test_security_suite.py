@@ -1,5 +1,7 @@
+import pytest
 from click.testing import CliRunner
 
+from fcguard import cli
 from fcguard.cli import main
 from fcguard.presentations import bundle_digest
 from fcguard.security import (
@@ -16,8 +18,8 @@ from fcguard.security import (
 
 # bundle1 carries link, ElGamal and predicate arms; bundle2 a disclosed
 # attribute, a link arm and a Paillier arm: every arm kind's bytes
-FIXTURE_DIGESTS = ("14585c68da15e62c2ba5d68128af6e3f9776d51d362e1e66dd799cc85573503d",
-                   "dee2704fe71d73c056952e05a16dd54ff467c121a3df1de9a993fc800b58641e")
+FIXTURE_DIGESTS = ("d68c926503379de2eb732da39cb6237fc70baeeb586a56f62a99da65b54f0b39",
+                   "da6c0e05e5167dff64c9633ac872ac77f07385a74d025acfd6437c713c8579ea")
 
 
 def test_fixture_bundle_digests_are_pinned():
@@ -105,3 +107,12 @@ def test_cli_security_negative_control_exits_nonzero():
                                   "--negative-control"])
     assert result.exit_code == 1
     assert "FAIL  platform-blindness" in result.output
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cli_security_refuses_fewer_than_one_scenario(monkeypatch, count):
+    ran = []
+    monkeypatch.setattr(cli, "run_security_suite", lambda **kwargs: ran.append(kwargs) or [])
+    result = CliRunner().invoke(main, ["security", "--scenarios", count])
+    assert result.exit_code == 2
+    assert ran == [] and "PASS" not in result.output

@@ -1,6 +1,10 @@
+from importlib import resources
+
 import pytest
 
 from fcguard.errors import FcGuardError
+from fcguard.scenario import load_scenario, run_scenario
+from fcguard.security import build_fixture
 from fcguard.serialize import canonical_int_hex, decode_int, dumps, encode_int, loads
 
 
@@ -46,3 +50,21 @@ def test_floats_rejected():
 def test_distinct_values_distinct_bytes():
     assert dumps({"v": 1}) != dumps({"v": "1"})
     assert dumps([1, 2]) != dumps([2, 1])
+
+
+@pytest.mark.parametrize("name", ["address_rotation", "misreport", "replay_attack"])
+def test_every_tape_chunk_of_a_bundled_toy_scenario_round_trips(name):
+    net = run_scenario(load_scenario(resources.files("fcguard") / "scenarios" / f"{name}.json")).ctx.net
+    # every chunk is on one sent tape and one received tape
+    chunks = [chunk for tape in net._sent.values() for chunk in tape.chunks]
+    assert chunks
+    for chunk in chunks:
+        assert dumps(loads(chunk)) == chunk
+
+
+def test_fixture_bundles_round_trip():
+    # bundle 1 carries link, ElGamal and predicate arms; bundle 2 a disclosed
+    # attribute, a link arm and a Paillier arm
+    fx = build_fixture()
+    for bundle in (fx.bundle1, fx.bundle2):
+        assert loads(dumps(bundle)) == bundle
