@@ -35,7 +35,7 @@ from .crypto.encoding import encode_attribute
 from .errors import SchemaMismatchError, VerificationError, WalletError
 from .ledger import Registry
 from .params import Profile, get_profile
-from .serialize import dumps, loads, serializable
+from .serialize import conforms, dumps, loads, serializable
 
 # Slot 0 of every credential holds the blinded link secret.
 LINK_SLOT = 0
@@ -164,7 +164,10 @@ def create_credential_request(link_secret: LinkSecret, definition: CredentialDef
 def verify_credential_request(definition: CredentialDefinition, request: CredentialRequest,
                               issuer_keys: ClIssuerKeyPair | None = None) -> bool:
     """The request's opening proof; the issuer, passing its own key pair,
-    evaluates it mod p and mod q. False for a malformed request."""
+    evaluates it mod p and mod q. False for a request that does not conform
+    to CredentialRequest."""
+    if not conforms(request, CredentialRequest):
+        return False
     pk = definition.public_key
     return verify_opening(
         pk.n, pk.r_bases[LINK_SLOT], pk.s, request.blinded, request.proof,
@@ -197,8 +200,13 @@ def holder_finalize_credential(definition: CredentialDefinition, schema: Schema,
                                credential: Credential, link_secret: LinkSecret,
                                v_prime: int, request_nonce: bytes) -> Credential:
     """Complete the blinding exponent and verify signature plus issuer proof
-    (`check_issued_signature`). Raises VerificationError on any failure; the
-    credential is not stored."""
+    (`check_issued_signature`). Raises VerificationError on any failure, a
+    credential that does not conform to Credential or whose attribute names
+    are not the schema's among them; the credential is not stored."""
+    if not conforms(credential, Credential):
+        raise VerificationError("credential malformed")
+    if credential.attributes.keys() != set(schema.attribute_names):
+        raise VerificationError("credential attributes are not the schema's")
     sig = credential.signature
     full = ClSignature(a=sig.a, e=sig.e, v=sig.v + v_prime)
     slots = [link_secret.value] + [credential.attributes[name] for name in schema.attribute_names]

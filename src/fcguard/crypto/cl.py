@@ -15,6 +15,9 @@ signature's Q.
 Each equation has one definition, which every checker runs: `signature_q`
 for A^e = Q and `_signature_eq` for the issuer's proof, on the `sigma`
 engine. The holder (`check_issued_signature`) runs both, the second needing Q.
+Whether a signature, a proof or an attribute list has the right types is
+`serialize.conforms`'s decision, the one shape rule; the checkers here keep
+only the range, length and parity tests.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 
 from ..errors import EncodingRangeError, ParameterError, VerificationError
 from ..params import Profile
-from ..serialize import serializable
+from ..serialize import conforms, serializable
 from .encoding import ATTRIBUTE_BOUND
 from .primes import (Crt, Term, invert, is_probable_prime, multi_powmod, multi_powmod_crt, multi_powmod_many,
                      random_prime_in_range, sophie_germain_prime)
@@ -136,11 +139,10 @@ def _q_terms(public: ClPublicKey, attributes: Sequence[int], v: int,
 
 
 def _check_attributes(attributes: Sequence[int]) -> None:
-    for m in attributes:
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise EncodingRangeError("attributes must be encoded integers")
-        if not 0 <= m < ATTRIBUTE_BOUND:
-            raise EncodingRangeError("attribute out of encoding range")
+    if not conforms(attributes, tuple[int, ...]):
+        raise EncodingRangeError("attributes must be encoded integers")
+    if not all(0 <= m < ATTRIBUTE_BOUND for m in attributes):
+        raise EncodingRangeError("attribute out of encoding range")
 
 
 def cl_sign(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: Profile,
@@ -184,28 +186,28 @@ def cl_verify(public: ClPublicKey, attributes: Sequence[int], signature: ClSigna
 
 def signature_q(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
                 hidden_commitment: int | None = None) -> int | None:
-    """Q = Z / (S^v * prod R_i^(m_i) * [commitment]) when the inputs are well
-    formed and A^e = Q (mod n), else None. The product behind Q and A^e are
+    """Q = Z / (S^v * prod R_i^(m_i) * [commitment]) when the signature
+    conforms to ClSignature, the attributes to tuple[int, ...], both are in
+    range and A^e = Q (mod n), else None. The product behind Q and A^e are
     one batched evaluation."""
+    if not (conforms(signature, ClSignature) and conforms(attributes, tuple[int, ...])):
+        return None
+    reserved = 1 if hidden_commitment is not None else 0
+    if len(attributes) + reserved > public.slot_count:
+        return None
+    if not all(0 <= m < ATTRIBUTE_BOUND for m in attributes):
+        return None
+    a, e, v = signature.a, signature.e, signature.v
+    if not 1 < a < public.n or e <= 2 or e % 2 == 0:
+        return None
+    n = public.n
     try:
-        reserved = 1 if hidden_commitment is not None else 0
-        if len(attributes) + reserved > public.slot_count:
-            return None
-        if not all(isinstance(m, int) and not isinstance(m, bool) and 0 <= m < ATTRIBUTE_BOUND
-                   for m in attributes):
-            return None
-        a, e, v = signature.a, signature.e, signature.v
-        if not all(isinstance(x, int) for x in (a, e, v)):
-            return None
-        if not 1 < a < public.n or e <= 2 or e % 2 == 0:
-            return None
-        n = public.n
         base, a_e = multi_powmod_many([(_q_terms(public, attributes, v, hidden_commitment), n),
                                        (((a, e, False),), n)])
         q_value = _q_from(public, base)
-        return q_value if a_e == q_value else None
-    except (AttributeError, TypeError, ValueError):
+    except ValueError:  # a base with no inverse mod n
         return None
+    return q_value if a_e == q_value else None
 
 
 def recompute_q(public: ClPublicKey, attributes: Sequence[int], v: int,
@@ -239,9 +241,10 @@ def sign_with_proof(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: P
 
 def verify_signature_proof(public: ClPublicKey, a: int, q_value: int, proof: SignatureProof,
                            nonce: bytes, profile: Profile) -> bool:
-    """The proof's challenge is that of A^c * Q^s_e, for Q from `signature_q`."""
-    c, s_e, bits = getattr(proof, "challenge", None), getattr(proof, "s_e", None), profile.challenge_bits
-    if not well_formed(c, (s_e,), bits):
+    """The proof's challenge is that of A^c * Q^s_e, for Q from `signature_q`
+    and a proof that conforms to SignatureProof."""
+    c, s_e, bits = proof.challenge, proof.s_e, profile.challenge_bits
+    if not well_formed(c, bits):
         return False
     (a_hat,) = evaluate([(_signature_eq(public.n, a, q_value), {"w": s_e})], c, {})
     return c == challenge("cl-signature-proof", nonce, (public.n, q_value, a, a_hat), bits)
@@ -250,8 +253,11 @@ def verify_signature_proof(public: ClPublicKey, a: int, q_value: int, proof: Sig
 def check_issued_signature(public: ClPublicKey, attributes: Sequence[int], signature: ClSignature,
                            proof: SignatureProof, nonce: bytes, profile: Profile) -> None:
     """The holder's check of an issued signature over all its slots. Raises
-    VerificationError for the first that fails of `cl_verify`'s equation,
-    `signature_exponent_prime` and `verify_signature_proof`."""
+    VerificationError for the first that fails of the proof's shape,
+    `cl_verify`'s equation, `signature_exponent_prime` and
+    `verify_signature_proof`."""
+    if not conforms(proof, SignatureProof):
+        raise VerificationError("issuer signature-correctness proof malformed")
     q_value = signature_q(public, attributes, signature)
     if q_value is None:
         raise VerificationError("credential signature invalid")

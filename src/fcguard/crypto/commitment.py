@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from ..params import Profile
-from ..serialize import encode_int, serializable
+from ..serialize import conforms, encode_int, serializable
 from .primes import Crt, multi_powmod
 from .sigma import Eq, challenge, evaluate, well_formed
 
@@ -60,7 +60,7 @@ def commit(key: CommitmentKey, m: int, rng: random.Random | None = None, r: int 
 
 
 def open_verify(key: CommitmentKey, commitment: IntegerCommitment, m: int, r: int) -> bool:
-    if not isinstance(m, int) or not isinstance(r, int):
+    if not (conforms(commitment, IntegerCommitment) and conforms(m, int) and conforms(r, int)):
         return False
     value = multi_powmod(((key.r_base, m, True), (key.s_base, r, True)), key.n)
     return value == commitment.value
@@ -98,9 +98,10 @@ def prove_opening(n: int, base1: int, base2: int, m: int, r: int, label: str, no
 def verify_opening(n: int, base1: int, base2: int, value: int, proof: OpeningProof,
                    label: str, nonce: bytes, profile: Profile, crt: Crt | None = None) -> bool:
     """The proof's verdict, mod p and mod q when the verifier passes n's
-    factors as `crt`."""
+    factors as `crt`. The caller has checked the proof and `value` with
+    `serialize.conforms`."""
     c, factored = proof.challenge, {crt[0][0] * crt[1][0]: crt} if crt else {}
-    if not well_formed(c, (proof.s_m, proof.s_r, value), profile.challenge_bits):
+    if not well_formed(c, profile.challenge_bits):
         return False
     try:
         (t_hat,) = evaluate([(opening_eq(n, base1, base2, value), {"m": proof.s_m, "r": proof.s_r})], c, factored)

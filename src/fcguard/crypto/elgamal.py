@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 from ..errors import DecryptionError, EncodingRangeError
 from ..params import Profile
-from ..serialize import dumps, serializable
+from ..serialize import conforms, dumps, serializable
 from .ciphertext import Ciphertext
 from .primes import powmod, powmod_fixed, safe_prime
 
@@ -101,7 +101,7 @@ def elgamal_encrypt(pk: ElGamalPublicKey, m: int, rng: random.Random | None = No
 
 
 def elgamal_decrypt(keypair: ElGamalKeyPair, ct: Ciphertext) -> int:
-    if ct.scheme != "elgamal" or len(ct.parts) != 2:
+    if not conforms(ct, Ciphertext) or ct.scheme != "elgamal" or len(ct.parts) != 2:
         raise DecryptionError("not an ElGamal ciphertext")
     pk = keypair.public
     c1, c2 = ct.parts

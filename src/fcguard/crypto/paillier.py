@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 from ..errors import DecryptionError, EncodingRangeError
 from ..params import Profile
-from ..serialize import dumps, serializable
+from ..serialize import conforms, dumps, serializable
 from .ciphertext import Ciphertext
 from .primes import Crt, crt_pair, invert, multi_powmod_many, powmod, random_prime
 
@@ -126,7 +126,7 @@ def paillier_encrypt(pk: PaillierPublicKey, m: int, rng: random.Random | None = 
 
 
 def paillier_decrypt(keypair: PaillierKeyPair, ct: Ciphertext) -> int:
-    if ct.scheme != "paillier" or len(ct.parts) != 1:
+    if not conforms(ct, Ciphertext) or ct.scheme != "paillier" or len(ct.parts) != 1:
         raise DecryptionError("not a Paillier ciphertext")
     n = keypair.public.n
     c = ct.parts[0]

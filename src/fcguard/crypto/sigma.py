@@ -6,6 +6,10 @@ terms at its blindings; the verifier at the responses times target^-c, which
 gives the same t-values for an honest proof. Either way a proof's t-values
 are one batched `primes.multi_powmod_many`, shared by two processes, each
 equation over a modulus whose factors the caller holds mod the primes.
+
+The engine tests no types. Each verifier first passes the wire object it was
+handed to `serialize.conforms`, the one shape rule, and `well_formed` is left
+with the challenge's range.
 """
 
 from __future__ import annotations
@@ -64,10 +68,11 @@ def t_values(arms: Sequence[tuple[Any, Mapping[str, int]]], c: int, factored: Ma
     return [arm.layout([next(values) for _ in arm.eqs]) for arm, _ in arms]
 
 
-def well_formed(c: object, values: Iterable[object], bits: int) -> bool:
-    """True iff c is an int in [0, 2^bits), as `challenge` gives, and each of
-    `values` (responses, statement integers from outside) is an int."""
-    return isinstance(c, int) and 0 <= c < 1 << bits and all(isinstance(x, int) for x in values)
+def well_formed(c: int, bits: int) -> bool:
+    """True iff c lies in [0, 2^bits), as `challenge` gives. The types of c
+    and of every response are `serialize.conforms`'s decision, made on the
+    whole wire object before any verifier reads it."""
+    return 0 <= c < 1 << bits
 
 
 def challenge(label: str, nonce: bytes, values: Iterable[Any], bits: int) -> int:

@@ -52,3 +52,8 @@ class WalletError(FcGuardError):
 
 class ScenarioError(FcGuardError):
     """Malformed scenario file."""
+
+
+class WireError(FcGuardError):
+    """Envelope bytes that do not decode to a well-typed value: invalid JSON,
+    an unknown tag, a missing or extra field, or a field of the wrong type."""

@@ -48,7 +48,7 @@ from .presentations import (
     verify_bundle,
     verify_equality,
 )
-from .serialize import serializable
+from .serialize import conforms, serializable
 
 PHASE_REGISTRATION = "registration"
 PHASE_EXCHANGE = "exchange"
@@ -235,6 +235,7 @@ class Platform:
         self.registrations: list[dict] = []  # registration is non-anonymous
         self.orders: dict[str, ExchangeOrder] = {}
         self.pending_enc_ssn: dict[str, Ciphertext] = {}
+        self.pending_bundle1: dict[str, PresentationBundle] = {}  # order id -> bundle 1 accepted in step 1
         self.order_bank: dict[str, str] = {}  # order id -> bank party id
         self.bank_directory: dict[int, Bank] = {}  # encoded bank name -> bank
         self.baseline_users: dict[str, dict] = {}  # baseline mode identity store
@@ -479,6 +480,9 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
 
     # the arm shapes the platform requires, before any proof work
     aa_key = ctx.authority.public_enc_key
+    if not conforms(bundle1, PresentationBundle):
+        _reject(ctx, order, "platform", actor.party_id, "step1-rejected", "identity")
+        return order, handle
     enc = find_arm(bundle1.enc_proofs, "ssn")
     ok = bundle1.presentation.defn_id == bundle1.commitment_source == ctx.platform_defn.defn_id
     ok = ok and find_arm(bundle1.link_proofs, "ssn") is not None
@@ -493,6 +497,7 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
         _reject(ctx, order, "platform", actor.party_id, "step1-rejected", "identity")
         return order, handle
     ctx.platform.pending_enc_ssn[order.order_id] = enc.ciphertext
+    ctx.platform.pending_bundle1[order.order_id] = bundle1
     order.advance("identity-verified", ctx.clock.now_ms)
     ctx.net.send("platform", actor.party_id, "step1-accepted",
                  {"order_id": order.order_id}, PHASE_EXCHANGE)
@@ -507,6 +512,7 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
     actor = actor or user
     if order.state != "identity-verified":
         raise ProtocolError("step 2 requires an identity-verified order")
+    bundle1 = ctx.platform.pending_bundle1.pop(order.order_id)
     session = handle.session
     try:
         bundle2 = session.build_bundle(
@@ -523,6 +529,9 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
 
     # the arm shapes the platform requires, before any proof work
     platform = ctx.platform
+    if not conforms(bundle2, PresentationBundle):
+        _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "bank-presentation")
+        return
     bank = platform.bank_directory.get(bundle2.presentation.disclosed.get("bank_name"))
     enc = find_arm(bundle2.enc_proofs, "bank_account")
     ok = bank is not None and set(bundle2.presentation.disclosed) == {"bank_name"}
@@ -536,11 +545,11 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
     # the platform's n is also the link-commitment modulus
     own = (platform.issuer_keys,)
     ok = ok and verify_bundle(ctx.registry, bundle2, order.nonce, keys,
-                              expected_prev=bundle_digest(handle.bundle1), own_keys=own)
+                              expected_prev=bundle_digest(bundle1), own_keys=own)
     if not ok:
         _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "bank-presentation")
         return
-    if not verify_equality(ctx.registry, handle.bundle1, bundle2, "ssn", order.nonce, keys, own_keys=own):
+    if not verify_equality(ctx.registry, bundle1, bundle2, "ssn", order.nonce, keys, own_keys=own):
         _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "equality")
         return
     platform.order_bank[order.order_id] = bank.party_id

@@ -34,6 +34,11 @@ and then verifies both bundles, the second chained onto the first.
 Each value goes on the wire once. The challenge travels only in the bundle,
 the verifier nonce not at all (each verifier absorbs the nonce it issued),
 and a ciphertext carries its own scheme.
+
+`verify_bundle` and `verify_equality` first check each bundle's shape with
+`serialize.conforms`, the one shape rule, driven by the annotations below; a
+bundle of the wrong shape is refused before any field is read. Every range,
+length and set test on the values stays here.
 """
 from __future__ import annotations
 
@@ -56,7 +61,7 @@ from .crypto.transcript import Transcript
 from .errors import ProofRefusedError, RegistryError, SchemaMismatchError
 from .ledger import Registry
 from .params import Profile
-from .serialize import dumps, serializable
+from .serialize import conforms, dumps, serializable
 
 # A verifier's own key pairs, whose factors it holds.
 OwnKeys = ClIssuerKeyPair | PaillierKeyPair
@@ -283,16 +288,13 @@ def _predicate_blind_bits(profile: Profile, ck: CommitmentKey) -> dict[str, int]
 
 def _predicate_responses(profile: Profile, ck: CommitmentKey, proof: PredicateProof) -> dict[str, int] | None:
     """The arm's responses by witness name, or None unless `squares`,
-    `u_hats` and `r_hats` are four ints each, `rho_hat` is an int, the
-    threshold lies in PRED_RANGE, and each response lies within two bits of
-    its blinding, non-negative but for rho_hat, as rho is negative."""
-    if not all(isinstance(field, (tuple, list)) and len(field) == 4
-               for field in (proof.squares, proof.u_hats, proof.r_hats)):
+    `u_hats` and `r_hats` hold four each, the threshold lies in PRED_RANGE,
+    and each response lies within two bits of its blinding, non-negative but
+    for rho_hat, as rho is negative."""
+    if not all(len(field) == 4 for field in (proof.squares, proof.u_hats, proof.r_hats)):
         return None
     bits = _predicate_blind_bits(profile, ck)
     hats = dict(zip(bits, (proof.rho_hat, *proof.u_hats, *proof.r_hats)))
-    if not all(isinstance(x, int) for x in (proof.threshold, *proof.squares, *hats.values())):
-        return None
     in_range = all(abs(z) < 1 << (bits[name] + 2) and (z >= 0 or name == "rho") for name, z in hats.items())
     return hats if in_range and proof.threshold in PRED_RANGE else None
 
@@ -519,9 +521,11 @@ def verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce
     the stored responses and the single challenge is re-derived from the
     whole transcript. With the verifier's `own_keys` (its issuer key pair, its
     Paillier key pair) the engine works mod their primes, to the same verdict.
-    A definition the registry does not know, a malformed response or a group
-    element with no inverse gives False; any other exception is a bug and
-    propagates."""
+    A bundle that does not conform to PresentationBundle, a definition the
+    registry does not know, a malformed response or a group element with no
+    inverse gives False; any other exception is a bug and propagates."""
+    if not conforms(bundle, PresentationBundle):
+        return False
     try:
         return _verify_bundle(registry, bundle, expected_nonce, encryption_keys or {}, expected_prev,
                               _factored(own_keys))
@@ -534,29 +538,9 @@ def _factored(own_keys: Sequence[OwnKeys]) -> dict[int, Crt]:
     return {crt[0][0] * crt[1][0]: crt for crt in (k.crt for k in own_keys)}
 
 
-def _arms_well_shaped(bundle: PresentationBundle) -> bool:
-    """The presentation is a Presentation whose `disclosed` and `m_hats` are
-    dicts and whose `hidden_names` is a sequence of str, each arm is its proof
-    type with a str attr, and each encryption arm holds a Ciphertext with a
-    sequence of parts, so that reading their fields cannot raise."""
-    pres = bundle.presentation
-    if not (isinstance(pres, Presentation) and isinstance(pres.disclosed, dict) and isinstance(pres.m_hats, dict)
-            and isinstance(pres.hidden_names, (tuple, list))
-            and all(isinstance(name, str) for name in pres.hidden_names)):
-        return False
-    kinds = ((bundle.link_proofs, LinkProof), (bundle.enc_proofs, VerifiableEncryptionProof),
-             (bundle.predicate_proofs, PredicateProof))
-    return (all(isinstance(arms, (tuple, list))
-                and all(isinstance(a, kind) and isinstance(a.attr, str) for a in arms) for arms, kind in kinds)
-            and all(isinstance(p.ciphertext, Ciphertext) and isinstance(p.ciphertext.parts, (tuple, list))
-                    for p in bundle.enc_proofs))
-
-
 def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce: bytes,
                    encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey],
                    expected_prev: bytes | None, factored: Mapping[int, Crt]) -> bool:
-    if not _arms_well_shaped(bundle):
-        return False
     pres = bundle.presentation
     if expected_prev is not None and bundle.prev_digest != expected_prev:
         return False
@@ -575,10 +559,7 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
         return False
 
     c = bundle.challenge
-    statement = (pres.a_prime, *pres.disclosed.values(), *(p.commitment for p in bundle.link_proofs),
-                 *(part for p in bundle.enc_proofs for part in p.ciphertext.parts))
-    if not well_formed(c, (*statement, pres.e_hat, pres.v_hat, *pres.m_hats.values(),
-                           *(p.r_hat for p in (*bundle.link_proofs, *bundle.enc_proofs))), profile.challenge_bits):
+    if not well_formed(c, profile.challenge_bits):
         return False
     # response range checks (loose soundness bounds)
     if not 0 <= pres.e_hat < (1 << (profile.e_window_bits + profile.challenge_bits + profile.stat_bits + 2)):
@@ -637,7 +618,7 @@ def verify_equality(registry: Registry, bundle_a: PresentationBundle, bundle_b: 
     both bundles verify under `nonce`, each with the verifier's `own_keys` as
     in `verify_bundle`. The linkage is checked first, so a splice costs no
     proof work. Binding of the commitment then forces the hidden values equal."""
-    if not (_arms_well_shaped(bundle_a) and _arms_well_shaped(bundle_b)):
+    if not (conforms(bundle_a, PresentationBundle) and conforms(bundle_b, PresentationBundle)):
         return False
     arm_a = find_arm(bundle_a.link_proofs, attr)
     arm_b = find_arm(bundle_b.link_proofs, attr)

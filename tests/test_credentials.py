@@ -147,6 +147,22 @@ def test_tampered_credential_rejected_not_stored(toy_env):
     assert len(wallet) == 0
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda cred: {"signature": None}, lambda cred: {"attributes": None}, lambda cred: {"attributes": {}},
+    lambda cred: {"attributes": {**cred.attributes, "extra": 4}},
+], ids=["signature-none", "attributes-none", "attributes-empty", "attributes-extra"])
+def test_a_malformed_credential_is_refused_not_raised(toy_env, tamper):
+    nonce = b"n5"
+    request, v_prime = create_credential_request(toy_env.wallet.link_secret,
+                                                 toy_env.platform_defn, nonce, toy_env.rng)
+    cred = issue_credential(toy_env.platform_keys, toy_env.platform_defn, toy_env.platform_schema,
+                            request, {"name": "X", "birthday": 19900101, "ssn": 5}, toy_env.rng)
+    with pytest.raises(VerificationError):
+        holder_finalize_credential(toy_env.platform_defn, toy_env.platform_schema,
+                                   dataclasses.replace(cred, **tamper(cred)), toy_env.wallet.link_secret, v_prime,
+                                   nonce)
+
+
 def test_wallet_holds_two_credentials_one_link_secret(toy_env):
     # oracle: wallet inventory count
     assert len(toy_env.wallet) == 2

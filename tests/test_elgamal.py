@@ -103,6 +103,8 @@ def test_wrong_scheme_rejected():
 
     with pytest.raises(DecryptionError):
         elgamal_decrypt(kp, Ciphertext(scheme="paillier", parts=(1,)))
+    with pytest.raises(DecryptionError):
+        elgamal_decrypt(kp, Ciphertext(scheme="elgamal", parts=("x", 2)))
 
 
 @pytest.mark.parametrize("profile", [TOY, PAPER], ids=["toy", "paper"])

@@ -104,6 +104,8 @@ def test_ciphertext_range_and_scheme_checks():
         paillier_decrypt(kp, Ciphertext(scheme="paillier", parts=(kp.public.n_squared,)))
     with pytest.raises(DecryptionError):
         paillier_decrypt(kp, Ciphertext(scheme="elgamal", parts=(1, 2)))
+    with pytest.raises(DecryptionError):
+        paillier_decrypt(kp, Ciphertext(scheme="paillier", parts=("x",)))
 
 
 def test_hs_is_a_deterministic_nth_residue_of_order_dividing_lambda():

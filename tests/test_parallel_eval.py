@@ -467,9 +467,9 @@ def _tampers(keys, defn, schema, cred, slots):
     return out
 
 
-SIGNATURE, EXPONENT, PROOF = ("credential signature invalid",
-                              "signature exponent outside the accepted prime range",
-                              "issuer signature-correctness proof invalid")
+SIGNATURE, EXPONENT, PROOF, MALFORMED = ("credential signature invalid",
+                                         "signature exponent outside the accepted prime range",
+                                         "issuer signature-correctness proof invalid", "credential malformed")
 
 
 def test_the_holder_refuses_each_tamper_as_before_with_the_helper_on_and_off():
@@ -481,7 +481,8 @@ def test_the_holder_refuses_each_tamper_as_before_with_the_helper_on_and_off():
     slots = [wallet.link_secret.value] + [fine.attributes[name] for name in schema.attribute_names]
     # the finalized credential's v is complete, so these are checked with v' = 0
     tampers = _tampers(keys, defn, schema, fine, slots)
-    expected = [SIGNATURE] * 6 + [EXPONENT] + [PROOF] * 3
+    # a str s_e is refused by the credential's shape check, before any proof work
+    expected = [SIGNATURE] * 6 + [EXPONENT] + [PROOF] * 2 + [MALFORMED]
     verdicts = []
     for forced_on in (False, True):
         with _helper_forced() if forced_on else contextlib.nullcontext():

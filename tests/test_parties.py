@@ -361,6 +361,38 @@ def test_order_state_machine_rejects_skips(ctx):
     assert [t[1] for t in order.transitions] == ["identity-verified"]
 
 
+# ("advance", None) asks for the state after the current one, so that runs
+# reach "complete" as well as "failed"
+_ORDER_CALLS = st.lists(st.one_of(st.tuples(st.just("advance"), st.none() | st.sampled_from(parties.ORDER_STATES)),
+                                  st.tuples(st.just("fail"), st.sampled_from(["identity", "mfa", "funds"]))),
+                        max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ORDER_CALLS)
+def test_order_steps_along_the_declared_states_or_fails(calls):
+    states = parties.ORDER_STATES
+    order = parties.ExchangeOrder("order-0001", "BTC", 10, 5, (1, 2), b"n", ("a0",))
+    for time_ms, (kind, arg) in enumerate(calls):
+        before = (order.state, list(order.transitions), order.failure_cause)
+        terminal = order.state in ("complete", "failed")
+        if arg is None:
+            arg = states[min(states.index(order.state) + 1, len(states) - 1)]
+        try:
+            order.advance(arg, time_ms) if kind == "advance" else order.fail(arg, time_ms)
+        except ProtocolError:
+            # a refused call changes nothing
+            assert (order.state, order.transitions, order.failure_cause) == before
+            continue
+        assert not terminal  # a terminal order refuses every call
+        if kind == "advance":
+            assert states.index(order.state) == states.index(before[0]) + 1
+            assert order.failure_cause is None
+        else:
+            assert (order.state, order.failure_cause) == ("failed", arg)
+        assert order.transitions == before[1] + [(before[0], order.state, time_ms)]
+
+
 def test_platform_report_redaction(ctx):
     alice = ctx.users[0]
     _onboard(ctx, alice)

@@ -495,9 +495,12 @@ def _replace_arm(bundle, kind, index=0, **fields):
     lambda b: dataclasses.replace(b, presentation=dataclasses.replace(b.presentation, hidden_names=5)),
     lambda b: dataclasses.replace(b, presentation=dataclasses.replace(b.presentation, hidden_names=None)),
     lambda b: dataclasses.replace(b, presentation=5),
+    lambda b: 5,
+    lambda b: dataclasses.replace(b, commitment_source=["x"]),
+    lambda b: dataclasses.replace(b, presentation=dataclasses.replace(b.presentation, defn_id=["x"])),
 ], ids=["a_prime", "disclosed", "link-commitment", "elgamal-c1", "elgamal-c2", "paillier-c",
         "m_hats-none", "disclosed-none", "hidden_names-int", "hidden_names-none",
-        "presentation-int"])
+        "presentation-int", "bundle-int", "commitment_source-list", "defn_id-list"])
 def test_statement_integers_of_the_wrong_type_are_refused(toy_env, tamper):
     nonce, bundle = _every_arm_bundle(toy_env)
     assert not verify_bundle(toy_env.registry, tamper(bundle), nonce, toy_env.enc_keys)
@@ -506,7 +509,8 @@ def test_statement_integers_of_the_wrong_type_are_refused(toy_env, tamper):
 @pytest.mark.parametrize("kind, fields", [
     ("link_proofs", {}), ("enc_proofs", {}), ("predicate_proofs", {}),
     ("link_proofs", {"attr": ["ssn"]}), ("predicate_proofs", {"attr": ["birthday"]}),
-], ids=["int-link", "int-enc", "int-predicate", "list-attr-link", "list-attr-predicate"])
+    ("enc_proofs", {"key_id": ["k"]}),
+], ids=["int-link", "int-enc", "int-predicate", "list-attr-link", "list-attr-predicate", "list-key_id-enc"])
 def test_malformed_arm_shapes_are_refused(toy_env, kind, fields):
     # no fields: an int stands in place of the whole arm
     nonce, bundle = _every_arm_bundle(toy_env)

@@ -1,9 +1,14 @@
+import dataclasses
+import random
+import typing
+
 import pytest
 from click.testing import CliRunner
 
 from fcguard import cli
 from fcguard.cli import main
-from fcguard.presentations import bundle_digest
+from fcguard.credentials import Credential, CredentialRequest, create_credential_request, verify_credential_request
+from fcguard.presentations import PresentationBundle, bundle_digest, verify_bundle, verify_equality
 from fcguard.security import (
     build_fixture,
     check_audit_branches,
@@ -116,3 +121,75 @@ def test_cli_security_refuses_fewer_than_one_scenario(monkeypatch, count):
     result = CliRunner().invoke(main, ["security", "--scenarios", count])
     assert result.exit_code == 2
     assert ran == [] and "PASS" not in result.output
+
+
+def _wrong_values(tp):
+    """Values of the wrong type for a position annotated `tp`: None, a str, a
+    list (but not at a tuple, which a list may stand for), True for an int,
+    and an int for a str, bytes, tuple, dict or dataclass."""
+    wrong = [None]
+    if tp is not str:
+        wrong.append("x")
+    if typing.get_origin(tp) is not tuple:
+        wrong.append(["x"])
+    wrong.append(True if tp is int else 1)
+    return wrong
+
+
+def _positions(value, tp, rebuild, path):
+    """(path, type, rebuild) for `value` and, recursively, every field of a
+    dataclass, element of a tuple and value of a dict below it; `rebuild`
+    maps a replacement at that position to the whole object."""
+    yield path, tp, rebuild
+    args = typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            yield from _positions(getattr(value, f.name), hints[f.name],
+                                  lambda new, f=f: rebuild(dataclasses.replace(value, **{f.name: new})),
+                                  f"{path}.{f.name}")
+    elif typing.get_origin(tp) is tuple:
+        for i, item in enumerate(value):
+            yield from _positions(item, args[0], lambda new, i=i: rebuild((*value[:i], new, *value[i + 1:])),
+                                  f"{path}[{i}]")
+    elif typing.get_origin(tp) is dict:
+        for key, item in value.items():
+            yield from _positions(item, args[1], lambda new, key=key: rebuild({**value, key: new}),
+                                  f"{path}[{key!r}]")
+
+
+@pytest.fixture(scope="module")
+def fixture_and_request():
+    fx = build_fixture()
+    request, _ = create_credential_request(fx.wallet.link_secret, fx.platform_defn, b"walk", random.Random(5))
+    return fx, request
+
+
+@pytest.mark.parametrize("target", ["bundle1", "bundle2", "request", "credential"])
+def test_a_wrong_type_at_any_field_is_refused(fixture_and_request, target):
+    # each field of the object, recursively, holds in turn each value of the
+    # wrong type; the matching verifier must refuse it and raise nothing else
+    fx, request = fixture_and_request
+    prev = bundle_digest(fx.bundle1)
+    verifiers = {
+        "bundle1": (fx.bundle1, PresentationBundle, lambda b: (
+            verify_bundle(fx.registry, b, fx.nonce, fx.enc_keys, expected_prev=b"")
+            or verify_equality(fx.registry, b, fx.bundle2, "ssn", fx.nonce, fx.enc_keys))),
+        "bundle2": (fx.bundle2, PresentationBundle, lambda b: (
+            verify_bundle(fx.registry, b, fx.nonce, fx.enc_keys, expected_prev=prev)
+            or verify_equality(fx.registry, fx.bundle1, b, "ssn", fx.nonce, fx.enc_keys))),
+        "request": (request, CredentialRequest, lambda r: (
+            verify_credential_request(fx.platform_defn, r)
+            or verify_credential_request(fx.platform_defn, r, fx.platform_keys))),
+        "credential": (fx.vc_pu, Credential, lambda cred: holder_accepts(fx, cred)),
+    }
+    honest, tp, accepts = verifiers[target]
+    assert accepts(honest)
+    accepted, walked = [], 0
+    for path, field_type, rebuild in _positions(honest, tp, lambda new: new, target):
+        for wrong in _wrong_values(field_type):
+            walked += 1
+            if accepts(rebuild(wrong)):
+                accepted.append(f"{path} = {wrong!r}")
+    assert accepted == []
+    assert walked >= 30

@@ -82,7 +82,10 @@ def _replace_presentation(**fields):
 
 REQUEST_TAMPERS = {"challenge-str": _replace_proof(challenge="x"), "s_m-none": _replace_proof(s_m=None),
                    "s_r-float": _replace_proof(s_r=1.5),
-                   "blinded-str": lambda request: dataclasses.replace(request, blinded="zz")}
+                   "blinded-str": lambda request: dataclasses.replace(request, blinded="zz"),
+                   "request-none": lambda request: None,
+                   "proof-none": lambda request: dataclasses.replace(request, proof=None),
+                   "nonce-str": lambda request: dataclasses.replace(request, nonce="n")}
 BUNDLE_TAMPERS = {"e_hat-str": _replace_presentation(e_hat="1"),
                   "link-r_hat-str": lambda bundle: dataclasses.replace(
                       bundle, link_proofs=(dataclasses.replace(bundle.link_proofs[0], r_hat="x"),))}
