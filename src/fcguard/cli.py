@@ -30,8 +30,8 @@ from .serialize import dumps
 @click.option("--seed", type=int, default=None, help="Override the scenario or suite seed.")
 @click.option("--profile", type=click.Choice(["toy", "paper"]), default=None,
               help="Override the parameter profile.")
-@click.option("--out", type=click.Path(), default=None, help="Output directory for artifacts.")
-@click.option("--key-cache", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(file_okay=False), default=None, help="Output directory for artifacts.")
+@click.option("--key-cache", type=click.Path(file_okay=False), default=None,
               help="Directory for cached issuer keys (speeds up repeated paper-profile runs).")
 @click.pass_context
 def main(ctx: click.Context, seed: int | None, profile: str | None, out: str | None,

@@ -14,6 +14,7 @@ Both proofs run on the `crypto.sigma` engine: the request's opening proof
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import json
@@ -138,12 +139,17 @@ def publish_definition(registry: Registry, issuer_keys: ClIssuerKeyPair, schema:
     return schema, definition
 
 
+# A registry entry never changes once put and its decoded objects are frozen,
+# so one decoded object per payload serves every fetch.
+_decode_payload = functools.lru_cache(maxsize=256)(loads)
+
+
 def fetch_schema(registry: Registry, schema_id: str) -> Schema:
-    return loads(registry.get(schema_id, SCHEMA_KIND).payload)
+    return _decode_payload(registry.get(schema_id, SCHEMA_KIND).payload)
 
 
 def fetch_definition(registry: Registry, defn_id: str) -> CredentialDefinition:
-    return loads(registry.get(defn_id, DEFINITION_KIND).payload)
+    return _decode_payload(registry.get(defn_id, DEFINITION_KIND).payload)
 
 
 def create_credential_request(link_secret: LinkSecret, definition: CredentialDefinition,
@@ -179,6 +185,8 @@ def verify_credential_request(definition: CredentialDefinition, request: Credent
 def issue_credential(issuer_keys: ClIssuerKeyPair, definition: CredentialDefinition, schema: Schema,
                      request: CredentialRequest, attribute_values: dict[str, str | int],
                      rng: random.Random) -> Credential:
+    if not conforms(request, CredentialRequest):
+        raise VerificationError("credential request malformed")
     if request.defn_id != definition.defn_id:
         raise VerificationError("request targets a different credential definition")
     if not verify_credential_request(definition, request, issuer_keys):

@@ -105,6 +105,8 @@ def elgamal_decrypt(keypair: ElGamalKeyPair, ct: Ciphertext) -> int:
         raise DecryptionError("not an ElGamal ciphertext")
     pk = keypair.public
     c1, c2 = ct.parts
+    if not (0 < c1 < pk.p and 0 < c2 < pk.p):
+        raise DecryptionError("ciphertext component out of range")
     target = c2 * powmod(c1, -keypair.sk, pk.p) % pk.p
     return _bounded_dlog(pk, target)
 

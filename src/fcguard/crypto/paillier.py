@@ -132,4 +132,6 @@ def paillier_decrypt(keypair: PaillierKeyPair, ct: Ciphertext) -> int:
     c = ct.parts[0]
     if not 0 <= c < n * n:
         raise DecryptionError("ciphertext out of range")
+    if math.gcd(c, n) != 1:
+        raise DecryptionError("ciphertext shares a factor with n")
     return _ell(keypair.pow_lam(c), n) * keypair.mu % n

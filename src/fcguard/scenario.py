@@ -62,7 +62,10 @@ PHASES = ("registration", "identity_verification", "bank_interaction",
 
 
 def load_scenario(path: str | Path) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, an unreadable or non-UTF-8 file
+        raise ScenarioError(f"{path}: cannot read scenario file: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:

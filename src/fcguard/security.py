@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import typing
 from dataclasses import dataclass
 
 from .credentials import (
     BANK_ATTRIBUTES,
     PLATFORM_ATTRIBUTES,
     Credential,
+    CredentialRequest,
     Schema,
     Wallet,
     create_credential_request,
@@ -21,6 +23,7 @@ from .credentials import (
     publish_definition,
     verify_credential_request,
 )
+from .crypto.ciphertext import Ciphertext
 from .crypto.cl import cl_verify, cl_keygen
 from .crypto.commitment import CommitmentKey, commit, open_verify
 from .crypto.elgamal import elgamal_encrypt, elgamal_keygen
@@ -150,10 +153,11 @@ def holder_accepts(fx: _Fixture, credential: Credential) -> bool:
     return True
 
 
-def _relink(bundle: PresentationBundle, **fields) -> PresentationBundle:
-    """`bundle` with `fields` replaced in its one link arm."""
-    (arm,) = bundle.link_proofs
-    return dataclasses.replace(bundle, link_proofs=(dataclasses.replace(arm, **fields),))
+def _rearm(bundle: PresentationBundle, kind: str, **fields) -> PresentationBundle:
+    """`bundle` with `fields` replaced in its one arm of `kind`, such as
+    "link_proofs"."""
+    (arm,) = getattr(bundle, kind)
+    return dataclasses.replace(bundle, **{kind: (dataclasses.replace(arm, **fields),)})
 
 
 def _chained(bundle1: PresentationBundle,
@@ -162,46 +166,102 @@ def _chained(bundle1: PresentationBundle,
     return bundle1, dataclasses.replace(bundle2, prev_digest=bundle_digest(bundle1))
 
 
-def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[tuple[str, bool]]:
-    """Enumerated tamper matrix. Each entry is (case name, accepted); a sound
-    system accepts none of them. With `with_keys`, verifiers pass their own
-    key pairs: the platform's for bundle 1, the request proof and the
-    equality checks, and all three for bundle 2, so every one of its
-    equations is evaluated mod the primes."""
-    fx = fx or build_fixture()
+def leaf_mutations(value, tp, target: str):
+    """Every single-field tamper of `value`, an object of type `tp`, as
+    (case name, mutated object): at each position (the root, each dataclass
+    field, tuple element and dict value, walked by the annotations as
+    `serialize.conforms` walks them) each value of the wrong type, and at
+    each int leaf the value + 1. The name is the path, as in
+    `vp2:enc_proofs[0].r_hat+1` or `vp1:challenge = None`."""
+    for path, leaf, leaf_tp, rebuild in _positions(value, tp, "", lambda new: new):
+        name = f"{target}:{path}" if path else target
+        if leaf_tp is int:
+            yield f"{name}+1", rebuild(leaf + 1)
+        for wrong in _wrong_values(leaf_tp):
+            yield f"{name} = {wrong!r}", rebuild(wrong)
+
+
+def _positions(value, tp, path: str, rebuild):
+    """(path, value, type, rebuild) for `value` and, recursively, every field
+    of a dataclass, element of a tuple and value of a dict below it;
+    `rebuild` maps a replacement at that position to the whole object."""
+    yield path, value, tp, rebuild
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            yield from _positions(getattr(value, f.name), hints[f.name], f"{path}.{f.name}".lstrip("."),
+                                  lambda new, f=f: rebuild(dataclasses.replace(value, **{f.name: new})))
+    elif origin is tuple:
+        for i, item in enumerate(value):
+            yield from _positions(item, args[0], f"{path}[{i}]",
+                                  lambda new, i=i: rebuild((*value[:i], new, *value[i + 1:])))
+    elif origin is dict:
+        for key, item in value.items():
+            yield from _positions(item, args[1], f"{path}[{key!r}]",
+                                  lambda new, key=key: rebuild({**value, key: new}))
+
+
+def _wrong_values(tp) -> list:
+    """Values of the wrong type for a position annotated `tp`: None, a str, a
+    list (but not at a tuple, which a list may stand for), True for an int,
+    and an int for a str, bytes, tuple, dict or dataclass."""
+    wrong = [None]
+    if tp is not str:
+        wrong.append("x")
+    if typing.get_origin(tp) is not tuple:
+        wrong.append(["x"])
+    wrong.append(True if tp is int else 1)
+    return wrong
+
+
+def mutation_targets(fx: _Fixture, with_keys: bool = False) -> dict[str, tuple]:
+    """The four objects the tamper matrix mutates, each as (honest object,
+    type, accepts): bundle 1 and bundle 2, each checked alone and in the
+    equality check with the other fixture bundle, a credential request and
+    the platform credential, checked as the holder checks it. With
+    `with_keys`, verifiers pass their own key pairs: the platform's for
+    bundle 1, the request proof and the equality checks, and all three for
+    bundle 2, so every one of its equations is evaluated mod the primes."""
     registry, nonce, enc_keys = fx.registry, fx.nonce, fx.enc_keys
-    own1 = (fx.platform_keys,) if with_keys else ()
     own2 = (fx.platform_keys, fx.bank_keys, fx.bank_enc) if with_keys else ()
-    cases: list[tuple[str, bool]] = []
-
-    def verify1(bundle) -> bool:
-        return verify_bundle(registry, bundle, nonce, enc_keys, expected_prev=b"", own_keys=own1)
-
-    def verify2(bundle) -> bool:
-        return verify_bundle(registry, bundle, nonce, enc_keys,
-                             expected_prev=bundle_digest(fx.bundle1), own_keys=own2)
+    own1 = own2[:1]
+    prev = bundle_digest(fx.bundle1)
+    request, _ = create_credential_request(fx.wallet.link_secret, fx.platform_defn,
+                                           b"matrix-nonce", fx.rng)
 
     def equality(bundle1, bundle2) -> bool:
         return verify_equality(registry, bundle1, bundle2, "ssn", nonce, enc_keys, own_keys=own1)
 
-    # CL signature field and attribute mutations
-    slots = [fx.wallet.link_secret.value] + [fx.vc_pu.attributes[n] for n in PLATFORM_ATTRIBUTES]
-    sig = fx.vc_pu.signature
-    pk = fx.platform_defn.public_key
-    cases.append(("cl-sig:a+1", cl_verify(pk, slots, dataclasses.replace(sig, a=sig.a + 1))))
-    cases.append(("cl-sig:e+2", cl_verify(pk, slots, dataclasses.replace(sig, e=sig.e + 2))))
-    cases.append(("cl-sig:v+1", cl_verify(pk, slots, dataclasses.replace(sig, v=sig.v + 1))))
-    for i, name in enumerate(["link"] + list(PLATFORM_ATTRIBUTES)):
-        mutated = list(slots)
-        mutated[i] += 1
-        cases.append((f"cl-sig:attr-{name}+1", cl_verify(pk, mutated, sig)))
+    return {
+        "vp1": (fx.bundle1, PresentationBundle, lambda b: (
+            verify_bundle(registry, b, nonce, enc_keys, expected_prev=b"", own_keys=own1)
+            or equality(b, fx.bundle2))),
+        "vp2": (fx.bundle2, PresentationBundle, lambda b: (
+            verify_bundle(registry, b, nonce, enc_keys, expected_prev=prev, own_keys=own2)
+            or equality(fx.bundle1, b))),
+        "request": (request, CredentialRequest, lambda r: verify_credential_request(
+            fx.platform_defn, r, fx.platform_keys if with_keys else None)),
+        "credential": (fx.vc_pu, Credential, lambda cred: holder_accepts(fx, cred)),
+    }
 
-    # issuer signature-correctness proof, under the nonce it was issued with
-    proof = fx.vc_pu.signature_proof
-    for field_name in ("challenge", "s_e"):
-        bad = dataclasses.replace(proof, **{field_name: getattr(proof, field_name) + 1})
-        cases.append((f"sig-proof:{field_name}+1",
-                      holder_accepts(fx, dataclasses.replace(fx.vc_pu, signature_proof=bad))))
+
+def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[tuple[str, bool]]:
+    """Enumerated tamper matrix. Each entry is (case name, accepted); a sound
+    system accepts none of them. `leaf_mutations` gives every single-field
+    tamper of the four `mutation_targets`, verified with their own keys under
+    `with_keys`; the named cases after them have no single-leaf form."""
+    fx = fx or build_fixture()
+    targets = mutation_targets(fx, with_keys)
+    cases = [(name, accepts(bad)) for target, (honest, tp, accepts) in targets.items()
+             for name, bad in leaf_mutations(honest, tp, target)]
+
+    # the CL signature with e + 2, which stays odd, and with the link-secret
+    # slot shifted, which no credential field holds
+    slots = [fx.wallet.link_secret.value] + [fx.vc_pu.attributes[n] for n in PLATFORM_ATTRIBUTES]
+    sig, pk = fx.vc_pu.signature, fx.platform_defn.public_key
+    cases.append(("cl-sig:e+2", cl_verify(pk, slots, dataclasses.replace(sig, e=sig.e + 2))))
+    cases.append(("cl-sig:attr-link+1", cl_verify(pk, [slots[0] + 1, *slots[1:]], sig)))
 
     # integer commitment opening
     ck = CommitmentKey.derive(pk.n, pk.s, label="matrix")
@@ -209,121 +269,59 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
     cases.append(("commitment:m+1", open_verify(ck, c_obj, 778, r)))
     cases.append(("commitment:r+1", open_verify(ck, c_obj, 777, r + 1)))
 
-    # credential request proof
-    request, _ = create_credential_request(fx.wallet.link_secret, fx.platform_defn,
-                                           b"matrix-nonce", fx.rng)
-    issuer = fx.platform_keys if with_keys else None
-    cases.append(("cred-request:blinded+1", verify_credential_request(
-        fx.platform_defn, dataclasses.replace(request, blinded=request.blinded + 1), issuer)))
-    cases.append(("cred-request:blinded-non-unit", verify_credential_request(
-        fx.platform_defn, dataclasses.replace(request, blinded=fx.platform_keys.p), issuer)))
-    for field_name in ("challenge", "s_m", "s_r"):
-        bad_proof = dataclasses.replace(request.proof,
-                                        **{field_name: getattr(request.proof, field_name) + 1})
-        cases.append((f"cred-request:{field_name}+1", verify_credential_request(
-            fx.platform_defn, dataclasses.replace(request, proof=bad_proof), issuer)))
-
-    # presentation responses, both bundles
-    for tag, bundle, checker in (("vp1", fx.bundle1, verify1), ("vp2", fx.bundle2, verify2)):
-        pres = bundle.presentation
-        for field_name in ("a_prime", "e_hat", "v_hat"):
-            bad = dataclasses.replace(pres, **{field_name: getattr(pres, field_name) + 1})
-            cases.append((f"{tag}:{field_name}+1", checker(dataclasses.replace(bundle, presentation=bad))))
-        cases.append((f"{tag}:challenge+1", checker(dataclasses.replace(bundle, challenge=bundle.challenge + 1))))
-        for attr in pres.m_hats:
-            hats = dict(pres.m_hats)
-            hats[attr] += 1
-            bad = dataclasses.replace(pres, m_hats=hats)
-            cases.append((f"{tag}:m_hat[{attr}]+1",
-                          checker(dataclasses.replace(bundle, presentation=bad))))
-    # A' sharing a factor with n, in bundle 1 under the platform's n and bundle 2 under the bank's
-    for tag, bundle, checker, prime in (("vp1", fx.bundle1, verify1, fx.platform_keys.p),
-                                        ("vp2", fx.bundle2, verify2, fx.bank_keys.q)):
-        bad = dataclasses.replace(bundle.presentation, a_prime=prime)
-        cases.append((f"{tag}:a_prime-non-unit", checker(dataclasses.replace(bundle, presentation=bad))))
-    cases.append(("vp1:nonce-swap", verify_bundle(
-        registry, fx.bundle1, b"some-other-nonce", enc_keys, expected_prev=b"", own_keys=own1)))
-    cases.append(("vp2:prev-digest-tamper", verify_bundle(
-        registry, fx.bundle2, nonce, enc_keys, expected_prev=b"wrong", own_keys=own2)))
-    disclosed = dict(fx.bundle2.presentation.disclosed)
-    disclosed["bank_name"] += 1
-    bad_pres = dataclasses.replace(fx.bundle2.presentation, disclosed=disclosed)
-    cases.append(("vp2:disclosed+1", verify2(dataclasses.replace(fx.bundle2, presentation=bad_pres))))
-
-    # link arms
-    for tag, bundle, checker in (("vp1", fx.bundle1, verify1), ("vp2", fx.bundle2, verify2)):
-        arm = bundle.link_proofs[0]
-        for field_name in ("commitment", "r_hat"):
-            bad_arm = dataclasses.replace(arm, **{field_name: getattr(arm, field_name) + 1})
-            cases.append((f"{tag}:link-{field_name}+1",
-                          checker(dataclasses.replace(bundle, link_proofs=(bad_arm,)))))
-        # the commitment modulus is the platform's n
-        bad_arm = dataclasses.replace(arm, commitment=fx.platform_keys.q)
-        cases.append((f"{tag}:link-commitment-non-unit",
-                      checker(dataclasses.replace(bundle, link_proofs=(bad_arm,)))))
-
-    # verifiable-encryption arms
-    arm = fx.bundle1.enc_proofs[0]
-    for idx, label in ((0, "c1"), (1, "c2")):
-        parts = list(arm.ciphertext.parts)
-        parts[idx] += 1
-        bad_arm = dataclasses.replace(arm, ciphertext=dataclasses.replace(
-            arm.ciphertext, parts=tuple(parts)))
-        cases.append((f"verenc-eg:{label}+1",
-                      verify1(dataclasses.replace(fx.bundle1, enc_proofs=(bad_arm,)))))
-    cases.append(("verenc-eg:r_hat+1", verify1(dataclasses.replace(
-        fx.bundle1, enc_proofs=(dataclasses.replace(arm, r_hat=arm.r_hat + 1),)))))
-    # the only non-unit mod the ElGamal prime p is 0, here written as p itself
-    for idx, label in ((0, "c1"), (1, "c2")):
-        parts = list(arm.ciphertext.parts)
-        parts[idx] = fx.aa_keys.public.p
-        bad_arm = dataclasses.replace(arm, ciphertext=dataclasses.replace(
-            arm.ciphertext, parts=tuple(parts)))
-        cases.append((f"verenc-eg:{label}-non-unit",
-                      verify1(dataclasses.replace(fx.bundle1, enc_proofs=(bad_arm,)))))
-    other_ct = elgamal_encrypt(fx.aa_keys.public, 999, rng=fx.rng)
-    cases.append(("verenc-eg:ciphertext-swap", verify1(dataclasses.replace(
-        fx.bundle1, enc_proofs=(dataclasses.replace(arm, ciphertext=other_ct),)))))
-
-    parm = fx.bundle2.enc_proofs[0]
-    bad_ct = dataclasses.replace(parm.ciphertext, parts=(parm.ciphertext.parts[0] + 1,))
-    cases.append(("verenc-paillier:c+1", verify2(dataclasses.replace(
-        fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=bad_ct),)))))
-    for label, ct in (("c-non-unit-p", fx.bank_enc.p), ("c-non-unit-p2", fx.bank_enc.p ** 2)):
-        bad_ct = dataclasses.replace(parm.ciphertext, parts=(ct,))
-        cases.append((f"verenc-paillier:{label}", verify2(dataclasses.replace(
-            fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=bad_ct),)))))
-    # the integer response lies in [0, 2^(|n| + 2 stat + challenge + 1))
+    # Values sharing a factor with a modulus: the platform's n for the
+    # request, bundle 1's A', both link commitments and T_0; the bank's n for
+    # bundle 2's A'; and the only non-unit mod the ElGamal prime p, 0, written
+    # as p. Then ciphertext swaps, the Paillier arm's integer response out of
+    # [0, 2^(|n| + 2 stat + challenge + 1)), T_0 shifted by R, T_0 and T_1
+    # swapped, and the predicate arm with three squares or five responses.
+    vp1, vp2, request = fx.bundle1, fx.bundle2, targets["request"][0]
+    c1, c2 = vp1.enc_proofs[0].ciphertext.parts
+    eg_p, platform_p, platform_q = fx.aa_keys.public.p, fx.platform_keys.p, fx.platform_keys.q
+    pred = vp1.predicate_proofs[0]
+    t0, t1, *rest = pred.squares
+    ckey = commitment_key_for(fx.platform_defn)
     r_hat_bound = 1 << (fx.bank_enc.public.n.bit_length() + 2 * fx.profile.stat_bits
                         + fx.profile.challenge_bits + 1)
-    for label, r_hat in (("r_hat+1", parm.r_hat + 1), ("r_hat-negative", -parm.r_hat),
-                         ("r_hat-at-bound", r_hat_bound)):
-        cases.append((f"verenc-paillier:{label}", verify2(dataclasses.replace(
-            fx.bundle2, enc_proofs=(dataclasses.replace(parm, r_hat=r_hat),)))))
-    other_pct = paillier_encrypt(fx.bank_enc.public, 42, rng=fx.rng)
-    cases.append(("verenc-paillier:ciphertext-swap", verify2(dataclasses.replace(
-        fx.bundle2, enc_proofs=(dataclasses.replace(parm, ciphertext=other_pct),)))))
+    named = [
+        ("cred-request:blinded-non-unit", "request", dataclasses.replace(request, blinded=platform_p)),
+        ("vp1:a_prime-non-unit", "vp1", dataclasses.replace(
+            vp1, presentation=dataclasses.replace(vp1.presentation, a_prime=platform_p))),
+        ("vp2:a_prime-non-unit", "vp2", dataclasses.replace(
+            vp2, presentation=dataclasses.replace(vp2.presentation, a_prime=fx.bank_keys.q))),
+        ("vp1:link-commitment-non-unit", "vp1", _rearm(vp1, "link_proofs", commitment=platform_q)),
+        ("vp2:link-commitment-non-unit", "vp2", _rearm(vp2, "link_proofs", commitment=platform_q)),
+        ("verenc-eg:c1-non-unit", "vp1", _rearm(vp1, "enc_proofs", ciphertext=Ciphertext("elgamal", (eg_p, c2)))),
+        ("verenc-eg:c2-non-unit", "vp1", _rearm(vp1, "enc_proofs", ciphertext=Ciphertext("elgamal", (c1, eg_p)))),
+        ("verenc-eg:ciphertext-swap", "vp1", _rearm(
+            vp1, "enc_proofs", ciphertext=elgamal_encrypt(fx.aa_keys.public, 999, rng=fx.rng))),
+        ("verenc-paillier:c-non-unit-p", "vp2", _rearm(
+            vp2, "enc_proofs", ciphertext=Ciphertext("paillier", (fx.bank_enc.p,)))),
+        ("verenc-paillier:c-non-unit-p2", "vp2", _rearm(
+            vp2, "enc_proofs", ciphertext=Ciphertext("paillier", (fx.bank_enc.p ** 2,)))),
+        ("verenc-paillier:r_hat-negative", "vp2", _rearm(vp2, "enc_proofs", r_hat=-vp2.enc_proofs[0].r_hat)),
+        ("verenc-paillier:r_hat-at-bound", "vp2", _rearm(vp2, "enc_proofs", r_hat=r_hat_bound)),
+        ("verenc-paillier:ciphertext-swap", "vp2", _rearm(
+            vp2, "enc_proofs", ciphertext=paillier_encrypt(fx.bank_enc.public, 42, rng=fx.rng))),
+        ("predicate:T0-shift", "vp1", _rearm(
+            vp1, "predicate_proofs", squares=(t0 * ckey.r_base % ckey.n, t1, *rest))),
+        ("predicate:T-swap", "vp1", _rearm(vp1, "predicate_proofs", squares=(t1, t0, *rest))),
+        ("predicate:T0-non-unit", "vp1", _rearm(vp1, "predicate_proofs", squares=(platform_p, t1, *rest))),
+        ("predicate:squares-three", "vp1", _rearm(vp1, "predicate_proofs", squares=pred.squares[:3])),
+        ("predicate:u_hats-five", "vp1", _rearm(vp1, "predicate_proofs", u_hats=pred.u_hats + (0,))),
+    ]
+    cases += [(name, targets[target][2](bad)) for name, target, bad in named]
 
-    # predicate arms: T_0 shifted by R or sharing a factor with the platform's
-    # n, T_0 and T_1 swapped, each kind of response moved, and malformed fields
-    pred = fx.bundle1.predicate_proofs[0]
-    ckey = commitment_key_for(fx.platform_defn)
-    t0, t1, *rest = pred.squares
-    bad_preds = {"T0-shift": {"squares": (t0 * ckey.r_base % ckey.n, t1, *rest)},
-                 "T-swap": {"squares": (t1, t0, *rest)},
-                 "T0-non-unit": {"squares": (fx.platform_keys.p, t1, *rest)},
-                 "threshold+1": {"threshold": pred.threshold + 1},
-                 "rho_hat+1": {"rho_hat": pred.rho_hat + 1},
-                 "u_hats[0]+1": {"u_hats": (pred.u_hats[0] + 1, *pred.u_hats[1:])},
-                 "r_hats[0]+1": {"r_hats": (pred.r_hats[0] + 1, *pred.r_hats[1:])},
-                 "squares-three": {"squares": pred.squares[:3]},
-                 "u_hats-five": {"u_hats": pred.u_hats + (0,)},
-                 "r_hats-int": {"r_hats": pred.r_hats[0]},
-                 "u_hats[0]-str": {"u_hats": ("1", *pred.u_hats[1:])},
-                 "rho_hat-str": {"rho_hat": str(pred.rho_hat)}}
-    for label, fields in bad_preds.items():
-        cases.append((f"predicate:{label}", verify1(dataclasses.replace(
-            fx.bundle1, predicate_proofs=(dataclasses.replace(pred, **fields),)))))
+    registry, nonce, enc_keys = fx.registry, fx.nonce, fx.enc_keys
+    own2 = (fx.platform_keys, fx.bank_keys, fx.bank_enc) if with_keys else ()
+    own1 = own2[:1]
+    cases.append(("vp1:nonce-swap", verify_bundle(
+        registry, vp1, b"some-other-nonce", enc_keys, expected_prev=b"", own_keys=own1)))
+    cases.append(("vp2:prev-digest-tamper", verify_bundle(
+        registry, vp2, nonce, enc_keys, expected_prev=b"wrong", own_keys=own2)))
+
+    def equality(bundle1, bundle2) -> bool:
+        return verify_equality(registry, bundle1, bundle2, "ssn", nonce, enc_keys, own_keys=own1)
 
     # equality splices across sessions with different SSNs: the other session's
     # commitment in both link arms, or one link response, with bundle 2
@@ -331,14 +329,14 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
     other = build_fixture(seed=1302, ssn=987_654_321)
     foreign = other.bundle1.link_proofs[0]
     cases.append(("equality:foreign-commitment", equality(*_chained(
-        _relink(fx.bundle1, commitment=foreign.commitment), _relink(fx.bundle2, commitment=foreign.commitment)))))
+        _rearm(vp1, "link_proofs", commitment=foreign.commitment),
+        _rearm(vp2, "link_proofs", commitment=foreign.commitment)))))
     cases.append(("equality:foreign-r_hat_a", equality(*_chained(
-        _relink(fx.bundle1, r_hat=foreign.r_hat), fx.bundle2))))
+        _rearm(vp1, "link_proofs", r_hat=foreign.r_hat), vp2))))
     cases.append(("equality:foreign-r_hat_b", equality(
-        fx.bundle1, _relink(fx.bundle2, r_hat=other.bundle2.link_proofs[0].r_hat))))
-    cases.append(("equality:foreign-bundle2", equality(fx.bundle1, other.bundle2)))
-    cases.append(("equality:foreign-bundle1", equality(other.bundle1, fx.bundle2)))
-
+        vp1, _rearm(vp2, "link_proofs", r_hat=other.bundle2.link_proofs[0].r_hat))))
+    cases.append(("equality:foreign-bundle2", equality(vp1, other.bundle2)))
+    cases.append(("equality:foreign-bundle1", equality(other.bundle1, vp2)))
     return cases
 
 
@@ -356,7 +354,7 @@ def splice_harness(trials: int = 50, seed: int = 77, with_keys: bool = False) ->
     for _ in range(trials):
         pair = [fx_a.bundle1, fx_a.bundle2]
         for i, name in rng.sample(slots, k=rng.randrange(1, 4)):
-            pair[i] = _relink(pair[i], **{name: getattr(donors[i].link_proofs[0], name)})
+            pair[i] = _rearm(pair[i], "link_proofs", **{name: getattr(donors[i].link_proofs[0], name)})
         if rng.getrandbits(1):
             i = rng.randrange(2)
             pair[i] = donors[i]

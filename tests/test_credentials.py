@@ -240,3 +240,18 @@ def test_request_proof_verdict_is_the_same_with_the_issuers_own_key(toy_env):
     for keys in (None, toy_env.platform_keys, toy_env.bank_keys):
         assert verify_credential_request(defn, request, keys)
         assert not verify_credential_request(defn, bad, keys)
+
+
+@pytest.mark.parametrize("tamper", [lambda request: None, lambda request: dataclasses.replace(request, defn_id=None)],
+                         ids=["none", "defn_id-none"])
+def test_a_malformed_request_is_refused_by_the_issuer(toy_env, tamper):
+    request, _ = create_credential_request(toy_env.wallet.link_secret, toy_env.platform_defn, b"n6", toy_env.rng)
+    with pytest.raises(VerificationError, match="malformed"):  # refused as malformed, before any field is read
+        issue_credential(toy_env.platform_keys, toy_env.platform_defn, toy_env.platform_schema,
+                         tamper(request), {"name": "X", "birthday": 19900101, "ssn": 5}, toy_env.rng)
+
+
+def test_each_registry_payload_is_decoded_once(toy_env):
+    registry = toy_env.registry
+    assert fetch_definition(registry, "defn:platform") is fetch_definition(registry, "defn:platform")
+    assert fetch_schema(registry, "schema:bank") is fetch_schema(registry, "schema:bank")

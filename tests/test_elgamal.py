@@ -105,6 +105,11 @@ def test_wrong_scheme_rejected():
         elgamal_decrypt(kp, Ciphertext(scheme="paillier", parts=(1,)))
     with pytest.raises(DecryptionError):
         elgamal_decrypt(kp, Ciphertext(scheme="elgamal", parts=("x", 2)))
+    # components outside (0, p), which have no inverse or are not reduced
+    p = kp.public.p
+    for parts in ((0, 2), (2, 0), (p, 2), (2, p), (-1, 2)):
+        with pytest.raises(DecryptionError):
+            elgamal_decrypt(kp, Ciphertext(scheme="elgamal", parts=parts))
 
 
 @pytest.mark.parametrize("profile", [TOY, PAPER], ids=["toy", "paper"])

@@ -45,9 +45,13 @@ def test_crt_decryption_matches_plain_exponentiation():
     cts = [paillier_encrypt(kp.public, rng.randrange(n), rng=rng).parts[0] for _ in range(50)]
     cts += [0, 1, kp.p, kp.q * 5, n, n2 - 1]
     for c in cts:
-        plain = (pow(c, kp.lam, n2) - 1) // n * kp.mu % n
         assert kp.pow_lam(c) == pow(c, kp.lam, n2)
-        assert paillier_decrypt(kp, Ciphertext(scheme="paillier", parts=(c,))) == plain
+        ct = Ciphertext(scheme="paillier", parts=(c,))
+        if math.gcd(c, n) == 1:
+            assert paillier_decrypt(kp, ct) == (pow(c, kp.lam, n2) - 1) // n * kp.mu % n
+        else:  # a non-unit decrypts to no plaintext
+            with pytest.raises(DecryptionError):
+                paillier_decrypt(kp, ct)
 
 
 def test_zero_plaintext():
@@ -106,6 +110,10 @@ def test_ciphertext_range_and_scheme_checks():
         paillier_decrypt(kp, Ciphertext(scheme="elgamal", parts=(1, 2)))
     with pytest.raises(DecryptionError):
         paillier_decrypt(kp, Ciphertext(scheme="paillier", parts=("x",)))
+    # in range but sharing a factor with n
+    for c in (kp.p, 0, kp.p ** 2):
+        with pytest.raises(DecryptionError):
+            paillier_decrypt(kp, Ciphertext(scheme="paillier", parts=(c,)))
 
 
 def test_hs_is_a_deterministic_nth_residue_of_order_dividing_lambda():

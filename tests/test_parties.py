@@ -29,7 +29,7 @@ from fcguard.parties import (
 )
 from fcguard.presentations import bundle_digest, verify_equality
 from fcguard.scenario import build_context, run_scenario
-from fcguard.security import _relink, build_fixture
+from fcguard.security import _rearm, build_fixture
 from fcguard.serialize import canonical_int_hex, dumps
 
 
@@ -254,14 +254,14 @@ def test_verify_equality_rejects_splices_without_verifying(monkeypatch):
 
     # a foreign commitment on either side, bundle 2 chained elsewhere, a foreign bundle
     foreign = other.bundle1.link_proofs[0]
-    assert not linked(_relink(b1, commitment=foreign.commitment), b2)
-    assert not linked(b1, _relink(b2, commitment=foreign.commitment))
+    assert not linked(_rearm(b1, "link_proofs", commitment=foreign.commitment), b2)
+    assert not linked(b1, _rearm(b2, "link_proofs", commitment=foreign.commitment))
     assert not linked(b1, dataclasses.replace(b2, prev_digest=bundle_digest(other.bundle1)))
     assert not linked(b1, other.bundle2)
     assert not linked(other.bundle1, b2)
     assert calls == []  # the linkage is checked before any proof work
     # a foreign link response leaves the linkage intact; bundle verification refuses it
-    spliced = _relink(b2, r_hat=other.bundle2.link_proofs[0].r_hat)
+    spliced = _rearm(b2, "link_proofs", r_hat=other.bundle2.link_proofs[0].r_hat)
     assert not linked(b1, spliced)
     assert calls == [b1, spliced]
     calls.clear()

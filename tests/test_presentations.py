@@ -13,13 +13,14 @@ from fcguard.presentations import (
     LINK_NAME,
     EncryptionSpec,
     PredicateSpec,
+    PresentationBundle,
     ProofSession,
     bundle_digest,
     create_presentation,
     verify_bundle,
     verify_equality,
 )
-from fcguard.security import build_fixture
+from fcguard.security import build_fixture, leaf_mutations
 from fcguard.serialize import canonical_int_hex, dumps
 
 
@@ -80,21 +81,14 @@ def test_unknown_disclosure_attribute_rejected(toy_env):
 
 
 def test_exhaustive_single_field_mutation_rejected(toy_env):
-    # oracle: every response-vector entry mutated once, all must fail
-    nonce, b1, b2 = _exchange_bundles(toy_env)
+    # oracle: every int leaf of the bundle shifted by one, all must fail
+    nonce, b1, _ = _exchange_bundles(toy_env)
     keys = toy_env.enc_keys
     assert verify_bundle(toy_env.registry, b1, nonce, keys)
-    pres = b1.presentation
-    mutated = [dataclasses.replace(b1, challenge=b1.challenge + 1)]
-    for field_name in ("a_prime", "e_hat", "v_hat"):
-        mutated.append(dataclasses.replace(b1, presentation=dataclasses.replace(
-            pres, **{field_name: getattr(pres, field_name) + 1})))
-    for attr in pres.m_hats:
-        hats = dict(pres.m_hats)
-        hats[attr] += 1
-        mutated.append(dataclasses.replace(b1, presentation=dataclasses.replace(pres, m_hats=hats)))
-    assert len(mutated) == 4 + len(pres.m_hats)
-    for bad in mutated:
+    shifted = [bad for name, bad in leaf_mutations(b1, PresentationBundle, "b1") if " = " not in name]
+    # A', e-hat, v-hat, four m-hats, the link arm's two, the ElGamal arm's three and the challenge
+    assert len(shifted) == 3 + 4 + 2 + 3 + 1
+    for bad in shifted:
         assert not verify_bundle(toy_env.registry, bad, nonce, keys)
 
 

@@ -381,3 +381,18 @@ def test_cli_replay_scenario_by_name_exits_zero(tmp_path):
     result = runner.invoke(main, ["scenario", "run", "replay_attack"])
     assert result.exit_code == 0, result.output
     assert "failed(mfa)" in result.output
+
+
+@pytest.mark.parametrize("case", ["directory", "non-utf8", "out-file", "key-cache-file"])
+def test_cli_unreadable_input_exits_2_without_a_traceback(tmp_path, case):
+    non_utf8 = tmp_path / "latin1.json"
+    non_utf8.write_bytes(b'{"seed": "\xe9"}')
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    args = {"directory": ["scenario", "run", str(tmp_path)],
+            "non-utf8": ["scenario", "run", str(non_utf8)],
+            "out-file": ["--out", str(a_file), "scenario", "run", "misreport"],
+            "key-cache-file": ["--key-cache", str(a_file), "scenario", "run", "misreport"]}[case]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # a refusal, not an uncaught error

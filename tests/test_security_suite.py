@@ -1,21 +1,18 @@
-import dataclasses
-import random
-import typing
-
 import pytest
 from click.testing import CliRunner
 
 from fcguard import cli
 from fcguard.cli import main
-from fcguard.credentials import Credential, CredentialRequest, create_credential_request, verify_credential_request
-from fcguard.presentations import PresentationBundle, bundle_digest, verify_bundle, verify_equality
+from fcguard.presentations import bundle_digest
 from fcguard.security import (
     build_fixture,
     check_audit_branches,
     check_replay_protection,
     check_unlinkability,
     holder_accepts,
+    leaf_mutations,
     mutation_cases,
+    mutation_targets,
     run_security_suite,
     splice_harness,
 )
@@ -32,23 +29,37 @@ def test_fixture_bundle_digests_are_pinned():
     assert (bundle_digest(fx.bundle1).hex(), bundle_digest(fx.bundle2).hex()) == FIXTURE_DIGESTS
 
 
+# the tamper cases that have no single-leaf form, each kept under its name
+NAMED_CASES = {
+    "cl-sig:e+2", "cl-sig:attr-link+1", "commitment:m+1", "commitment:r+1",
+    "cred-request:blinded-non-unit", "vp1:a_prime-non-unit", "vp2:a_prime-non-unit",
+    "vp1:link-commitment-non-unit", "vp2:link-commitment-non-unit", "verenc-eg:c1-non-unit",
+    "verenc-eg:c2-non-unit", "verenc-paillier:c-non-unit-p", "verenc-paillier:c-non-unit-p2",
+    "predicate:T0-non-unit", "vp1:nonce-swap", "vp2:prev-digest-tamper", "verenc-eg:ciphertext-swap",
+    "verenc-paillier:ciphertext-swap", "verenc-paillier:r_hat-negative", "verenc-paillier:r_hat-at-bound",
+    "predicate:T0-shift", "predicate:T-swap", "predicate:squares-three", "predicate:u_hats-five",
+    "equality:foreign-commitment", "equality:foreign-r_hat_a", "equality:foreign-r_hat_b",
+    "equality:foreign-bundle2", "equality:foreign-bundle1",
+}
+
+
 def test_mutation_matrix_size_and_rejection():
     cases = mutation_cases()
-    assert len(cases) >= 50  # oracle: case counter over the enumerated matrix
+    assert len(cases) == 29 + 51 + 405  # oracle: named cases, shifted int leaves, wrong types
     accepted = [name for name, ok in cases if ok]
     assert accepted == []
     names = {name for name, _ in cases}
-    assert {"verenc-paillier:r_hat+1", "verenc-paillier:r_hat-negative",
-            "verenc-paillier:r_hat-at-bound"} <= names
+    assert NAMED_CASES | {"vp2:enc_proofs[0].r_hat+1"} <= names
 
 
 def test_the_signature_proof_cases_tamper_a_proof_the_holder_accepts():
-    # sig-proof:challenge+1 and sig-proof:s_e+1 are checked as the holder checks
-    # the fixture's platform credential, under the nonce it was issued with
+    # the issuer's proof responses are shifted as the holder checks the
+    # fixture's platform credential, under the nonce it was issued with
     fx = build_fixture()
     assert holder_accepts(fx, fx.vc_pu)
     verdicts = dict(mutation_cases(fx))
-    assert verdicts["sig-proof:challenge+1"] is verdicts["sig-proof:s_e+1"] is False
+    assert (verdicts["credential:signature_proof.challenge+1"]
+            is verdicts["credential:signature_proof.s_e+1"] is False)
 
 
 def test_verdicts_are_the_same_with_the_verifiers_own_keys():
@@ -57,11 +68,7 @@ def test_verdicts_are_the_same_with_the_verifiers_own_keys():
     with_keys = mutation_cases(build_fixture(), with_keys=True)
     assert plain == with_keys
     assert [name for name, ok in with_keys if ok] == []
-    names = {name for name, _ in with_keys}
-    assert {"vp1:a_prime-non-unit", "vp2:a_prime-non-unit", "vp1:link-commitment-non-unit",
-            "vp2:link-commitment-non-unit", "verenc-eg:c1-non-unit", "verenc-eg:c2-non-unit",
-            "verenc-paillier:c-non-unit-p", "verenc-paillier:c-non-unit-p2",
-            "cred-request:blinded-non-unit"} <= names
+    assert NAMED_CASES <= {name for name, _ in with_keys}
     assert splice_harness(trials=50, with_keys=True) == (50, 50)
 
 
@@ -123,73 +130,23 @@ def test_cli_security_refuses_fewer_than_one_scenario(monkeypatch, count):
     assert ran == [] and "PASS" not in result.output
 
 
-def _wrong_values(tp):
-    """Values of the wrong type for a position annotated `tp`: None, a str, a
-    list (but not at a tuple, which a list may stand for), True for an int,
-    and an int for a str, bytes, tuple, dict or dataclass."""
-    wrong = [None]
-    if tp is not str:
-        wrong.append("x")
-    if typing.get_origin(tp) is not tuple:
-        wrong.append(["x"])
-    wrong.append(True if tp is int else 1)
-    return wrong
-
-
-def _positions(value, tp, rebuild, path):
-    """(path, type, rebuild) for `value` and, recursively, every field of a
-    dataclass, element of a tuple and value of a dict below it; `rebuild`
-    maps a replacement at that position to the whole object."""
-    yield path, tp, rebuild
-    args = typing.get_args(tp)
-    if dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        for f in dataclasses.fields(tp):
-            yield from _positions(getattr(value, f.name), hints[f.name],
-                                  lambda new, f=f: rebuild(dataclasses.replace(value, **{f.name: new})),
-                                  f"{path}.{f.name}")
-    elif typing.get_origin(tp) is tuple:
-        for i, item in enumerate(value):
-            yield from _positions(item, args[0], lambda new, i=i: rebuild((*value[:i], new, *value[i + 1:])),
-                                  f"{path}[{i}]")
-    elif typing.get_origin(tp) is dict:
-        for key, item in value.items():
-            yield from _positions(item, args[1], lambda new, key=key: rebuild({**value, key: new}),
-                                  f"{path}[{key!r}]")
-
-
 @pytest.fixture(scope="module")
-def fixture_and_request():
-    fx = build_fixture()
-    request, _ = create_credential_request(fx.wallet.link_secret, fx.platform_defn, b"walk", random.Random(5))
-    return fx, request
+def matrix_fixture():
+    return build_fixture()
 
 
-@pytest.mark.parametrize("target", ["bundle1", "bundle2", "request", "credential"])
-def test_a_wrong_type_at_any_field_is_refused(fixture_and_request, target):
+# per target: int leaves shifted by one, and values of the wrong type put at
+# a position; a walk that skips a position changes the counts
+@pytest.mark.parametrize("target, shifted, wrong_typed", [
+    ("vp1", 27, 201), ("vp2", 12, 122), ("request", 4, 31), ("credential", 8, 51),
+], ids=["bundle1", "bundle2", "request", "credential"])
+def test_a_wrong_type_at_any_field_is_refused(matrix_fixture, target, shifted, wrong_typed):
     # each field of the object, recursively, holds in turn each value of the
-    # wrong type; the matching verifier must refuse it and raise nothing else
-    fx, request = fixture_and_request
-    prev = bundle_digest(fx.bundle1)
-    verifiers = {
-        "bundle1": (fx.bundle1, PresentationBundle, lambda b: (
-            verify_bundle(fx.registry, b, fx.nonce, fx.enc_keys, expected_prev=b"")
-            or verify_equality(fx.registry, b, fx.bundle2, "ssn", fx.nonce, fx.enc_keys))),
-        "bundle2": (fx.bundle2, PresentationBundle, lambda b: (
-            verify_bundle(fx.registry, b, fx.nonce, fx.enc_keys, expected_prev=prev)
-            or verify_equality(fx.registry, fx.bundle1, b, "ssn", fx.nonce, fx.enc_keys))),
-        "request": (request, CredentialRequest, lambda r: (
-            verify_credential_request(fx.platform_defn, r)
-            or verify_credential_request(fx.platform_defn, r, fx.platform_keys))),
-        "credential": (fx.vc_pu, Credential, lambda cred: holder_accepts(fx, cred)),
-    }
-    honest, tp, accepts = verifiers[target]
+    # wrong type, and each int leaf its value + 1; the matching verifier must
+    # refuse every one and raise nothing else
+    honest, tp, accepts = mutation_targets(matrix_fixture)[target]
     assert accepts(honest)
-    accepted, walked = [], 0
-    for path, field_type, rebuild in _positions(honest, tp, lambda new: new, target):
-        for wrong in _wrong_values(field_type):
-            walked += 1
-            if accepts(rebuild(wrong)):
-                accepted.append(f"{path} = {wrong!r}")
-    assert accepted == []
-    assert walked >= 30
+    cases = list(leaf_mutations(honest, tp, target))
+    assert sum(" = " not in name for name, _ in cases) == shifted
+    assert sum(" = " in name for name, _ in cases) == wrong_typed
+    assert [name for name, bad in cases if accepts(bad)] == []
