@@ -197,10 +197,12 @@ def ledger_dump(source: str) -> None:
     path = Path(source)
     if path.is_dir():
         path = path / "ledger.jsonl"
-    if not path.exists():
-        click.echo(f"error: no ledger dump at {path}", err=True)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable or not UTF-8
+        click.echo(f"error: cannot read ledger dump at {path}: {exc}", err=True)
         sys.exit(2)
-    sys.stdout.write(path.read_text())
+    sys.stdout.write(text)
 
 
 if __name__ == "__main__":

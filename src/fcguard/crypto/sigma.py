@@ -62,12 +62,6 @@ def evaluate(eqs: Sequence[tuple[Eq, Mapping[str, int]]], c: int, factored: Mapp
     return [eq.finish(value, exps) for (eq, exps), value in zip(eqs, values)]
 
 
-def t_values(arms: Sequence[tuple[Any, Mapping[str, int]]], c: int, factored: Mapping[int, Crt]) -> list:
-    """Each arm's t-values at its exponents, from one `evaluate`, by its `eqs` and `layout`."""
-    values = iter(evaluate([(eq, exps) for arm, exps in arms for eq in arm.eqs], c, factored))
-    return [arm.layout([next(values) for _ in arm.eqs]) for arm, _ in arms]
-
-
 def well_formed(c: int, bits: int) -> bool:
     """True iff c lies in [0, 2^bits), as `challenge` gives. The types of c
     and of every response are `serialize.conforms`'s decision, made on the

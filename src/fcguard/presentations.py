@@ -13,15 +13,14 @@ cannot be mixed across sessions.
 
 Each arm kind (core, link, encryption, predicate) is defined once, by a
 `_*_arm` function that gives its statement entry, its relation on the
-`crypto.sigma` engine and the layout of its t-values. The verifier evaluates
-every equation of the bundle in one call. The prover needs two: round 1
-evaluates A' = A S^r_a, the link commitments, the ciphertexts, the
-predicate's square commitments and the link and encryption t-values; round 2
-the core t-value, which needs A', and the predicate t-values, which need the
-square commitments as bases. The prover draws all its randomness before
-round 1, in bundle order. `build_bundle` and `_verify_bundle` build the
-same arms in the same order, and `_bundle_challenge` alone lays out the
-statement and the t-values it hashes.
+`crypto.sigma` engine and the layout of its t-values. Prover and verifier
+each evaluate every equation of a bundle in one call. The prover raises no
+value that call gives, A' = A S^r_a or a square commitment T_i: it writes
+A'^b = A^b S^(r_a b), A a variable base, and prod T_i^b_i =
+R^(sum u_i b_i) S^(sum r_i b_i). It draws all its randomness first, in
+bundle order. `build_bundle` and `_verify_bundle` build the same arms in the
+same order, and `_bundle_challenge` alone lays out the statement and the
+t-values it hashes.
 
 Equality across two presentations rides on a shared integer commitment to
 the attribute under a commitment key derived from a credential definition:
@@ -56,7 +55,7 @@ from .crypto.elgamal import ElGamalPublicKey
 from .crypto.encoding import ATTRIBUTE_BOUND
 from .crypto.paillier import PaillierKeyPair, PaillierPublicKey, paillier_hs
 from .crypto.primes import Crt
-from .crypto.sigma import Eq, evaluate, t_values, well_formed
+from .crypto.sigma import Eq, evaluate, well_formed
 from .crypto.transcript import Transcript
 from .errors import ProofRefusedError, RegistryError, SchemaMismatchError
 from .ledger import Registry
@@ -344,11 +343,7 @@ class ProofSession:
                      link: Mapping[str, str] | None = None,
                      encrypt: Sequence[EncryptionSpec] = (),
                      predicates: Sequence[PredicateSpec] = ()) -> PresentationBundle:
-        profile = self.profile
-        rng = self.rng
-        pk = definition.public_key
-        n = pk.n
-        names = schema.attribute_names
+        profile, rng, names = self.profile, self.rng, schema.attribute_names
         disclose = set(disclose)
         unknown = disclose - set(names)
         if unknown:
@@ -363,58 +358,62 @@ class ProofSession:
         values = {LINK_NAME: link_secret.value, **credential.attributes}
         disclosed = {nm: credential.attributes[nm] for nm in sorted(disclose)}
 
-        # randomize the signature: A' = A * S^r_a
-        sig = credential.signature
-        r_a = rng.getrandbits(n.bit_length() + profile.stat_bits)
-        witness = {"@e": sig.e - (1 << (profile.e_bits - 1)), "@v": sig.v - sig.e * r_a, **values}
-
-        # blindings; hidden-attribute blindings are shared with every arm
+        # the signature's randomizer r_a, then the blindings, shared by every arm
+        r_a = rng.getrandbits(definition.public_key.n.bit_length() + profile.stat_bits)
         blind = {"@e": rng.getrandbits(profile.e_window_bits + profile.challenge_bits + profile.stat_bits),
                  "@v": rng.getrandbits(profile.v_bits + profile.challenge_bits + 2 * profile.stat_bits)}
         for nm in hidden_names:
             blind[nm] = rng.getrandbits(profile.attr_bits + profile.challenge_bits + profile.stat_bits)
 
         provers = {
+            "core": [self._prove_core(definition, names, credential, hidden_names, disclosed, values, r_a, blind)],
             "links": [self._prove_link(attr, link[attr], values[attr], blind[attr]) for attr in sorted(link)],
             "encs": [self._prove_encryption(spec, hidden_names, values, blind) for spec in encrypt],
             "preds": [self._prove_predicate(spec, hidden_names, values, blind) for spec in predicates],
         }
-        # round 1: S^r_a, then each arm's pairs; `settle` builds the arm from their values
-        first = [pair for group in provers.values() for pairs, _ in group for pair in pairs]
-        s_r_a, *found = evaluate([(Eq(n, ((pk.s, "r", True),)), {"r": r_a})] + first, 0, {})
-        a_prime = sig.a * s_r_a % n
-        found = iter(found)
+        # one evaluation of every prover's pairs; each `settle` builds its arm from their values
+        found = iter(evaluate([pair for group in provers.values() for pairs, _ in group for pair in pairs], 0, {}))
         arms = {kind: [settle([next(found) for _ in pairs]) for pairs, settle in group]
                 for kind, group in provers.items()}
-        # round 2: the core t-value and the predicate t-values, in whose
-        # entries the exponents stand until then
-        core = _core_arm(definition, profile, names, a_prime, hidden_names, disclosed)
-        t_core, *t_preds = t_values([(core, blind)] + [(arm, exps) for arm, exps, _ in arms["preds"]], 0, {})
-        arms["preds"] = [(arm, ts, respond) for (arm, _, respond), ts in zip(arms["preds"], t_preds)]
+        ((core, t_core, present),) = arms.pop("core")
         c = _bundle_challenge(profile, core, t_core, self.nonce, self.commitment_source, self.prev_digest, arms)
 
-        hats = {name: blind[name] + c * witness[name] for name in blind}
-        presentation = Presentation(
-            defn_id=definition.defn_id, disclosed=disclosed, hidden_names=hidden_names,
-            a_prime=a_prime, e_hat=hats.pop("@e"), v_hat=hats.pop("@v"), m_hats=hats,
-        )
-        link_proofs, enc_proofs, predicate_proofs = (
-            tuple(respond(c) for _, _, respond in arms[kind]) for kind in ("links", "encs", "preds"))
-        bundle = PresentationBundle(
-            presentation=presentation, link_proofs=link_proofs, enc_proofs=enc_proofs,
-            predicate_proofs=predicate_proofs, commitment_source=self.commitment_source,
-            prev_digest=self.prev_digest, challenge=c,
-        )
+        proofs = {kind: tuple(respond(c) for _, _, respond in group) for kind, group in arms.items()}
+        bundle = PresentationBundle(presentation=present(c), link_proofs=proofs["links"],
+                                    enc_proofs=proofs["encs"], predicate_proofs=proofs["preds"],
+                                    commitment_source=self.commitment_source, prev_digest=self.prev_digest,
+                                    challenge=c)
         self.prev_digest = bundle_digest(bundle)
         return bundle
 
-    # Each _prove_* draws its arm's randomness and blindings, in bundle order,
-    # and returns (pairs, settle): the (equation, exponents) pairs it needs
-    # evaluated in round 1, and `settle`, which maps their values to
-    # (arm, t-values, respond), respond mapping the challenge to the arm's wire
-    # proof. The link and encryption arms' equations read no target at c = 0,
-    # so an arm built with None for its statement values gives their t-values,
-    # and at the witness the values themselves, in the same round.
+    # Each _prove_* returns (pairs, settle): the (equation, exponents) pairs
+    # it needs evaluated, over bases known beforehand (at c = 0 an arm built
+    # with None for its statement values gives its t-values at the blindings
+    # and those values at the witness), and `settle`, which maps their values
+    # to (arm, t-values, respond), respond mapping c to the arm's wire proof.
+
+    def _prove_core(self, definition: CredentialDefinition, names: Sequence[str], credential: Credential,
+                    hidden_names: Sequence[str], disclosed: Mapping[str, int], values: Mapping[str, int],
+                    r_a: int, blind: Mapping[str, int]):
+        """A' = A S^r_a, and the core t-value over A as A'^b = A^b S^(r_a b):
+        the arm over A gives only its equation, the one over A' the statement."""
+        profile, pk, sig = self.profile, definition.public_key, credential.signature
+        witness = {"@e": sig.e - (1 << (profile.e_bits - 1)), "@v": sig.v - sig.e * r_a, **values}
+        (eq,) = _core_arm(definition, profile, names, sig.a, hidden_names, disclosed).eqs
+        pairs = [(Eq(pk.n, ((pk.s, "r", True),)), {"r": r_a}),
+                 (eq, {**blind, "@v": blind["@v"] + r_a * blind["@e"]})]
+
+        def settle(found: list[int]):
+            a_prime = sig.a * found[0] % pk.n
+
+            def respond(c: int) -> Presentation:
+                hats = {name: blind[name] + c * witness[name] for name in blind}
+                return Presentation(defn_id=definition.defn_id, disclosed=disclosed, hidden_names=hidden_names,
+                                    a_prime=a_prime, e_hat=hats.pop("@e"), v_hat=hats.pop("@v"), m_hats=hats)
+
+            return _core_arm(definition, profile, names, a_prime, hidden_names, disclosed), found[1], respond
+
+        return pairs, settle
 
     def _prove_link(self, attr: str, label: str, value: int, m_blind: int):
         ck, profile = self.commitment_key, self.profile
@@ -470,8 +469,8 @@ class ProofSession:
                          values: Mapping[str, int], blind: Mapping[str, int]):
         """Draws r_i for each square, then the rho blinding, then the u_i
         blindings and then the r_i blindings; `_four_squares` draws nothing.
-        Round 1 evaluates the commitments T_i, and the arm's t-values, which
-        take them as bases, wait for round 2."""
+        The last t-value is written over R and S, as
+        prod T_i^b_i = R^(sum u_i b_i) S^(sum r_i b_i)."""
         if spec.attr not in hidden_names[1:]:
             raise ProofRefusedError(f"attribute {spec.attr!r} must be hidden for a predicate proof")
         if spec.threshold not in PRED_RANGE:
@@ -486,19 +485,23 @@ class ProofSession:
         witness["rho"] = -sum(witness[f"u{i}"] * witness[f"r{i}"] for i in range(4))
         exps = {"m": blind[spec.attr],
                 **{name: rng.getrandbits(bits) for name, bits in _predicate_blind_bits(self.profile, ck).items()}}
+        last = {"m": exps["m"] + sum(witness[f"u{i}"] * exps[f"u{i}"] for i in range(4)),
+                "r": exps["rho"] + sum(witness[f"r{i}"] * exps[f"u{i}"] for i in range(4))}
+        commitments = _predicate_arm(ck, spec.attr, spec.threshold, (None,) * 4).eqs[:4]
+        pairs = [(eq, exps) for eq in commitments] + [(opening_eq(ck.n, ck.r_base, ck.s_base, None), last)]
 
-        def respond(c: int, squares: list[int]) -> PredicateProof:
+        def respond(c: int, squares: tuple[int, ...]) -> PredicateProof:
             hats = {name: exps[name] + c * value for name, value in witness.items()}
-            return PredicateProof(attr=spec.attr, threshold=spec.threshold, squares=tuple(squares),
+            return PredicateProof(attr=spec.attr, threshold=spec.threshold, squares=squares,
                                   u_hats=tuple(hats[f"u{i}"] for i in range(4)),
                                   r_hats=tuple(hats[f"r{i}"] for i in range(4)), rho_hat=hats["rho"])
 
-        def settle(squares: list[int]):
-            # the exponents stand in for the t-values until round 2
-            return _predicate_arm(ck, spec.attr, spec.threshold, squares), exps, lambda c: respond(c, squares)
+        def settle(found: list[int]):
+            squares = tuple(found[5:])
+            arm = _predicate_arm(ck, spec.attr, spec.threshold, squares)
+            return arm, arm.layout(found[:5]), lambda c: respond(c, squares)
 
-        commitments = _predicate_arm(ck, spec.attr, spec.threshold, (None,) * 4).eqs[:4]
-        return [(eq, witness) for eq in commitments], settle
+        return pairs + [(eq, witness) for eq in commitments], settle
 
 
 def create_presentation(registry: Registry, credential: Credential, link_secret: LinkSecret,
@@ -577,9 +580,9 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
     if not 1 < pres.a_prime < n or math.gcd(pres.a_prime, n) != 1:
         return False
 
-    core = _core_arm(definition, profile, names, pres.a_prime, pres.hidden_names, pres.disclosed)
     ck = commitment_key_for(fetch_definition(registry, bundle.commitment_source))
-    arms = {"links": [], "encs": [], "preds": []}
+    arms = {"core": [(_core_arm(definition, profile, names, pres.a_prime, pres.hidden_names, pres.disclosed),
+                      {"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats})], "links": [], "encs": [], "preds": []}
     for p in bundle.link_proofs:
         if p.attr not in hidden_attrs:
             return False
@@ -600,11 +603,11 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
                               {"m": pres.m_hats[p.attr], **hats}))
 
     # every equation of the bundle in one evaluation, then each arm's t-values in place of its exponents
-    core_exps = {"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats}
-    t_core, *t_arms = t_values([(core, core_exps)] + [entry for group in arms.values() for entry in group],
-                               c, factored)
-    t_arms = iter(t_arms)
-    arms = {kind: [(arm, next(t_arms)) for arm, _ in group] for kind, group in arms.items()}
+    found = iter(evaluate([(eq, exps) for group in arms.values() for arm, exps in group for eq in arm.eqs],
+                          c, factored))
+    arms = {kind: [(arm, arm.layout([next(found) for _ in arm.eqs])) for arm, _ in group]
+            for kind, group in arms.items()}
+    ((core, t_core),) = arms.pop("core")
     return _bundle_challenge(profile, core, t_core, expected_nonce, bundle.commitment_source,
                              bundle.prev_digest, arms) == c
 

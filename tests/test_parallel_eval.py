@@ -159,7 +159,7 @@ def test_crt_halves_reduce_exponents_with_the_helper_forced_on(forced, monkeypat
     assert [t[1] for t in half_p[1:]] == [5, 9]
 
 
-def test_one_request_per_round_of_a_bundle(forced, monkeypatch):
+def test_one_request_per_bundle(forced, monkeypatch):
     # the fixture's bundles: link, ElGamal and predicate arms, then link and Paillier arms
     fx = build_fixture()
     sent = _requests(monkeypatch)
@@ -178,7 +178,7 @@ def test_one_request_per_round_of_a_bundle(forced, monkeypatch):
         for keys in ((), own):
             assert verify_bundle(fx.registry, bundle, fx.nonce, fx.enc_keys, expected_prev=prev, own_keys=keys)
             counts.append(len(sent))
-    assert counts == [2, 4, 5, 6, 7, 8]
+    assert counts == [1, 2, 3, 4, 5, 6]
     assert all(local and remote for local, remote in sent)
 
 

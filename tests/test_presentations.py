@@ -401,6 +401,32 @@ def test_a_prime_sharing_a_factor_is_rejected_before_any_equation(toy_env, monke
     assert evaluated == []
 
 
+def test_the_prover_raises_no_base_its_own_evaluation_gives(monkeypatch):
+    # bundle 1 of the fixture: link, ElGamal and predicate arms. A' and the
+    # square commitments T_i come out of the prover's one evaluation, so no
+    # product of it may take them as bases.
+    fx = build_fixture()
+    evaluated = []
+    real = sigma.multi_powmod_many
+
+    def spy(products):
+        products = [(list(terms), mod) for terms, mod in products]
+        evaluated.append(products)
+        return real(products)
+
+    monkeypatch.setattr(sigma, "multi_powmod_many", spy)
+    session = ProofSession(fx.registry, fx.nonce, random.Random(7), commitment_source=fx.platform_defn.defn_id)
+    bundle = session.build_bundle(
+        fx.platform_defn, fx.platform_schema, fx.vc_pu, fx.wallet.link_secret, link={"ssn": "ssn"},
+        encrypt=[EncryptionSpec("ssn", fx.aa_keys.public)], predicates=[PredicateSpec("birthday", 20070101)])
+    bases = {base for products in evaluated for terms, _ in products for base, _, _ in terms}
+    outputs = {bundle.presentation.a_prime, *bundle.predicate_proofs[0].squares}
+    assert len(outputs) == 5 and not bases & outputs
+    assert len(evaluated) == 1
+    monkeypatch.undo()
+    assert verify_bundle(fx.registry, bundle, fx.nonce, fx.enc_keys)
+
+
 def test_four_squares_is_deterministic_and_draws_nothing():
     state = random.getstate()
     no_three = [delta for a in range(13) for b in (0, 1, 12345, ((1 << 27) // 4**a - 7) // 8)

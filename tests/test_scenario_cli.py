@@ -346,8 +346,13 @@ def test_cli_ledger_dump(tmp_path):
     assert dump.exit_code == 0
     lines = [json.loads(line) for line in dump.output.strip().splitlines()]
     assert lines and all({"amount", "from", "to", "tx_id"} <= set(line) for line in lines)
-    missing = runner.invoke(main, ["ledger", "dump", str(tmp_path / "nowhere")])
-    assert missing.exit_code == 2
+    non_utf8 = tmp_path / "non-utf8.jsonl"
+    non_utf8.write_bytes(b"\xff\xfe\x00")
+    (tmp_path / "nested" / "ledger.jsonl").mkdir(parents=True)
+    for source in (tmp_path / "nowhere", non_utf8, tmp_path / "nested"):
+        unreadable = runner.invoke(main, ["ledger", "dump", str(source)])
+        assert unreadable.exit_code == 2 and isinstance(unreadable.exception, SystemExit)
+        assert "error:" in unreadable.output
 
 
 def test_cli_keygen(tmp_path):
