@@ -39,8 +39,6 @@ from .errors import FcGuardError
 from .ledger import Chain, Registry
 from .params import PAPER, TOY, Profile, get_profile
 from .presentations import (
-    EncryptionSpec,
-    PredicateSpec,
     Presentation,
     PresentationBundle,
     ProofSession,
@@ -65,12 +63,10 @@ __all__ = [
     "CredentialDefinition",
     "CredentialRequest",
     "ElGamalKeyPair",
-    "EncryptionSpec",
     "FcGuardError",
     "LinkSecret",
     "PAPER",
     "PaillierKeyPair",
-    "PredicateSpec",
     "Presentation",
     "PresentationBundle",
     "Profile",

@@ -242,9 +242,10 @@ def sign_with_proof(keys: ClIssuerKeyPair, attributes: Sequence[int], profile: P
 def verify_signature_proof(public: ClPublicKey, a: int, q_value: int, proof: SignatureProof,
                            nonce: bytes, profile: Profile) -> bool:
     """The proof's challenge is that of A^c * Q^s_e, for Q from `signature_q`
-    and a proof that conforms to SignatureProof."""
+    and a proof that conforms to SignatureProof. The issuer reduces s_e mod
+    p'q', so anything outside [0, n) is refused before any exponentiation."""
     c, s_e, bits = proof.challenge, proof.s_e, profile.challenge_bits
-    if not well_formed(c, bits):
+    if not (well_formed(c, bits) and 0 <= s_e < public.n):
         return False
     (a_hat,) = evaluate([(_signature_eq(public.n, a, q_value), {"w": s_e})], c, {})
     return c == challenge("cl-signature-proof", nonce, (public.n, q_value, a, a_hat), bits)

@@ -81,14 +81,21 @@ def opening_eq(n: int, base1: int, base2: int, value: int | None) -> Eq:
     return Eq(n, ((base1, "m", True), (base2, "r", True)), lambda: ((value, 1, False),))
 
 
+def _opening_blind_bits(n: int, profile: Profile) -> tuple[int, int]:
+    """Bits of the blindings of m, an attribute, and of r, of |n| + stat_bits
+    bits: each covers c times its witness with stat_bits of slack."""
+    slack = profile.challenge_bits + profile.stat_bits
+    return profile.attr_bits + slack, n.bit_length() + profile.stat_bits + slack
+
+
 def prove_opening(n: int, base1: int, base2: int, m: int, r: int, label: str, nonce: bytes,
                   profile: Profile, rng: random.Random) -> tuple[int, OpeningProof]:
     """The commitment C = base1^m * base2^r and a proof of knowledge of its
     opening. C and the t-value are one batched evaluation, after the two
     blindings are drawn."""
-    slack = profile.challenge_bits + profile.stat_bits
-    m_t = rng.getrandbits(profile.attr_bits + slack)
-    r_t = rng.getrandbits(n.bit_length() + profile.stat_bits + slack)
+    m_bits, r_bits = _opening_blind_bits(n, profile)
+    m_t = rng.getrandbits(m_bits)
+    r_t = rng.getrandbits(r_bits)
     eq = opening_eq(n, base1, base2, None)
     value, t_value = evaluate([(eq, {"m": m, "r": r}), (eq, {"m": m_t, "r": r_t})], 0, {})
     c = challenge(label, nonce, (n, base1, base2, value, t_value), profile.challenge_bits)
@@ -98,10 +105,13 @@ def prove_opening(n: int, base1: int, base2: int, m: int, r: int, label: str, no
 def verify_opening(n: int, base1: int, base2: int, value: int, proof: OpeningProof,
                    label: str, nonce: bytes, profile: Profile, crt: Crt | None = None) -> bool:
     """The proof's verdict, mod p and mod q when the verifier passes n's
-    factors as `crt`. The caller has checked the proof and `value` with
-    `serialize.conforms`."""
+    factors as `crt`. Each response must lie within two bits of its
+    blinding, before any exponentiation. The caller has checked the proof
+    and `value` with `serialize.conforms`."""
     c, factored = proof.challenge, {crt[0][0] * crt[1][0]: crt} if crt else {}
-    if not well_formed(c, profile.challenge_bits):
+    m_bits, r_bits = _opening_blind_bits(n, profile)
+    if not (well_formed(c, profile.challenge_bits) and 0 <= proof.s_m < 1 << (m_bits + 2)
+            and 0 <= proof.s_r < 1 << (r_bits + 2)):
         return False
     try:
         (t_hat,) = evaluate([(opening_eq(n, base1, base2, value), {"m": proof.s_m, "r": proof.s_r})], c, factored)

@@ -23,31 +23,20 @@ from .credentials import (
     Schema,
     Wallet,
     create_credential_request,
-    fetch_definition,
-    fetch_schema,
     holder_finalize_credential,
     issue_credential,
     publish_definition,
 )
 from .crypto.ciphertext import Ciphertext
 from .crypto.cl import ClIssuerKeyPair
-from .crypto.elgamal import ElGamalKeyPair, elgamal_decrypt
+from .crypto.elgamal import ElGamalKeyPair, ElGamalPublicKey, elgamal_decrypt
 from .crypto.encoding import encode_attribute
-from .crypto.paillier import PaillierKeyPair, paillier_decrypt
+from .crypto.paillier import PaillierKeyPair, PaillierPublicKey, paillier_decrypt
 from .errors import FcGuardError, ProofRefusedError, ProtocolError
 from .ledger import Chain, Registry
 from .netsim import Network, SimClock
 from .params import Profile
-from .presentations import (
-    EncryptionSpec,
-    PredicateSpec,
-    PresentationBundle,
-    ProofSession,
-    bundle_digest,
-    find_arm,
-    verify_bundle,
-    verify_equality,
-)
+from .presentations import PresentationBundle, ProofSession, bundle_digest, verify_bundle, verify_equality
 from .serialize import conforms, serializable
 
 PHASE_REGISTRATION = "registration"
@@ -235,7 +224,7 @@ class Platform:
         self.registrations: list[dict] = []  # registration is non-anonymous
         self.orders: dict[str, ExchangeOrder] = {}
         self.pending_enc_ssn: dict[str, Ciphertext] = {}
-        self.pending_bundle1: dict[str, PresentationBundle] = {}  # order id -> bundle 1 accepted in step 1
+        self.pending_bundle1: dict[str, tuple[PresentationBundle, dict]] = {}  # order id -> (bundle 1, statement)
         self.order_bank: dict[str, str] = {}  # order id -> bank party id
         self.bank_directory: dict[int, Bank] = {}  # encoded bank name -> bank
         self.baseline_users: dict[str, dict] = {}  # baseline mode identity store
@@ -437,6 +426,26 @@ def _age_threshold(current_date: int, years: int) -> int:
     return current_date - years * 10000
 
 
+def identity_statement(platform_defn_id: str, authority_key: ElGamalPublicKey,
+                       age_threshold: int | None = None) -> dict:
+    """What step 1 asks of bundle 1, as the keywords of `build_bundle` and
+    `verify_bundle`: a presentation under the platform's definition that
+    discloses nothing, links the SSN into the session commitment, encrypts
+    it to the authority and, when the platform asks for an age, shows the
+    birthday is at most `age_threshold`."""
+    return {"defn_id": platform_defn_id, "commitment_source": platform_defn_id, "disclose": (),
+            "link": ("ssn",), "encrypt": (("ssn", authority_key),),
+            "predicates": () if age_threshold is None else (("birthday", age_threshold),)}
+
+
+def bank_statement(platform_defn_id: str, bank_defn_id: str, bank_key: PaillierPublicKey) -> dict:
+    """What step 2 asks of bundle 2: a presentation under the bank's
+    definition that discloses only the bank's name, links the SSN into the
+    commitment of bundle 1 and encrypts the account number to the bank."""
+    return {"defn_id": bank_defn_id, "commitment_source": platform_defn_id, "disclose": ("bank_name",),
+            "link": ("ssn",), "encrypt": (("bank_account", bank_key),), "predicates": ()}
+
+
 def _reject(ctx: SimContext, order: ExchangeOrder, sender: str, receiver: str,
             mtype: str, cause: str) -> None:
     """Tell the counterpart why the order stops, and fail it for that cause."""
@@ -448,29 +457,24 @@ def _reject(ctx: SimContext, order: ExchangeOrder, sender: str, receiver: str,
 def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
                             actor=None, credential_defn_id: str | None = None,
                             ) -> tuple[ExchangeOrder, ExchangeSession]:
-    """Identity verification: the user presents its platform credential with
-    everything hidden, links the SSN into the session commitment, attaches
-    the escrow encryption toward the authority, and proves the age predicate
-    when the platform demands one. The platform only accepts presentations
-    under its own credential definition."""
+    """Identity verification: the platform asks for `identity_statement`,
+    with the age threshold the order quote names, and the user rebuilds it
+    from the quote and presents its platform credential to prove it. With
+    `credential_defn_id` the user presents that credential instead. The
+    platform verifies the bundle against its own statement, so a bundle
+    under another definition, or with any arm more, fewer or different, is
+    refused before any proof work."""
     actor = actor or user
     order = open_order(ctx, actor.party_id, params)
-    defn_id = credential_defn_id or ctx.platform_defn.defn_id
-    definition = fetch_definition(ctx.registry, defn_id)
-    schema = fetch_schema(ctx.registry, definition.schema_id)
-    session = ProofSession(ctx.registry, order.nonce, user.rng,
-                           commitment_source=ctx.platform_defn.defn_id)
+    threshold = None if params.age_threshold_years is None \
+        else _age_threshold(ctx.current_date, params.age_threshold_years)
+    statement = identity_statement(ctx.platform_defn.defn_id, ctx.authority.public_enc_key, threshold)
+    # the holder's copy, rebuilt from the quote; under another credential when told to present one
+    held = {**statement, "defn_id": credential_defn_id or statement["defn_id"]}
+    session = ProofSession(ctx.registry, order.nonce, user.rng, commitment_source=statement["commitment_source"])
     handle = ExchangeSession(order_id=order.order_id, nonce=order.nonce, session=session)
-    predicates = []
-    if params.age_threshold_years is not None:
-        predicates.append(PredicateSpec(
-            attr="birthday", threshold=_age_threshold(ctx.current_date, params.age_threshold_years)))
     try:
-        bundle1 = session.build_bundle(
-            definition, schema, user.wallet.get(defn_id),
-            user.wallet.link_secret, disclose=(), link={"ssn": "ssn"},
-            encrypt=[EncryptionSpec(attr="ssn", public_key=ctx.authority.public_enc_key)],
-            predicates=predicates)
+        bundle1 = session.build_bundle(user.wallet.get(held["defn_id"]), user.wallet.link_secret, **held)
     except FcGuardError:
         _reject(ctx, order, actor.party_id, "platform", "step1-abort", "identity")
         return order, handle
@@ -478,26 +482,13 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
     ctx.net.send(actor.party_id, "platform", "step1-bundle",
                  {"bundle": bundle1, "order_id": order.order_id}, PHASE_EXCHANGE)
 
-    # the arm shapes the platform requires, before any proof work
-    aa_key = ctx.authority.public_enc_key
-    if not conforms(bundle1, PresentationBundle):
+    if not verify_bundle(ctx.registry, bundle1, order.nonce, expected_prev=b"",
+                         own_keys=(ctx.platform.issuer_keys,), **statement):
         _reject(ctx, order, "platform", actor.party_id, "step1-rejected", "identity")
         return order, handle
-    enc = find_arm(bundle1.enc_proofs, "ssn")
-    ok = bundle1.presentation.defn_id == bundle1.commitment_source == ctx.platform_defn.defn_id
-    ok = ok and find_arm(bundle1.link_proofs, "ssn") is not None
-    ok = ok and enc is not None and enc.ciphertext.scheme == "elgamal" and enc.key_id == aa_key.key_id()
-    if params.age_threshold_years is not None:
-        pred = find_arm(bundle1.predicate_proofs, "birthday")
-        ok = ok and pred is not None \
-            and pred.threshold == _age_threshold(ctx.current_date, params.age_threshold_years)
-    ok = ok and verify_bundle(ctx.registry, bundle1, order.nonce, {aa_key.key_id(): aa_key},
-                              expected_prev=b"", own_keys=(ctx.platform.issuer_keys,))
-    if not ok:
-        _reject(ctx, order, "platform", actor.party_id, "step1-rejected", "identity")
-        return order, handle
+    (enc,) = bundle1.enc_proofs
     ctx.platform.pending_enc_ssn[order.order_id] = enc.ciphertext
-    ctx.platform.pending_bundle1[order.order_id] = bundle1
+    ctx.platform.pending_bundle1[order.order_id] = (bundle1, statement)
     order.advance("identity-verified", ctx.clock.now_ms)
     ctx.net.send("platform", actor.party_id, "step1-accepted",
                  {"order_id": order.order_id}, PHASE_EXCHANGE)
@@ -506,19 +497,20 @@ def exchange_step1_identity(ctx: SimContext, user: User, params: OrderParams,
 
 def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
                         handle: ExchangeSession, actor=None) -> None:
-    """Bank account verification: VP over the bank credential disclosing only
-    the bank's name, SSN equality against step 1, verifiable Paillier
-    encryption of the account number, then bank-side decryption and MFA."""
+    """Bank account verification: the user proves `bank_statement` for its
+    bank over its bank credential, chained onto bundle 1. The platform looks
+    the bank up by the disclosed name, verifies bundle 2 against that bank's
+    statement and the SSN equality against step 1, and forwards it; the
+    bank verifies it against the same statement, decrypts the account
+    number and runs MFA."""
     actor = actor or user
     if order.state != "identity-verified":
         raise ProtocolError("step 2 requires an identity-verified order")
-    bundle1 = ctx.platform.pending_bundle1.pop(order.order_id)
-    session = handle.session
+    bundle1, statement1 = ctx.platform.pending_bundle1.pop(order.order_id)
+    source = ctx.platform_defn.defn_id
+    held = bank_statement(source, ctx.bank.defn_id, ctx.bank.public_enc_key)
     try:
-        bundle2 = session.build_bundle(
-            ctx.bank_defn, ctx.bank_schema, user.wallet.get(ctx.bank_defn.defn_id),
-            user.wallet.link_secret, disclose=("bank_name",), link={"ssn": "ssn"},
-            encrypt=[EncryptionSpec(attr="bank_account", public_key=ctx.bank.public_enc_key)])
+        bundle2 = handle.session.build_bundle(user.wallet.get(held["defn_id"]), user.wallet.link_secret, **held)
     except ProofRefusedError:
         # the prover's own credentials disagree; abort before anything is sent
         _reject(ctx, order, actor.party_id, "platform", "step2-abort", "equality")
@@ -527,32 +519,21 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
     ctx.net.send(actor.party_id, "platform", "step2-bundle",
                  {"bundle": bundle2, "order_id": order.order_id}, PHASE_EXCHANGE)
 
-    # the arm shapes the platform requires, before any proof work
     platform = ctx.platform
-    if not conforms(bundle2, PresentationBundle):
-        _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "bank-presentation")
-        return
-    bank = platform.bank_directory.get(bundle2.presentation.disclosed.get("bank_name"))
-    enc = find_arm(bundle2.enc_proofs, "bank_account")
-    ok = bank is not None and set(bundle2.presentation.disclosed) == {"bank_name"}
-    ok = ok and bundle2.presentation.defn_id == bank.defn_id
-    ok = ok and bundle2.commitment_source == ctx.platform_defn.defn_id
-    ok = ok and find_arm(bundle2.link_proofs, "ssn") is not None
-    ok = ok and enc is not None and enc.ciphertext.scheme == "paillier" \
-        and enc.key_id == bank.public_enc_key.key_id()
-    keys = {k.key_id(): k for k in (ctx.authority.public_enc_key, bank.public_enc_key)} \
-        if bank is not None else {}
+    bank = platform.bank_directory.get(bundle2.presentation.disclosed.get("bank_name")) \
+        if conforms(bundle2, PresentationBundle) else None
+    statement = bank_statement(source, bank.defn_id, bank.public_enc_key) if bank is not None else None
     # the platform's n is also the link-commitment modulus
     own = (platform.issuer_keys,)
-    ok = ok and verify_bundle(ctx.registry, bundle2, order.nonce, keys,
-                              expected_prev=bundle_digest(bundle1), own_keys=own)
-    if not ok:
+    if statement is None or not verify_bundle(ctx.registry, bundle2, order.nonce, own_keys=own,
+                                              expected_prev=bundle_digest(bundle1), **statement):
         _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "bank-presentation")
         return
-    if not verify_equality(ctx.registry, bundle1, bundle2, "ssn", order.nonce, keys, own_keys=own):
+    if not verify_equality(ctx.registry, bundle1, bundle2, "ssn", order.nonce, statement1, statement, own_keys=own):
         _reject(ctx, order, "platform", actor.party_id, "step2-rejected", "equality")
         return
     platform.order_bank[order.order_id] = bank.party_id
+    (enc,) = bundle2.enc_proofs
 
     # M_pb: platform account, the bank presentation, and the account ciphertext
     ctx.net.send("platform", bank.party_id, "fiat-request",
@@ -560,10 +541,8 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
                   "ciphertext": enc.ciphertext, "order_id": order.order_id,
                   "platform_account": platform.bank_account}, PHASE_EXCHANGE)
 
-    verified = verify_bundle(ctx.registry, bundle2, order.nonce,
-                             {bank.public_enc_key.key_id(): bank.public_enc_key,
-                              ctx.authority.public_enc_key.key_id(): ctx.authority.public_enc_key},
-                             own_keys=(bank.issuer_keys, bank.enc_keys))
+    verified = verify_bundle(ctx.registry, bundle2, order.nonce, own_keys=(bank.issuer_keys, bank.enc_keys),
+                             **statement)
     account_number = paillier_decrypt(bank.enc_keys, enc.ciphertext) if verified else None
     account = bank.accounts.get(account_number)
     if account is None:

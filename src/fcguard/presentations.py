@@ -34,10 +34,18 @@ Each value goes on the wire once. The challenge travels only in the bundle,
 the verifier nonce not at all (each verifier absorbs the nonce it issued),
 and a ciphertext carries its own scheme.
 
+Each bundle proves a statement, as an AnonCreds presentation request asks,
+which the prover and every verifier take alike as the keywords `defn_id`,
+`commitment_source`, `disclose`, `link`, `encrypt` ((attribute, key) pairs)
+and `predicates` ((attribute, threshold) pairs) of
+`ProofSession.build_bundle` and `verify_bundle`.
+
 `verify_bundle` and `verify_equality` first check each bundle's shape with
 `serialize.conforms`, the one shape rule, driven by the annotations below; a
-bundle of the wrong shape is refused before any field is read. Every range,
-length and set test on the values stays here.
+bundle of the wrong shape is refused before any field is read. Then a bundle
+whose own statement differs from the one asked for is refused, and every
+response is bounded by its blinding's width, all before any exponentiation.
+Every range, length and set test on the values stays here.
 """
 from __future__ import annotations
 
@@ -47,7 +55,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .credentials import Credential, CredentialDefinition, LinkSecret, Schema, fetch_definition, fetch_schema
+from .credentials import Credential, CredentialDefinition, LinkSecret, fetch_definition, fetch_schema
 from .crypto.ciphertext import Ciphertext
 from .crypto.cl import ClIssuerKeyPair
 from .crypto.commitment import CommitmentKey, opening_eq, randomizer_bits
@@ -64,6 +72,9 @@ from .serialize import conforms, dumps, serializable
 
 # A verifier's own key pairs, whose factors it holds.
 OwnKeys = ClIssuerKeyPair | PaillierKeyPair
+
+# The public key an encryption arm encrypts to.
+EncryptionKey = ElGamalPublicKey | PaillierPublicKey
 
 # Pseudo-attribute name for the link-secret slot; always hidden.
 LINK_NAME = "@link"
@@ -130,24 +141,6 @@ class PresentationBundle:
     challenge: int
 
 
-@dataclass(frozen=True)
-class EncryptionSpec:
-    """Request to verifiably encrypt one hidden attribute to a public key."""
-
-    attr: str
-    public_key: ElGamalPublicKey | PaillierPublicKey
-
-    @property
-    def scheme(self) -> str:
-        return _scheme(self.public_key)
-
-
-@dataclass(frozen=True)
-class PredicateSpec:
-    attr: str
-    threshold: int  # prove hidden value <= threshold
-
-
 def bundle_digest(bundle: PresentationBundle) -> bytes:
     return hashlib.sha256(dumps(bundle)).digest()
 
@@ -155,11 +148,6 @@ def bundle_digest(bundle: PresentationBundle) -> bytes:
 def commitment_key_for(definition: CredentialDefinition) -> CommitmentKey:
     pk = definition.public_key
     return CommitmentKey.derive(pk.n, pk.s, label="link-commitment:" + definition.defn_id)
-
-
-def find_arm(arms: Iterable, attr: str):
-    """The first arm in `arms` about attribute `attr`, or None."""
-    return next((arm for arm in arms if arm.attr == attr), None)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +164,7 @@ class _Arm:
     layout: Callable[[list[int]], object]
 
 
-def _scheme(key: ElGamalPublicKey | PaillierPublicKey) -> str:
+def _scheme(key: EncryptionKey) -> str:
     return "elgamal" if isinstance(key, ElGamalPublicKey) else "paillier"
 
 
@@ -204,8 +192,13 @@ def _link_arm(ck: CommitmentKey, attr: str, commitment: int | None) -> _Arm:
                 lambda ts: ts[0])
 
 
-def _encryption_arm(attr: str, key: ElGamalPublicKey | PaillierPublicKey,
-                    parts: Sequence[int | None]) -> _Arm:
+def _link_blind_bits(profile: Profile, ck: CommitmentKey) -> int:
+    """Bits of the link arm's randomness blinding: it covers c times the
+    commitment's randomness, of `randomizer_bits`, with stat_bits of slack."""
+    return randomizer_bits(ck, profile) + profile.challenge_bits + profile.stat_bits
+
+
+def _encryption_arm(attr: str, key: EncryptionKey, parts: Sequence[int | None]) -> _Arm:
     """ElGamal: c1 = g^r and c2 = g^m * h^r (mod p). Paillier, in the
     fixed-base form of Damgard-Jurik-Nielsen: c = (1+n)^m * h_s^r (mod n^2)
     for the key's public n-th residue h_s (`paillier_hs`), with
@@ -231,8 +224,7 @@ def _paillier_r_hat_bits(profile: Profile, key: PaillierPublicKey) -> int:
     return key.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits
 
 
-def _encryption_in_range(profile: Profile, key: ElGamalPublicKey | PaillierPublicKey,
-                         proof: VerifiableEncryptionProof) -> bool:
+def _encryption_in_range(profile: Profile, key: EncryptionKey, proof: VerifiableEncryptionProof) -> bool:
     """Ciphertext parts are nonzero group elements, and the randomness
     response lies in Z_q (ElGamal) or in [0, 2^(|n| + 2 stat + challenge + 1))
     (Paillier: blinding plus challenge times rho)."""
@@ -316,6 +308,7 @@ class ProofSession:
 
     def __init__(self, registry: Registry, nonce: bytes, rng: random.Random,
                  commitment_source: str):
+        self.registry = registry
         self.nonce = nonce
         self.rng = rng
         self.commitment_source = commitment_source
@@ -323,32 +316,37 @@ class ProofSession:
         self.profile = source_defn.profile()
         self.commitment_key = commitment_key_for(source_defn)
         self.prev_digest = b""
-        self._links: dict[str, tuple[int | None, int, int]] = {}  # label -> (C, value, randomness)
+        self._links: dict[str, tuple[int | None, int, int]] = {}  # attribute -> (C, value, randomness)
 
-    def _link_commitment(self, label: str, value: int) -> tuple[int | None, int]:
-        """The session's commitment R^value S^r under `label`, and r. A new
-        one draws r now and stays None until `build_bundle` evaluates it."""
-        if label in self._links:
-            c_value, known, r = self._links[label]
+    def _link_commitment(self, attr: str, value: int) -> tuple[int | None, int]:
+        """The session's commitment R^value S^r to `attr`, and r. A new one
+        draws r now and stays None until `build_bundle` evaluates it."""
+        if attr in self._links:
+            c_value, known, r = self._links[attr]
             if known != value:
-                raise ProofRefusedError(
-                    f"attribute linked as {label!r} differs from the session's committed value")
+                raise ProofRefusedError(f"linked attribute {attr!r} differs from the session's committed value")
             return c_value, r
         r = self.rng.getrandbits(randomizer_bits(self.commitment_key, self.profile))
-        self._links[label] = (None, value, r)
+        self._links[attr] = (None, value, r)
         return None, r
 
-    def build_bundle(self, definition: CredentialDefinition, schema: Schema, credential: Credential,
-                     link_secret: LinkSecret, disclose: Iterable[str] = (),
-                     link: Mapping[str, str] | None = None,
-                     encrypt: Sequence[EncryptionSpec] = (),
-                     predicates: Sequence[PredicateSpec] = ()) -> PresentationBundle:
-        profile, rng, names = self.profile, self.rng, schema.attribute_names
-        disclose = set(disclose)
+    def build_bundle(self, credential: Credential, link_secret: LinkSecret, *, defn_id: str,
+                     commitment_source: str, disclose: Iterable[str] = (), link: Iterable[str] = (),
+                     encrypt: Sequence[tuple[str, EncryptionKey]] = (),
+                     predicates: Sequence[tuple[str, int]] = ()) -> PresentationBundle:
+        """The bundle proving the statement the keywords give, the one its
+        verifiers pass to `verify_bundle`. Refuses a statement about another
+        credential definition or commitment source than `credential`'s and
+        the session's, or one that is false for the prover's own values."""
+        if credential.defn_id != defn_id or commitment_source != self.commitment_source:
+            raise ProofRefusedError("the statement names another credential definition or commitment source")
+        profile, rng = self.profile, self.rng
+        definition = fetch_definition(self.registry, defn_id)
+        names = fetch_schema(self.registry, definition.schema_id).attribute_names
+        disclose, link = set(disclose), sorted(link)
         unknown = disclose - set(names)
         if unknown:
             raise SchemaMismatchError(f"unknown attributes in disclosure set: {sorted(unknown)}")
-        link = dict(link or {})
         if set(link) - set(names):
             raise SchemaMismatchError("link attributes must belong to the schema")
         if disclose & set(link):
@@ -367,9 +365,10 @@ class ProofSession:
 
         provers = {
             "core": [self._prove_core(definition, names, credential, hidden_names, disclosed, values, r_a, blind)],
-            "links": [self._prove_link(attr, link[attr], values[attr], blind[attr]) for attr in sorted(link)],
-            "encs": [self._prove_encryption(spec, hidden_names, values, blind) for spec in encrypt],
-            "preds": [self._prove_predicate(spec, hidden_names, values, blind) for spec in predicates],
+            "links": [self._prove_link(attr, values[attr], blind[attr]) for attr in link],
+            "encs": [self._prove_encryption(attr, key, hidden_names, values, blind) for attr, key in encrypt],
+            "preds": [self._prove_predicate(attr, threshold, hidden_names, values, blind)
+                      for attr, threshold in predicates],
         }
         # one evaluation of every prover's pairs; each `settle` builds its arm from their values
         found = iter(evaluate([pair for group in provers.values() for pairs, _ in group for pair in pairs], 0, {}))
@@ -415,10 +414,10 @@ class ProofSession:
 
         return pairs, settle
 
-    def _prove_link(self, attr: str, label: str, value: int, m_blind: int):
-        ck, profile = self.commitment_key, self.profile
-        c_value, c_rand = self._link_commitment(label, value)
-        r_blind = self.rng.getrandbits(ck.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits)
+    def _prove_link(self, attr: str, value: int, m_blind: int):
+        ck = self.commitment_key
+        c_value, c_rand = self._link_commitment(attr, value)
+        r_blind = self.rng.getrandbits(_link_blind_bits(self.profile, ck))
         (eq,) = _link_arm(ck, attr, None).eqs
         pairs = [(eq, {"m": m_blind, "r": r_blind})]
         if c_value is None:
@@ -426,18 +425,18 @@ class ProofSession:
 
         def settle(found: list[int]):
             commitment = found[1] if c_value is None else c_value
-            self._links[label] = (commitment, value, c_rand)
+            self._links[attr] = (commitment, value, c_rand)
             arm = _link_arm(ck, attr, commitment)
             return arm, arm.layout(found[:1]), \
                 lambda c: LinkProof(attr=attr, commitment=commitment, r_hat=r_blind + c * c_rand)
 
         return pairs, settle
 
-    def _prove_encryption(self, spec: EncryptionSpec, hidden_names: Sequence[str],
+    def _prove_encryption(self, attr: str, key: EncryptionKey, hidden_names: Sequence[str],
                           values: Mapping[str, int], blind: Mapping[str, int]):
-        if spec.attr not in hidden_names:
-            raise ProofRefusedError(f"attribute {spec.attr!r} must be hidden to encrypt verifiably")
-        key, rng, value = spec.public_key, self.rng, values[spec.attr]
+        if attr not in hidden_names:
+            raise ProofRefusedError(f"attribute {attr!r} must be hidden to encrypt verifiably")
+        rng, value = self.rng, values[attr]
         if isinstance(key, ElGamalPublicKey):
             if value >= key.plain_bound:
                 raise ProofRefusedError("plaintext exceeds the ElGamal bound")
@@ -453,29 +452,29 @@ class ProofSession:
             r_hat = lambda c: rho_blind + c * rho  # noqa: E731
             unknown = (None,)
         # the ciphertext parts are the relation at the witness
-        eqs = _encryption_arm(spec.attr, key, unknown).eqs
-        blinds, witness = {"m": blind[spec.attr], "r": rho_blind}, {"m": value, "r": rho}
+        eqs = _encryption_arm(attr, key, unknown).eqs
+        blinds, witness = {"m": blind[attr], "r": rho_blind}, {"m": value, "r": rho}
 
         def settle(found: list[int]):
             parts = tuple(found[len(eqs):])
-            arm = _encryption_arm(spec.attr, key, parts)
+            arm = _encryption_arm(attr, key, parts)
             return arm, arm.layout(found[:len(eqs)]), \
-                lambda c: VerifiableEncryptionProof(attr=spec.attr, key_id=key.key_id(),
-                                                    ciphertext=Ciphertext(spec.scheme, parts), r_hat=r_hat(c))
+                lambda c: VerifiableEncryptionProof(attr=attr, key_id=key.key_id(),
+                                                    ciphertext=Ciphertext(_scheme(key), parts), r_hat=r_hat(c))
 
         return [(eq, blinds) for eq in eqs] + [(eq, witness) for eq in eqs], settle
 
-    def _prove_predicate(self, spec: PredicateSpec, hidden_names: Sequence[str],
+    def _prove_predicate(self, attr: str, threshold: int, hidden_names: Sequence[str],
                          values: Mapping[str, int], blind: Mapping[str, int]):
         """Draws r_i for each square, then the rho blinding, then the u_i
         blindings and then the r_i blindings; `_four_squares` draws nothing.
         The last t-value is written over R and S, as
         prod T_i^b_i = R^(sum u_i b_i) S^(sum r_i b_i)."""
-        if spec.attr not in hidden_names[1:]:
-            raise ProofRefusedError(f"attribute {spec.attr!r} must be hidden for a predicate proof")
-        if spec.threshold not in PRED_RANGE:
+        if attr not in hidden_names[1:]:
+            raise ProofRefusedError(f"attribute {attr!r} must be hidden for a predicate proof")
+        if threshold not in PRED_RANGE:
             raise ProofRefusedError("threshold out of predicate range")
-        delta = spec.threshold - values[spec.attr]
+        delta = threshold - values[attr]
         if delta < 0:
             raise ProofRefusedError("attribute violates the predicate")
         ck, rng = self.commitment_key, self.rng
@@ -483,54 +482,63 @@ class ProofSession:
         for i, u in enumerate(_four_squares(delta)):
             witness[f"u{i}"], witness[f"r{i}"] = u, rng.getrandbits(randomizer_bits(ck, self.profile))
         witness["rho"] = -sum(witness[f"u{i}"] * witness[f"r{i}"] for i in range(4))
-        exps = {"m": blind[spec.attr],
+        exps = {"m": blind[attr],
                 **{name: rng.getrandbits(bits) for name, bits in _predicate_blind_bits(self.profile, ck).items()}}
         last = {"m": exps["m"] + sum(witness[f"u{i}"] * exps[f"u{i}"] for i in range(4)),
                 "r": exps["rho"] + sum(witness[f"r{i}"] * exps[f"u{i}"] for i in range(4))}
-        commitments = _predicate_arm(ck, spec.attr, spec.threshold, (None,) * 4).eqs[:4]
+        commitments = _predicate_arm(ck, attr, threshold, (None,) * 4).eqs[:4]
         pairs = [(eq, exps) for eq in commitments] + [(opening_eq(ck.n, ck.r_base, ck.s_base, None), last)]
 
         def respond(c: int, squares: tuple[int, ...]) -> PredicateProof:
             hats = {name: exps[name] + c * value for name, value in witness.items()}
-            return PredicateProof(attr=spec.attr, threshold=spec.threshold, squares=squares,
+            return PredicateProof(attr=attr, threshold=threshold, squares=squares,
                                   u_hats=tuple(hats[f"u{i}"] for i in range(4)),
                                   r_hats=tuple(hats[f"r{i}"] for i in range(4)), rho_hat=hats["rho"])
 
         def settle(found: list[int]):
             squares = tuple(found[5:])
-            arm = _predicate_arm(ck, spec.attr, spec.threshold, squares)
+            arm = _predicate_arm(ck, attr, threshold, squares)
             return arm, arm.layout(found[:5]), lambda c: respond(c, squares)
 
         return pairs + [(eq, witness) for eq in commitments], settle
 
 
 def create_presentation(registry: Registry, credential: Credential, link_secret: LinkSecret,
-                        disclose: Iterable[str], nonce: bytes, rng: random.Random,
-                        link: Mapping[str, str] | None = None,
-                        encrypt: Sequence[EncryptionSpec] = (),
-                        predicates: Sequence[PredicateSpec] = ()) -> PresentationBundle:
-    """One-shot session producing a single standalone bundle."""
-    definition = fetch_definition(registry, credential.defn_id)
-    schema = fetch_schema(registry, definition.schema_id)
+                        disclose: Iterable[str], nonce: bytes, rng: random.Random, link: Iterable[str] = (),
+                        encrypt: Sequence[tuple[str, EncryptionKey]] = (),
+                        predicates: Sequence[tuple[str, int]] = ()) -> PresentationBundle:
+    """One-shot session producing a single standalone bundle, whose link
+    commitments derive from the credential's own definition."""
     session = ProofSession(registry, nonce, rng, commitment_source=credential.defn_id)
-    return session.build_bundle(definition, schema, credential, link_secret,
-                                disclose=disclose, link=link, encrypt=encrypt, predicates=predicates)
+    return session.build_bundle(credential, link_secret, defn_id=credential.defn_id,
+                                commitment_source=credential.defn_id, disclose=disclose, link=link,
+                                encrypt=encrypt, predicates=predicates)
 
 
-def verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce: bytes,
-                  encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey] | None = None,
+def verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce: bytes, *, defn_id: str,
+                  commitment_source: str, disclose: Iterable[str] = (), link: Iterable[str] = (),
+                  encrypt: Sequence[tuple[str, EncryptionKey]] = (), predicates: Sequence[tuple[str, int]] = (),
                   expected_prev: bytes | None = None, own_keys: Sequence[OwnKeys] = ()) -> bool:
-    """Full verification of a bundle: every arm's t-values are recomputed from
-    the stored responses and the single challenge is re-derived from the
-    whole transcript. With the verifier's `own_keys` (its issuer key pair, its
+    """Full verification of a bundle against the statement the keywords give,
+    the one its prover took: every arm's t-values are recomputed from the
+    stored responses and the single challenge is re-derived from the whole
+    transcript. With the verifier's `own_keys` (its issuer key pair, its
     Paillier key pair) the engine works mod their primes, to the same verdict.
-    A bundle that does not conform to PresentationBundle, a definition the
-    registry does not know, a malformed response or a group element with no
-    inverse gives False; any other exception is a bug and propagates."""
+    A bundle that does not conform to PresentationBundle or proves another
+    statement, a definition the registry does not know, a malformed response
+    or a group element with no inverse gives False; any other exception is a
+    bug and propagates."""
     if not conforms(bundle, PresentationBundle):
         return False
+    # the bundle's own statement, its link arms in attribute order as the prover builds them
+    pres = bundle.presentation
+    shown = (pres.defn_id, bundle.commitment_source, set(pres.disclosed), [p.attr for p in bundle.link_proofs],
+             [(p.attr, p.key_id) for p in bundle.enc_proofs], [(p.attr, p.threshold) for p in bundle.predicate_proofs])
+    if shown != (defn_id, commitment_source, set(disclose), sorted(link),
+                 [(attr, key.key_id()) for attr, key in encrypt], [(attr, t) for attr, t in predicates]):
+        return False
     try:
-        return _verify_bundle(registry, bundle, expected_nonce, encryption_keys or {}, expected_prev,
+        return _verify_bundle(registry, bundle, expected_nonce, [key for _, key in encrypt], expected_prev,
                               _factored(own_keys))
     except (RegistryError, ValueError):
         return False
@@ -542,8 +550,8 @@ def _factored(own_keys: Sequence[OwnKeys]) -> dict[int, Crt]:
 
 
 def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonce: bytes,
-                   encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey],
-                   expected_prev: bytes | None, factored: Mapping[int, Crt]) -> bool:
+                   encryption_keys: Sequence[EncryptionKey], expected_prev: bytes | None,
+                   factored: Mapping[int, Crt]) -> bool:
     pres = bundle.presentation
     if expected_prev is not None and bundle.prev_digest != expected_prev:
         return False
@@ -583,15 +591,14 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
     ck = commitment_key_for(fetch_definition(registry, bundle.commitment_source))
     arms = {"core": [(_core_arm(definition, profile, names, pres.a_prime, pres.hidden_names, pres.disclosed),
                       {"@e": pres.e_hat, "@v": pres.v_hat, **pres.m_hats})], "links": [], "encs": [], "preds": []}
+    r_hat_bound = 1 << (_link_blind_bits(profile, ck) + 2)
     for p in bundle.link_proofs:
-        if p.attr not in hidden_attrs:
+        if p.attr not in hidden_attrs or not 0 <= p.r_hat < r_hat_bound:
             return False
         arms["links"].append((_link_arm(ck, p.attr, p.commitment), {"m": pres.m_hats[p.attr], "r": p.r_hat}))
-    for p in bundle.enc_proofs:
-        key = encryption_keys.get(p.key_id)
-        if p.attr not in pres.hidden_names or key is None or key.key_id() != p.key_id:
-            return False
-        if p.ciphertext.scheme != _scheme(key) or not _encryption_in_range(profile, key, p):
+    for p, key in zip(bundle.enc_proofs, encryption_keys):
+        if p.attr not in pres.hidden_names or p.ciphertext.scheme != _scheme(key) \
+                or not _encryption_in_range(profile, key, p):
             return False
         arms["encs"].append((_encryption_arm(p.attr, key, p.ciphertext.parts),
                              {"m": pres.m_hats[p.attr], "r": p.r_hat}))
@@ -613,23 +620,22 @@ def _verify_bundle(registry: Registry, bundle: PresentationBundle, expected_nonc
 
 
 def verify_equality(registry: Registry, bundle_a: PresentationBundle, bundle_b: PresentationBundle,
-                    attr: str, nonce: bytes,
-                    encryption_keys: Mapping[str, ElGamalPublicKey | PaillierPublicKey] | None = None,
+                    attr: str, nonce: bytes, statement_a: Mapping, statement_b: Mapping,
                     own_keys: Sequence[OwnKeys] = ()) -> bool:
     """True iff both bundles carry a link arm for `attr` against one
     commitment, under one commitment key, bundle_b chains onto bundle_a, and
-    both bundles verify under `nonce`, each with the verifier's `own_keys` as
-    in `verify_bundle`. The linkage is checked first, so a splice costs no
-    proof work. Binding of the commitment then forces the hidden values equal."""
+    each bundle verifies under `nonce` against its statement, given as the
+    keywords of `verify_bundle`, with the verifier's `own_keys`. The linkage
+    is checked first, so a splice costs no proof work. Binding of the
+    commitment then forces the hidden values equal."""
     if not (conforms(bundle_a, PresentationBundle) and conforms(bundle_b, PresentationBundle)):
         return False
-    arm_a = find_arm(bundle_a.link_proofs, attr)
-    arm_b = find_arm(bundle_b.link_proofs, attr)
+    arm_a, arm_b = (next((p for p in bundle.link_proofs if p.attr == attr), None) for bundle in (bundle_a, bundle_b))
     digest_a = bundle_digest(bundle_a)
     return (arm_a is not None and arm_b is not None
             and arm_a.commitment == arm_b.commitment
             and bundle_a.commitment_source == bundle_b.commitment_source
             and bundle_b.prev_digest == digest_a
-            and verify_bundle(registry, bundle_a, nonce, encryption_keys, own_keys=own_keys)
-            and verify_bundle(registry, bundle_b, nonce, encryption_keys, expected_prev=digest_a,
-                              own_keys=own_keys))
+            and verify_bundle(registry, bundle_a, nonce, own_keys=own_keys, **statement_a)
+            and verify_bundle(registry, bundle_b, nonce, expected_prev=digest_a, own_keys=own_keys,
+                              **statement_b))

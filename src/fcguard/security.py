@@ -25,17 +25,17 @@ from .credentials import (
 )
 from .crypto.ciphertext import Ciphertext
 from .crypto.cl import cl_verify, cl_keygen
-from .crypto.commitment import CommitmentKey, commit, open_verify
+from .crypto.commitment import CommitmentKey, _opening_blind_bits, commit, open_verify
 from .crypto.elgamal import elgamal_encrypt, elgamal_keygen
 from .crypto.paillier import paillier_encrypt, paillier_keygen
 from .errors import VerificationError
 from .ledger import Registry
 from .params import TOY, Profile
+from .parties import bank_statement, identity_statement
 from .presentations import (
-    EncryptionSpec,
-    PredicateSpec,
     PresentationBundle,
     ProofSession,
+    _link_blind_bits,
     bundle_digest,
     commitment_key_for,
     verify_bundle,
@@ -80,8 +80,6 @@ class _Fixture:
     wallet: Wallet
     platform_defn: object
     platform_schema: Schema
-    bank_defn: object
-    bank_schema: Schema
     platform_keys: object
     bank_keys: object
     vc_pu: object
@@ -90,7 +88,8 @@ class _Fixture:
     nonce: bytes
     bundle1: PresentationBundle
     bundle2: PresentationBundle
-    enc_keys: dict
+    statement1: dict  # the exchange's step 1 statement, with an age check
+    statement2: dict  # its step 2 statement
     aa_keys: object
     bank_enc: object
     rng: random.Random
@@ -124,22 +123,16 @@ def build_fixture(seed: int = 1301, ssn: int = 123_456_789) -> _Fixture:
     aa_keys = elgamal_keygen(profile, rng)
     bank_enc = paillier_keygen(profile, rng)
     nonce = rng.getrandbits(128).to_bytes(16, "big")
+    statement1 = identity_statement(p_defn.defn_id, aa_keys.public, 20070101)  # 18 on 2025-01-01
+    statement2 = bank_statement(p_defn.defn_id, b_defn.defn_id, bank_enc.public)
     session = ProofSession(registry, nonce, rng, commitment_source=p_defn.defn_id)
-    bundle1 = session.build_bundle(
-        p_defn, p_schema, vc_pu, wallet.link_secret, disclose=(), link={"ssn": "ssn"},
-        encrypt=[EncryptionSpec("ssn", aa_keys.public)],
-        predicates=[PredicateSpec("birthday", 20070101)])
-    bundle2 = session.build_bundle(
-        b_defn, b_schema, vc_bu, wallet.link_secret, disclose=("bank_name",),
-        link={"ssn": "ssn"}, encrypt=[EncryptionSpec("bank_account", bank_enc.public)])
-    enc_keys = {aa_keys.public.key_id(): aa_keys.public,
-                bank_enc.public.key_id(): bank_enc.public}
+    bundle1 = session.build_bundle(vc_pu, wallet.link_secret, **statement1)
+    bundle2 = session.build_bundle(vc_bu, wallet.link_secret, **statement2)
     return _Fixture(registry=registry, profile=profile, wallet=wallet,
-                    platform_defn=p_defn, platform_schema=p_schema,
-                    bank_defn=b_defn, bank_schema=b_schema, platform_keys=platform_keys,
+                    platform_defn=p_defn, platform_schema=p_schema, platform_keys=platform_keys,
                     bank_keys=bank_keys, vc_pu=vc_pu, vc_pu_nonce=vc_pu_nonce, vc_bu=vc_bu,
-                    nonce=nonce, bundle1=bundle1, bundle2=bundle2, enc_keys=enc_keys, aa_keys=aa_keys,
-                    bank_enc=bank_enc, rng=rng)
+                    nonce=nonce, bundle1=bundle1, bundle2=bundle2, statement1=statement1,
+                    statement2=statement2, aa_keys=aa_keys, bank_enc=bank_enc, rng=rng)
 
 
 def holder_accepts(fx: _Fixture, credential: Credential) -> bool:
@@ -215,31 +208,43 @@ def _wrong_values(tp) -> list:
     return wrong
 
 
+def _verifiers(fx: _Fixture, with_keys: bool):
+    """The fixture's three verifiers, as in an exchange: bundle 1 alone
+    (under a nonce, by default the fixture's), bundle 2 alone (against a
+    previous digest, by default bundle 1's) and the equality check. With
+    `with_keys` they pass their own key pairs: the platform's for bundle 1
+    and the equality check, and all three for bundle 2, so every one of its
+    equations is evaluated mod the primes."""
+    registry = fx.registry
+    own2 = (fx.platform_keys, fx.bank_keys, fx.bank_enc) if with_keys else ()
+    own1 = own2[:1]
+
+    def vp1(bundle, nonce: bytes = fx.nonce) -> bool:
+        return verify_bundle(registry, bundle, nonce, expected_prev=b"", own_keys=own1, **fx.statement1)
+
+    def vp2(bundle, prev: bytes = bundle_digest(fx.bundle1)) -> bool:
+        return verify_bundle(registry, bundle, fx.nonce, expected_prev=prev, own_keys=own2, **fx.statement2)
+
+    def equality(bundle1, bundle2) -> bool:
+        return verify_equality(registry, bundle1, bundle2, "ssn", fx.nonce, fx.statement1, fx.statement2,
+                               own_keys=own1)
+
+    return vp1, vp2, equality
+
+
 def mutation_targets(fx: _Fixture, with_keys: bool = False) -> dict[str, tuple]:
     """The four objects the tamper matrix mutates, each as (honest object,
     type, accepts): bundle 1 and bundle 2, each checked alone and in the
     equality check with the other fixture bundle, a credential request and
     the platform credential, checked as the holder checks it. With
-    `with_keys`, verifiers pass their own key pairs: the platform's for
-    bundle 1, the request proof and the equality checks, and all three for
-    bundle 2, so every one of its equations is evaluated mod the primes."""
-    registry, nonce, enc_keys = fx.registry, fx.nonce, fx.enc_keys
-    own2 = (fx.platform_keys, fx.bank_keys, fx.bank_enc) if with_keys else ()
-    own1 = own2[:1]
-    prev = bundle_digest(fx.bundle1)
+    `with_keys`, verifiers pass their own key pairs (`_verifiers`), and the
+    issuer its own for the request proof."""
+    vp1, vp2, equality = _verifiers(fx, with_keys)
     request, _ = create_credential_request(fx.wallet.link_secret, fx.platform_defn,
                                            b"matrix-nonce", fx.rng)
-
-    def equality(bundle1, bundle2) -> bool:
-        return verify_equality(registry, bundle1, bundle2, "ssn", nonce, enc_keys, own_keys=own1)
-
     return {
-        "vp1": (fx.bundle1, PresentationBundle, lambda b: (
-            verify_bundle(registry, b, nonce, enc_keys, expected_prev=b"", own_keys=own1)
-            or equality(b, fx.bundle2))),
-        "vp2": (fx.bundle2, PresentationBundle, lambda b: (
-            verify_bundle(registry, b, nonce, enc_keys, expected_prev=prev, own_keys=own2)
-            or equality(fx.bundle1, b))),
+        "vp1": (fx.bundle1, PresentationBundle, lambda b: vp1(b) or equality(b, fx.bundle2)),
+        "vp2": (fx.bundle2, PresentationBundle, lambda b: vp2(b) or equality(fx.bundle1, b)),
         "request": (request, CredentialRequest, lambda r: verify_credential_request(
             fx.platform_defn, r, fx.platform_keys if with_keys else None)),
         "credential": (fx.vc_pu, Credential, lambda cred: holder_accepts(fx, cred)),
@@ -275,6 +280,9 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
     # as p. Then ciphertext swaps, the Paillier arm's integer response out of
     # [0, 2^(|n| + 2 stat + challenge + 1)), T_0 shifted by R, T_0 and T_1
     # swapped, and the predicate arm with three squares or five responses.
+    # Last, the integer responses at their bounds: the link arm's at 2^2
+    # times its blinding's range, the request's s_r likewise, and the
+    # issuer's s_e at n.
     vp1, vp2, request = fx.bundle1, fx.bundle2, targets["request"][0]
     c1, c2 = vp1.enc_proofs[0].ciphertext.parts
     eg_p, platform_p, platform_q = fx.aa_keys.public.p, fx.platform_keys.p, fx.platform_keys.q
@@ -283,6 +291,7 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
     ckey = commitment_key_for(fx.platform_defn)
     r_hat_bound = 1 << (fx.bank_enc.public.n.bit_length() + 2 * fx.profile.stat_bits
                         + fx.profile.challenge_bits + 1)
+    s_r_bound = 1 << (_opening_blind_bits(pk.n, fx.profile)[1] + 2)
     named = [
         ("cred-request:blinded-non-unit", "request", dataclasses.replace(request, blinded=platform_p)),
         ("vp1:a_prime-non-unit", "vp1", dataclasses.replace(
@@ -309,19 +318,18 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
         ("predicate:T0-non-unit", "vp1", _rearm(vp1, "predicate_proofs", squares=(platform_p, t1, *rest))),
         ("predicate:squares-three", "vp1", _rearm(vp1, "predicate_proofs", squares=pred.squares[:3])),
         ("predicate:u_hats-five", "vp1", _rearm(vp1, "predicate_proofs", u_hats=pred.u_hats + (0,))),
+        ("vp1:link-r_hat-at-bound", "vp1", _rearm(
+            vp1, "link_proofs", r_hat=1 << (_link_blind_bits(fx.profile, ckey) + 2))),
+        ("cred-request:s_r-at-bound", "request", dataclasses.replace(
+            request, proof=dataclasses.replace(request.proof, s_r=s_r_bound))),
+        ("credential:s_e-at-n", "credential", dataclasses.replace(
+            fx.vc_pu, signature_proof=dataclasses.replace(fx.vc_pu.signature_proof, s_e=pk.n))),
     ]
     cases += [(name, targets[target][2](bad)) for name, target, bad in named]
 
-    registry, nonce, enc_keys = fx.registry, fx.nonce, fx.enc_keys
-    own2 = (fx.platform_keys, fx.bank_keys, fx.bank_enc) if with_keys else ()
-    own1 = own2[:1]
-    cases.append(("vp1:nonce-swap", verify_bundle(
-        registry, vp1, b"some-other-nonce", enc_keys, expected_prev=b"", own_keys=own1)))
-    cases.append(("vp2:prev-digest-tamper", verify_bundle(
-        registry, vp2, nonce, enc_keys, expected_prev=b"wrong", own_keys=own2)))
-
-    def equality(bundle1, bundle2) -> bool:
-        return verify_equality(registry, bundle1, bundle2, "ssn", nonce, enc_keys, own_keys=own1)
+    check1, check2, equality = _verifiers(fx, with_keys)
+    cases.append(("vp1:nonce-swap", check1(vp1, nonce=b"some-other-nonce")))
+    cases.append(("vp2:prev-digest-tamper", check2(vp2, prev=b"wrong")))
 
     # equality splices across sessions with different SSNs: the other session's
     # commitment in both link arms, or one link response, with bundle 2
@@ -347,6 +355,7 @@ def splice_harness(trials: int = 50, seed: int = 77, with_keys: bool = False) ->
     `with_keys` the verifying platform passes its own key pair."""
     fx_a = build_fixture(seed=seed, ssn=111_111_111)
     fx_b = build_fixture(seed=seed + 1, ssn=222_222_222)
+    equality = _verifiers(fx_a, with_keys)[2]
     rng = random.Random(f"splice:{seed}")
     donors = (fx_b.bundle1, fx_b.bundle2)
     slots = [(i, name) for i in range(2) for name in ("commitment", "r_hat")]
@@ -360,9 +369,7 @@ def splice_harness(trials: int = 50, seed: int = 77, with_keys: bool = False) ->
             pair[i] = donors[i]
         if rng.getrandbits(1):
             pair = _chained(*pair)
-        ok = verify_equality(fx_a.registry, *pair, "ssn", fx_a.nonce, fx_a.enc_keys,
-                             own_keys=(fx_a.platform_keys,) if with_keys else ())
-        if not ok:
+        if not equality(*pair):
             rejected += 1
     return trials, rejected
 
@@ -410,12 +417,8 @@ def check_unlinkability(seed: int, presentations: int = 100) -> PropertyResult:
     for i in range(presentations):
         nonce = rng.getrandbits(128).to_bytes(16, "big")
         session = ProofSession(fx.registry, nonce, rng, commitment_source=fx.platform_defn.defn_id)
-        bundle = session.build_bundle(fx.platform_defn, fx.platform_schema, fx.vc_pu,
-                                      fx.wallet.link_secret, disclose=(),
-                                      link={"ssn": "ssn"},
-                                      encrypt=[EncryptionSpec("ssn", fx.aa_keys.public)],
-                                      predicates=[PredicateSpec("birthday", 20070101)])  # 18 on 2025-01-01
-        if not verify_bundle(fx.registry, bundle, nonce, fx.enc_keys):
+        bundle = session.build_bundle(fx.vc_pu, fx.wallet.link_secret, **fx.statement1)
+        if not verify_bundle(fx.registry, bundle, nonce, **fx.statement1):
             return PropertyResult("unlinkability", False, f"presentation {i} failed verification")
         for value in presentation_randomized_fields(bundle):
             if value in seen:

@@ -17,6 +17,7 @@ from fcguard.crypto.elgamal import elgamal_keygen
 from fcguard.crypto.paillier import paillier_keygen
 from fcguard.ledger import Registry
 from fcguard.params import TOY
+from fcguard.parties import bank_statement, identity_statement
 
 
 class ToyEnv:
@@ -46,8 +47,9 @@ class ToyEnv:
         self.wallet.store(self.vc_bu)
         self.aa_keys = elgamal_keygen(TOY, self.rng)
         self.bank_enc = paillier_keygen(TOY, self.rng)
-        self.enc_keys = {self.aa_keys.public.key_id(): self.aa_keys.public,
-                         self.bank_enc.public.key_id(): self.bank_enc.public}
+        # the exchange's two statements, step 1 with no age check
+        self.statement1 = identity_statement(self.platform_defn.defn_id, self.aa_keys.public)
+        self.statement2 = bank_statement(self.platform_defn.defn_id, self.bank_defn.defn_id, self.bank_enc.public)
 
     def issue(self, defn, schema, keys, values, wallet=None):
         if wallet is None:

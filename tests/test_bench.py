@@ -1,11 +1,19 @@
+import importlib
+import importlib.util
 import json
 import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from fcguard.bench import PHASES, REFERENCE_MS, run_bench
 from fcguard.cli import main
+from fcguard.parties import OrderParams, exchange_step1_identity
+from fcguard.scenario import build_context
+from test_parties import _base_cfg, _onboard
+
+PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +80,34 @@ def test_cli_bench_refuses_fewer_than_five_iterations():
     assert run.exit_code == 2
     assert isinstance(run.exception, SystemExit)
     assert "Traceback" not in run.output and "--iterations" in run.output
+
+
+@pytest.fixture(scope="module")
+def probe():
+    """perfbench's probe module, which wraps fcguard functions from outside by name."""
+    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_probe_point_resolves(probe):
+    for module_name, attr, *_ in probe.STEPS + probe.LAYERS:
+        owner = importlib.import_module(module_name)
+        cls_name, _, attr_name = attr.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name)
+        assert attr_name in vars(owner), f"{module_name}.{attr}"
+
+
+def test_an_age_check_reaches_the_probe_as_a_predicates_keyword(probe):
+    # the benchmark buckets build_bundle calls on a truthy `predicates` keyword
+    ctx, _ = build_context(_base_cfg())
+    alice = ctx.users[0]
+    _onboard(ctx, alice)
+    recorder = probe.Probe()
+    with recorder.installed(probe.LAYERS):
+        for years in (18, None):
+            order, _ = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",), age_threshold_years=years))
+            assert order.state == "identity-verified"
+    assert [s[5] for s in recorder.spans if s[0] == "presentations.build_bundle"] == ["pred", "nopred"]

@@ -32,7 +32,7 @@ from fcguard.crypto.paillier import PaillierKeyPair
 from fcguard.errors import VerificationError
 from fcguard.ledger import Registry
 from fcguard.params import PAPER, TOY
-from fcguard.presentations import EncryptionSpec, PredicateSpec, ProofSession, bundle_digest, verify_bundle
+from fcguard.presentations import ProofSession, bundle_digest, verify_bundle
 from fcguard.scenario import build_context, load_scenario, run_scenario
 from fcguard.security import build_fixture, mutation_cases, splice_harness
 from test_keycache import _toy_cfg
@@ -165,18 +165,14 @@ def test_one_request_per_bundle(forced, monkeypatch):
     sent = _requests(monkeypatch)
     session = ProofSession(fx.registry, fx.nonce, random.Random(7), commitment_source=fx.platform_defn.defn_id)
     counts = []
-    bundle1 = session.build_bundle(
-        fx.platform_defn, fx.platform_schema, fx.vc_pu, fx.wallet.link_secret, link={"ssn": "ssn"},
-        encrypt=[EncryptionSpec("ssn", fx.aa_keys.public)], predicates=[PredicateSpec("birthday", 20070101)])
+    bundle1 = session.build_bundle(fx.vc_pu, fx.wallet.link_secret, **fx.statement1)
     counts.append(len(sent))
-    bundle2 = session.build_bundle(
-        fx.bank_defn, fx.bank_schema, fx.vc_bu, fx.wallet.link_secret, disclose=("bank_name",),
-        link={"ssn": "ssn"}, encrypt=[EncryptionSpec("bank_account", fx.bank_enc.public)])
+    bundle2 = session.build_bundle(fx.vc_bu, fx.wallet.link_secret, **fx.statement2)
     counts.append(len(sent))
     own = (fx.platform_keys, fx.bank_keys, fx.bank_enc)
-    for bundle, prev in ((bundle1, None), (bundle2, bundle_digest(bundle1))):
+    for bundle, prev, statement in ((bundle1, None, fx.statement1), (bundle2, bundle_digest(bundle1), fx.statement2)):
         for keys in ((), own):
-            assert verify_bundle(fx.registry, bundle, fx.nonce, fx.enc_keys, expected_prev=prev, own_keys=keys)
+            assert verify_bundle(fx.registry, bundle, fx.nonce, expected_prev=prev, own_keys=keys, **statement)
             counts.append(len(sent))
     assert counts == [1, 2, 3, 4, 5, 6]
     assert all(local and remote for local, remote in sent)
@@ -198,7 +194,7 @@ def test_verdicts_and_digests_hold_with_the_helper_forced_on(tmp_path):
             runs[name] = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                                for f in ("events.jsonl", "ledger.jsonl"))
         assert primes._HELPER is not None
-    assert len(plain) == 485 and not any(ok for _, ok in plain)
+    assert len(plain) == 488 and not any(ok for _, ok in plain)
     assert forced_plain == forced_keys == plain
     assert splices == ((50, 50), (50, 50))
     assert digests == FIXTURE_DIGESTS

@@ -250,7 +250,7 @@ def test_verify_equality_rejects_splices_without_verifying(monkeypatch):
     b1, b2 = fx.bundle1, fx.bundle2
 
     def linked(bundle_a, bundle_b):
-        return verify_equality(fx.registry, bundle_a, bundle_b, "ssn", fx.nonce, fx.enc_keys)
+        return verify_equality(fx.registry, bundle_a, bundle_b, "ssn", fx.nonce, fx.statement1, fx.statement2)
 
     # a foreign commitment on either side, bundle 2 chained elsewhere, a foreign bundle
     foreign = other.bundle1.link_proofs[0]
@@ -274,21 +274,70 @@ def test_verify_equality_refuses_malformed_link_arms(link_proofs):
     fx = build_fixture()
     bad = [dataclasses.replace(bundle, link_proofs=link_proofs) for bundle in (fx.bundle1, fx.bundle2)]
     for pair in ((bad[0], fx.bundle2), (fx.bundle1, bad[1])):
-        assert not verify_equality(fx.registry, *pair, "ssn", fx.nonce, fx.enc_keys)
+        assert not verify_equality(fx.registry, *pair, "ssn", fx.nonce, fx.statement1, fx.statement2)
+
+
+def _exponentiations_after_the_build(monkeypatch, owner, change) -> list:
+    """Make `owner.build_bundle` prove its statement with the fields `change`
+    maps it to, then record every product the verifiers raise."""
+    build, evaluated, real = owner.build_bundle, [], sigma.multi_powmod_many
+
+    def spy(products):
+        evaluated.append(products)
+        return real(products)
+
+    def deviating(*args, **statement):
+        bundle = build(*args, **{**statement, **change(statement)})
+        monkeypatch.setattr(sigma, "multi_powmod_many", spy)
+        return bundle
+
+    monkeypatch.setattr(owner, "build_bundle", deviating)
+    return evaluated
+
+
+@pytest.mark.parametrize("change", [
+    lambda statement: {"disclose": ("name",)},
+    lambda statement: {"link": ("birthday", "ssn")},
+], ids=["discloses-name", "links-birthday"])
+def test_step1_refuses_a_bundle_proving_more_than_asked(ctx, monkeypatch, change):
+    alice = ctx.users[0]
+    _onboard(ctx, alice)
+    evaluated = _exponentiations_after_the_build(monkeypatch, parties.ProofSession, change)
+    order, handle = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",)))
+    assert handle.bundle1 is not None
+    assert order.state == "failed" and order.failure_cause == "identity"
+    _assert_rejection_sent(ctx, "step1-rejected", "identity", order)
+    assert evaluated == []  # the statement is compared before any proof work
+
+
+def test_step2_extra_encryption_to_the_authority_is_refused_by_platform_and_bank(ctx, monkeypatch):
+    alice = ctx.users[0]
+    _onboard(ctx, alice)
+    order, handle = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",)))
+    extra = ("ssn", ctx.authority.public_enc_key)
+    evaluated = _exponentiations_after_the_build(
+        monkeypatch, handle.session, lambda statement: {"encrypt": (*statement["encrypt"], extra)})
+    exchange_step2_bank(ctx, alice, order, handle)
+    assert [p.key_id for p in handle.bundle2.enc_proofs] == [ctx.bank.public_enc_key.key_id(), extra[1].key_id()]
+    assert order.state == "failed" and order.failure_cause == "bank-presentation"
+    _assert_rejection_sent(ctx, "step2-rejected", "bank-presentation", order)
+    bank = ctx.bank
+    statement = parties.bank_statement(ctx.platform_defn.defn_id, bank.defn_id, bank.public_enc_key)
+    assert not presentations.verify_bundle(ctx.registry, handle.bundle2, order.nonce,
+                                           own_keys=(bank.issuer_keys, bank.enc_keys), **statement)
+    assert evaluated == []
 
 
 def test_step2_missing_bank_encryption_rejected_before_verification(ctx, monkeypatch):
     alice = ctx.users[0]
     _onboard(ctx, alice)
     order, handle = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",)))
-    build = handle.session.build_bundle
-    monkeypatch.setattr(handle.session, "build_bundle",
-                        lambda *args, **kwargs: build(*args, **{**kwargs, "encrypt": []}))
+    evaluated = _exponentiations_after_the_build(monkeypatch, handle.session, lambda statement: {"encrypt": ()})
     calls = _count_verifications(monkeypatch)
     exchange_step2_bank(ctx, alice, order, handle)
     assert handle.bundle2.enc_proofs == ()
     assert order.state == "failed" and order.failure_cause == "bank-presentation"
-    assert calls == []  # the arm shape is checked before any proof work
+    assert calls == [handle.bundle2] and evaluated == []  # the platform compares the statement first
     types = [ev.mtype for ev in ctx.net.events]
     rejected = ctx.net.events[types.index("step2-bundle") + 1]
     assert rejected.mtype == "step2-rejected"

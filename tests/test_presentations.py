@@ -11,8 +11,6 @@ from fcguard.crypto.paillier import paillier_decrypt
 from fcguard.errors import ProofRefusedError, SchemaMismatchError
 from fcguard.presentations import (
     LINK_NAME,
-    EncryptionSpec,
-    PredicateSpec,
     PresentationBundle,
     ProofSession,
     bundle_digest,
@@ -30,15 +28,19 @@ def _session(env, nonce=None):
                                commitment_source=env.platform_defn.defn_id)
 
 
+def _alone(env, **fields):
+    """The statement of a standalone bundle over the platform credential."""
+    return {"defn_id": env.platform_defn.defn_id, "commitment_source": env.platform_defn.defn_id, **fields}
+
+
+def _aged(env, threshold):
+    return _alone(env, predicates=(("birthday", threshold),))
+
+
 def _exchange_bundles(env, nonce=None):
     nonce, session = _session(env, nonce)
-    b1 = session.build_bundle(env.platform_defn, env.platform_schema, env.vc_pu,
-                              env.wallet.link_secret, disclose=(), link={"ssn": "ssn"},
-                              encrypt=[EncryptionSpec("ssn", env.aa_keys.public)])
-    b2 = session.build_bundle(env.bank_defn, env.bank_schema, env.vc_bu,
-                              env.wallet.link_secret, disclose=("bank_name",),
-                              link={"ssn": "ssn"},
-                              encrypt=[EncryptionSpec("bank_account", env.bank_enc.public)])
+    b1 = session.build_bundle(env.vc_pu, env.wallet.link_secret, **env.statement1)
+    b2 = session.build_bundle(env.vc_bu, env.wallet.link_secret, **env.statement2)
     return nonce, b1, b2
 
 
@@ -57,21 +59,21 @@ def test_disclose_all_degenerate_case(toy_env):
                                  rng=toy_env.rng)
     assert bundle.presentation.disclosed == toy_env.vc_pu.attributes
     assert bundle.presentation.hidden_names == (LINK_NAME,)
-    assert verify_bundle(toy_env.registry, bundle, nonce)
+    assert verify_bundle(toy_env.registry, bundle, nonce, **_alone(toy_env, disclose=("name", "birthday", "ssn")))
 
 
 def test_honest_presentation_verifies(toy_env):
     nonce = toy_env.fresh_nonce()
     bundle = create_presentation(toy_env.registry, toy_env.vc_pu, toy_env.wallet.link_secret,
                                  disclose=(), nonce=nonce, rng=toy_env.rng)
-    assert verify_bundle(toy_env.registry, bundle, nonce)
+    assert verify_bundle(toy_env.registry, bundle, nonce, **_alone(toy_env))
 
 
 def test_replay_under_new_nonce_fails(toy_env):
     nonce = toy_env.fresh_nonce()
     bundle = create_presentation(toy_env.registry, toy_env.vc_pu, toy_env.wallet.link_secret,
                                  disclose=(), nonce=nonce, rng=toy_env.rng)
-    assert not verify_bundle(toy_env.registry, bundle, toy_env.fresh_nonce())
+    assert not verify_bundle(toy_env.registry, bundle, toy_env.fresh_nonce(), **_alone(toy_env))
 
 
 def test_unknown_disclosure_attribute_rejected(toy_env):
@@ -83,13 +85,12 @@ def test_unknown_disclosure_attribute_rejected(toy_env):
 def test_exhaustive_single_field_mutation_rejected(toy_env):
     # oracle: every int leaf of the bundle shifted by one, all must fail
     nonce, b1, _ = _exchange_bundles(toy_env)
-    keys = toy_env.enc_keys
-    assert verify_bundle(toy_env.registry, b1, nonce, keys)
+    assert verify_bundle(toy_env.registry, b1, nonce, **toy_env.statement1)
     shifted = [bad for name, bad in leaf_mutations(b1, PresentationBundle, "b1") if " = " not in name]
     # A', e-hat, v-hat, four m-hats, the link arm's two, the ElGamal arm's three and the challenge
     assert len(shifted) == 3 + 4 + 2 + 3 + 1
     for bad in shifted:
-        assert not verify_bundle(toy_env.registry, bad, nonce, keys)
+        assert not verify_bundle(toy_env.registry, bad, nonce, **toy_env.statement1)
 
 
 def test_two_presentations_share_no_randomized_values(toy_env):
@@ -123,14 +124,14 @@ def test_hidden_values_absent_from_serialized_bytes(toy_env):
         for secret in (ssn, birthday, cred.attributes["name"],
                        toy_env.wallet.link_secret.value):
             assert canonical_int_hex(secret).encode() not in blob
-        assert verify_bundle(toy_env.registry, bundle, nonce)
+        assert verify_bundle(toy_env.registry, bundle, nonce, **_alone(toy_env))
 
 
 def test_equality_honest_sessions_always_verify(toy_env):
     # completeness over 100 honest equal-SSN sessions
     for _ in range(100):
         nonce, b1, b2 = _exchange_bundles(toy_env)
-        assert verify_equality(toy_env.registry, b1, b2, "ssn", nonce, toy_env.enc_keys)
+        assert verify_equality(toy_env.registry, b1, b2, "ssn", nonce, toy_env.statement1, toy_env.statement2)
 
 
 def test_equality_refused_for_different_ssns(toy_env):
@@ -139,12 +140,9 @@ def test_equality_refused_for_different_ssns(toy_env):
                           {"bank_name": "Bank of A", "bank_account": toy_env.account,
                            "ssn": 123_456_780})
     nonce, session = _session(toy_env)
-    session.build_bundle(toy_env.platform_defn, toy_env.platform_schema, toy_env.vc_pu,
-                         toy_env.wallet.link_secret, disclose=(), link={"ssn": "ssn"})
+    session.build_bundle(toy_env.vc_pu, toy_env.wallet.link_secret, **toy_env.statement1)
     with pytest.raises(ProofRefusedError):
-        session.build_bundle(toy_env.bank_defn, toy_env.bank_schema, other,
-                             toy_env.wallet.link_secret, disclose=("bank_name",),
-                             link={"ssn": "ssn"})
+        session.build_bundle(other, toy_env.wallet.link_secret, **toy_env.statement2)
 
 
 def test_equality_splice_harness():
@@ -186,24 +184,21 @@ def test_verifiable_encryption_swapped_ciphertext_rejected(toy_env):
     arm = b1.enc_proofs[0]
     decoy = elgamal_encrypt(toy_env.aa_keys.public, 999_999_999, rng=toy_env.rng)
     bad = dataclasses.replace(b1, enc_proofs=(dataclasses.replace(arm, ciphertext=decoy),))
-    assert not verify_bundle(toy_env.registry, bad, nonce, toy_env.enc_keys)
+    assert not verify_bundle(toy_env.registry, bad, nonce, **toy_env.statement1)
 
 
 def test_verifiable_encryption_requires_hidden_attribute(toy_env):
     nonce, session = _session(toy_env)
     with pytest.raises(ProofRefusedError):
-        session.build_bundle(toy_env.bank_defn, toy_env.bank_schema, toy_env.vc_bu,
-                             toy_env.wallet.link_secret, disclose=("bank_name",),
-                             encrypt=[EncryptionSpec("bank_name", toy_env.bank_enc.public)])
+        session.build_bundle(toy_env.vc_bu, toy_env.wallet.link_secret,
+                             **{**toy_env.statement2, "encrypt": (("bank_name", toy_env.bank_enc.public),)})
 
 
 def test_predicate_eligible_birthday(toy_env):
     # birthday 19900101, threshold for age >= 18 on 2025-01-01 is 20070101
     nonce, session = _session(toy_env)
-    bundle = session.build_bundle(toy_env.platform_defn, toy_env.platform_schema, toy_env.vc_pu,
-                                  toy_env.wallet.link_secret, disclose=(),
-                                  predicates=[PredicateSpec("birthday", 20070101)])
-    assert verify_bundle(toy_env.registry, bundle, nonce, toy_env.enc_keys)
+    bundle = session.build_bundle(toy_env.vc_pu, toy_env.wallet.link_secret, **_aged(toy_env, 20070101))
+    assert verify_bundle(toy_env.registry, bundle, nonce, **_aged(toy_env, 20070101))
 
 
 def test_predicate_refused_for_underage(toy_env):
@@ -211,9 +206,7 @@ def test_predicate_refused_for_underage(toy_env):
                           {"name": "Kid", "birthday": 20200101, "ssn": 999_000_111})
     nonce, session = _session(toy_env)
     with pytest.raises(ProofRefusedError):
-        session.build_bundle(toy_env.platform_defn, toy_env.platform_schema, young,
-                             toy_env.wallet.link_secret, disclose=(),
-                             predicates=[PredicateSpec("birthday", 20070101)])
+        session.build_bundle(young, toy_env.wallet.link_secret, **_aged(toy_env, 20070101))
 
 
 def test_predicate_boundary_inclusive(toy_env):
@@ -222,11 +215,9 @@ def test_predicate_boundary_inclusive(toy_env):
                              toy_env.platform_keys,
                              {"name": "Edge", "birthday": 20070101, "ssn": 999_000_222})
     nonce, session = _session(toy_env)
-    bundle = session.build_bundle(toy_env.platform_defn, toy_env.platform_schema, boundary,
-                                  toy_env.wallet.link_secret, disclose=(),
-                                  predicates=[PredicateSpec("birthday", 20070101)])
+    bundle = session.build_bundle(boundary, toy_env.wallet.link_secret, **_aged(toy_env, 20070101))
     assert 20070101 <= 20070101  # the oracle: inclusive comparison
-    assert verify_bundle(toy_env.registry, bundle, nonce, toy_env.enc_keys)
+    assert verify_bundle(toy_env.registry, bundle, nonce, **_aged(toy_env, 20070101))
 
 
 def test_predicate_agrees_with_brute_force_over_corpus(toy_env):
@@ -246,24 +237,20 @@ def test_predicate_agrees_with_brute_force_over_corpus(toy_env):
             expected = b <= t
             if not expected:
                 with pytest.raises(ProofRefusedError):
-                    session.build_bundle(toy_env.platform_defn, toy_env.platform_schema,
-                                         creds[b], toy_env.wallet.link_secret, disclose=(),
-                                         predicates=[PredicateSpec("birthday", t)])
+                    session.build_bundle(creds[b], toy_env.wallet.link_secret, **_aged(toy_env, t))
                 continue
-            bundle = session.build_bundle(toy_env.platform_defn, toy_env.platform_schema,
-                                          creds[b], toy_env.wallet.link_secret, disclose=(),
-                                          predicates=[PredicateSpec("birthday", t)])
-            assert verify_bundle(toy_env.registry, bundle, nonce, toy_env.enc_keys) == expected
+            bundle = session.build_bundle(creds[b], toy_env.wallet.link_secret, **_aged(toy_env, t))
+            assert verify_bundle(toy_env.registry, bundle, nonce, **_aged(toy_env, t)) == expected
 
 
 def test_predicate_out_of_range_thresholds_and_responses_are_refused(toy_env, monkeypatch):
-    # the largest threshold proves; one past either end of the range, or a
-    # response outside its bound, is refused before any equation
+    # the largest threshold proves; one past either end of the range, even
+    # when the verifier asks for it, or a response outside its bound, is
+    # refused before any equation
     nonce, session = _session(toy_env)
     top = presentations.PRED_RANGE[-1]
-    bundle = session.build_bundle(toy_env.platform_defn, toy_env.platform_schema, toy_env.vc_pu,
-                                  toy_env.wallet.link_secret, predicates=[PredicateSpec("birthday", top)])
-    assert verify_bundle(toy_env.registry, bundle, nonce)
+    bundle = session.build_bundle(toy_env.vc_pu, toy_env.wallet.link_secret, **_aged(toy_env, top))
+    assert verify_bundle(toy_env.registry, bundle, nonce, **_aged(toy_env, top))
     pred = bundle.predicate_proofs[0]
     ck = presentations.commitment_key_for(toy_env.platform_defn)
     bits = presentations._predicate_blind_bits(toy_env.profile, ck)
@@ -274,14 +261,12 @@ def test_predicate_out_of_range_thresholds_and_responses_are_refused(toy_env, mo
         bad += [{field_name: (-1, *rest)}, {field_name: (1 << (bits[key] + 2), *rest)}]
     for threshold in (-1, top + 1):
         with pytest.raises(ProofRefusedError):
-            _session(toy_env)[1].build_bundle(toy_env.platform_defn, toy_env.platform_schema, toy_env.vc_pu,
-                                              toy_env.wallet.link_secret,
-                                              predicates=[PredicateSpec("birthday", threshold)])
+            _session(toy_env)[1].build_bundle(toy_env.vc_pu, toy_env.wallet.link_secret, **_aged(toy_env, threshold))
     evaluated = []
     monkeypatch.setattr(sigma.Eq, "product", lambda *args: evaluated.append(args))
     for fields in bad:
         tampered = dataclasses.replace(bundle, predicate_proofs=(dataclasses.replace(pred, **fields),))
-        assert not verify_bundle(toy_env.registry, tampered, nonce)
+        assert not verify_bundle(toy_env.registry, tampered, nonce, **_aged(toy_env, fields.get("threshold", top)))
     assert evaluated == []
 
 
@@ -289,10 +274,8 @@ def test_session_chains_bundles(toy_env):
     nonce, b1, b2 = _exchange_bundles(toy_env)
     assert b1.prev_digest == b""
     assert b2.prev_digest == bundle_digest(b1)
-    assert verify_bundle(toy_env.registry, b2, nonce, toy_env.enc_keys,
-                         expected_prev=bundle_digest(b1))
-    assert not verify_bundle(toy_env.registry, b2, nonce, toy_env.enc_keys,
-                             expected_prev=b"wrong")
+    assert verify_bundle(toy_env.registry, b2, nonce, expected_prev=bundle_digest(b1), **toy_env.statement2)
+    assert not verify_bundle(toy_env.registry, b2, nonce, expected_prev=b"wrong", **toy_env.statement2)
 
 
 def test_foreign_definition_not_resolvable(toy_env):
@@ -303,36 +286,37 @@ def test_foreign_definition_not_resolvable(toy_env):
     nonce = other.fresh_nonce()
     foreign = create_presentation(other.registry, other.vc_pu, other.wallet.link_secret,
                                   disclose=(), nonce=nonce, rng=other.rng)
-    assert not verify_bundle(toy_env.registry, foreign, nonce)
+    assert not verify_bundle(toy_env.registry, foreign, nonce, **_alone(toy_env))
 
 
 def test_verify_handles_garbage_gracefully(toy_env):
     nonce, b1, _ = _exchange_bundles(toy_env)
     pres = dataclasses.replace(b1.presentation, hidden_names=("ssn",))
     assert not verify_bundle(toy_env.registry, dataclasses.replace(b1, presentation=pres),
-                             nonce, toy_env.enc_keys)
+                             nonce, **toy_env.statement1)
     pres = dataclasses.replace(b1.presentation, m_hats={})
     assert not verify_bundle(toy_env.registry, dataclasses.replace(b1, presentation=pres),
-                             nonce, toy_env.enc_keys)
+                             nonce, **toy_env.statement1)
 
 
 def test_oversized_link_response_grows_no_fixed_base_table(toy_env):
     nonce, b1, _ = _exchange_bundles(toy_env)
-    assert verify_bundle(toy_env.registry, b1, nonce, toy_env.enc_keys)
+    assert verify_bundle(toy_env.registry, b1, nonce, **toy_env.statement1)
     before = {key: len(table) for key, table in primes._FIXED_TABLES.items()}
     arm = dataclasses.replace(b1.link_proofs[0], r_hat=(1 << 1_000_000) - 1)
     tampered = dataclasses.replace(b1, link_proofs=(arm,) + b1.link_proofs[1:])
-    assert not verify_bundle(toy_env.registry, tampered, nonce, toy_env.enc_keys)
+    assert not verify_bundle(toy_env.registry, tampered, nonce, **toy_env.statement1)
     assert {key: len(table) for key, table in primes._FIXED_TABLES.items()} == before
 
 
 def test_verify_rejects_unknown_definition(toy_env):
+    # the verifier asks for the definition the bundle names, so only the registry can refuse
     nonce, b1, _ = _exchange_bundles(toy_env)
     pres = dataclasses.replace(b1.presentation, defn_id="defn:nowhere")
     assert not verify_bundle(toy_env.registry, dataclasses.replace(b1, presentation=pres),
-                             nonce, toy_env.enc_keys)
+                             nonce, **{**toy_env.statement1, "defn_id": "defn:nowhere"})
     assert not verify_bundle(toy_env.registry, dataclasses.replace(b1, commitment_source="defn:nowhere"),
-                             nonce, toy_env.enc_keys)
+                             nonce, **{**toy_env.statement1, "commitment_source": "defn:nowhere"})
 
 
 def test_verify_rejects_paillier_ciphertext_sharing_a_factor(toy_env):
@@ -342,7 +326,7 @@ def test_verify_rejects_paillier_ciphertext_sharing_a_factor(toy_env):
     bad = dataclasses.replace(arm, ciphertext=dataclasses.replace(arm.ciphertext,
                                                                   parts=(toy_env.bank_enc.p,)))
     assert not verify_bundle(toy_env.registry, dataclasses.replace(b2, enc_proofs=(bad,)), nonce,
-                             toy_env.enc_keys, expected_prev=bundle_digest(b1))
+                             expected_prev=bundle_digest(b1), **toy_env.statement2)
 
 
 def test_verify_lets_an_unexpected_error_propagate(toy_env, monkeypatch):
@@ -353,12 +337,12 @@ def test_verify_lets_an_unexpected_error_propagate(toy_env, monkeypatch):
 
     monkeypatch.setattr(presentations, "commitment_key_for", broken)
     with pytest.raises(RuntimeError):
-        verify_bundle(toy_env.registry, b1, nonce, toy_env.enc_keys)
+        verify_bundle(toy_env.registry, b1, nonce, **toy_env.statement1)
 
 
 def test_own_keys_leave_every_t_value_unchanged(monkeypatch):
     # every arm kind, honest and tampered, including exponents past lambda, a
-    # negative v_hat and a link response past the table cap
+    # negative v_hat and a link response at the top of its range
     fx = build_fixture()
     seen = []
     real = presentations._bundle_challenge
@@ -370,20 +354,22 @@ def test_own_keys_leave_every_t_value_unchanged(monkeypatch):
     monkeypatch.setattr(presentations, "_bundle_challenge", recording)
     own = (fx.platform_keys, fx.bank_keys, fx.bank_enc)
     prev2 = bundle_digest(fx.bundle1)
-    cases = [(fx.bundle1, b""), (fx.bundle2, prev2)]
-    for bundle, prev in list(cases):
+    cases = [(fx.bundle1, b"", fx.statement1), (fx.bundle2, prev2, fx.statement2)]
+    top = (1 << (presentations._link_blind_bits(fx.profile, presentations.commitment_key_for(fx.platform_defn))
+                 + 2)) - 1
+    for bundle, prev, statement in list(cases):
         pres = bundle.presentation
         hats = {name: value + (1 << 300) for name, value in pres.m_hats.items()}
         pres = dataclasses.replace(pres, v_hat=-pres.v_hat, e_hat=pres.e_hat + 1, m_hats=hats)
-        link = dataclasses.replace(bundle.link_proofs[0], r_hat=(1 << 5000) + 1)
+        link = dataclasses.replace(bundle.link_proofs[0], r_hat=top)
         enc = bundle.enc_proofs[0]
         enc = dataclasses.replace(enc, r_hat=(enc.r_hat * 3) % (1 << enc.r_hat.bit_length()))
         cases.append((dataclasses.replace(bundle, presentation=pres, link_proofs=(link,),
-                                          enc_proofs=(enc,)), prev))
-    for bundle, prev in cases:
+                                          enc_proofs=(enc,)), prev, statement))
+    for bundle, prev, statement in cases:
         seen.clear()
-        verdicts = [verify_bundle(fx.registry, bundle, fx.nonce, fx.enc_keys, expected_prev=prev,
-                                  own_keys=keys) for keys in ((), own)]
+        verdicts = [verify_bundle(fx.registry, bundle, fx.nonce, expected_prev=prev, own_keys=keys, **statement)
+                    for keys in ((), own)]
         assert verdicts == [bundle in (fx.bundle1, fx.bundle2)] * 2
         assert len(seen) == 2 and seen[0] == seen[1]
 
@@ -397,7 +383,7 @@ def test_a_prime_sharing_a_factor_is_rejected_before_any_equation(toy_env, monke
         pres = dataclasses.replace(b1.presentation, a_prime=a_prime)
         bad = dataclasses.replace(b1, presentation=pres)
         for own in ((), (keys,)):
-            assert not verify_bundle(toy_env.registry, bad, nonce, toy_env.enc_keys, own_keys=own)
+            assert not verify_bundle(toy_env.registry, bad, nonce, own_keys=own, **toy_env.statement1)
     assert evaluated == []
 
 
@@ -416,15 +402,13 @@ def test_the_prover_raises_no_base_its_own_evaluation_gives(monkeypatch):
 
     monkeypatch.setattr(sigma, "multi_powmod_many", spy)
     session = ProofSession(fx.registry, fx.nonce, random.Random(7), commitment_source=fx.platform_defn.defn_id)
-    bundle = session.build_bundle(
-        fx.platform_defn, fx.platform_schema, fx.vc_pu, fx.wallet.link_secret, link={"ssn": "ssn"},
-        encrypt=[EncryptionSpec("ssn", fx.aa_keys.public)], predicates=[PredicateSpec("birthday", 20070101)])
+    bundle = session.build_bundle(fx.vc_pu, fx.wallet.link_secret, **fx.statement1)
     bases = {base for products in evaluated for terms, _ in products for base, _, _ in terms}
     outputs = {bundle.presentation.a_prime, *bundle.predicate_proofs[0].squares}
     assert len(outputs) == 5 and not bases & outputs
     assert len(evaluated) == 1
     monkeypatch.undo()
-    assert verify_bundle(fx.registry, bundle, fx.nonce, fx.enc_keys)
+    assert verify_bundle(fx.registry, bundle, fx.nonce, **fx.statement1)
 
 
 def test_four_squares_is_deterministic_and_draws_nothing():
@@ -459,8 +443,9 @@ def test_two_answers_on_one_predicate_commitment_give_back_its_witness(monkeypat
         rng = random.Random()
         rng.setstate(state)
         session = ProofSession(fx.registry, fx.nonce, rng, commitment_source=fx.platform_defn.defn_id)
-        bundles.append(session.build_bundle(fx.platform_defn, fx.platform_schema, fx.vc_pu, fx.wallet.link_secret,
-                                            predicates=[PredicateSpec("birthday", threshold)]))
+        bundles.append(session.build_bundle(fx.vc_pu, fx.wallet.link_secret, defn_id=fx.platform_defn.defn_id,
+                                            commitment_source=fx.platform_defn.defn_id,
+                                            predicates=(("birthday", threshold),)))
     (p1,), (p2,) = (b.predicate_proofs for b in bundles)
     c1, c2 = (b.challenge for b in bundles)
     assert p1.squares == p2.squares and responds[0](c2) == p2
@@ -487,13 +472,12 @@ def test_two_answers_on_one_predicate_commitment_give_back_its_witness(monkeypat
 
 def _every_arm_bundle(env):
     nonce, session = _session(env)
-    bundle = session.build_bundle(env.platform_defn, env.platform_schema, env.vc_pu, env.wallet.link_secret,
-                                  disclose=("name",), link={"ssn": "ssn"},
-                                  encrypt=[EncryptionSpec("ssn", env.aa_keys.public),
-                                           EncryptionSpec("ssn", env.bank_enc.public)],
-                                  predicates=[PredicateSpec("birthday", 20070101)])
-    assert verify_bundle(env.registry, bundle, nonce, env.enc_keys)
-    return nonce, bundle
+    statement = _alone(env, disclose=("name",), link=("ssn",),
+                       encrypt=(("ssn", env.aa_keys.public), ("ssn", env.bank_enc.public)),
+                       predicates=(("birthday", 20070101),))
+    bundle = session.build_bundle(env.vc_pu, env.wallet.link_secret, **statement)
+    assert verify_bundle(env.registry, bundle, nonce, **statement)
+    return nonce, bundle, statement
 
 
 def _replace_arm(bundle, kind, index=0, **fields):
@@ -522,8 +506,8 @@ def _replace_arm(bundle, kind, index=0, **fields):
         "m_hats-none", "disclosed-none", "hidden_names-int", "hidden_names-none",
         "presentation-int", "bundle-int", "commitment_source-list", "defn_id-list"])
 def test_statement_integers_of_the_wrong_type_are_refused(toy_env, tamper):
-    nonce, bundle = _every_arm_bundle(toy_env)
-    assert not verify_bundle(toy_env.registry, tamper(bundle), nonce, toy_env.enc_keys)
+    nonce, bundle, statement = _every_arm_bundle(toy_env)
+    assert not verify_bundle(toy_env.registry, tamper(bundle), nonce, **statement)
 
 
 @pytest.mark.parametrize("kind, fields", [
@@ -533,5 +517,28 @@ def test_statement_integers_of_the_wrong_type_are_refused(toy_env, tamper):
 ], ids=["int-link", "int-enc", "int-predicate", "list-attr-link", "list-attr-predicate", "list-key_id-enc"])
 def test_malformed_arm_shapes_are_refused(toy_env, kind, fields):
     # no fields: an int stands in place of the whole arm
-    nonce, bundle = _every_arm_bundle(toy_env)
-    assert not verify_bundle(toy_env.registry, _replace_arm(bundle, kind, **fields), nonce, toy_env.enc_keys)
+    nonce, bundle, statement = _every_arm_bundle(toy_env)
+    assert not verify_bundle(toy_env.registry, _replace_arm(bundle, kind, **fields), nonce, **statement)
+
+
+@pytest.mark.parametrize("change", [
+    lambda st, env: {"defn_id": "defn:bank"},
+    lambda st, env: {"commitment_source": "defn:bank"},
+    lambda st, env: {"disclose": ()},
+    lambda st, env: {"disclose": ("name", "ssn")},
+    lambda st, env: {"link": ()},
+    lambda st, env: {"link": ("birthday", "ssn")},
+    lambda st, env: {"encrypt": st["encrypt"][:1]},
+    lambda st, env: {"encrypt": st["encrypt"][::-1]},
+    lambda st, env: {"encrypt": (*st["encrypt"], ("bank_account", env.bank_enc.public))},
+    lambda st, env: {"predicates": ()},
+    lambda st, env: {"predicates": (("birthday", 20070102),)},
+], ids=["defn_id", "commitment_source", "disclose-fewer", "disclose-more", "link-fewer", "link-more",
+        "encrypt-fewer", "encrypt-reordered", "encrypt-more", "predicates-fewer", "predicates-threshold"])
+def test_a_bundle_proving_another_statement_is_refused_before_any_exponentiation(toy_env, monkeypatch, change):
+    # each field of the statement the verifier asks for differs in turn from the one the bundle proves
+    nonce, bundle, statement = _every_arm_bundle(toy_env)
+    evaluated = []
+    monkeypatch.setattr(sigma, "multi_powmod_many", lambda products: evaluated.append(products))
+    assert not verify_bundle(toy_env.registry, bundle, nonce, **{**statement, **change(statement, toy_env)})
+    assert evaluated == []

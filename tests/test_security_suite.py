@@ -40,12 +40,13 @@ NAMED_CASES = {
     "predicate:T0-shift", "predicate:T-swap", "predicate:squares-three", "predicate:u_hats-five",
     "equality:foreign-commitment", "equality:foreign-r_hat_a", "equality:foreign-r_hat_b",
     "equality:foreign-bundle2", "equality:foreign-bundle1",
+    "vp1:link-r_hat-at-bound", "cred-request:s_r-at-bound", "credential:s_e-at-n",
 }
 
 
 def test_mutation_matrix_size_and_rejection():
     cases = mutation_cases()
-    assert len(cases) == 29 + 51 + 405  # oracle: named cases, shifted int leaves, wrong types
+    assert len(cases) == 32 + 51 + 405  # oracle: named cases, shifted int leaves, wrong types
     accepted = [name for name, ok in cases if ok]
     assert accepted == []
     names = {name for name, _ in cases}

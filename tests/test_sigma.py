@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from fcguard import presentations
 from fcguard.credentials import create_credential_request, verify_credential_request
 from fcguard.crypto import sigma
-from fcguard.crypto.cl import _signature_eq, cl_keygen, sign_with_proof
-from fcguard.crypto.commitment import opening_eq
+from fcguard.crypto.cl import _signature_eq, cl_keygen, sign_with_proof, verify_signature_proof
+from fcguard.crypto.commitment import _opening_blind_bits, opening_eq
 from fcguard.params import TOY
 from fcguard.presentations import create_presentation, verify_bundle
 from test_parallel_eval import _helper_forced
@@ -103,6 +104,41 @@ def test_a_malformed_proof_is_refused_not_raised(toy_env, name):
     else:
         nonce = rng.randbytes(16)
         bundle = create_presentation(toy_env.registry, toy_env.vc_pu, toy_env.wallet.link_secret, ["name"],
-                                     nonce, rng, link={"ssn": "ssn"})
-        assert verify_bundle(toy_env.registry, bundle, nonce)
-        assert not verify_bundle(toy_env.registry, BUNDLE_TAMPERS[name](bundle), nonce)
+                                     nonce, rng, link=("ssn",))
+        statement = {"defn_id": toy_env.platform_defn.defn_id, "commitment_source": toy_env.platform_defn.defn_id,
+                     "disclose": ("name",), "link": ("ssn",)}
+        assert verify_bundle(toy_env.registry, bundle, nonce, **statement)
+        assert not verify_bundle(toy_env.registry, BUNDLE_TAMPERS[name](bundle), nonce, **statement)
+
+
+def test_an_oversized_response_is_refused_before_any_exponentiation(toy_env, keys, monkeypatch):
+    # the link arm's r_hat, the request's s_m and s_r and the issuer's s_e are each bounded by their
+    # prover's blinding width: one at its bound, of 2^19 bits or negative is refused before any power
+    rng, huge = random.Random("oversized"), 1 << (1 << 19)
+    defn_id = toy_env.platform_defn.defn_id
+    statement = {"defn_id": defn_id, "commitment_source": defn_id, "link": ("ssn",)}
+    nonce = rng.randbytes(16)
+    bundle = create_presentation(toy_env.registry, toy_env.vc_pu, toy_env.wallet.link_secret, (), nonce, rng,
+                                 link=("ssn",))
+    request, _ = create_credential_request(toy_env.wallet.link_secret, toy_env.platform_defn, b"n", rng)
+    sig, proof = sign_with_proof(keys, [1, 2], TOY, rng, nonce=b"oversized")
+    q_value = pow(sig.a, sig.e, keys.public.n)
+    assert verify_bundle(toy_env.registry, bundle, nonce, **statement)
+    assert verify_credential_request(toy_env.platform_defn, request)
+    assert verify_signature_proof(keys.public, sig.a, q_value, proof, b"oversized", TOY)
+
+    ck = presentations.commitment_key_for(toy_env.platform_defn)
+    link_bound = 1 << (presentations._link_blind_bits(TOY, ck) + 2)
+    m_bound, r_bound = (1 << (bits + 2) for bits in _opening_blind_bits(toy_env.platform_defn.public_key.n, TOY))
+    evaluated, real = [], sigma.multi_powmod_many
+    monkeypatch.setattr(sigma, "multi_powmod_many", lambda products: evaluated.append(products) or real(products))
+    for r_hat in (link_bound, huge, -1):
+        bad = dataclasses.replace(bundle, link_proofs=(dataclasses.replace(bundle.link_proofs[0], r_hat=r_hat),))
+        assert not verify_bundle(toy_env.registry, bad, nonce, **statement)
+    for fields in ({"s_m": m_bound}, {"s_m": huge}, {"s_m": -1}, {"s_r": r_bound}, {"s_r": huge}, {"s_r": -1}):
+        for issuer_keys in (None, toy_env.platform_keys):
+            assert not verify_credential_request(toy_env.platform_defn, _replace_proof(**fields)(request), issuer_keys)
+    for s_e in (keys.public.n, huge, -1):
+        assert not verify_signature_proof(keys.public, sig.a, q_value, dataclasses.replace(proof, s_e=s_e),
+                                          b"oversized", TOY)
+    assert evaluated == []
