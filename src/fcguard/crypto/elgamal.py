@@ -1,12 +1,18 @@
 """Exponential ElGamal over a safe-prime group.
 
 The message rides in the exponent so that sigma protocols can relate a
-ciphertext to a committed attribute. Decryption recovers g^m and then solves
-a bounded discrete log over [0, bound), the profile's plaintext bound
-(default 2^30, enough for 9-digit SSNs), by baby-step/giant-step with the
-two sides swapped so that the per-target work multiplies by the small
-generator (4 on toy groups, 2 on the RFC 3526 group), never by a full-size
-residue:
+ciphertext to a committed attribute. The secret key and the encryption
+randomness are short exponents of `exponent_bits` bits, 224 = 2s for the
+s = 112 bits of strength of a 2048-bit group (NIST SP 800-56A Rev. 3;
+RFC 7919 section 5.2), not residues drawn from all of Z_q. Their hiding
+rests on the short-exponent discrete log and DDH assumptions (van Oorschot
+and Wiener, EUROCRYPT 1996; Koshiba and Kurosawa, PKC 2004).
+
+Decryption recovers g^m and then solves a bounded discrete log over
+[0, bound), the profile's plaintext bound (default 2^30, enough for 9-digit
+SSNs), by baby-step/giant-step with the two sides swapped so that the
+per-target work multiplies by the small generator (4 on toy groups, 2 on the
+RFC 3526 group), never by a full-size residue:
 
 - Stride table: {g^(i*step): i} for i in 0..ceil(bound/step), with step the
   power of two at or above sqrt(bound) (2^15 for 2^30). It depends only on
@@ -49,6 +55,19 @@ MODP_2048 = int(
     16,
 )
 
+# 2s for s = 112, the strength of a 2048-bit group
+SHORT_EXPONENT_BITS = 224
+
+
+def exponent_bits(q: int, slack: int = 1) -> int:
+    """Bits of a secret exponent in the order-q group: SHORT_EXPONENT_BITS,
+    or |q| - slack if that is less, so by default an exponent lies below q.
+    A proof passes its challenge_bits + stat_bits as `slack`, so that its
+    integer response, the exponent's blinding plus c times it, is never
+    longer than the residue mod q it replaces; on a toy group that cap is
+    what keeps the response short."""
+    return min(SHORT_EXPONENT_BITS, q.bit_length() - slack)
+
 
 @serializable("elgamal-pk")
 @dataclass(frozen=True)
@@ -84,7 +103,7 @@ def elgamal_keygen(profile: Profile, rng: random.Random) -> ElGamalKeyPair:
     else:
         p, q = safe_prime(profile.elgamal_modulus_bits, rng)
         g = 4  # square, hence a generator of the order-q subgroup
-    sk = rng.randrange(2, q)
+    sk = rng.randrange(2, 1 << exponent_bits(q))
     return ElGamalKeyPair.from_secrets(p, q, g, sk, profile.elgamal_plain_bound)
 
 
@@ -94,7 +113,7 @@ def elgamal_encrypt(pk: ElGamalPublicKey, m: int, rng: random.Random | None = No
     if r is None:
         if rng is None:
             raise ValueError("either rng or explicit randomness r is required")
-        r = rng.randrange(1, pk.q)
+        r = rng.randrange(1, 1 << exponent_bits(pk.q))
     c1 = powmod_fixed(pk.g, r, pk.p)
     c2 = powmod_fixed(pk.g, m, pk.p) * powmod_fixed(pk.h, r, pk.p) % pk.p
     return Ciphertext(scheme="elgamal", parts=(c1, c2))

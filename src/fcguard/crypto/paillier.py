@@ -7,8 +7,10 @@ mod p^2 and mod q^2 (Chinese remainder theorem).
 encryption arm in `presentations` uses the fixed-base form of Damgard,
 Jurik and Nielsen instead, c = (1+N)^m * h_s^rho (mod N^2), with one public
 N-th residue h_s per key (`paillier_hs`), so the randomness term is a
-fixed-base power. h_s^rho is an N-th residue too, so `paillier_decrypt`
-opens both forms unchanged."""
+fixed-base power, and with a short rho of |N|/2 + stat_bits bits, which
+their assumption for short randomness covers (Damgard, Jurik and Nielsen,
+IJIS 2010). h_s^rho is an N-th residue too, so `paillier_decrypt` opens both
+forms unchanged."""
 
 from __future__ import annotations
 

@@ -511,9 +511,11 @@ def exchange_step2_bank(ctx: SimContext, user: User, order: ExchangeOrder,
     held = bank_statement(source, ctx.bank.defn_id, ctx.bank.public_enc_key)
     try:
         bundle2 = handle.session.build_bundle(user.wallet.get(held["defn_id"]), user.wallet.link_secret, **held)
-    except ProofRefusedError:
-        # the prover's own credentials disagree; abort before anything is sent
-        _reject(ctx, order, actor.party_id, "platform", "step2-abort", "equality")
+    except FcGuardError as exc:
+        # the prover's own credentials disagree, or it holds no bank credential:
+        # abort before anything is sent
+        cause = "equality" if isinstance(exc, ProofRefusedError) else "bank-presentation"
+        _reject(ctx, order, actor.party_id, "platform", "step2-abort", cause)
         return
     handle.bundle2 = bundle2
     ctx.net.send(actor.party_id, "platform", "step2-bundle",

@@ -34,6 +34,13 @@ Each value goes on the wire once. The challenge travels only in the bundle,
 the verifier nonce not at all (each verifier absorbs the nonce it issued),
 and a ciphertext carries its own scheme.
 
+Both escrow encryptions draw short randomness (`_rho_bits`): the ElGamal rho
+is a short exponent of the authority's group (`elgamal.exponent_bits`; the
+short-exponent DDH assumption of Koshiba and Kurosawa), the Paillier rho has
+|n|/2 + stat_bits bits (the short-randomness form of Damgard, Jurik and
+Nielsen). Each arm's randomness response is then an integer,
+rho_blind + c * rho, bounded by its blinding's width plus one bit.
+
 Each bundle proves a statement, as an AnonCreds presentation request asks,
 which the prover and every verifier take alike as the keywords `defn_id`,
 `commitment_source`, `disclose`, `link`, `encrypt` ((attribute, key) pairs)
@@ -59,7 +66,7 @@ from .credentials import Credential, CredentialDefinition, LinkSecret, fetch_def
 from .crypto.ciphertext import Ciphertext
 from .crypto.cl import ClIssuerKeyPair
 from .crypto.commitment import CommitmentKey, opening_eq, randomizer_bits
-from .crypto.elgamal import ElGamalPublicKey
+from .crypto.elgamal import ElGamalPublicKey, exponent_bits
 from .crypto.encoding import ATTRIBUTE_BOUND
 from .crypto.paillier import PaillierKeyPair, PaillierPublicKey, paillier_hs
 from .crypto.primes import Crt
@@ -112,7 +119,7 @@ class VerifiableEncryptionProof:
     attr: str
     key_id: str
     ciphertext: Ciphertext
-    r_hat: int  # randomness response; mod q for elgamal, integer for paillier
+    r_hat: int  # integer randomness response, below 2^(_r_hat_bits + 1)
 
 
 @serializable("predicate-proof")
@@ -202,10 +209,12 @@ def _encryption_arm(attr: str, key: EncryptionKey, parts: Sequence[int | None]) 
     """ElGamal: c1 = g^r and c2 = g^m * h^r (mod p). Paillier, in the
     fixed-base form of Damgard-Jurik-Nielsen: c = (1+n)^m * h_s^r (mod n^2)
     for the key's public n-th residue h_s (`paillier_hs`), with
-    (1+n)^m = 1 + (m mod n) * n. Its randomness response is an integer, as in
-    Camenisch-Shoup verifiable encryption: from two accepting transcripts,
-    ct^dc = (1+n)^dm * h_s^dr, and raising to lambda gives n | lambda*dc*(m' - m),
-    so with dc below p and q the ciphertext opens to the core arm's m."""
+    (1+n)^m = 1 + (m mod n) * n. Both randomness responses are integers, as
+    in Camenisch-Shoup verifiable encryption. From two accepting transcripts,
+    ElGamal gives g^dr = c1^dc, so r = dr / dc mod q opens the ciphertext to
+    the core arm's m; Paillier gives ct^dc = (1+n)^dm * h_s^dr, and raising
+    to lambda gives n | lambda*dc*(m' - m), so with dc below p and q the
+    ciphertext opens to the core arm's m."""
     if isinstance(key, ElGamalPublicKey):
         p, (c1, c2) = key.p, parts
         eqs = [Eq(p, ((key.g, "r", True),), lambda: ((c1, 1, False),)),
@@ -218,21 +227,30 @@ def _encryption_arm(attr: str, key: EncryptionKey, parts: Sequence[int | None]) 
                 eqs, list)
 
 
-def _paillier_r_hat_bits(profile: Profile, key: PaillierPublicKey) -> int:
-    """Bits of the Paillier randomness blinding: rho has |n| + stat_bits bits,
-    and the blinding covers c * rho with stat_bits of slack."""
-    return key.n.bit_length() + 2 * profile.stat_bits + profile.challenge_bits
+def _rho_bits(profile: Profile, key: EncryptionKey) -> int:
+    """Bits of the encryption arm's randomness rho. ElGamal: a short exponent
+    whose response fits in |q| bits (`elgamal.exponent_bits`). Paillier:
+    |n|/2 + stat_bits, the short randomness of Damgard-Jurik-Nielsen."""
+    if isinstance(key, ElGamalPublicKey):
+        return exponent_bits(key.q, profile.challenge_bits + profile.stat_bits)
+    return key.n.bit_length() // 2 + profile.stat_bits
+
+
+def _r_hat_bits(profile: Profile, key: EncryptionKey) -> int:
+    """Bits of the randomness blinding: it covers c * rho with stat_bits of slack."""
+    return _rho_bits(profile, key) + profile.challenge_bits + profile.stat_bits
 
 
 def _encryption_in_range(profile: Profile, key: EncryptionKey, proof: VerifiableEncryptionProof) -> bool:
     """Ciphertext parts are nonzero group elements, and the randomness
-    response lies in Z_q (ElGamal) or in [0, 2^(|n| + 2 stat + challenge + 1))
-    (Paillier: blinding plus challenge times rho)."""
+    response, blinding plus challenge times rho, lies in [0, 2^(_r_hat_bits + 1))."""
     if isinstance(key, ElGamalPublicKey):
         c1, c2 = proof.ciphertext.parts
-        return 0 < c1 < key.p and 0 < c2 < key.p and 0 <= proof.r_hat < key.q
-    (ct,) = proof.ciphertext.parts
-    return 0 < ct < key.n_squared and 0 <= proof.r_hat < 1 << (_paillier_r_hat_bits(profile, key) + 1)
+        parts_in_range = 0 < c1 < key.p and 0 < c2 < key.p
+    else:
+        (ct,) = proof.ciphertext.parts
+        parts_in_range = 0 < ct < key.n_squared
+    return parts_in_range and 0 <= proof.r_hat < 1 << (_r_hat_bits(profile, key) + 1)
 
 
 def _predicate_arm(ck: CommitmentKey, attr: str, threshold: int, squares: Sequence[int | None]) -> _Arm:
@@ -436,21 +454,17 @@ class ProofSession:
                           values: Mapping[str, int], blind: Mapping[str, int]):
         if attr not in hidden_names:
             raise ProofRefusedError(f"attribute {attr!r} must be hidden to encrypt verifiably")
-        rng, value = self.rng, values[attr]
+        value = values[attr]
         if isinstance(key, ElGamalPublicKey):
             if value >= key.plain_bound:
                 raise ProofRefusedError("plaintext exceeds the ElGamal bound")
-            rho = rng.randrange(1, key.q)
-            rho_blind = rng.randrange(0, key.q)
-            r_hat = lambda c: (rho_blind + c * rho) % key.q  # noqa: E731
             unknown = (None, None)
         else:
             if value >= key.n:
                 raise ProofRefusedError("plaintext exceeds the Paillier modulus")
-            rho = rng.getrandbits(key.n.bit_length() + self.profile.stat_bits)
-            rho_blind = rng.getrandbits(_paillier_r_hat_bits(self.profile, key))
-            r_hat = lambda c: rho_blind + c * rho  # noqa: E731
             unknown = (None,)
+        rho = self.rng.getrandbits(_rho_bits(self.profile, key))
+        rho_blind = self.rng.getrandbits(_r_hat_bits(self.profile, key))
         # the ciphertext parts are the relation at the witness
         eqs = _encryption_arm(attr, key, unknown).eqs
         blinds, witness = {"m": blind[attr], "r": rho_blind}, {"m": value, "r": rho}
@@ -460,7 +474,8 @@ class ProofSession:
             arm = _encryption_arm(attr, key, parts)
             return arm, arm.layout(found[:len(eqs)]), \
                 lambda c: VerifiableEncryptionProof(attr=attr, key_id=key.key_id(),
-                                                    ciphertext=Ciphertext(_scheme(key), parts), r_hat=r_hat(c))
+                                                    ciphertext=Ciphertext(_scheme(key), parts),
+                                                    r_hat=rho_blind + c * rho)
 
         return [(eq, blinds) for eq in eqs] + [(eq, witness) for eq in eqs], settle
 

@@ -36,6 +36,7 @@ from .presentations import (
     PresentationBundle,
     ProofSession,
     _link_blind_bits,
+    _r_hat_bits,
     bundle_digest,
     commitment_key_for,
     verify_bundle,
@@ -277,11 +278,11 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
     # Values sharing a factor with a modulus: the platform's n for the
     # request, bundle 1's A', both link commitments and T_0; the bank's n for
     # bundle 2's A'; and the only non-unit mod the ElGamal prime p, 0, written
-    # as p. Then ciphertext swaps, the Paillier arm's integer response out of
-    # [0, 2^(|n| + 2 stat + challenge + 1)), T_0 shifted by R, T_0 and T_1
-    # swapped, and the predicate arm with three squares or five responses.
-    # Last, the integer responses at their bounds: the link arm's at 2^2
-    # times its blinding's range, the request's s_r likewise, and the
+    # as p. Then ciphertext swaps, the Paillier arm's integer response
+    # negative, T_0 shifted by R, T_0 and T_1 swapped, and the predicate arm
+    # with three squares or five responses. Last, the integer responses at
+    # their bounds: each encryption arm's at 2^1 times its blinding's range,
+    # the link arm's at 2^2 times it, the request's s_r likewise, and the
     # issuer's s_e at n.
     vp1, vp2, request = fx.bundle1, fx.bundle2, targets["request"][0]
     c1, c2 = vp1.enc_proofs[0].ciphertext.parts
@@ -289,8 +290,8 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
     pred = vp1.predicate_proofs[0]
     t0, t1, *rest = pred.squares
     ckey = commitment_key_for(fx.platform_defn)
-    r_hat_bound = 1 << (fx.bank_enc.public.n.bit_length() + 2 * fx.profile.stat_bits
-                        + fx.profile.challenge_bits + 1)
+    eg_r_hat_bound = 1 << (_r_hat_bits(fx.profile, fx.aa_keys.public) + 1)
+    paillier_r_hat_bound = 1 << (_r_hat_bits(fx.profile, fx.bank_enc.public) + 1)
     s_r_bound = 1 << (_opening_blind_bits(pk.n, fx.profile)[1] + 2)
     named = [
         ("cred-request:blinded-non-unit", "request", dataclasses.replace(request, blinded=platform_p)),
@@ -309,7 +310,8 @@ def mutation_cases(fx: _Fixture | None = None, with_keys: bool = False) -> list[
         ("verenc-paillier:c-non-unit-p2", "vp2", _rearm(
             vp2, "enc_proofs", ciphertext=Ciphertext("paillier", (fx.bank_enc.p ** 2,)))),
         ("verenc-paillier:r_hat-negative", "vp2", _rearm(vp2, "enc_proofs", r_hat=-vp2.enc_proofs[0].r_hat)),
-        ("verenc-paillier:r_hat-at-bound", "vp2", _rearm(vp2, "enc_proofs", r_hat=r_hat_bound)),
+        ("verenc-eg:r_hat-at-bound", "vp1", _rearm(vp1, "enc_proofs", r_hat=eg_r_hat_bound)),
+        ("verenc-paillier:r_hat-at-bound", "vp2", _rearm(vp2, "enc_proofs", r_hat=paillier_r_hat_bound)),
         ("verenc-paillier:ciphertext-swap", "vp2", _rearm(
             vp2, "enc_proofs", ciphertext=paillier_encrypt(fx.bank_enc.public, 42, rng=fx.rng))),
         ("predicate:T0-shift", "vp1", _rearm(

@@ -40,7 +40,7 @@ PAPER_SEED_42_PRIMES = {
 # --out` writes them: the only digests that cover the paper profile, where
 # the helper process runs without being forced on.
 PAPER_HAPPY_PATH_DIGESTS = {
-    "events.jsonl": "436113bb34eaa446f5ba5d15d296b53cca61a31104410eeef504fddf149fedb7",
+    "events.jsonl": "3e6a3073c781fd2599d203dd5b70f24b94fff6e4d84e82493847289a6a19ef95",
     "ledger.jsonl": "7ff95f1e8fc588082dde64e9c475765c2e3fbce1e221724bcc3ce4bc7cfa0f4d",
 }
 

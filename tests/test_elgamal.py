@@ -6,10 +6,12 @@ from fcguard.crypto import elgamal
 from fcguard.crypto.ciphertext import Ciphertext
 from fcguard.crypto.elgamal import (
     MODP_2048,
+    SHORT_EXPONENT_BITS,
     ElGamalKeyPair,
     elgamal_decrypt,
     elgamal_encrypt,
     elgamal_keygen,
+    exponent_bits,
 )
 from fcguard.crypto.primes import is_probable_prime
 from fcguard.errors import DecryptionError, EncodingRangeError
@@ -93,6 +95,25 @@ def test_paper_profile_uses_2048_bit_group():
     assert kp.public.h == pow(kp.public.g, kp.sk, kp.public.p)
     # bounded decryption still works at full size
     ct = elgamal_encrypt(kp.public, 123_456_789, rng=rng)
+    assert elgamal_decrypt(kp, ct) == 123_456_789
+
+
+@pytest.mark.parametrize("profile", [TOY, PAPER], ids=["toy", "paper"])
+def test_secret_key_and_randomness_are_short_exponents(profile):
+    # 224 bits at both profiles; a proof's randomness is capped by its
+    # challenge and statistical slack, which bites only on the toy group
+    rng = random.Random(f"short:{profile.name}")
+    kp = elgamal_keygen(profile, rng)
+    pk = kp.public
+    assert SHORT_EXPONENT_BITS == 224 == exponent_bits(pk.q)
+    assert 2 <= kp.sk < 1 << 224 and pk.h == pow(pk.g, kp.sk, pk.p)
+    assert exponent_bits(pk.q, profile.challenge_bits + profile.stat_bits) == \
+        {"toy": 255 - 80 - 80, "paper": 224}[profile.name]
+    state = rng.getstate()
+    ct = elgamal_encrypt(pk, 123_456_789, rng=rng)
+    rng.setstate(state)
+    r = rng.randrange(1, 1 << 224)
+    assert ct.parts[0] == pow(pk.g, r, pk.p)
     assert elgamal_decrypt(kp, ct) == 123_456_789
 
 

@@ -194,7 +194,7 @@ def test_verdicts_and_digests_hold_with_the_helper_forced_on(tmp_path):
             runs[name] = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                                for f in ("events.jsonl", "ledger.jsonl"))
         assert primes._HELPER is not None
-    assert len(plain) == 488 and not any(ok for _, ok in plain)
+    assert len(plain) == 489 and not any(ok for _, ok in plain)
     assert forced_plain == forced_keys == plain
     assert splices == ((50, 50), (50, 50))
     assert digests == FIXTURE_DIGESTS

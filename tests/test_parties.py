@@ -217,6 +217,19 @@ def test_step2_equality_failure_for_mismatched_ssn(ctx):
     _assert_rejection_sent(ctx, "step2-abort", "equality", order)
 
 
+def test_step2_without_a_bank_credential_fails_the_order(ctx):
+    # registered, never pre-issued a bank credential: the holder's wallet
+    # refuses, and the order fails instead of staying identity-verified
+    alice = ctx.users[0]
+    register_user(ctx, alice)
+    order, handle = exchange_step1_identity(ctx, alice, OrderParams("BTC", 100, ("a0",)))
+    assert order.state == "identity-verified"
+    exchange_step2_bank(ctx, alice, order, handle)
+    assert order.state == "failed" and order.failure_cause == "bank-presentation"
+    assert order.order_id not in ctx.platform.pending_bundle1
+    _assert_rejection_sent(ctx, "step2-abort", "bank-presentation", order)
+
+
 def _count_verifications(monkeypatch) -> list:
     """Wrap verify_bundle wherever the exchange reaches it; returns the list
     of bundles it is called on."""

@@ -7,7 +7,7 @@ from fcguard import presentations
 from fcguard.crypto import primes, sigma
 from fcguard.crypto.ciphertext import Ciphertext
 from fcguard.crypto.elgamal import elgamal_decrypt
-from fcguard.crypto.paillier import paillier_decrypt
+from fcguard.crypto.paillier import paillier_decrypt, paillier_hs
 from fcguard.errors import ProofRefusedError, SchemaMismatchError
 from fcguard.presentations import (
     LINK_NAME,
@@ -468,6 +468,50 @@ def test_two_answers_on_one_predicate_commitment_give_back_its_witness(monkeypat
     assert product == pow(ck.r_base, threshold, n)
     assert m == fx.vc_pu.attributes["birthday"]
 
+
+
+@pytest.mark.parametrize("scheme", ["elgamal", "paillier"])
+def test_two_answers_on_one_encryption_commitment_give_back_its_randomness(monkeypatch, scheme):
+    # as above, for the one encryption arm of each fixture bundle: the
+    # randomness comes back exactly over the integers, within its width,
+    # and opens the ciphertext to the core arm's m
+    fx = build_fixture()
+    statement, credential, attr = {"elgamal": (fx.statement1, fx.vc_pu, "ssn"),
+                                   "paillier": (fx.statement2, fx.vc_bu, "bank_account")}[scheme]
+    ((_, key),) = statement["encrypt"]
+    challenges, responds = iter([(1 << 80) - 3, 12345]), []
+
+    def forced(profile, core, t_core, nonce, source, prev, arms):
+        responds.append(arms["encs"][0][2])
+        return next(challenges)
+
+    monkeypatch.setattr(presentations, "_bundle_challenge", forced)
+    state, bundles = random.Random("extract-enc").getstate(), []
+    for _ in range(2):
+        rng = random.Random()
+        rng.setstate(state)
+        session = ProofSession(fx.registry, fx.nonce, rng, commitment_source=fx.platform_defn.defn_id)
+        bundles.append(session.build_bundle(credential, fx.wallet.link_secret, **statement))
+    (p1,), (p2,) = (b.enc_proofs for b in bundles)
+    c1, c2 = (b.challenge for b in bundles)
+    assert p1.ciphertext == p2.ciphertext and responds[0](c2) == p2
+
+    def extract(z1, z2):
+        witness, rest = divmod(z1 - z2, c1 - c2)
+        assert rest == 0
+        return witness
+
+    m = extract(*(b.presentation.m_hats[attr] for b in bundles))
+    rho = extract(p1.r_hat, p2.r_hat)
+    assert m == credential.attributes[attr]
+    assert 0 <= rho < 1 << presentations._rho_bits(fx.profile, key)
+    if scheme == "elgamal":
+        assert p1.ciphertext.parts == (pow(key.g, rho, key.p), pow(key.g, m, key.p) * pow(key.h, rho, key.p) % key.p)
+        assert elgamal_decrypt(fx.aa_keys, p1.ciphertext) == m
+    else:
+        n2 = key.n_squared
+        assert p1.ciphertext.parts == ((1 + m * key.n) * pow(paillier_hs(key.n), rho, n2) % n2,)
+        assert paillier_decrypt(fx.bank_enc, p1.ciphertext) == m
 
 
 def _every_arm_bundle(env):

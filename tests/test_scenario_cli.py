@@ -273,11 +273,11 @@ def test_bundled_address_rotation_scenario():
 # bundled toy scenarios. A change to any random draw, key, proof value or wire
 # byte moves them; update them only for a deliberate change of behaviour.
 GOLDEN_DIGESTS = {
-    "address_rotation": ("0cd0727d59d2f647b9453e6b91c15d57f13409ff00df99e63a7ae8259d0e42ff",
+    "address_rotation": ("619356c1efae98ca18304b0de8aeb58dd26acfbd995c88de3af35c64c65b048b",
                          "7ac46e98ef01add78da6cf2e6aeb71ab760234f81d572f05d075111cc9747236"),
-    "misreport": ("1ce11c525f5b717bde950c0ded416cd0a6c6a6c6dde126e3ee58aca907cc69d4",
+    "misreport": ("61b102d78c70a98d0b457e6ffd0249934c794ea3d4dfd81cc1dbe773b24d05a0",
                   "38bf6ed3f04e54b2461c5bd238a764a25dcc352f3df91f195c697bec5147be4e"),
-    "replay_attack": ("9887eb8f4c8f66e4d81bf5cfe789069910a58503d746bcd162969b7ebb4fb625",
+    "replay_attack": ("b8542f900584f87e7846c293e5a37ccaaaf23f10b5bb4297632c1a965ba4bd20",
                       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 

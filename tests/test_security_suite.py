@@ -1,10 +1,12 @@
 import pytest
 from click.testing import CliRunner
 
-from fcguard import cli
+from fcguard import cli, presentations
 from fcguard.cli import main
-from fcguard.presentations import bundle_digest
+from fcguard.crypto import sigma
+from fcguard.presentations import bundle_digest, verify_bundle
 from fcguard.security import (
+    _rearm,
     build_fixture,
     check_audit_branches,
     check_replay_protection,
@@ -20,8 +22,8 @@ from fcguard.security import (
 
 # bundle1 carries link, ElGamal and predicate arms; bundle2 a disclosed
 # attribute, a link arm and a Paillier arm: every arm kind's bytes
-FIXTURE_DIGESTS = ("d68c926503379de2eb732da39cb6237fc70baeeb586a56f62a99da65b54f0b39",
-                   "da6c0e05e5167dff64c9633ac872ac77f07385a74d025acfd6437c713c8579ea")
+FIXTURE_DIGESTS = ("d08e581c84f1b735d227821b51b3c91e6e15f6b207cc9c2b45329f9ec4bf39e0",
+                   "baea3195caca47fc31338495b92ea5e2c521485dbdb90346be896aa4bb30ff60")
 
 
 def test_fixture_bundle_digests_are_pinned():
@@ -37,6 +39,7 @@ NAMED_CASES = {
     "verenc-eg:c2-non-unit", "verenc-paillier:c-non-unit-p", "verenc-paillier:c-non-unit-p2",
     "predicate:T0-non-unit", "vp1:nonce-swap", "vp2:prev-digest-tamper", "verenc-eg:ciphertext-swap",
     "verenc-paillier:ciphertext-swap", "verenc-paillier:r_hat-negative", "verenc-paillier:r_hat-at-bound",
+    "verenc-eg:r_hat-at-bound",
     "predicate:T0-shift", "predicate:T-swap", "predicate:squares-three", "predicate:u_hats-five",
     "equality:foreign-commitment", "equality:foreign-r_hat_a", "equality:foreign-r_hat_b",
     "equality:foreign-bundle2", "equality:foreign-bundle1",
@@ -46,11 +49,27 @@ NAMED_CASES = {
 
 def test_mutation_matrix_size_and_rejection():
     cases = mutation_cases()
-    assert len(cases) == 32 + 51 + 405  # oracle: named cases, shifted int leaves, wrong types
+    assert len(cases) == 33 + 51 + 405  # oracle: named cases, shifted int leaves, wrong types
     accepted = [name for name, ok in cases if ok]
     assert accepted == []
     names = {name for name, _ in cases}
     assert NAMED_CASES | {"vp2:enc_proofs[0].r_hat+1"} <= names
+
+
+@pytest.mark.parametrize("bundle, statement, key", [
+    ("bundle1", "statement1", "aa_keys"), ("bundle2", "statement2", "bank_enc")], ids=["elgamal", "paillier"])
+def test_an_encryption_response_at_its_bound_is_refused_before_any_exponentiation(monkeypatch, bundle, statement,
+                                                                                  key):
+    # the `verenc-*:r_hat-at-bound` cases: the honest response lies below
+    # the bound, and one at it is refused by the range check alone
+    fx = build_fixture()
+    honest, statement = getattr(fx, bundle), getattr(fx, statement)
+    bound = 1 << (presentations._r_hat_bits(fx.profile, getattr(fx, key).public) + 1)
+    assert 0 <= honest.enc_proofs[0].r_hat < bound
+    evaluated = []
+    monkeypatch.setattr(sigma, "multi_powmod_many", lambda products: evaluated.append(products))
+    assert not verify_bundle(fx.registry, _rearm(honest, "enc_proofs", r_hat=bound), fx.nonce, **statement)
+    assert evaluated == []
 
 
 def test_the_signature_proof_cases_tamper_a_proof_the_holder_accepts():
