@@ -1,7 +1,9 @@
 """Issuer keys and signatures for the anonymous-credential scheme.
 
 Keys live over an RSA modulus built from two safe primes; the public part is
-(n, S, Z, R_1..R_l) with Z and every R_i a power of the quadratic residue S.
+(n, Z, R_1..R_l), Z and every R_i a power of S = hashed_square(n, "issuer-s"),
+which no issuer chooses: under a chosen S = 1 mod q, a commitment R^m S^r is
+R^m mod q, whose m a 2^15-step walk reads. Z and the R_i are still chosen.
 Signing computes A = (Z / (S^v * prod R_i^(m_i)))^(1/e mod p'q') for a random
 prime exponent e and random blinding v, so verification is the single
 equation A^e * S^v * prod R_i^(m_i) = Z (mod n). A blinded commitment can
@@ -22,14 +24,15 @@ only the range, length and parity tests.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from ..errors import EncodingRangeError, ParameterError, VerificationError
 from ..params import Profile
 from ..serialize import conforms, serializable
+from .commitment import hashed_square
 from .encoding import ATTRIBUTE_BOUND
 from .primes import (Crt, Term, invert, is_probable_prime, multi_powmod, multi_powmod_crt, multi_powmod_many,
                      random_prime_in_range, sophie_germain_prime)
@@ -40,9 +43,13 @@ from .sigma import Eq, challenge, evaluate, well_formed
 @dataclass(frozen=True)
 class ClPublicKey:
     n: int
-    s: int
     z: int
     r_bases: tuple[int, ...]  # one base per attribute slot; slot 0 is the link-secret slot
+
+    @cached_property
+    def s(self) -> int:
+        """S, hashed from n: no issuer chooses it, stores it or sends it."""
+        return hashed_square(self.n, "issuer-s")
 
     @property
     def slot_count(self) -> int:
@@ -74,16 +81,16 @@ class ClIssuerKeyPair:
         return multi_powmod_crt(((x, exp, False),), self.crt)
 
     @classmethod
-    def from_secrets(cls, p_prime: int, q_prime: int, s: int, x_z: int,
-                     x_r: Sequence[int]) -> "ClIssuerKeyPair":
-        """Assemble a key pair from chosen secrets (used by tests with forced
-        toy primes and by cl_keygen internally)."""
+    def from_secrets(cls, p_prime: int, q_prime: int, x_z: int, x_r: Sequence[int]) -> "ClIssuerKeyPair":
+        """Assemble a key pair from chosen secrets: Z = S^x_z and R_i = S^x_r[i]
+        for the S hashed from n (used by tests, the key cache and cl_keygen)."""
         p, q = 2 * p_prime + 1, 2 * q_prime + 1
         crt = (p, p - 1), (q, q - 1)
+        s = hashed_square(p * q, "issuer-s")
         z = multi_powmod_crt(((s, x_z, True),), crt)
         r_bases = tuple(multi_powmod_crt(((s, x, True),), crt) for x in x_r)
         return cls(
-            public=ClPublicKey(n=p * q, s=s, z=z, r_bases=r_bases),
+            public=ClPublicKey(n=p * q, z=z, r_bases=r_bases),
             p=p, q=q, p_prime=p_prime, q_prime=q_prime, x_z=x_z, x_r=tuple(x_r),
         )
 
@@ -113,17 +120,10 @@ def cl_keygen(attribute_count: int, profile: Profile, rng: random.Random) -> ClI
     q_prime = sophie_germain_prime(profile.sg_prime_bits, rng)
     while q_prime == p_prime:
         q_prime = sophie_germain_prime(profile.sg_prime_bits, rng)
-    n = (2 * p_prime + 1) * (2 * q_prime + 1)
-    while True:
-        x = rng.randrange(2, n)
-        if math.gcd(x, n) == 1:
-            s = x * x % n
-            if s != 1:
-                break
     order = p_prime * q_prime
     x_z = rng.randrange(2, order)
     x_r = [rng.randrange(2, order) for _ in range(attribute_count)]
-    return ClIssuerKeyPair.from_secrets(p_prime, q_prime, s, x_z, x_r)
+    return ClIssuerKeyPair.from_secrets(p_prime, q_prime, x_z, x_r)
 
 
 def _q_terms(public: ClPublicKey, attributes: Sequence[int], v: int,

@@ -1,7 +1,9 @@
 """Integer commitments C = R^m * S^r in an RSA group of hidden order, whose
 keys also serve the cross-presentation link arms, plus the generic two-base
 proof of knowledge of an opening used by credential requests, one equation
-on the `sigma` engine."""
+on the `sigma` engine. `hashed_square` gives every base nobody chooses: the
+issuer's S and each commitment key's R, neither of which can be aimed at a
+subgroup, nor has a discrete log to the other that anybody learns."""
 
 from __future__ import annotations
 
@@ -25,16 +27,20 @@ class CommitmentKey:
 
     @classmethod
     def derive(cls, n: int, s_base: int, label: str) -> "CommitmentKey":
-        """Second base hashed from (label, n): a quadratic residue whose
-        discrete log relative to s_base nobody learns from the derivation."""
-        counter = 0
-        while True:
-            digest = hashlib.sha256(label.encode() + encode_int(n) + encode_int(counter)).digest()
-            x = int.from_bytes(digest + hashlib.sha256(digest).digest(), "big") % n
-            r_base = x * x % n
-            if r_base not in (0, 1) and math.gcd(x, n) == 1:
-                return cls(n=n, r_base=r_base, s_base=s_base)
-            counter += 1
+        """The key whose R is hashed from (label, n), by `hashed_square`."""
+        return cls(n=n, r_base=hashed_square(n, label), s_base=s_base)
+
+
+def hashed_square(n: int, label: str) -> int:
+    """x^2 mod n for x a hash of (label, n, counter) mod n at the first counter
+    where x is a unit and x^2 is not 0 or 1: ValueError if 64 find none."""
+    for counter in range(64):  # an honest n = pq fails a counter with probability about 1/p + 1/q
+        digest = hashlib.sha256(label.encode() + encode_int(n) + encode_int(counter)).digest()
+        x = int.from_bytes(digest + hashlib.sha256(digest).digest(), "big") % n
+        square = x * x % n
+        if square not in (0, 1) and math.gcd(x, n) == 1:
+            return square
+    raise ValueError(f"no hashed square for the modulus under {label!r}")
 
 
 @serializable("integer-commitment")

@@ -1,4 +1,5 @@
-"""Exponential ElGamal over a safe-prime group.
+"""Exponential ElGamal over a safe-prime group, a profile constant (`GROUPS`,
+by `elgamal_modulus_bits`), so a key pair draws only its secret key.
 
 The message rides in the exponent so that sigma protocols can relate a
 ciphertext to a committed attribute. The secret key and the encryption
@@ -11,14 +12,14 @@ and Wiener, EUROCRYPT 1996; Koshiba and Kurosawa, PKC 2004).
 Decryption recovers g^m and then solves a bounded discrete log over
 [0, bound), the profile's plaintext bound (default 2^30, enough for 9-digit
 SSNs), by baby-step/giant-step with the two sides swapped so that the
-per-target work multiplies by the small generator (4 on toy groups, 2 on the
-RFC 3526 group), never by a full-size residue:
+per-target work multiplies by the small generator (4 on the toy group, 2 on
+the RFC 3526 group), never by a full-size residue:
 
 - Stride table: {g^(i*step): i} for i in 0..ceil(bound/step), with step the
   power of two at or above sqrt(bound) (2^15 for 2^30). It depends only on
   (p, g, bound), not on the secret key, so it is built once per group and
-  kept in a one-entry cache: the next group replaces it, and the paper group
-  is built once per process rather than once per key pair.
+  kept in a one-entry cache: a profile's group is built once per process,
+  not once per key pair, and only another group replaces it.
 - Walk: from cur = g^m, look cur up and multiply it by g, at most step
   times. A hit i after j steps gives m = i*step - j, returned if it lies in
   [0, bound). Every m in [0, bound) is i*step - j for some j < step, and
@@ -34,15 +35,14 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from ..errors import DecryptionError, EncodingRangeError
+from ..errors import DecryptionError, EncodingRangeError, ParameterError
 from ..params import Profile
 from ..serialize import conforms, dumps, serializable
 from .ciphertext import Ciphertext
-from .primes import powmod, powmod_fixed, safe_prime
+from .primes import powmod, powmod_fixed
 
 # 2048-bit MODP group (RFC 3526, group 14). P is a safe prime and 2 generates
-# the subgroup of quadratic residues of prime order Q = (P-1)/2; using the
-# standardized group keeps benchmark-profile key generation cheap.
+# the subgroup of quadratic residues of prime order Q = (P-1)/2.
 MODP_2048 = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
@@ -54,6 +54,11 @@ MODP_2048 = int(
     "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
     16,
 )
+
+# The toy group: P = 2Q + 1 for Q = sophie_germain_prime(255, random.Random(
+# "fcguard:toy-elgamal-group")); 4 is a square, so it generates the order-Q subgroup.
+TOY_256 = 0xDDDF503A46BEC4A60A8E04814003FF27399E08B36A843B4A0F33978960A3F24F
+GROUPS = {2048: (MODP_2048, 2), 256: (TOY_256, 4)}  # (P, g) by modulus bits
 
 # 2s for s = 112, the strength of a 2048-bit group
 SHORT_EXPONENT_BITS = 224
@@ -98,11 +103,10 @@ class ElGamalKeyPair:
 
 
 def elgamal_keygen(profile: Profile, rng: random.Random) -> ElGamalKeyPair:
-    if profile.elgamal_modulus_bits == 2048:
-        p, q, g = MODP_2048, (MODP_2048 - 1) // 2, 2
-    else:
-        p, q = safe_prime(profile.elgamal_modulus_bits, rng)
-        g = 4  # square, hence a generator of the order-q subgroup
+    if profile.elgamal_modulus_bits not in GROUPS:
+        raise ParameterError(f"no ElGamal group of {profile.elgamal_modulus_bits} bits")
+    p, g = GROUPS[profile.elgamal_modulus_bits]
+    q = (p - 1) // 2
     sk = rng.randrange(2, 1 << exponent_bits(q))
     return ElGamalKeyPair.from_secrets(p, q, g, sk, profile.elgamal_plain_bound)
 

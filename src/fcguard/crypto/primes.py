@@ -12,7 +12,8 @@ and it has no bases to choose, so a crafted input cannot be aimed at them
 as at a fixed or n-derived list of Miller-Rabin bases. It costs about as
 much as four Miller-Rabin rounds. With gmpy2 it is `gmpy2.is_prime(n, 25)`.
 
-`sophie_germain_prime` runs a combined sieve (Wiener, ePrint 2003/186) over
+`sophie_germain_prime`, which makes an issuer's p' and q' (the ElGamal
+groups are constants), runs a combined sieve (Wiener, ePrint 2003/186) over
 windows of 2^16 candidates, striking each position where p' or 2p'+1 has an
 odd prime factor below `_sieve_bound(bits)`. A survivor costs a base-2
 Fermat test on p' and the Pocklington test on 2p'+1 (`is_prime_2q_plus_1`,
@@ -796,8 +797,3 @@ def _sophie_germain_small(bits: int, rng: random.Random, max_tries: int = 200000
             return cand
     raise PrimeGenerationError(f"no {bits}-bit Sophie Germain prime in {max_tries} draws")
 
-
-def safe_prime(bits: int, rng: random.Random) -> tuple[int, int]:
-    """(P, Q) with P = 2Q + 1, both prime, P of exactly `bits` bits."""
-    q = sophie_germain_prime(bits - 1, rng)
-    return 2 * q + 1, q

@@ -4,15 +4,12 @@ key.
 Benchmark-profile key generation hunts for 1536-bit Sophie Germain primes,
 which costs tens of seconds; since generation is deterministic in (profile,
 seed, label, slot count), the result can be cached and reloaded byte-for-byte.
-Every load first checks the cached secrets by name: p' and q' have the
-profile's `sg_prime_bits` bits and differ, and 1 < S < n with Jacobi
-symbols (S/p) = (S/q) = 1 and S != 1 mod p and mod q, so that S generates
-QR_n once p = 2p'+1 and q = 2q'+1 are prime. It then rebuilds Z and the R_i
-from them and revalidates the modulus structure. Primality is checked by
-one `crypto.primes.primality_many` call per key: the Baillie-PSW test on p'
-and q' and one exponentiation each for p and q (for a prime p',
-Pocklington's criterion decides 2p'+1 exactly). At the paper profile these
-four go to both processes in one helper request, as the proof products do.
+A file holds p', q', x_z, the x_r and an `s` no load reads, as S is hashed
+from n. A load checks by name that p' and q' have `sg_prime_bits` bits and
+differ, rebuilds S, Z and the R_i, and revalidates the modulus structure,
+with one `crypto.primes.primality_many` call: the Baillie-PSW test on p' and
+q' and one exponentiation each for p and q (for a prime p', Pocklington's
+criterion decides 2p'+1 exactly), on both processes at the paper profile.
 
 `bank_paillier_keys` caches the bank's Paillier key the same way, as its
 primes p and q, which must differ, have exactly half the profile's modulus
@@ -46,7 +43,7 @@ from typing import Callable, TypeVar
 
 from .crypto.cl import ClIssuerKeyPair, cl_keygen
 from .crypto.paillier import PaillierKeyPair, paillier_keygen
-from .crypto.primes import jacobi, primality_many
+from .crypto.primes import primality_many
 from .errors import FcGuardError
 from .params import Profile, get_profile
 
@@ -56,23 +53,17 @@ IN_PROCESS_PROFILES = frozenset({"toy"})
 _Key = TypeVar("_Key")
 
 
-def _check_secrets(p_prime: int, q_prime: int, s: int, profile: Profile) -> None:
-    """The checks a cached issuer key's secrets must pass before its public
-    key is computed: p' and q' of the profile's size and distinct, and S a
-    generator of QR_n once p = 2p'+1 and q = 2q'+1 are found prime."""
+def _check_secrets(p_prime: int, q_prime: int, profile: Profile) -> None:
+    """p' and q' of the profile's size and distinct, before a key is built."""
     bits = profile.sg_prime_bits
     if not all(1 << (bits - 1) <= x < 1 << bits for x in (p_prime, q_prime)):
         raise FcGuardError(f"cached issuer key: p' and q' must have {bits} bits")
     if p_prime == q_prime:
         raise FcGuardError("cached issuer key: p' = q'")
-    p, q = 2 * p_prime + 1, 2 * q_prime + 1
-    # QR_p has prime order p', so a residue other than 1 generates it; so mod q
-    if not (1 < s < p * q and jacobi(s, p) == jacobi(s, q) == 1 and s % p != 1 and s % q != 1):
-        raise FcGuardError("cached issuer key: S does not generate QR_n")
 
 
 def _validate(keys: ClIssuerKeyPair, profile: Profile, slot_count: int) -> None:
-    # Z and the R_i need no check: from_secrets has just computed them from S
+    # S, Z and the R_i need no check: from_secrets has just computed them from n
     pk = keys.public
     ok = (
         pk.n == keys.p * keys.q
@@ -119,9 +110,9 @@ def _cached(path: Path, load: Callable[[dict], _Key], make: Callable[[], _Key],
 
 
 def _load_issuer_keys(raw: dict, profile: Profile, slot_count: int) -> ClIssuerKeyPair:
-    p_prime, q_prime, s = int(raw["p_prime"]), int(raw["q_prime"]), int(raw["s"])
-    _check_secrets(p_prime, q_prime, s, profile)
-    keys = ClIssuerKeyPair.from_secrets(p_prime, q_prime, s, int(raw["x_z"]), [int(x) for x in raw["x_r"]])
+    p_prime, q_prime = int(raw["p_prime"]), int(raw["q_prime"])
+    _check_secrets(p_prime, q_prime, profile)
+    keys = ClIssuerKeyPair.from_secrets(p_prime, q_prime, int(raw["x_z"]), [int(x) for x in raw["x_r"]])
     _validate(keys, profile, slot_count)
     return keys
 
@@ -138,6 +129,8 @@ def issuer_keys(profile: Profile, seed: int | str, label: str, slot_count: int,
         _cache_path(cache_dir, profile, seed, label, slot_count),
         lambda raw: _load_issuer_keys(raw, profile, slot_count),
         lambda: cl_keygen(slot_count, profile, rng),
+        # `s`, unread, keeps files loadable by older loaders: perfbench keeps its
+        # paper keys in .perfbench-cache/keys/, and a remade one costs about 35 s
         lambda keys: {"p_prime": str(keys.p_prime), "q_prime": str(keys.q_prime),
                       "s": str(keys.public.s), "x_r": [str(x) for x in keys.x_r],
                       "x_z": str(keys.x_z)})

@@ -40,7 +40,7 @@ PAPER_SEED_42_PRIMES = {
 # --out` writes them: the only digests that cover the paper profile, where
 # the helper process runs without being forced on.
 PAPER_HAPPY_PATH_DIGESTS = {
-    "events.jsonl": "3e6a3073c781fd2599d203dd5b70f24b94fff6e4d84e82493847289a6a19ef95",
+    "events.jsonl": "c3ec13aa37fea783636edf20bca121492d8a836b214044e7cd0471bb0b8c01be",
     "ledger.jsonl": "7ff95f1e8fc588082dde64e9c475765c2e3fbce1e221724bcc3ce4bc7cfa0f4d",
 }
 
@@ -124,8 +124,8 @@ def test_criterion_07_replay_protection_bundled_scenario():
 def test_criterion_08_crypto_round_trips_and_worked_examples():
     rng = random.Random(35000)
     # toy worked examples, reproduced exactly
-    toy_cl = ClIssuerKeyPair.from_secrets(5, 11, 4, 7, [9, 13, 21])
-    assert toy_cl.public.n == 253 and toy_cl.public.z == 192
+    toy_cl = ClIssuerKeyPair.from_secrets(5, 11, 7, [9, 13, 21])
+    assert toy_cl.public.n == 253 and toy_cl.public.s == 169 and toy_cl.public.z == 104
     toy_eg = ElGamalKeyPair.from_secrets(p=23, q=11, g=4, sk=3, plain_bound=16)
     ct = elgamal_encrypt(toy_eg.public, 2, r=5)
     assert ct.parts == (12, 2) and elgamal_decrypt(toy_eg, ct) == 2

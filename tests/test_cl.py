@@ -16,6 +16,7 @@ from fcguard.crypto.cl import (
     signature_exponent_prime,
     verify_signature_proof,
 )
+from fcguard.crypto.commitment import hashed_square
 from fcguard.crypto.primes import is_probable_prime
 from fcguard.errors import EncodingRangeError, ParameterError
 from fcguard.params import PAPER, TOY
@@ -42,10 +43,11 @@ def egcd_inverse(a, n):
 
 
 def test_forced_toy_primes_z_value():
-    # p'=5, q'=11 -> p=11, q=23, n=253; S=4, x_Z=7 -> Z = 4^7 mod 253 = 192
-    keys = ClIssuerKeyPair.from_secrets(5, 11, 4, 7, [9, 13, 21])
+    # p'=5, q'=11 -> p=11, q=23, n=253; S = 169 hashed from n, x_Z=7 -> Z = 169^7 mod 253 = 104
+    keys = ClIssuerKeyPair.from_secrets(5, 11, 7, [9, 13, 21])
     assert keys.public.n == 253
-    assert keys.public.z == schoolbook_pow(4, 7, 253) == 192
+    assert keys.public.s == hashed_square(253, "issuer-s") == 169
+    assert keys.public.z == schoolbook_pow(169, 7, 253) == 104
 
 
 def test_keygen_invariants_toy():
@@ -88,7 +90,7 @@ def test_sign_verify_round_trip_and_tamper():
 def test_toy_instance_verification_equation_term_by_term():
     # oracle: recompute A^e and Z * (S^v * prod R_i^(m_i))^-1 independently
     rng = random.Random(41)
-    keys = ClIssuerKeyPair.from_secrets(5, 11, 4, 7, [9, 13, 21])
+    keys = ClIssuerKeyPair.from_secrets(5, 11, 7, [9, 13, 21])
     attrs = [2, 3, 4]
     sig = cl_sign(keys, attrs, TOY, rng)
     n = keys.public.n
@@ -194,25 +196,25 @@ def _public_digest(keys):
     return hashlib.sha256(dumps(keys.public)).hexdigest()
 
 
-# SHA-256 of the serialized public keys as `from_secrets` made them when Z and
-# the R_i were plain powers mod n; computing them mod p and q changes no byte.
+# SHA-256 of the serialized public keys: n, Z and the R_i, each a power of the
+# S hashed from n, which is not serialized.
 TOY_KEY_DIGESTS = {
-    (1, "platform"): "5c82f921fff218fe08bf4dcb1a030f5c4f1fc0ba679c19736dbf516214179f55",
-    (1, "bank"): "558c35d6219f61af506f6bd00d6528f65f0c7f607b20bcde60d738da430c9496",
-    (42, "platform"): "cc3d6beb65dbeb75f6b236951bb5f07446979666492416bebe55d408b902664f",
-    (42, "bank"): "752aea0cae88c6fb7efd6fd020513a27c641de9b36e6c532677f39c266164838",
+    (1, "platform"): "e34bd4c52d937282caabebe9f6226366d900cdeb529c57e8a4613d1e2888d4d9",
+    (1, "bank"): "3ff813bf4c31c6a4ca70152375edbcf33120ee1751f9e465539fa715a4fddf75",
+    (42, "platform"): "c00e19c72eba2e73d5c3546f97d76934cb2abd31fa232c99ffeb60fbb109f477",
+    (42, "bank"): "b68327377336bbd9875ef85acb51d466c232977aa3a97aec5d0e7ff6e446a60e",
 }
 PAPER_SEED_42_KEY_DIGESTS = {
-    "platform": "efcfb213b36392377db0e5ac32794b7a14eb39a9249b7c869af38b78ae493b80",
-    "bank": "a9c10b807d3ae0e649d08cf1555dbc7730729960e948f6ee37d523e6c1cf27ca",
+    "platform": "9fc8e7bb98f6aacc16000c72db3b01f3b1396fc009fbcc6614f74c7568dbb98d",
+    "bank": "b3129682f06f9e39891742c5fbf247c1aad7a9a1c81d79a19240d861bdfbb556",
 }
 
 
 def test_toy_keys_are_pinned():
     for (seed, label), digest in TOY_KEY_DIGESTS.items():
         assert _public_digest(keycache.issuer_keys(TOY, seed, label, 4, None)) == digest, (seed, label)
-    forced = ClIssuerKeyPair.from_secrets(5, 11, 4, 7, [9, 13, 21])
-    assert _public_digest(forced) == "476fc21528f954eac1fc3a8986157a91a94deea73afef95de2bdcb7dd1193884"
+    forced = ClIssuerKeyPair.from_secrets(5, 11, 7, [9, 13, 21])
+    assert _public_digest(forced) == "6df956fbe32aaf9732b63d1ffb33077afd1d3b3b136c22c34a8acc80d222f671"
 
 
 def test_seed_42_paper_keys_load_pinned(paper_key_cache):

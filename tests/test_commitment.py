@@ -1,9 +1,12 @@
 import random
 
+import pytest
+
 from fcguard.crypto.commitment import (
     CommitmentKey,
     IntegerCommitment,
     commit,
+    hashed_square,
     open_verify,
     prove_opening,
     verify_opening,
@@ -65,3 +68,11 @@ def test_fresh_randomness_fresh_commitments():
     key = CommitmentKey.derive(253 * 269, 4, label="fresh")
     values = {commit(key, 42, rng=rng, profile=TOY)[0].value for _ in range(100)}
     assert len(values) == 100
+
+
+def test_hashed_square_refuses_a_modulus_whose_units_all_square_to_1():
+    # a definition can carry any n; for these no counter gives a square other than 0 and 1
+    for n in (1, 2, 3, 4, 6, 8, 12, 24):
+        with pytest.raises(ValueError):
+            hashed_square(n, "issuer-s")
+    assert hashed_square(253, "issuer-s") == 169

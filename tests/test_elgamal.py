@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,16 +6,18 @@ import pytest
 from fcguard.crypto import elgamal
 from fcguard.crypto.ciphertext import Ciphertext
 from fcguard.crypto.elgamal import (
+    GROUPS,
     MODP_2048,
     SHORT_EXPONENT_BITS,
+    TOY_256,
     ElGamalKeyPair,
     elgamal_decrypt,
     elgamal_encrypt,
     elgamal_keygen,
     exponent_bits,
 )
-from fcguard.crypto.primes import is_probable_prime
-from fcguard.errors import DecryptionError, EncodingRangeError
+from fcguard.crypto.primes import is_probable_prime, sophie_germain_prime
+from fcguard.errors import DecryptionError, EncodingRangeError, ParameterError
 from fcguard.params import PAPER, TOY
 
 
@@ -165,8 +168,31 @@ def test_stride_table_is_built_once_per_group_and_only_the_last_is_kept():
         assert elgamal_decrypt(kp, elgamal_encrypt(kp.public, 123_456_789, rng=rng)) == 123_456_789
     info = elgamal._stride_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    other = elgamal_keygen(TOY, random.Random(16))
+    other = ElGamalKeyPair.from_secrets(p=23, q=11, g=4, sk=3, plain_bound=8)
     assert other.public.p != pk.p
     assert elgamal_decrypt(other, elgamal_encrypt(other.public, 7, rng=rng)) == 7
     info = elgamal._stride_table.cache_info()
     assert (info.misses, info.currsize) == (2, 1)
+
+
+def test_the_toy_group_is_pinned():
+    # P = 2Q + 1 with Q from a seeded Sophie Germain search, and 4 of order Q
+    p, g = GROUPS[TOY.elgamal_modulus_bits]
+    q = (p - 1) // 2
+    assert (p, g) == (TOY_256, 4) and p.bit_length() == 256
+    assert is_probable_prime(p) and is_probable_prime(q)
+    assert g != 1 and pow(g, q, p) == 1
+    assert sophie_germain_prime(255, random.Random("fcguard:toy-elgamal-group")) == q
+
+
+@pytest.mark.parametrize("profile", [TOY, PAPER], ids=["toy", "paper"])
+def test_keygen_gives_the_profile_group_for_every_seed(profile):
+    p, g = GROUPS[profile.elgamal_modulus_bits]
+    for seed in range(20):
+        pk = elgamal_keygen(profile, random.Random(seed)).public
+        assert (pk.p, pk.q, pk.g, pk.plain_bound) == (p, (p - 1) // 2, g, profile.elgamal_plain_bound)
+
+
+def test_a_size_with_no_group_is_refused():
+    with pytest.raises(ParameterError):
+        elgamal_keygen(dataclasses.replace(TOY, elgamal_modulus_bits=512), random.Random(1))

@@ -9,6 +9,7 @@ import pytest
 from fcguard import keycache
 from fcguard.bench import run_bench
 from fcguard.crypto.cl import ClIssuerKeyPair
+from fcguard.crypto.commitment import hashed_square
 from fcguard.crypto.paillier import paillier_keygen
 from fcguard.crypto.primes import crt_pair, is_probable_prime, random_prime
 from fcguard.errors import FcGuardError
@@ -51,7 +52,7 @@ def test_prime_p_prime_with_composite_partner_is_rejected_and_regenerated(tmp_pa
     assert q.bit_length() == TOY.sg_prime_bits
     raw["p_prime"] = str(q)
     path.write_text(json.dumps(raw))
-    forged = ClIssuerKeyPair.from_secrets(q, fresh.q_prime, fresh.public.s, fresh.x_z, list(fresh.x_r))
+    forged = ClIssuerKeyPair.from_secrets(q, fresh.q_prime, fresh.x_z, list(fresh.x_r))
     with pytest.raises(FcGuardError):  # only the Pocklington check on 2p'+1 fails
         keycache._validate(forged, TOY, 4)
     assert issuer_keys(TOY, 5, "platform", 4, tmp_path) == fresh
@@ -61,12 +62,7 @@ def test_prime_p_prime_with_composite_partner_is_rejected_and_regenerated(tmp_pa
 @pytest.mark.parametrize("forge,reason", [
     (lambda keys: {"q_prime": "5"}, "bits"),  # a 69-bit n at the toy profile
     (lambda keys: {"q_prime": str(keys.p_prime)}, "p' = q'"),
-    (lambda keys: {"s": "0"}, "S does not generate"),
-    (lambda keys: {"s": "1"}, "S does not generate"),  # Z = R_i = S = 1
-    (lambda keys: {"s": str(keys.public.n - 1)}, "S does not generate"),  # (-1/p) = -1
-    (lambda keys: {"s": str(keys.public.s + keys.public.n)}, "S does not generate"),
-    (lambda keys: {"s": str(crt_pair(1, keys.p, keys.public.s, keys.q))}, "S does not generate"),
-], ids=["small-q", "p-equals-q", "s-0", "s-1", "s-non-residue", "s-past-n", "s-1-mod-p"])
+], ids=["small-q", "p-equals-q"])
 def test_bad_issuer_secrets_are_rejected_by_name_and_regenerated(tmp_path, forge, reason):
     fresh = issuer_keys(TOY, 5, "platform", 4, tmp_path)
     path = _cache_file(tmp_path)
@@ -77,6 +73,55 @@ def test_bad_issuer_secrets_are_rejected_by_name_and_regenerated(tmp_path, forge
     path.write_text(json.dumps(forged))
     assert issuer_keys(TOY, 5, "platform", 4, tmp_path) == fresh
     assert json.loads(path.read_text()) == raw
+
+
+# values of `s` that generate no QR_n: no load reads `s`, as S is hashed from n
+@pytest.mark.parametrize("forge", [
+    lambda keys: {"s": "0"},
+    lambda keys: {"s": "1"},  # Z = R_i = S = 1, had the file chosen S
+    lambda keys: {"s": str(keys.public.n - 1)},  # (-1/p) = -1
+    lambda keys: {"s": str(keys.public.s + keys.public.n)},
+    lambda keys: {"s": str(crt_pair(1, keys.p, keys.public.s, keys.q))},  # S = 1 mod p
+], ids=["s-0", "s-1", "s-non-residue", "s-past-n", "s-1-mod-p"])
+def test_a_cached_s_is_never_read(tmp_path, forge):
+    fresh = issuer_keys(TOY, 5, "platform", 4, tmp_path)
+    path = _cache_file(tmp_path)
+    raw = json.loads(path.read_text())
+    forged = {**raw, **forge(fresh)}
+    without = {name: value for name, value in raw.items() if name != "s"}
+    assert keycache._load_issuer_keys(forged, TOY, 4) == keycache._load_issuer_keys(without, TOY, 4) == fresh
+    path.write_text(json.dumps(forged))
+    assert issuer_keys(TOY, 5, "platform", 4, tmp_path) == fresh
+    assert json.loads(path.read_text()) == forged  # loaded, not made again
+
+
+def test_the_written_s_is_the_derived_one(tmp_path):
+    keys = issuer_keys(TOY, 5, "platform", 4, tmp_path)
+    written = json.loads(_cache_file(tmp_path).read_text())["s"]
+    assert int(written) == keys.public.s == hashed_square(keys.public.n, "issuer-s")
+
+
+# cl-toy-5-platform-4.json as written while keygen drew S at random: the same
+# primes, then S, then x_z and the x_r from the rest of the stream
+DRAWN_S_FILE = (
+    '{"p_prime": "14130222591937116761", "q_prime": "14020667994133914401", '
+    '"s": "682400813563130725320126207850170181743", '
+    '"x_r": ["166819645444967562975698660236988089570", "148280770542726279498030708672702293228", '
+    '"58052015204721572149209675663843745335", "94014844172377469770949339661218278667"], '
+    '"x_z": "167210401753484847689547070136536779295"}')
+
+
+def test_a_file_with_a_drawn_s_loads_without_being_rewritten(tmp_path):
+    raw = json.loads(DRAWN_S_FILE)
+    path = tmp_path / "cl-toy-5-platform-4.json"
+    path.write_text(DRAWN_S_FILE)
+    keys = issuer_keys(TOY, 5, "platform", 4, tmp_path)
+    assert path.read_text() == DRAWN_S_FILE
+    assert keys == ClIssuerKeyPair.from_secrets(int(raw["p_prime"]), int(raw["q_prime"]), int(raw["x_z"]),
+                                                [int(x) for x in raw["x_r"]])
+    assert keys.public.s != int(raw["s"])
+    fresh = issuer_keys(TOY, 5, "platform", 4, None)
+    assert (fresh.p_prime, fresh.q_prime) == (keys.p_prime, keys.q_prime)  # the draw of S came after the primes
 
 
 def test_fill_missing_makes_the_same_keys_in_parallel(tmp_path):

@@ -5,10 +5,13 @@ import pytest
 
 from fcguard import presentations
 from fcguard.crypto import primes, sigma
+from fcguard.credentials import DEFINITION_KIND, fetch_definition
 from fcguard.crypto.ciphertext import Ciphertext
-from fcguard.crypto.elgamal import elgamal_decrypt
+from fcguard.crypto.commitment import CommitmentKey, hashed_square
+from fcguard.crypto.elgamal import ElGamalPublicKey, elgamal_decrypt
 from fcguard.crypto.paillier import paillier_decrypt, paillier_hs
-from fcguard.errors import ProofRefusedError, SchemaMismatchError
+from fcguard.crypto.transcript import Transcript
+from fcguard.errors import ProofRefusedError, RegistryError, SchemaMismatchError
 from fcguard.presentations import (
     LINK_NAME,
     PresentationBundle,
@@ -409,6 +412,86 @@ def test_the_prover_raises_no_base_its_own_evaluation_gives(monkeypatch):
     assert len(evaluated) == 1
     monkeypatch.undo()
     assert verify_bundle(fx.registry, bundle, fx.nonce, **fx.statement1)
+
+
+def _leaves(value):
+    """Every value below the dicts and lists of an absorbed statement."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _unbound(fx, statement, eqs):
+    """The moduli, bases and target bases of `eqs` that are neither a value of
+    `statement` nor a function of an entry it names by id: a definition's n,
+    Z and R_i, the S and commitment key hashed from its n, and the group of an
+    encryption key whose key_id it holds."""
+    leaves = list(_leaves(statement))
+    bound = {leaf for leaf in leaves if type(leaf) is int}
+    for name in (leaf for leaf in leaves if isinstance(leaf, str)):
+        try:
+            pk = fetch_definition(fx.registry, name).public_key
+        except RegistryError:
+            pass
+        else:
+            s = hashed_square(pk.n, "issuer-s")
+            bound |= {pk.n, pk.z, *pk.r_bases, s, CommitmentKey.derive(pk.n, s, "link-commitment:" + name).r_base}
+        for key in (fx.aa_keys.public, fx.bank_enc.public):
+            if key.key_id() == name:
+                bound |= ({key.p, key.g, key.h} if isinstance(key, ElGamalPublicKey)
+                          else {key.n, key.n_squared, paillier_hs(key.n)})
+    used = {value for eq in eqs for value in (eq.mod, eq.paillier_n or eq.mod)}
+    used |= {base for eq in eqs for base, _, _ in (*eq.terms, *eq.target())}
+    return used - bound
+
+
+def test_every_value_a_bundle_equation_uses_is_absorbed_or_registered(monkeypatch):
+    """Statement completeness: every modulus, base and target base of a
+    bundle's equations is a value of the statement `_bundle_challenge`
+    absorbs, or a function of a registry entry or encryption key whose id it
+    absorbs (`_unbound`). An unabsorbed value would be a weak Fiat-Shamir bug
+    (Bernhard, Pereira and Warinschi, ASIACRYPT 2012). S qualifies as a
+    function of n alone. The binding through a definition id holds only
+    because `Registry.put` refuses a second entry under one id
+    (tests/test_ledger.py::test_registry_duplicate_rejected)."""
+    fx = build_fixture()
+    absorbed, eqs = [], []
+
+    class Recording(Transcript):
+        def __init__(self, label):
+            super().__init__(label)
+            absorbed.append([])
+
+        def absorb(self, value):
+            absorbed[-1].append(value)
+            super().absorb(value)
+
+    def spy(pairs, c, factored):
+        eqs.append([eq for eq, _ in pairs])
+        return real(pairs, c, factored)
+
+    real = presentations.evaluate
+    monkeypatch.setattr(presentations, "Transcript", Recording)
+    monkeypatch.setattr(presentations, "evaluate", spy)
+    assert verify_bundle(fx.registry, fx.bundle1, fx.nonce, **fx.statement1)
+    assert verify_bundle(fx.registry, fx.bundle2, fx.nonce, expected_prev=bundle_digest(fx.bundle1),
+                         **fx.statement2)
+    # core, link, two ElGamal and five predicate equations; core, link and one Paillier
+    assert [len(found) for found in eqs] == [9, 3]
+    statements = [values[0] for values in absorbed]  # each transcript absorbs it, then the t-values
+    assert len(statements) == 2
+    for statement, found in zip(statements, eqs):
+        assert _unbound(fx, statement, found) == set()
+    # a commitment the statement left out would be caught
+    statement = statements[0]
+    (link,) = statement["links"]
+    assert _unbound(fx, {**statement, "links": [{**link, "commitment": None}]}, eqs[0]) == {link["commitment"]}
+    with pytest.raises(RegistryError):
+        fx.registry.put(fx.platform_defn.defn_id, DEFINITION_KIND, dumps(fx.platform_defn))
 
 
 def test_four_squares_is_deterministic_and_draws_nothing():

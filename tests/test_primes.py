@@ -17,7 +17,6 @@ from fcguard.crypto.primes import (
     powmod_fixed,
     random_prime,
     random_prime_in_range,
-    safe_prime,
     sophie_germain_prime,
 )
 from fcguard.errors import PrimeGenerationError
@@ -70,11 +69,10 @@ def test_sophie_germain_below_the_sieve_sizes(bits):
         assert is_probable_prime(p) and is_probable_prime(2 * p + 1)
 
 
-def test_safe_prime_structure():
-    big_p, q = safe_prime(128, random.Random(11))
-    assert big_p == 2 * q + 1
-    assert big_p.bit_length() == 128
-    assert is_probable_prime(big_p) and is_probable_prime(q)
+def test_sophie_germain_structure():
+    q = sophie_germain_prime(127, random.Random(11))
+    assert q.bit_length() == 127 and (2 * q + 1).bit_length() == 128
+    assert is_probable_prime(q) and is_probable_prime(2 * q + 1)
 
 
 def test_prime_generation_budget_error():
@@ -323,7 +321,7 @@ def test_sieve_window_strikes_exactly_where_a_sieving_prime_divides():
 def test_toy_searches_build_only_small_tables(monkeypatch):
     monkeypatch.setattr(primes, "_SIEVE_TABLES", {})
     sophie_germain_prime(64, random.Random(1))
-    safe_prime(256, random.Random(1))
+    sophie_germain_prime(255, random.Random(1))
     assert set(primes._SIEVE_TABLES) == {1 << 10, 1 << 13}
     assert not any(table.large for table in primes._SIEVE_TABLES.values())
 

@@ -273,11 +273,11 @@ def test_bundled_address_rotation_scenario():
 # bundled toy scenarios. A change to any random draw, key, proof value or wire
 # byte moves them; update them only for a deliberate change of behaviour.
 GOLDEN_DIGESTS = {
-    "address_rotation": ("619356c1efae98ca18304b0de8aeb58dd26acfbd995c88de3af35c64c65b048b",
+    "address_rotation": ("3e28ce463705657d23284f0e5f735fbb1e8ca37fbd481d31f80e1cb771241b94",
                          "7ac46e98ef01add78da6cf2e6aeb71ab760234f81d572f05d075111cc9747236"),
-    "misreport": ("61b102d78c70a98d0b457e6ffd0249934c794ea3d4dfd81cc1dbe773b24d05a0",
+    "misreport": ("ea38a46687ec74487609d20b97ffc47246ca123dd0d9530e1a76780d5b84483d",
                   "38bf6ed3f04e54b2461c5bd238a764a25dcc352f3df91f195c697bec5147be4e"),
-    "replay_attack": ("b8542f900584f87e7846c293e5a37ccaaaf23f10b5bb4297632c1a965ba4bd20",
+    "replay_attack": ("4a53adc13c6f4e80463627d142dbb02d452d4f456582dbfa50f4a81f49d39664",
                       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 

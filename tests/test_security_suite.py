@@ -1,10 +1,14 @@
+import json
+
 import pytest
 from click.testing import CliRunner
 
 from fcguard import cli, presentations
 from fcguard.cli import main
-from fcguard.crypto import sigma
-from fcguard.presentations import bundle_digest, verify_bundle
+from fcguard.crypto import elgamal, sigma
+from fcguard.crypto.primes import crt_pair
+from fcguard.errors import DecryptionError, WireError
+from fcguard.presentations import bundle_digest, commitment_key_for, verify_bundle
 from fcguard.security import (
     _rearm,
     build_fixture,
@@ -18,12 +22,13 @@ from fcguard.security import (
     run_security_suite,
     splice_harness,
 )
+from fcguard.serialize import dumps, encode_int, loads
 
 
 # bundle1 carries link, ElGamal and predicate arms; bundle2 a disclosed
 # attribute, a link arm and a Paillier arm: every arm kind's bytes
-FIXTURE_DIGESTS = ("d08e581c84f1b735d227821b51b3c91e6e15f6b207cc9c2b45329f9ec4bf39e0",
-                   "baea3195caca47fc31338495b92ea5e2c521485dbdb90346be896aa4bb30ff60")
+FIXTURE_DIGESTS = ("feaecad907cb6ce61d990aa48cbaa61c1e14bd86d6a80a70d3f873353f5d6c60",
+                   "abc06dc7b7c7cb7dfdee25612d05e4d84bb57880fa344e9ae5d320fc4587f899")
 
 
 def test_fixture_bundle_digests_are_pinned():
@@ -45,6 +50,41 @@ NAMED_CASES = {
     "equality:foreign-bundle2", "equality:foreign-bundle1",
     "vp1:link-r_hat-at-bound", "cred-request:s_r-at-bound", "credential:s_e-at-n",
 }
+
+
+def _walk(prime, base, target, bound=1 << 30):
+    """The m below `bound` with base^m = target (mod prime), or None: the
+    auditor's 2^15-step stride walk, on the subgroup `base` generates."""
+    group = elgamal.ElGamalPublicKey(p=prime, q=(prime - 1) // 2, g=base % prime, h=1, plain_bound=bound)
+    try:
+        return elgamal._bounded_dlog(group, target % prime)
+    except DecryptionError:
+        return None
+
+
+def test_no_issuer_chooses_s_so_the_commitments_keep_the_ssn():
+    """The measured attack on a chosen S: under an S of order p' (S = 1 mod q)
+    the link commitment C = R^m S^r is R^m mod q, and a 2^15-step walk mod q
+    read the hidden SSN from it; the four square commitments gave the
+    birthday the same way. S is hashed from n, so on the fixture's honest
+    platform key the walk finds no SSN mod q, nor mod p, and a public key
+    that carries an `s` is refused on the wire: no issuer can publish one."""
+    fx = build_fixture()
+    keys, ssn = fx.platform_keys, fx.vc_pu.attributes["ssn"]
+    r_base = commitment_key_for(fx.platform_defn).r_base
+    commitments = {p.commitment for bundle in (fx.bundle1, fx.bundle2) for p in bundle.link_proofs}
+    assert len(commitments) == 1 and ssn < 1 << 30
+    for prime in (keys.q, keys.p):
+        assert _walk(prime, r_base, pow(r_base, ssn, prime)) == ssn  # the walk would find it
+        assert [_walk(prime, r_base, c) for c in commitments] == [None]
+    pk = fx.platform_defn.public_key
+    chosen = crt_pair(pk.s % keys.p, keys.p, 1, keys.q)  # the measured attack's S
+    for value, fields in ((pk, lambda node: node), (fx.platform_defn, lambda node: node["public_key"]["@fields"])):
+        node = json.loads(dumps(value))
+        assert loads(json.dumps(node).encode()) == value
+        fields(node["@fields"])["s"] = "i" + encode_int(chosen).hex()
+        with pytest.raises(WireError):
+            loads(json.dumps(node).encode())
 
 
 def test_mutation_matrix_size_and_rejection():
